@@ -41,6 +41,7 @@ from .gates import (
     photonic_w_state,
     run_gate,
     success_probability_analytic,
+    two_photon_ancilla,
     w_state_qubits,
 )
 from .sources import (
@@ -48,7 +49,6 @@ from .sources import (
     calibrate_overlap_for_visibility,
     hom_scan,
     spdc_pair,
-    two_photon_ancilla,
     weak_coherent_pulse,
 )
 from .tomography import (
@@ -70,4 +70,3 @@ from .entanglement import (
     partial_trace,
     witness_value,
 )
-from .cli import ExperimentConfig, load_config, run_scenario

@@ -30,6 +30,7 @@ from .gates import (
     expand_w,
     run_gate,
     success_probability_analytic,
+    two_photon_ancilla,
     w_state_qubits,
 )
 from .optics import apply_delay
@@ -41,7 +42,6 @@ from .sources import (
     hom_scan,
     hom_scan_to_csv,
     spdc_pair,
-    two_photon_ancilla,
 )
 from .tomography import (
     bootstrap_errors,
@@ -283,20 +283,16 @@ def _tomography_block(
 
 
 def _run_hom(config: ExperimentConfig) -> dict:
-    overlap = config.overlap
     params = SourceParams(
         nu=config.nu,
         gamma=config.gamma,
         coherence_length=config.coherence_length_um,
-        overlap=overlap,
+        overlap=config.overlap,
     )
     if config.visibility_target is not None:
-        overlap = calibrate_overlap_for_visibility(config.visibility_target, params)
-        params = SourceParams(
-            nu=config.nu,
-            gamma=config.gamma,
-            coherence_length=config.coherence_length_um,
-            overlap=overlap,
+        params = dataclasses.replace(
+            params,
+            overlap=calibrate_overlap_for_visibility(config.visibility_target, params),
         )
     delays = config.delays_um
     if delays is None:
@@ -305,7 +301,7 @@ def _run_hom(config: ExperimentConfig) -> dict:
     flat = hom_asymptote(params)
     dip = min(p for _, p in curve)
     return {
-        "overlap_used": overlap,
+        "overlap_used": params.overlap,
         "coherence_length_um": config.coherence_length_um,
         "asymptote": flat,
         "dip_minimum": dip,
@@ -348,8 +344,7 @@ def _run_w4(config: ExperimentConfig) -> dict:
     if sigma_pair is None:
         raise ValueError("pair source produced no coincidences (gamma = 0?)")
 
-    pair_config = dataclasses.replace(config)
-    pair_block = _tomography_block(sigma_pair, 2, pair_config, seeds[:2])
+    pair_block = _tomography_block(sigma_pair, 2, config, seeds[:2])
 
     state = tensor(pair, two_photon_ancilla())
     if config.overlap < 1.0:

@@ -9,23 +9,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix
+from .fock import DensityMatrix, as_matrix
 from .gates import w_state_qubits
-from .tolerances import HERMITICITY_ATOL
+from .tolerances import (
+    CONCURRENCE_SLACK,
+    HERMITICITY_ATOL,
+    TWO_QUBIT_PSD_ATOL,
+    TWO_QUBIT_TRACE_ATOL,
+)
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_PAULI_Y, _PAULI_Y)
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
 def _symmetrized(rho) -> np.ndarray:
     """Hermitian-symmetrize, rejecting anything asymmetric beyond tolerance."""
-    m = _as_matrix(rho)
+    m = as_matrix(rho)
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return (m + m.conj().T) / 2.0
@@ -90,9 +89,9 @@ def _validated_two_qubit(rho) -> np.ndarray:
     m = _symmetrized(rho)
     if m.shape != (4, 4):
         raise ValueError("expected a two-qubit (4x4) density matrix")
-    if abs(np.trace(m).real - 1.0) > 1e-6:
+    if abs(np.trace(m).real - 1.0) > TWO_QUBIT_TRACE_ATOL:
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(m).min() < -1e-8:
+    if np.linalg.eigvalsh(m).min() < -TWO_QUBIT_PSD_ATOL:
         raise ValueError("density matrix is not positive semidefinite")
     return m
 
@@ -117,7 +116,7 @@ def binary_entropy(x: float) -> float:
 
 
 def eof_from_concurrence(c: float) -> float:
-    if not 0.0 <= c <= 1.0 + 1e-12:
+    if not 0.0 <= c <= 1.0 + CONCURRENCE_SLACK:
         raise ValueError(f"concurrence {c} outside [0, 1]")
     c = min(c, 1.0)
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)

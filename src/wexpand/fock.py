@@ -20,6 +20,7 @@ from .tolerances import (
     AMPLITUDE_PRUNE,
     HERMITICITY_ATOL,
     POSTSELECT_MIN_PROBABILITY,
+    POSTSELECT_NORM_ATOL,
     PSD_ATOL,
     TRACE_ATOL,
 )
@@ -325,7 +326,7 @@ def postselect_qubits(
         raise ValueError("empty mode list")
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate spatial modes in post-selection list")
-    if abs(state.norm_squared() - 1.0) > 1e-6:
+    if abs(state.norm_squared() - 1.0) > POSTSELECT_NORM_ATOL:
         raise ValueError("postselect_qubits expects a normalized state")
 
     n = len(modes)
@@ -450,3 +451,10 @@ class DensityMatrix:
         re = np.asarray(doc["re"], dtype=float).reshape(dim, dim)
         im = np.asarray(doc["im"], dtype=float).reshape(dim, dim)
         return DensityMatrix(re + 1j * im, list(doc["qubit_order"]))
+
+
+def as_matrix(rho) -> np.ndarray:
+    """The matrix of a ``DensityMatrix``, or any array-like as complex."""
+    if isinstance(rho, DensityMatrix):
+        return rho.matrix
+    return np.asarray(rho, dtype=complex)

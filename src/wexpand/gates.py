@@ -23,6 +23,7 @@ from .fock import (
     FockBasisVector,
     PhotonicState,
     mode,
+    number_state,
     postselect_qubits,
     qubit_amplitudes,
     tensor,
@@ -120,11 +121,9 @@ def photonic_w_state(mode_ids: Sequence[int]) -> PhotonicState:
     return PhotonicState(terms)
 
 
-def two_photon_ancilla_state() -> PhotonicState:
-    """|2_H> in the ancilla mode (re-exported by the sources module)."""
-    from .fock import number_state
-
-    return number_state(MODE_ANCILLA, H, 2)
+def two_photon_ancilla(spatial_mode: int = MODE_ANCILLA) -> PhotonicState:
+    """Ideal ancilla: two H photons in one mode."""
+    return number_state(spatial_mode, H, 2)
 
 
 def untouched_mode_ids(n: int) -> list[int]:
@@ -150,7 +149,7 @@ def success_probability_analytic(n: int) -> float:
 def _gate_branch_amplitudes(gate: ExpansionGate) -> tuple[np.ndarray, np.ndarray]:
     """Post-selected three-qubit amplitude maps of the gate for an H and a V
     photon entering mode 1, computed from the full Fock simulation."""
-    ancilla = two_photon_ancilla_state()
+    ancilla = two_photon_ancilla()
     branches = []
     for pol in (H, V):
         photon = PhotonicState(
@@ -206,5 +205,5 @@ def expand_w_full_photonic(
         raise ValueError("W state needs at least one qubit")
     rest = untouched_mode_ids(n)
     seed = photonic_w_state(rest + [MODE_INPUT])
-    state = run_gate(tensor(seed, two_photon_ancilla_state()), gate)
+    state = run_gate(tensor(seed, two_photon_ancilla()), gate)
     return postselect_qubits(state, rest + list(OUTPUT_MODES))

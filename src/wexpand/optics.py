@@ -9,7 +9,6 @@ Elements therefore conserve total photon number and state norm exactly
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -172,11 +171,6 @@ class JonesUnitary:
         return np.asarray(self.matrix, dtype=complex)
 
     @staticmethod
-    def from_array(u: np.ndarray) -> "JonesUnitary":
-        u = np.asarray(u, dtype=complex)
-        return JonesUnitary(((u[0, 0], u[0, 1]), (u[1, 0], u[1, 1])))
-
-    @staticmethod
     def identity() -> "JonesUnitary":
         return JonesUnitary(((1.0, 0.0), (0.0, 1.0)))
 
@@ -263,72 +257,3 @@ def apply_circuit(state: PhotonicState, elements: Sequence) -> PhotonicState:
     for element in elements:
         state = apply_element(state, element)
     return state
-
-
-def circuit_to_json(elements: Sequence) -> list[dict]:
-    """Ordered element records {kind, params} for file-based wiring."""
-    records = []
-    for el in elements:
-        if isinstance(el, BeamsplitterSpec):
-            records.append(
-                {
-                    "kind": "beamsplitter",
-                    "params": {
-                        "in_a": el.in_a,
-                        "in_b": el.in_b,
-                        "out_a": el.out_a,
-                        "out_b": el.out_b,
-                        "transmissivity": el.transmissivity,
-                        "sign_convention": el.sign_convention,
-                    },
-                }
-            )
-        elif isinstance(el, JonesElement):
-            u = el.jones.as_array()
-            records.append(
-                {
-                    "kind": "jones",
-                    "params": {
-                        "spatial": el.spatial,
-                        "re": [float(x) for x in u.real.ravel()],
-                        "im": [float(x) for x in u.imag.ravel()],
-                    },
-                }
-            )
-        elif isinstance(el, DelayElement):
-            records.append(
-                {"kind": "delay", "params": {"spatial": el.spatial, "overlap": el.overlap}}
-            )
-        else:
-            raise TypeError(f"unknown circuit element {el!r}")
-    return records
-
-
-def circuit_from_json(records: Sequence[dict]) -> list:
-    elements = []
-    for rec in records:
-        kind = rec.get("kind")
-        params = rec.get("params", {})
-        if kind == "beamsplitter":
-            elements.append(BeamsplitterSpec(**params))
-        elif kind == "jones":
-            re = np.asarray(params["re"], dtype=float).reshape(2, 2)
-            im = np.asarray(params["im"], dtype=float).reshape(2, 2)
-            elements.append(
-                JonesElement(int(params["spatial"]), JonesUnitary.from_array(re + 1j * im))
-            )
-        elif kind == "delay":
-            elements.append(DelayElement(int(params["spatial"]), float(params["overlap"])))
-        else:
-            raise ValueError(f"unknown circuit element kind {kind!r}")
-    return elements
-
-
-def save_circuit(elements: Sequence, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_json(elements), fh, indent=2, sort_keys=True)
-
-
-def load_circuit(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return circuit_from_json(json.load(fh))

@@ -6,8 +6,6 @@ exactly once and tests can reference the same constants.
 
 # Sparse-state bookkeeping
 AMPLITUDE_PRUNE = 1e-14        # amplitudes below this are dropped after each operation
-NORM_ATOL = 1e-12              # unit-norm checks for states and optical elements
-SUBNORM_SLACK = 1e-9           # squared-amplitude sum may exceed 1 by at most this
 
 # Unitarity / linear-algebra validation
 UNITARY_ATOL = 1e-12           # 2x2 mode matrices and Jones matrices
@@ -15,13 +13,20 @@ HERMITICITY_ATOL = 1e-10       # density matrices: max |rho - rho^dagger|
 PSD_ATOL = 1e-10               # density matrices: eigenvalues >= -PSD_ATOL
 TRACE_ATOL = 1e-9              # density matrices: |trace - 1|
 
+# Two-qubit entanglement measures
+TWO_QUBIT_TRACE_ATOL = 1e-6    # |trace - 1| accepted by concurrence / EoF
+TWO_QUBIT_PSD_ATOL = 1e-8      # eigenvalues >= -TWO_QUBIT_PSD_ATOL accepted there
+CONCURRENCE_SLACK = 1e-12      # concurrence may exceed 1 by this much (then clipped)
+
 # Post-selection
 POSTSELECT_MIN_PROBABILITY = 1e-12   # below this the projected state is flagged empty
+POSTSELECT_NORM_ATOL = 1e-6          # input state must have |norm^2 - 1| below this
 
 # Iterative maximum-likelihood reconstruction
 IMLM_PROBABILITY_FLOOR = 1e-12   # floor on predicted probabilities inside the R operator
 IMLM_LOGLIK_TOL = 1e-10          # stop when the log-likelihood gain drops below this
 IMLM_MAX_ITER = 100_000
+SETTINGS_RANK_TOL = 1e-9         # rank tolerance of the informational-completeness check
 
 # Analytic cross-checks
 PROBABILITY_ATOL = 1e-10       # simulated vs analytic success probabilities

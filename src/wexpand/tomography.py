@@ -12,19 +12,19 @@ whenever G is proportional to the identity.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .fock import DensityMatrix
+from .fock import DensityMatrix, as_matrix
 from .tolerances import (
     IMLM_LOGLIK_TOL,
     IMLM_MAX_ITER,
     IMLM_PROBABILITY_FLOOR,
+    SETTINGS_RANK_TOL,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -48,20 +48,10 @@ class CountRecord:
 
     setting: tuple
     count: float
-    seconds: float | None = None
-    rate: float | None = None
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("counts must be nonnegative")
-
-
-def setting_from_string(labels: str) -> tuple:
-    return tuple(labels)
-
-
-def setting_to_string(setting: Sequence[str]) -> str:
-    return "".join(setting)
 
 
 def default_settings(n_qubits: int) -> list[tuple]:
@@ -82,15 +72,9 @@ def setting_projector(setting: Sequence[str]) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
 def expected_probability(rho, setting: Sequence[str]) -> float:
     """Born-rule coincidence probability Tr(rho P_setting)."""
-    m = _as_matrix(rho)
+    m = as_matrix(rho)
     proj = setting_projector(setting)
     if proj.shape != m.shape:
         raise ValueError(
@@ -105,7 +89,6 @@ def sample_counts(
     settings: Sequence[Sequence[str]],
     flux_per_setting: float,
     seed: int,
-    seconds: float | None = None,
 ) -> list[CountRecord]:
     """Poisson coincidence counts, one per setting, deterministic in the seed."""
     if flux_per_setting <= 0:
@@ -115,11 +98,7 @@ def sample_counts(
     for setting in settings:
         p = expected_probability(rho, setting)
         mean = flux_per_setting * max(p, 0.0)
-        count = int(rng.poisson(mean))
-        rate = None if seconds is None else count / seconds
-        records.append(
-            CountRecord(tuple(setting), count, seconds=seconds, rate=rate)
-        )
+        records.append(CountRecord(tuple(setting), int(rng.poisson(mean))))
     return records
 
 
@@ -178,7 +157,7 @@ def _counts_array(counts) -> np.ndarray:
 def _check_informationally_complete(projectors: np.ndarray) -> None:
     m, d, _ = projectors.shape
     flat = projectors.reshape(m, d * d)
-    if np.linalg.matrix_rank(flat, tol=1e-9) < d * d:
+    if np.linalg.matrix_rank(flat, tol=SETTINGS_RANK_TOL) < d * d:
         raise ValueError("settings are not informationally complete")
 
 
@@ -320,7 +299,7 @@ def imlm_reconstruct(
 
 def fidelity(rho, target: np.ndarray) -> float:
     """<psi| rho |psi> against a pure target state."""
-    m = _as_matrix(rho)
+    m = as_matrix(rho)
     vec = np.asarray(target, dtype=complex)
     if vec.shape != (m.shape[0],):
         raise ValueError("target state dimension does not match the density matrix")
@@ -378,33 +357,3 @@ def bootstrap_errors(
             stats.setdefault(key, []).append(value)
 
     return {key: float(np.std(vals)) for key, vals in stats.items()}
-
-
-def counts_to_csv(records: Iterable[CountRecord], path) -> None:
-    """Count file: setting_labels, count, seconds."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting_labels", "count", "seconds"])
-        for rec in records:
-            writer.writerow(
-                [
-                    setting_to_string(rec.setting),
-                    repr(rec.count) if isinstance(rec.count, float) else rec.count,
-                    "" if rec.seconds is None else rec.seconds,
-                ]
-            )
-
-
-def counts_from_csv(path) -> list[CountRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            seconds = row.get("seconds") or None
-            records.append(
-                CountRecord(
-                    setting_from_string(row["setting_labels"]),
-                    float(row["count"]),
-                    seconds=None if seconds is None else float(seconds),
-                )
-            )
-    return records

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wexpand
+from wexpand import sources
 from wexpand.cli import (
     ExperimentConfig,
     config_sha256,
@@ -15,6 +20,7 @@ from wexpand.cli import (
     main,
     run_scenario,
 )
+from wexpand.gates import run_gate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -180,6 +186,22 @@ def test_main_scaling_and_outputs(tmp_path):
     assert len(report["results"]["rows"]) == 8
 
 
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    # runpy warns when the package __init__ has already imported the module
+    # it is asked to run as __main__.
+    src = str(Path(wexpand.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "wexpand.cli",
+         "scaling", "--out", str(tmp_path / "scaling.json")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_main_w3_exact_writes_density_matrix(tmp_path):
     out = tmp_path / "w3.json"
     assert main(["w3", "--exact", "--out", str(out)]) == 0
@@ -205,6 +227,22 @@ def test_main_hom_writes_curve(tmp_path):
     assert len(csv_lines) == 4
     report = json.loads(out.read_text())
     assert report["results"]["visibility"] == pytest.approx(0.85, abs=1e-6)
+
+
+def test_shipped_hom_scenario_takes_at_most_five_gate_runs(monkeypatch):
+    # Calibration and scan each need two circuit runs (the dip is affine in
+    # xi^2), the asymptote one.
+    calls = []
+
+    def counted(state, gate=None):
+        calls.append(1)
+        return run_gate(state, gate)
+
+    monkeypatch.setattr(sources, "run_gate", counted)
+    results = run_scenario(load_config(CONFIG_DIR / "hom.json"))["results"]
+    assert len(calls) <= 5
+    assert results["overlap_used"] == pytest.approx(0.9262800541764591, abs=1e-10)
+    assert results["visibility"] == pytest.approx(0.85, abs=1e-12)
 
 
 def test_main_rejects_mismatched_scenario(tmp_path, capsys):

@@ -157,12 +157,3 @@ def test_gate_rejects_dirty_internal_modes():
         run_gate(single_photon(4, "H"))
     with pytest.raises(GateInputError):
         run_gate(single_photon(3, "V"))
-
-
-def test_gate_wiring_exports_to_circuit_json():
-    from wexpand.optics import circuit_from_json, circuit_to_json
-
-    gate = ExpansionGate()
-    records = circuit_to_json(gate.elements)
-    assert [r["kind"] for r in records] == ["beamsplitter", "jones", "beamsplitter"]
-    assert circuit_from_json(records) == list(gate.elements)

@@ -16,17 +16,11 @@ from wexpand.fock import (
 )
 from wexpand.optics import (
     BeamsplitterSpec,
-    DelayElement,
-    JonesElement,
     JonesUnitary,
-    REFLECTION_MINUS_ON_OUT_A,
     REFLECTION_MINUS_ON_OUT_B,
     apply_beamsplitter,
-    apply_circuit,
     apply_delay,
     apply_jones,
-    circuit_from_json,
-    circuit_to_json,
 )
 
 BS_GATE_FRONT = BeamsplitterSpec(
@@ -179,32 +173,3 @@ def test_delay_zero_at_zero_delay():
     from wexpand.sources import delay_overlap
 
     assert delay_overlap(0.0, 144.0) == pytest.approx(1.0)
-
-
-def test_circuit_json_round_trip():
-    elements = [
-        BS_GATE_FRONT,
-        JonesElement(4, JonesUnitary.v_phase_flip()),
-        DelayElement(2, 0.8),
-        BeamsplitterSpec(
-            in_a=3, in_b=7, out_a=5, out_b=6, sign_convention=REFLECTION_MINUS_ON_OUT_A
-        ),
-    ]
-    records = circuit_to_json(elements)
-    rebuilt = circuit_from_json(records)
-    assert rebuilt == elements
-
-    state = tensor(single_photon(1, "V"), number_state(2, "H", 2))
-    direct = apply_circuit(state, elements)
-    via_json = apply_circuit(state, rebuilt)
-    for fbv, amp in direct.items():
-        assert via_json.amplitude(fbv) == pytest.approx(amp, abs=1e-12)
-
-
-def test_circuit_file_round_trip(tmp_path):
-    from wexpand.optics import load_circuit, save_circuit
-
-    elements = [BS_GATE_FRONT, DelayElement(2, 0.5)]
-    path = tmp_path / "circuit.json"
-    save_circuit(elements, path)
-    assert load_circuit(path) == elements

@@ -11,7 +11,7 @@ from wexpand.fock import (
     vacuum_state,
 )
 from wexpand.gates import OUTPUT_MODES, run_gate, w_state_qubits
-from wexpand.optics import JonesUnitary, apply_jones
+from wexpand.optics import JonesUnitary, apply_delay, apply_jones
 from wexpand.sources import (
     DIAGONAL,
     SourceParams,
@@ -153,9 +153,32 @@ def test_hom_visibility_calibration():
         calibrate_overlap_for_visibility(0.9999, params)
 
 
+def _simulated_dip(xi, params):
+    # Reference: the whole circuit, independently of the closed form.
+    state = tensor(heralded_single_photon(), weak_coherent_pulse(params, 2))
+    return coincidence_probability(run_gate(apply_delay(state, 2, xi)), (0, 4, 5))
+
+
+@pytest.mark.parametrize("n_max", [2, 4])
+@pytest.mark.parametrize("nu", [0.03, 0.3])
+def test_closed_form_dip_matches_circuit(nu, n_max):
+    params = SourceParams(nu=nu, gamma=0.0, n_max=n_max)
+    flat = _simulated_dip(0.0, params)
+    assert hom_asymptote(params) == pytest.approx(flat, rel=1e-12)
+    for xi in (0.0, 0.3, 0.7, 1.0):
+        at_xi = SourceParams(nu=nu, gamma=0.0, n_max=n_max, overlap=xi)
+        direct = _simulated_dip(xi, params)
+        assert hom_scan([0.0], at_xi)[0][1] == pytest.approx(direct, rel=1e-12)
+        assert hom_visibility(at_xi) == pytest.approx(1.0 - direct / flat, rel=1e-12)
+    xi0 = calibrate_overlap_for_visibility(0.85, params)
+    assert 1.0 - _simulated_dip(xi0, params) / flat == pytest.approx(0.85, abs=1e-10)
+
+
 def test_hom_empty_delays_rejected():
     with pytest.raises(ValueError):
         hom_scan([], SourceParams())
+    with pytest.raises(ValueError, match="coincidences"):
+        hom_scan([0.0], SourceParams(nu=0.0, gamma=0.0))
 
 
 def test_delay_overlap_gaussian_width():

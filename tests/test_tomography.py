@@ -6,8 +6,6 @@ from wexpand.gates import w_state_qubits
 from wexpand.tomography import (
     CountRecord,
     bootstrap_errors,
-    counts_from_csv,
-    counts_to_csv,
     default_settings,
     exact_counts,
     expected_probability,
@@ -15,7 +13,6 @@ from wexpand.tomography import (
     flux_for_typical_count,
     imlm_reconstruct,
     sample_counts,
-    setting_from_string,
     setting_projector,
 )
 
@@ -214,14 +211,6 @@ def test_bootstrap_experiment_scale_error_order():
     assert 0.0042 <= errs["fidelity"] <= 0.42
 
 
-def test_count_records_and_csv_round_trip(tmp_path):
+def test_count_record_rejects_negative_count():
     with pytest.raises(ValueError):
         CountRecord(("H",), -1)
-    records = sample_counts(RHO_W3, SETTINGS_3[:8], 104.0, seed=3, seconds=5220.0)
-    path = tmp_path / "counts.csv"
-    counts_to_csv(records, path)
-    loaded = counts_from_csv(path)
-    assert [r.setting for r in loaded] == [r.setting for r in records]
-    assert [r.count for r in loaded] == [float(r.count) for r in records]
-    assert loaded[0].seconds == 5220.0
-    assert setting_from_string("HDR") == ("H", "D", "R")
