@@ -9,11 +9,11 @@ __version__ = "0.1.0"
 
 from .fock import (
     DensityMatrix,
-    FockBasisVector,
     ModeLabel,
     PhotonicState,
     apply_annihilation,
     apply_creation,
+    basis_vector,
     coincidence_probability,
     inner_product,
     mode,
@@ -29,13 +29,11 @@ from .optics import (
     DelayElement,
     JonesElement,
     JonesUnitary,
-    apply_beamsplitter,
     apply_circuit,
     apply_delay,
-    apply_jones,
 )
 from .gates import (
-    ExpansionGate,
+    GATE_ELEMENTS,
     expand_w,
     expand_w_full_photonic,
     photonic_w_state,

@@ -15,6 +15,8 @@ import dataclasses
 import hashlib
 import json
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,9 +40,10 @@ from .sources import (
     DIAGONAL,
     SourceParams,
     calibrate_overlap_for_visibility,
-    hom_asymptote,
+    dip_coefficients,
     hom_scan,
     hom_scan_to_csv,
+    hom_visibility,
     spdc_pair,
 )
 from .tomography import (
@@ -142,23 +145,26 @@ class ExperimentConfig:
         return self.scenario in ("w3", "w4") and not self.exact
 
 
-_FIELD_TYPES = {
-    "scenario": str,
-    "nu": (int, float),
-    "gamma": (int, float),
-    "overlap": (int, float),
-    "flux_per_setting": (int, float),
-    "n_resamples": int,
-    "seed": int,
-    "exact": bool,
-    "out": str,
-    "coherence_length_um": (int, float),
-    "delays_um": list,
-    "visibility_target": (int, float),
-    "metadata": dict,
-}
+# Field annotations drive the type check of config files.
+_FIELD_HINTS = typing.get_type_hints(ExperimentConfig)
 
-_OPTIONAL_NONE = {"seed", "out", "delays_um", "visibility_target"}
+
+def _matches(value, hint) -> bool:
+    """JSON value check against a field annotation: ``float`` accepts ints,
+    only ``bool`` accepts booleans, only ``X | None`` accepts null, and a
+    ``list[X]`` checks its items."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_matches(value, arg) for arg in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_matches(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def default_config(scenario: str) -> ExperimentConfig:
@@ -197,23 +203,14 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - set(_FIELD_TYPES)
+    unknown = set(raw) - set(_FIELD_HINTS)
     if unknown:
         raise ValueError(f"{path}: unknown config fields {sorted(unknown)}")
     if "scenario" not in raw:
         raise ValueError(f"{path}: missing required field 'scenario'")
     for key, value in raw.items():
-        if value is None and key in _OPTIONAL_NONE:
-            continue
-        expected = _FIELD_TYPES[key]
-        if not isinstance(value, expected) or (
-            expected is not bool and isinstance(value, bool)
-        ):
+        if not _matches(value, _FIELD_HINTS[key]):
             raise ValueError(f"{path}: field {key!r} has invalid type")
-        if key == "delays_um" and not all(
-            isinstance(d, (int, float)) and not isinstance(d, bool) for d in value
-        ):
-            raise ValueError(f"{path}: field 'delays_um' must list numbers")
     config = ExperimentConfig(**raw)
     config.validate()
     return config
@@ -289,23 +286,22 @@ def _run_hom(config: ExperimentConfig) -> dict:
         coherence_length=config.coherence_length_um,
         overlap=config.overlap,
     )
+    dip = dip_coefficients(params)
     if config.visibility_target is not None:
         params = dataclasses.replace(
             params,
-            overlap=calibrate_overlap_for_visibility(config.visibility_target, params),
+            overlap=calibrate_overlap_for_visibility(config.visibility_target, dip),
         )
     delays = config.delays_um
     if delays is None:
         delays = [float(d) for d in range(-400, 401, 25)]
-    curve = hom_scan(delays, params)
-    flat = hom_asymptote(params)
-    dip = min(p for _, p in curve)
+    curve = hom_scan(delays, params, dip)
     return {
         "overlap_used": params.overlap,
         "coherence_length_um": config.coherence_length_um,
-        "asymptote": flat,
-        "dip_minimum": dip,
-        "visibility": 1.0 - dip / flat,
+        "asymptote": dip[0],
+        "dip_minimum": min(p for _, p in curve),
+        "visibility": hom_visibility(params, dip),
         "points": [[d, p] for d, p in curve],
     }
 

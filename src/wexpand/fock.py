@@ -1,7 +1,8 @@
 """Sparse bosonic Fock-space states over labeled optical modes.
 
 A mode is labeled by (spatial path, polarization, temporal bin) and a state
-is a sparse complex amplitude map over occupation-number basis vectors.
+is a sparse complex amplitude map over Fock basis vectors, each stored as
+the sorted tuple of its photons' mode labels.
 All circuit evolution stays pure; mixedness enters only in
 ``postselect_qubits``, which keeps one photon per listed spatial mode and
 traces the temporal bins out of the surviving polarization qubits.
@@ -9,6 +10,7 @@ traces the temporal bins out of the surviving polarization qubits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -36,7 +38,6 @@ ORTHOGONAL = "o"
 TEMPORAL_BINS = (PRINCIPAL, ORTHOGONAL)
 
 _POL_INDEX = {H: 0, V: 1}
-_BIN_INDEX = {PRINCIPAL: 0, ORTHOGONAL: 1}
 
 
 class WiringError(ValueError):
@@ -47,9 +48,6 @@ class ModeLabel(NamedTuple):
     spatial: int
     pol: str
     tbin: str = PRINCIPAL
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.spatial, _POL_INDEX[self.pol], _BIN_INDEX[self.tbin])
 
     def __str__(self) -> str:
         suffix = "" if self.tbin == PRINCIPAL else "'"
@@ -62,74 +60,32 @@ def mode(spatial: int, pol: str, tbin: str = PRINCIPAL) -> ModeLabel:
         raise ValueError(f"spatial mode id must be nonnegative, got {spatial}")
     if pol not in _POL_INDEX:
         raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {pol!r}")
-    if tbin not in _BIN_INDEX:
+    if tbin not in TEMPORAL_BINS:
         raise ValueError(f"temporal bin must be one of {TEMPORAL_BINS}, got {tbin!r}")
     return ModeLabel(int(spatial), pol, tbin)
 
 
-@dataclass(frozen=True)
-class FockBasisVector:
-    """Occupation numbers per mode; zero-count entries are never stored.
-
-    ``occ`` is kept sorted by the canonical label order (spatial, then
-    polarization, then temporal bin) so equal occupations compare equal.
-    """
-
-    occ: tuple[tuple[ModeLabel, int], ...] = ()
-
-    @staticmethod
-    def from_occupations(occupations: Mapping[ModeLabel, int]) -> "FockBasisVector":
-        items = []
-        for label, count in dict(occupations).items():
-            count = int(count)
-            if count < 0:
-                raise ValueError(f"negative occupation {count} at {label}")
-            if count:
-                items.append((label, count))
-        items.sort(key=lambda item: item[0].sort_key())
-        return FockBasisVector(tuple(items))
-
-    def as_dict(self) -> dict[ModeLabel, int]:
-        return dict(self.occ)
-
-    def occupation(self, label: ModeLabel) -> int:
-        for lab, count in self.occ:
-            if lab == label:
-                return count
-        return 0
-
-    def total_photons(self) -> int:
-        return sum(count for _, count in self.occ)
-
-    def photons_in_spatial(self, spatial: int) -> int:
-        return sum(count for lab, count in self.occ if lab.spatial == spatial)
-
-    def spatial_modes(self) -> frozenset[int]:
-        return frozenset(lab.spatial for lab, _ in self.occ)
-
-    def added(self, label: ModeLabel) -> tuple["FockBasisVector", float]:
-        """One photon added at ``label``; returns the bosonic sqrt(n+1) factor."""
-        occ = self.as_dict()
-        n = occ.get(label, 0)
-        occ[label] = n + 1
-        return FockBasisVector.from_occupations(occ), math.sqrt(n + 1)
-
-    def removed(self, label: ModeLabel) -> tuple["FockBasisVector", float] | None:
-        """One photon removed at ``label``, or None if the mode is empty."""
-        occ = self.as_dict()
-        n = occ.get(label, 0)
-        if n == 0:
-            return None
-        occ[label] = n - 1
-        return FockBasisVector.from_occupations(occ), math.sqrt(n)
-
-    def __str__(self) -> str:
-        if not self.occ:
-            return "|vac>"
-        return "|" + " ".join(f"{n}{lab}" for lab, n in self.occ) + ">"
+# A Fock basis vector is the sorted tuple of its photons' mode labels, one
+# entry per photon, so equal occupations compare equal; the vacuum is ().
+Basis = tuple[ModeLabel, ...]
+VACUUM: Basis = ()
 
 
-VACUUM = FockBasisVector()
+def basis_vector(occupations: Mapping[ModeLabel, int]) -> Basis:
+    """The basis vector with the given photon count per mode."""
+    photons: list[ModeLabel] = []
+    for label, count in occupations.items():
+        if count < 0:
+            raise ValueError(f"negative occupation {count} at {label}")
+        photons.extend([label] * int(count))
+    return tuple(sorted(photons))
+
+
+def bosonic_norm(fbv: Basis) -> int:
+    """prod_k n_k! over the modes of ``fbv``: (a^dag)^n |vac> = sqrt(n!) |n>."""
+    return math.prod(
+        math.factorial(len(list(group))) for _, group in itertools.groupby(fbv)
+    )
 
 
 class PhotonicState:
@@ -144,7 +100,7 @@ class PhotonicState:
 
     def __init__(
         self,
-        terms: Mapping[FockBasisVector, complex],
+        terms: Mapping[Basis, complex],
         prune: float = AMPLITUDE_PRUNE,
     ):
         self._terms = {
@@ -152,7 +108,7 @@ class PhotonicState:
         }
 
     @property
-    def terms(self) -> Mapping[FockBasisVector, complex]:
+    def terms(self) -> Mapping[Basis, complex]:
         return MappingProxyType(self._terms)
 
     def items(self):
@@ -177,17 +133,15 @@ class PhotonicState:
         return PhotonicState({f: a * factor for f, a in self._terms.items()})
 
     def spatial_modes(self) -> frozenset[int]:
-        out: set[int] = set()
-        for fbv in self._terms:
-            out |= fbv.spatial_modes()
-        return frozenset(out)
+        return frozenset(lab.spatial for fbv in self._terms for lab in fbv)
 
-    def amplitude(self, fbv: FockBasisVector) -> complex:
+    def amplitude(self, fbv: Basis) -> complex:
         return self._terms.get(fbv, 0.0 + 0.0j)
 
     def __repr__(self) -> str:
         body = " + ".join(
-            f"({amp:.4g}){fbv}" for fbv, amp in list(self._terms.items())[:6]
+            f"({amp:.4g})|{' '.join(map(str, fbv)) or 'vac'}>"
+            for fbv, amp in list(self._terms.items())[:6]
         )
         more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
         return f"PhotonicState[{body}{more}]"
@@ -198,40 +152,35 @@ def vacuum_state() -> PhotonicState:
 
 
 def single_photon(spatial: int, pol: str, tbin: str = PRINCIPAL) -> PhotonicState:
-    return PhotonicState(
-        {FockBasisVector.from_occupations({mode(spatial, pol, tbin): 1}): 1.0}
-    )
+    return number_state(spatial, pol, 1, tbin)
 
 
 def number_state(spatial: int, pol: str, n: int, tbin: str = PRINCIPAL) -> PhotonicState:
     """Normalized n-photon state in a single mode."""
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    if n == 0:
-        return vacuum_state()
-    return PhotonicState(
-        {FockBasisVector.from_occupations({mode(spatial, pol, tbin): n}): 1.0}
-    )
+    return PhotonicState({basis_vector({mode(spatial, pol, tbin): n}): 1.0})
 
 
 def apply_creation(state: PhotonicState, label: ModeLabel) -> PhotonicState:
     """Creation operator on one mode; output is generally unnormalized."""
-    out: dict[FockBasisVector, complex] = {}
+    out: dict[Basis, complex] = {}
     for fbv, amp in state.items():
-        new, factor = fbv.added(label)
-        out[new] = out.get(new, 0.0) + amp * factor
+        new = tuple(sorted(fbv + (label,)))
+        out[new] = out.get(new, 0.0) + amp * math.sqrt(new.count(label))
     return PhotonicState(out)
 
 
 def apply_annihilation(state: PhotonicState, label: ModeLabel) -> PhotonicState:
     """Annihilation operator on one mode; kills empty-mode terms."""
-    out: dict[FockBasisVector, complex] = {}
+    out: dict[Basis, complex] = {}
     for fbv, amp in state.items():
-        hit = fbv.removed(label)
-        if hit is None:
+        n = fbv.count(label)
+        if n == 0:
             continue
-        new, factor = hit
-        out[new] = out.get(new, 0.0) + amp * factor
+        i = fbv.index(label)
+        new = fbv[:i] + fbv[i + 1 :]
+        out[new] = out.get(new, 0.0) + amp * math.sqrt(n)
     return PhotonicState(out)
 
 
@@ -254,29 +203,29 @@ def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
     shared = a.spatial_modes() & b.spatial_modes()
     if shared:
         raise WiringError(f"tensor factors share spatial modes {sorted(shared)}")
-    out: dict[FockBasisVector, complex] = {}
-    for fa, amp_a in a.items():
-        occ_a = fa.as_dict()
-        for fb, amp_b in b.items():
-            occ = dict(occ_a)
-            occ.update(fb.as_dict())
-            out[FockBasisVector.from_occupations(occ)] = amp_a * amp_b
-    return PhotonicState(out)
+    return PhotonicState(
+        {
+            tuple(sorted(fa + fb)): amp_a * amp_b
+            for fa, amp_a in a.items()
+            for fb, amp_b in b.items()
+        }
+    )
 
 
 def coincidence_probability(
-    state: PhotonicState, spatial_modes: Sequence[int], min_photons: int = 1
+    state: PhotonicState, spatial_modes: Sequence[int]
 ) -> float:
-    """Probability that every listed spatial mode holds >= min_photons.
+    """Probability that every listed spatial mode holds at least one photon.
 
     Models threshold detectors: terms are kept regardless of what the
     unlisted modes contain.
     """
     if not spatial_modes:
         raise ValueError("empty mode list")
+    wanted = set(spatial_modes)
     total = 0.0
     for fbv, amp in state.items():
-        if all(fbv.photons_in_spatial(m) >= min_photons for m in spatial_modes):
+        if wanted <= {lab.spatial for lab in fbv}:
             total += abs(amp) ** 2
     return total
 
@@ -293,18 +242,14 @@ def basis_index(pols: Sequence[str]) -> int:
 
 
 def _single_photon_pattern(
-    fbv: FockBasisVector, modes: Sequence[int]
+    fbv: Basis, modes: Sequence[int]
 ) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """(pol pattern, bin pattern) if ``fbv`` has exactly one photon per listed
     mode and none anywhere else, otherwise None."""
-    if fbv.total_photons() != len(modes):
+    if len(fbv) != len(modes):
         return None
-    by_spatial: dict[int, ModeLabel] = {}
-    for lab, count in fbv.occ:
-        if count != 1 or lab.spatial in by_spatial:
-            return None
-        by_spatial[lab.spatial] = lab
-    if set(by_spatial) != set(modes):
+    by_spatial = {lab.spatial: lab for lab in fbv}
+    if len(by_spatial) != len(fbv) or set(by_spatial) != set(modes):
         return None
     pols = tuple(by_spatial[m].pol for m in modes)
     bins = tuple(by_spatial[m].tbin for m in modes)

@@ -13,19 +13,19 @@ with probability (N+2)/(16N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .fock import (
     DensityMatrix,
-    FockBasisVector,
     PhotonicState,
+    basis_vector,
     mode,
     number_state,
     postselect_qubits,
     qubit_amplitudes,
+    single_photon,
     tensor,
     H,
     V,
@@ -53,48 +53,34 @@ class GateInputError(ValueError):
     """The gate input already holds photons in internal or output modes."""
 
 
-@dataclass(frozen=True)
-class ExpansionGate:
-    """Fixed wiring of the expansion gate as an ordered element list."""
-
-    include_sign_plate: bool = True
-    elements: tuple = field(init=False)
-
-    def __post_init__(self):
-        first_bs = BeamsplitterSpec(
-            in_a=MODE_INPUT,
-            in_b=MODE_ANCILLA,
-            out_a=MODE_INTERNAL,
-            out_b=OUTPUT_MODES[0],
-            transmissivity=0.5,
-            sign_convention=REFLECTION_MINUS_ON_OUT_B,
-        )
-        second_bs = BeamsplitterSpec(
-            in_a=MODE_INTERNAL,
-            in_b=MODE_AUX,
-            out_a=OUTPUT_MODES[1],
-            out_b=OUTPUT_MODES[2],
-            transmissivity=0.5,
-            sign_convention=REFLECTION_MINUS_ON_OUT_A,
-        )
-        wiring = [first_bs]
-        if self.include_sign_plate:
-            wiring.append(JonesElement(OUTPUT_MODES[0], JonesUnitary.v_phase_flip()))
-        wiring.append(second_bs)
-        object.__setattr__(self, "elements", tuple(wiring))
+# The gate wiring, in propagation order.
+GATE_ELEMENTS = (
+    BeamsplitterSpec(
+        in_a=MODE_INPUT,
+        in_b=MODE_ANCILLA,
+        out_a=MODE_INTERNAL,
+        out_b=OUTPUT_MODES[0],
+        transmissivity=0.5,
+        sign_convention=REFLECTION_MINUS_ON_OUT_B,
+    ),
+    JonesElement(OUTPUT_MODES[0], JonesUnitary.v_phase_flip()),
+    BeamsplitterSpec(
+        in_a=MODE_INTERNAL,
+        in_b=MODE_AUX,
+        out_a=OUTPUT_MODES[1],
+        out_b=OUTPUT_MODES[2],
+        transmissivity=0.5,
+        sign_convention=REFLECTION_MINUS_ON_OUT_A,
+    ),
+)
 
 
-def run_gate(state: PhotonicState, gate: ExpansionGate | None = None) -> PhotonicState:
+def run_gate(state: PhotonicState) -> PhotonicState:
     """Propagate a state with photons in modes 1 and 2 through the gate."""
-    for spatial in _GATE_CLEAN_MODES:
-        for fbv in state.terms:
-            if fbv.photons_in_spatial(spatial):
-                raise GateInputError(
-                    f"gate input must leave mode {spatial} in vacuum"
-                )
-    if gate is None:
-        gate = ExpansionGate()
-    return apply_circuit(state, gate.elements)
+    dirty = state.spatial_modes() & set(_GATE_CLEAN_MODES)
+    if dirty:
+        raise GateInputError(f"gate input must leave modes {sorted(dirty)} in vacuum")
+    return apply_circuit(state, GATE_ELEMENTS)
 
 
 def w_state_qubits(n: int) -> np.ndarray:
@@ -114,11 +100,12 @@ def photonic_w_state(mode_ids: Sequence[int]) -> PhotonicState:
     if not ids:
         raise ValueError("W state needs at least one mode")
     amp = 1.0 / math.sqrt(len(ids))
-    terms = {}
-    for j, v_mode in enumerate(ids):
-        occ = {mode(m, V if m == v_mode else H): 1 for m in ids}
-        terms[FockBasisVector.from_occupations(occ)] = amp
-    return PhotonicState(terms)
+    return PhotonicState(
+        {
+            basis_vector({mode(m, V if m == v_mode else H): 1 for m in ids}): amp
+            for v_mode in ids
+        }
+    )
 
 
 def two_photon_ancilla(spatial_mode: int = MODE_ANCILLA) -> PhotonicState:
@@ -146,23 +133,20 @@ def success_probability_analytic(n: int) -> float:
     return (n + 2) / (16.0 * n)
 
 
-def _gate_branch_amplitudes(gate: ExpansionGate) -> tuple[np.ndarray, np.ndarray]:
+def _gate_branch_amplitudes() -> tuple[np.ndarray, np.ndarray]:
     """Post-selected three-qubit amplitude maps of the gate for an H and a V
     photon entering mode 1, computed from the full Fock simulation."""
     ancilla = two_photon_ancilla()
-    branches = []
-    for pol in (H, V):
-        photon = PhotonicState(
-            {FockBasisVector.from_occupations({mode(MODE_INPUT, pol): 1}): 1.0}
+    branch_h, branch_v = (
+        qubit_amplitudes(
+            run_gate(tensor(single_photon(MODE_INPUT, pol), ancilla)), OUTPUT_MODES
         )
-        out = run_gate(tensor(photon, ancilla), gate)
-        branches.append(qubit_amplitudes(out, OUTPUT_MODES))
-    return branches[0], branches[1]
+        for pol in (H, V)
+    )
+    return branch_h, branch_v
 
 
-def expand_w(
-    n: int, gate: ExpansionGate | None = None
-) -> tuple[DensityMatrix, float]:
+def expand_w(n: int) -> tuple[DensityMatrix, float]:
     """Expand an ideal N-qubit W state into an (N+2)-qubit one.
 
     The accessed qubit is routed photonically through the gate; the N-1
@@ -172,9 +156,7 @@ def expand_w(
     """
     if n < 1:
         raise ValueError("W state needs at least one qubit")
-    if gate is None:
-        gate = ExpansionGate()
-    branch_h, branch_v = _gate_branch_amplitudes(gate)
+    branch_h, branch_v = _gate_branch_amplitudes()
 
     rest = untouched_mode_ids(n)
     n_rest = len(rest)
@@ -193,9 +175,7 @@ def expand_w(
     return DensityMatrix.from_pure(out, qubit_order), probability
 
 
-def expand_w_full_photonic(
-    n: int, gate: ExpansionGate | None = None
-) -> tuple[DensityMatrix | None, float]:
+def expand_w_full_photonic(n: int) -> tuple[DensityMatrix | None, float]:
     """Same expansion with every W-state photon represented in Fock space.
 
     Exponentially heavier than ``expand_w``; used to cross-check it on
@@ -205,5 +185,5 @@ def expand_w_full_photonic(
         raise ValueError("W state needs at least one qubit")
     rest = untouched_mode_ids(n)
     seed = photonic_w_state(rest + [MODE_INPUT])
-    state = run_gate(tensor(seed, two_photon_ancilla()), gate)
+    state = run_gate(tensor(seed, two_photon_ancilla()))
     return postselect_qubits(state, rest + list(OUTPUT_MODES))

@@ -2,27 +2,28 @@
 
 Every element is a unitary one-photon map: a creation operator on an input
 mode is replaced by a linear combination of creation operators on output
-modes, and the substitution is lifted to arbitrary sparse Fock states.
-Elements therefore conserve total photon number and state norm exactly
-(up to float rounding).
+modes.  A circuit composes its elements' maps into one one-photon map and
+lifts that to the sparse Fock state once.  Circuits therefore conserve total
+photon number and state norm exactly (up to float rounding).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .fock import (
-    FockBasisVector,
+    Basis,
     ModeLabel,
     ORTHOGONAL,
     PhotonicState,
     PRINCIPAL,
     H,
     V,
+    bosonic_norm,
 )
 from .tolerances import UNITARY_ATOL
 
@@ -34,51 +35,9 @@ _SIGN_CONVENTIONS = {
     REFLECTION_MINUS_ON_OUT_B: (-1.0, 1.0),
 }
 
-# One image per input label: list of (output label, coefficient).
-ImageFn = Callable[[ModeLabel], "list[tuple[ModeLabel, complex]] | None"]
-
-
-def _transform(state: PhotonicState, image_fn: ImageFn) -> PhotonicState:
-    """Lift a one-photon linear map to the whole Fock state.
-
-    ``image_fn`` returns the substitution for labels the element acts on and
-    None for labels it leaves alone.  Each basis vector is rebuilt photon by
-    photon, dividing out the sqrt(n!) normalization of the touched modes and
-    letting the creation-factor bookkeeping restore it on the output side.
-    """
-    out: dict[FockBasisVector, complex] = {}
-    for fbv, amp in state.items():
-        touched: list[tuple[ModeLabel, int, list]] = []
-        untouched: dict[ModeLabel, int] = {}
-        for lab, n in fbv.occ:
-            image = image_fn(lab)
-            if image is None:
-                untouched[lab] = n
-            else:
-                touched.append((lab, n, image))
-        if not touched:
-            out[fbv] = out.get(fbv, 0.0) + amp
-            continue
-
-        coeff = amp
-        for _, n, _ in touched:
-            coeff /= math.sqrt(math.factorial(n))
-        work: dict[FockBasisVector, complex] = {
-            FockBasisVector.from_occupations(untouched): coeff
-        }
-        for _, n, image in touched:
-            for _ in range(n):
-                grown: dict[FockBasisVector, complex] = {}
-                for base, a in work.items():
-                    for target, c in image:
-                        if not c:
-                            continue
-                        new, factor = base.added(target)
-                        grown[new] = grown.get(new, 0.0) + a * c * factor
-                work = grown
-        for f2, a2 in work.items():
-            out[f2] = out.get(f2, 0.0) + a2
-    return PhotonicState(out)
+# The one-photon image of a mode label: (output label, coefficient) pairs,
+# or None for a label the element or circuit leaves alone.
+Image = Optional[list[tuple[ModeLabel, complex]]]
 
 
 @dataclass(frozen=True)
@@ -106,7 +65,8 @@ class BeamsplitterSpec:
             raise ValueError(f"transmissivity {self.transmissivity} outside [0, 1]")
         if self.sign_convention not in _SIGN_CONVENTIONS:
             raise ValueError(f"unknown sign convention {self.sign_convention!r}")
-        if np.max(np.abs(self.mode_matrix().conj().T @ self.mode_matrix() - np.eye(2))) > UNITARY_ATOL:
+        m = self.mode_matrix()
+        if np.max(np.abs(m.conj().T @ m - np.eye(2))) > UNITARY_ATOL:
             raise ValueError("beamsplitter mode matrix is not unitary")
 
     def mode_matrix(self) -> np.ndarray:
@@ -132,28 +92,17 @@ class BeamsplitterSpec:
             sign_convention=flipped,
         )
 
-
-def apply_beamsplitter(state: PhotonicState, spec: BeamsplitterSpec) -> PhotonicState:
-    """Route photons through a beamsplitter, leaving polarization and
-    temporal bins untouched."""
-    t = math.sqrt(spec.transmissivity)
-    r = math.sqrt(1.0 - spec.transmissivity)
-    r1, r2 = _SIGN_CONVENTIONS[spec.sign_convention]
-
-    def image(lab: ModeLabel):
-        if lab.spatial == spec.in_a:
-            return [
-                (ModeLabel(spec.out_a, lab.pol, lab.tbin), t),
-                (ModeLabel(spec.out_b, lab.pol, lab.tbin), r1 * r),
-            ]
-        if lab.spatial == spec.in_b:
-            return [
-                (ModeLabel(spec.out_a, lab.pol, lab.tbin), r2 * r),
-                (ModeLabel(spec.out_b, lab.pol, lab.tbin), t),
-            ]
-        return None
-
-    return _transform(state, image)
+    def image(self, lab: ModeLabel) -> Image:
+        """Route a photon between the spatial ports, keeping polarization
+        and temporal bin."""
+        if lab.spatial not in (self.in_a, self.in_b):
+            return None
+        col = 0 if lab.spatial == self.in_a else 1
+        m = self.mode_matrix().tolist()
+        return [
+            (lab._replace(spatial=self.out_a), m[0][col]),
+            (lab._replace(spatial=self.out_b), m[1][col]),
+        ]
 
 
 @dataclass(frozen=True)
@@ -186,74 +135,105 @@ class JonesUnitary:
         return JonesUnitary(((c, -s), (s, c)))
 
 
-def apply_jones(state: PhotonicState, spatial_mode: int, u: JonesUnitary) -> PhotonicState:
-    """Apply a polarization unitary at one spatial mode (both temporal bins)."""
-    m = u.as_array()
+@dataclass(frozen=True)
+class JonesElement:
+    """Polarization unitary at one spatial mode (both temporal bins)."""
 
-    def image(lab: ModeLabel):
-        if lab.spatial != spatial_mode:
+    spatial: int
+    jones: JonesUnitary
+
+    def image(self, lab: ModeLabel) -> Image:
+        if lab.spatial != self.spatial:
             return None
-        col = 0 if lab.pol == H else 1
-        return [
-            (ModeLabel(lab.spatial, H, lab.tbin), m[0, col]),
-            (ModeLabel(lab.spatial, V, lab.tbin), m[1, col]),
-        ]
-
-    return _transform(state, image)
+        column = self.jones.as_array()[:, 0 if lab.pol == H else 1].tolist()
+        return [(lab._replace(pol=H), column[0]), (lab._replace(pol=V), column[1])]
 
 
-def apply_delay(state: PhotonicState, spatial_mode: int, overlap: float) -> PhotonicState:
-    """Rotate the principal temporal bin at one spatial mode.
+@dataclass(frozen=True)
+class DelayElement:
+    """Rotation of the principal temporal bin at one spatial mode.
 
     ``overlap`` is the residual wavepacket overlap xi in [0, 1]: xi = 1 keeps
     the photon fully in the principal bin, xi = 0 makes it fully
     distinguishable.  The orthogonal bin rotates along to keep the map
     unitary.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap {overlap} outside [0, 1]")
-    xi = float(overlap)
-    s = math.sqrt(max(0.0, 1.0 - xi * xi))
 
-    def image(lab: ModeLabel):
-        if lab.spatial != spatial_mode:
-            return None
-        if lab.tbin == PRINCIPAL:
-            return [
-                (ModeLabel(lab.spatial, lab.pol, PRINCIPAL), xi),
-                (ModeLabel(lab.spatial, lab.pol, ORTHOGONAL), s),
-            ]
-        return [
-            (ModeLabel(lab.spatial, lab.pol, PRINCIPAL), -s),
-            (ModeLabel(lab.spatial, lab.pol, ORTHOGONAL), xi),
-        ]
-
-    return _transform(state, image)
-
-
-@dataclass(frozen=True)
-class JonesElement:
-    spatial: int
-    jones: JonesUnitary
-
-
-@dataclass(frozen=True)
-class DelayElement:
     spatial: int
     overlap: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.overlap <= 1.0:
+            raise ValueError(f"overlap {self.overlap} outside [0, 1]")
 
-def apply_element(state: PhotonicState, element) -> PhotonicState:
-    if isinstance(element, BeamsplitterSpec):
-        return apply_beamsplitter(state, element)
-    if isinstance(element, JonesElement):
-        return apply_jones(state, element.spatial, element.jones)
-    if isinstance(element, DelayElement):
-        return apply_delay(state, element.spatial, element.overlap)
-    raise TypeError(f"unknown circuit element {element!r}")
+    def image(self, lab: ModeLabel) -> Image:
+        if lab.spatial != self.spatial:
+            return None
+        xi = float(self.overlap)
+        s = math.sqrt(max(0.0, 1.0 - xi * xi))
+        principal = lab._replace(tbin=PRINCIPAL)
+        orthogonal = lab._replace(tbin=ORTHOGONAL)
+        if lab.tbin == PRINCIPAL:
+            return [(principal, xi), (orthogonal, s)]
+        return [(principal, -s), (orthogonal, xi)]
+
+
+def _compose(label: ModeLabel, elements: Sequence) -> Image:
+    """One-photon image of ``label`` through the whole element list."""
+    current = {label: 1.0}
+    touched = False
+    for element in elements:
+        step: dict[ModeLabel, complex] = {}
+        for lab, c in current.items():
+            image = element.image(lab)
+            if image is None:
+                step[lab] = step.get(lab, 0.0) + c
+                continue
+            touched = True
+            for target, d in image:
+                if d:
+                    step[target] = step.get(target, 0.0) + c * d
+        current = step
+    return [(lab, c) for lab, c in current.items() if c] if touched else None
+
+
+def _transform(state: PhotonicState, images: dict[ModeLabel, Image]) -> PhotonicState:
+    """Lift a one-photon linear map to the whole Fock state.
+
+    A basis vector with occupations n is prod_k (a_k^dag)^(n_k) |vac> /
+    sqrt(prod n_k!); substituting each creation operator by its image and
+    expanding gives, for every output occupation m, the sum over photon
+    routings times sqrt(prod m_j! / prod n_k!).  Photons on labels the map
+    leaves alone (image None) stay where they are.
+    """
+    out: dict[Basis, complex] = {}
+    for fbv, amp in state.items():
+        work: dict[Basis, complex] = {(): amp}
+        for lab in fbv:
+            image = images[lab]
+            if image is None:
+                image = [(lab, 1.0)]
+            grown: dict[Basis, complex] = {}
+            for base, a in work.items():
+                for target, c in image:
+                    key = tuple(sorted(base + (target,)))
+                    grown[key] = grown.get(key, 0.0) + a * c
+            work = grown
+        weight_in = bosonic_norm(fbv)
+        for key, a in work.items():
+            a *= math.sqrt(bosonic_norm(key) / weight_in)
+            out[key] = out.get(key, 0.0) + a
+    return PhotonicState(out)
 
 
 def apply_circuit(state: PhotonicState, elements: Sequence) -> PhotonicState:
-    for element in elements:
-        state = apply_element(state, element)
-    return state
+    """Propagate ``state`` through the elements in order, with one Fock lift
+    of their composed one-photon map."""
+    labels = {lab for fbv in state.terms for lab in fbv}
+    return _transform(state, {lab: _compose(lab, elements) for lab in labels})
+
+
+def apply_delay(state: PhotonicState, spatial_mode: int, overlap: float) -> PhotonicState:
+    """Delay the photons of one spatial mode to wavepacket overlap
+    ``overlap`` (see ``DelayElement``)."""
+    return apply_circuit(state, [DelayElement(spatial_mode, overlap)])

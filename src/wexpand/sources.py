@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fock import (
-    FockBasisVector,
+    VACUUM,
+    Basis,
     PhotonicState,
+    apply_creation,
+    basis_vector,
     coincidence_probability,
     mode,
     number_state,
@@ -81,8 +84,7 @@ def weak_coherent_pulse(
     terms = {}
     for n in range(params.n_max + 1):
         amp = math.exp(-nu / 2.0) * alpha**n / math.sqrt(math.factorial(n))
-        occ = {label: n} if n else {}
-        terms[FockBasisVector.from_occupations(occ)] = amp
+        terms[basis_vector({label: n})] = amp
     return PhotonicState(terms).normalized()
 
 
@@ -120,22 +122,19 @@ def spdc_pair(
             ((mode(m0, V), mode(m1, H)), inv),
         ]
 
-    def create_pair(state_terms: dict) -> dict:
-        grown: dict[FockBasisVector, complex] = {}
-        for fbv, amp in state_terms.items():
-            for (lab_a, lab_b), coeff in pair_ops:
-                f1, fac1 = fbv.added(lab_a)
-                f2, fac2 = f1.added(lab_b)
-                grown[f2] = grown.get(f2, 0.0) + amp * coeff * fac1 * fac2
-        return grown
+    def create_pair(state: PhotonicState) -> PhotonicState:
+        grown: dict[Basis, complex] = {}
+        for (lab_a, lab_b), coeff in pair_ops:
+            for fbv, amp in apply_creation(apply_creation(state, lab_a), lab_b).items():
+                grown[fbv] = grown.get(fbv, 0.0) + coeff * amp
+        return PhotonicState(grown)
 
-    terms: dict[FockBasisVector, complex] = {FockBasisVector(): 1.0}
-    one_pair = create_pair(terms)
+    terms = {VACUUM: 1.0}
+    one_pair = create_pair(vacuum_state())
     for fbv, amp in one_pair.items():
         terms[fbv] = terms.get(fbv, 0.0) + root_gamma * amp
     if include_double_pairs:
-        two_pairs = create_pair(one_pair)
-        for fbv, amp in two_pairs.items():
+        for fbv, amp in create_pair(one_pair).items():
             terms[fbv] = terms.get(fbv, 0.0) + (params.gamma / 2.0) * amp
     return PhotonicState(terms).normalized()
 
@@ -169,14 +168,15 @@ def _hom_coincidence(xi: float, params: SourceParams) -> float:
     return coincidence_probability(state, (0, 4, 5))
 
 
-def _dip_coefficients(params: SourceParams) -> tuple[float, float]:
+def dip_coefficients(params: SourceParams) -> tuple[float, float]:
     """(a, b) with C(xi) = a + b xi^2 for the threefold coincidence.
 
     Threshold detection does not resolve the temporal bins, so the bin
     patterns of the delayed pulse add in probability, and the coincidence
     comes out exactly affine in xi^2 (the tests check it against the
     circuit).  Two circuit runs fix it; neither coefficient depends on
-    ``params.overlap``.
+    ``params.overlap``.  ``a`` is the level far outside the dip, where the
+    photons are fully distinguishable.
     """
     a = _hom_coincidence(0.0, params)
     if a <= 0.0:
@@ -185,17 +185,17 @@ def _dip_coefficients(params: SourceParams) -> tuple[float, float]:
 
 
 def hom_scan(
-    delays: Sequence[float], params: SourceParams
+    delays: Sequence[float], params: SourceParams, dip: tuple[float, float]
 ) -> list[tuple[float, float]]:
     """Coincidence dip: threefold probability versus delay in micrometers.
 
     A heralded single photon meets the delayed coherent pulse at the gate's
     first beamsplitter; the static mode mismatch ``params.overlap`` caps the
-    zero-delay overlap.
+    zero-delay overlap.  ``dip`` is ``dip_coefficients(params)``.
     """
     if len(delays) == 0:
         raise ValueError("empty delay list")
-    a, b = _dip_coefficients(params)
+    a, b = dip
     curve = []
     for delta in delays:
         xi = params.overlap * delay_overlap(delta, params.coherence_length)
@@ -203,19 +203,14 @@ def hom_scan(
     return curve
 
 
-def hom_asymptote(params: SourceParams) -> float:
-    """Coincidence level far outside the dip (fully distinguishable)."""
-    return _hom_coincidence(0.0, params)
-
-
-def hom_visibility(params: SourceParams) -> float:
-    """1 - C(0)/C(inf) of the modeled dip."""
-    a, b = _dip_coefficients(params)
+def hom_visibility(params: SourceParams, dip: tuple[float, float]) -> float:
+    """1 - C(0)/C(inf) of the modeled dip, -b xi_0^2 / a."""
+    a, b = dip
     return -b * params.overlap**2 / a
 
 
 def calibrate_overlap_for_visibility(
-    target_visibility: float, params: SourceParams
+    target_visibility: float, dip: tuple[float, float]
 ) -> float:
     """Static overlap xi_0 that makes the modeled dip hit a target visibility.
 
@@ -225,7 +220,7 @@ def calibrate_overlap_for_visibility(
     """
     if not 0.0 <= target_visibility < 1.0:
         raise ValueError("target visibility must lie in [0, 1)")
-    a, b = _dip_coefficients(params)
+    a, b = dip
     cap = -b / a
     if cap < target_visibility:
         raise ValueError(

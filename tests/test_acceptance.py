@@ -20,11 +20,11 @@ from wexpand.gates import (
     success_probability_analytic,
     w_state_qubits,
 )
-from wexpand.optics import BeamsplitterSpec, apply_beamsplitter, apply_delay
+from wexpand.optics import BeamsplitterSpec, apply_circuit, apply_delay
 from wexpand.sources import (
     SourceParams,
     calibrate_overlap_for_visibility,
-    hom_asymptote,
+    dip_coefficients,
     hom_scan,
     two_photon_ancilla,
 )
@@ -186,8 +186,8 @@ def test_criterion_6_imlm_soundness():
 def test_criterion_7_hom_and_noise_properties():
     # ideal indistinguishable two-photon interference: zero coincidence
     bs = BeamsplitterSpec(in_a=1, in_b=2, out_a=3, out_b=4)
-    out = apply_beamsplitter(
-        tensor(single_photon(1, "H"), single_photon(2, "H")), bs
+    out = apply_circuit(
+        tensor(single_photon(1, "H"), single_photon(2, "H")), [bs]
     )
     from wexpand.fock import coincidence_probability
 
@@ -196,11 +196,12 @@ def test_criterion_7_hom_and_noise_properties():
     # calibrated dip: Gaussian of visibility 0.85 and width set by the
     # 144 um coherence length, within 2% of the flat level at all samples
     base = SourceParams(nu=0.03, gamma=0.0, coherence_length=144.0)
-    xi0 = calibrate_overlap_for_visibility(0.85, base)
+    dip = dip_coefficients(base)
+    xi0 = calibrate_overlap_for_visibility(0.85, dip)
     params = SourceParams(nu=0.03, gamma=0.0, coherence_length=144.0, overlap=xi0)
     delays = [float(d) for d in range(-400, 401, 40)]
-    curve = hom_scan(delays, params)
-    flat = hom_asymptote(params)
+    curve = hom_scan(delays, params, dip)
+    flat, _ = dip
     for delta, prob in curve:
         reference = flat * (1.0 - 0.85 * math.exp(-((delta / 144.0) ** 2)))
         assert abs(prob - reference) <= 0.02 * flat

@@ -57,8 +57,15 @@ def test_missing_seed_on_sampling_scenario_rejected(tmp_path):
 
 
 def test_bad_types_and_scenarios_rejected(tmp_path):
+    for bad in ({"nu": "0.3"}, {"nu": True}, {"n_resamples": 2.5}, {"nu": None}):
+        with pytest.raises(ValueError, match="invalid type"):
+            load_config(write_config(tmp_path, scenario="w3", seed=1, **bad))
     with pytest.raises(ValueError, match="invalid type"):
-        load_config(write_config(tmp_path, scenario="w3", seed=1, nu="0.3"))
+        load_config(write_config(tmp_path, scenario="hom", delays_um=["a"]))
+    # float fields take ints, and X | None fields take null
+    assert load_config(write_config(tmp_path, scenario="w3", seed=1, nu=1)).nu == 1
+    optional = write_config(tmp_path, scenario="w3", exact=True, seed=None)
+    assert load_config(optional).seed is None
     with pytest.raises(ValueError, match="scenario"):
         load_config(write_config(tmp_path, scenario="w9"))
     bad_json = tmp_path / "bad.json"
@@ -229,20 +236,35 @@ def test_main_hom_writes_curve(tmp_path):
     assert report["results"]["visibility"] == pytest.approx(0.85, abs=1e-6)
 
 
-def test_shipped_hom_scenario_takes_at_most_five_gate_runs(monkeypatch):
-    # Calibration and scan each need two circuit runs (the dip is affine in
-    # xi^2), the asymptote one.
+def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
+    # The dip is affine in xi^2, so two circuit runs give the calibration,
+    # the scan and the asymptote.
     calls = []
 
-    def counted(state, gate=None):
+    def counted(state):
         calls.append(1)
-        return run_gate(state, gate)
+        return run_gate(state)
 
     monkeypatch.setattr(sources, "run_gate", counted)
     results = run_scenario(load_config(CONFIG_DIR / "hom.json"))["results"]
-    assert len(calls) <= 5
+    assert len(calls) == 2
     assert results["overlap_used"] == pytest.approx(0.9262800541764591, abs=1e-10)
     assert results["visibility"] == pytest.approx(0.85, abs=1e-12)
+
+
+def test_hom_visibility_is_the_model_dip_without_zero_delay():
+    # The reported visibility is the calibrated dip's, -b xi0^2 / a, not a
+    # read-off of a grid that may miss zero delay.
+    config = ExperimentConfig(
+        scenario="hom",
+        nu=0.03,
+        gamma=0.0,
+        visibility_target=0.85,
+        delays_um=[-100.0, 100.0],
+    )
+    results = run_scenario(config)["results"]
+    assert results["visibility"] == pytest.approx(0.85, abs=1e-10)
+    assert results["dip_minimum"] == min(p for _, p in results["points"])
 
 
 def test_main_rejects_mismatched_scenario(tmp_path, capsys):

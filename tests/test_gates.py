@@ -5,7 +5,7 @@ import pytest
 
 from wexpand.fock import postselect_qubits, single_photon, tensor, qubit_amplitudes
 from wexpand.gates import (
-    ExpansionGate,
+    GATE_ELEMENTS,
     GateInputError,
     OUTPUT_MODES,
     expand_w,
@@ -16,6 +16,7 @@ from wexpand.gates import (
     untouched_mode_ids,
     w_state_qubits,
 )
+from wexpand.optics import JonesElement, apply_circuit
 from wexpand.sources import two_photon_ancilla
 from wexpand.tomography import fidelity
 
@@ -112,8 +113,10 @@ def test_output_invariant_under_input_global_phase():
 
 
 def test_sign_plate_required_for_w3():
-    gate = ExpansionGate(include_sign_plate=False)
-    state = run_gate(tensor(single_photon(1, "V"), two_photon_ancilla()), gate)
+    without_plate = [e for e in GATE_ELEMENTS if not isinstance(e, JonesElement)]
+    state = apply_circuit(
+        tensor(single_photon(1, "V"), two_photon_ancilla()), without_plate
+    )
     amps = qubit_amplitudes(state, OUTPUT_MODES)
     # amplitude pattern (-1, 1, 1)/sqrt(3) after normalization
     scaled = amps / np.linalg.norm(amps)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wexpand.fock import (
-    FockBasisVector,
     PhotonicState,
+    basis_vector,
     coincidence_probability,
     inner_product,
     mode,
@@ -13,14 +14,18 @@ from wexpand.fock import (
     single_photon,
     tensor,
     ORTHOGONAL,
+    POLARIZATIONS,
+    TEMPORAL_BINS,
 )
 from wexpand.optics import (
     BeamsplitterSpec,
+    DelayElement,
+    JonesElement,
     JonesUnitary,
+    REFLECTION_MINUS_ON_OUT_A,
     REFLECTION_MINUS_ON_OUT_B,
-    apply_beamsplitter,
+    apply_circuit,
     apply_delay,
-    apply_jones,
 )
 
 BS_GATE_FRONT = BeamsplitterSpec(
@@ -33,7 +38,7 @@ def random_two_mode_state(rng):
     terms = {}
     for _ in range(5):
         occ = {lab: int(rng.integers(0, 3)) for lab in labels}
-        terms[FockBasisVector.from_occupations(occ)] = complex(
+        terms[basis_vector(occ)] = complex(
             rng.normal(), rng.normal()
         )
     return PhotonicState(terms).normalized()
@@ -42,28 +47,28 @@ def random_two_mode_state(rng):
 def test_reflection_sign_structure():
     # V photon into the front beamsplitter: minus sign on the reflection
     # into the mode-4 arm.
-    out = apply_beamsplitter(single_photon(1, "V"), BS_GATE_FRONT)
-    f3 = FockBasisVector.from_occupations({mode(3, "V"): 1})
-    f4 = FockBasisVector.from_occupations({mode(4, "V"): 1})
+    out = apply_circuit(single_photon(1, "V"), [BS_GATE_FRONT])
+    f3 = basis_vector({mode(3, "V"): 1})
+    f4 = basis_vector({mode(4, "V"): 1})
     assert out.amplitude(f3) == pytest.approx(1 / math.sqrt(2))
     assert out.amplitude(f4) == pytest.approx(-1 / math.sqrt(2))
 
-    other = apply_beamsplitter(single_photon(2, "V"), BS_GATE_FRONT)
+    other = apply_circuit(single_photon(2, "V"), [BS_GATE_FRONT])
     assert other.amplitude(f3) == pytest.approx(1 / math.sqrt(2))
     assert other.amplitude(f4) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_two_photon_bunching():
     state = tensor(single_photon(1, "H"), single_photon(2, "H"))
-    out = apply_beamsplitter(state, BS_GATE_FRONT)
-    coincidence = FockBasisVector.from_occupations({mode(3, "H"): 1, mode(4, "H"): 1})
+    out = apply_circuit(state, [BS_GATE_FRONT])
+    coincidence = basis_vector({mode(3, "H"): 1, mode(4, "H"): 1})
     assert out.amplitude(coincidence) == pytest.approx(0.0, abs=1e-12)
     assert coincidence_probability(out, (3, 4)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_transmission_is_relabeling():
     spec = BeamsplitterSpec(in_a=1, in_b=2, out_a=3, out_b=4, transmissivity=1.0)
-    out = apply_beamsplitter(number_state(1, "V", 2), spec)
+    out = apply_circuit(number_state(1, "V", 2), [spec])
     assert inner_product(number_state(3, "V", 2), out).real == pytest.approx(1.0)
 
 
@@ -73,7 +78,7 @@ def test_elements_preserve_norm_and_photon_number():
     def sector_weights(state):
         weights = {}
         for fbv, amp in state.items():
-            n = fbv.total_photons()
+            n = len(fbv)
             weights[n] = weights.get(n, 0.0) + abs(amp) ** 2
         return weights
 
@@ -81,8 +86,8 @@ def test_elements_preserve_norm_and_photon_number():
         state = random_two_mode_state(rng)
         before = sector_weights(state)
         for out in (
-            apply_beamsplitter(state, BS_GATE_FRONT),
-            apply_jones(state, 1, JonesUnitary.rotation(0.7)),
+            apply_circuit(state, [BS_GATE_FRONT]),
+            apply_circuit(state, [JonesElement(1, JonesUnitary.rotation(0.7))]),
             apply_delay(state, 2, 0.6),
         ):
             assert out.norm() == pytest.approx(1.0, abs=1e-12)
@@ -96,8 +101,8 @@ def test_elements_preserve_norm_and_photon_number():
 def test_beamsplitter_inverse_restores_input():
     rng = np.random.default_rng(19)
     state = random_two_mode_state(rng)
-    out = apply_beamsplitter(state, BS_GATE_FRONT)
-    back = apply_beamsplitter(out, BS_GATE_FRONT.inverse())
+    out = apply_circuit(state, [BS_GATE_FRONT])
+    back = apply_circuit(out, [BS_GATE_FRONT.inverse()])
     for fbv, amp in state.items():
         assert back.amplitude(fbv) == pytest.approx(amp, abs=1e-12)
 
@@ -114,27 +119,29 @@ def test_nonunitary_specs_rejected():
 def test_jones_sign_plate_flips_v():
     plus = PhotonicState(
         {
-            FockBasisVector.from_occupations({mode(4, "H"): 1}): 1 / math.sqrt(2),
-            FockBasisVector.from_occupations({mode(4, "V"): 1}): 1 / math.sqrt(2),
+            basis_vector({mode(4, "H"): 1}): 1 / math.sqrt(2),
+            basis_vector({mode(4, "V"): 1}): 1 / math.sqrt(2),
         }
     )
-    out = apply_jones(plus, 4, JonesUnitary.v_phase_flip())
+    out = apply_circuit(plus, [JonesElement(4, JonesUnitary.v_phase_flip())])
     assert out.amplitude(
-        FockBasisVector.from_occupations({mode(4, "V"): 1})
+        basis_vector({mode(4, "V"): 1})
     ) == pytest.approx(-1 / math.sqrt(2))
     assert out.amplitude(
-        FockBasisVector.from_occupations({mode(4, "H"): 1})
+        basis_vector({mode(4, "H"): 1})
     ) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_jones_rotation_maps_h_to_v():
-    out = apply_jones(single_photon(1, "H"), 1, JonesUnitary.rotation(math.pi / 2))
+    out = apply_circuit(
+        single_photon(1, "H"), [JonesElement(1, JonesUnitary.rotation(math.pi / 2))]
+    )
     assert inner_product(single_photon(1, "V"), out).real == pytest.approx(1.0)
 
 
 def test_jones_identity_noop():
     state = single_photon(1, "H")
-    out = apply_jones(state, 1, JonesUnitary.identity())
+    out = apply_circuit(state, [JonesElement(1, JonesUnitary.identity())])
     assert inner_product(state, out).real == pytest.approx(1.0)
 
 
@@ -142,8 +149,8 @@ def test_jones_commutes_with_beamsplitter_on_disjoint_modes():
     rng = np.random.default_rng(29)
     state = tensor(random_two_mode_state(rng), single_photon(5, "H"))
     u = JonesUnitary.rotation(0.3)
-    a = apply_jones(apply_beamsplitter(state, BS_GATE_FRONT), 5, u)
-    b = apply_beamsplitter(apply_jones(state, 5, u), BS_GATE_FRONT)
+    a = apply_circuit(apply_circuit(state, [BS_GATE_FRONT]), [JonesElement(5, u)])
+    b = apply_circuit(apply_circuit(state, [JonesElement(5, u)]), [BS_GATE_FRONT])
     for fbv, amp in a.items():
         assert b.amplitude(fbv) == pytest.approx(amp, abs=1e-12)
 
@@ -163,7 +170,7 @@ def test_fully_distinguishable_hom_gives_classical_half():
     # probability 1/2, meet in different outputs with probability 1/2.
     state = tensor(single_photon(1, "H"), single_photon(2, "H"))
     state = apply_delay(state, 2, 0.0)
-    out = apply_beamsplitter(state, BS_GATE_FRONT)
+    out = apply_circuit(state, [BS_GATE_FRONT])
     assert coincidence_probability(out, (3, 4)) == pytest.approx(0.5)
 
 
@@ -173,3 +180,74 @@ def test_delay_zero_at_zero_delay():
     from wexpand.sources import delay_overlap
 
     assert delay_overlap(0.0, 144.0) == pytest.approx(1.0)
+
+
+# Property tests: random element lists on random states of up to 4 photons.
+SPATIAL = st.integers(0, 3)
+LABELS = st.builds(
+    mode, SPATIAL, st.sampled_from(POLARIZATIONS), st.sampled_from(TEMPORAL_BINS)
+)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def beamsplitters(draw):
+    # Outputs reuse the input ports so the map stays unitary on the modes
+    # the state can occupy.
+    a, b = draw(st.lists(SPATIAL, min_size=2, max_size=2, unique=True))
+    out_a, out_b = (b, a) if draw(st.booleans()) else (a, b)
+    return BeamsplitterSpec(
+        in_a=a,
+        in_b=b,
+        out_a=out_a,
+        out_b=out_b,
+        transmissivity=draw(UNIT),
+        sign_convention=draw(
+            st.sampled_from((REFLECTION_MINUS_ON_OUT_A, REFLECTION_MINUS_ON_OUT_B))
+        ),
+    )
+
+
+ELEMENTS = st.lists(
+    st.one_of(
+        beamsplitters(),
+        st.builds(
+            JonesElement,
+            SPATIAL,
+            st.floats(-math.pi, math.pi).map(JonesUnitary.rotation),
+        ),
+        st.builds(DelayElement, SPATIAL, UNIT),
+    ),
+    max_size=5,
+)
+STATES = st.dictionaries(
+    st.lists(LABELS, max_size=4).map(lambda labs: tuple(sorted(labs))),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+    min_size=1,
+    max_size=6,
+).map(lambda terms: PhotonicState(terms).normalized())
+
+
+def sector_weights(state):
+    weights = {}
+    for fbv, amp in state.items():
+        weights[len(fbv)] = weights.get(len(fbv), 0.0) + abs(amp) ** 2
+    return weights
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(STATES, ELEMENTS)
+def test_lifted_circuit_matches_element_by_element(state, elements):
+    lifted = apply_circuit(state, elements)
+    stepwise = state
+    for element in elements:
+        stepwise = apply_circuit(stepwise, [element])
+    for fbv in set(lifted.terms) | set(stepwise.terms):
+        expected = stepwise.amplitude(fbv)
+        assert lifted.amplitude(fbv) == pytest.approx(expected, abs=1e-12)
+
+    assert lifted.norm() == pytest.approx(1.0, abs=1e-12)
+    before, after = sector_weights(state), sector_weights(lifted)
+    assert set(after) <= set(before)
+    for n, weight in before.items():
+        assert after.get(n, 0.0) == pytest.approx(weight, abs=1e-12)

@@ -11,15 +11,15 @@ from wexpand.fock import (
     vacuum_state,
 )
 from wexpand.gates import OUTPUT_MODES, run_gate, w_state_qubits
-from wexpand.optics import JonesUnitary, apply_delay, apply_jones
+from wexpand.optics import JonesElement, JonesUnitary, apply_circuit, apply_delay
 from wexpand.sources import (
     DIAGONAL,
     SourceParams,
     V_POLARIZED,
     calibrate_overlap_for_visibility,
     delay_overlap,
+    dip_coefficients,
     heralded_single_photon,
-    hom_asymptote,
     hom_scan,
     hom_visibility,
     spdc_pair,
@@ -32,7 +32,7 @@ from wexpand.tomography import fidelity
 def test_two_photon_ancilla_normalized():
     anc = two_photon_ancilla()
     assert anc.norm() == pytest.approx(1.0)
-    assert next(iter(anc.terms)).photons_in_spatial(2) == 2
+    assert [lab.spatial for lab in next(iter(anc.terms))].count(2) == 2
 
 
 def test_wcp_two_photon_amplitude_matches_series():
@@ -65,7 +65,10 @@ def test_wcp_with_ideal_ancilla_reproduces_gate_success():
     rho, prob = postselect_qubits(
         run_gate(
             tensor(
-                apply_jones(heralded_single_photon(), 1, JonesUnitary.rotation(math.pi / 2)),
+                apply_circuit(
+                    heralded_single_photon(),
+                    [JonesElement(1, JonesUnitary.rotation(math.pi / 2))],
+                ),
                 pulse,
             )
         ),
@@ -105,7 +108,8 @@ def test_spdc_double_pair_amplitude_order_gamma():
     double = [
         amp
         for fbv, amp in pair.items()
-        if fbv.photons_in_spatial(0) == 2 and fbv.photons_in_spatial(1) == 2
+        if [lab.spatial for lab in fbv].count(0) == 2
+        and [lab.spatial for lab in fbv].count(1) == 2
     ]
     assert len(double) == 1
     assert abs(double[0]) == pytest.approx(params.gamma, rel=1e-2)
@@ -128,7 +132,7 @@ def test_params_validation():
 def test_hom_curve_even_and_monotone():
     params = SourceParams(nu=0.03, gamma=0.0, overlap=0.93)
     delays = [-300.0, -200.0, -100.0, -50.0, 0.0, 50.0, 100.0, 200.0, 300.0]
-    curve = dict(hom_scan(delays, params))
+    curve = dict(hom_scan(delays, params, dip_coefficients(params)))
     for d in (50.0, 100.0, 200.0, 300.0):
         assert curve[d] == pytest.approx(curve[-d], abs=1e-12)
     left = [curve[d] for d in sorted(d for d in delays if d <= 0)]
@@ -137,20 +141,22 @@ def test_hom_curve_even_and_monotone():
 
 def test_hom_far_delay_reaches_classical_level():
     params = SourceParams(nu=0.03, gamma=0.0)
-    flat = hom_asymptote(params)
-    far = hom_scan([10 * params.coherence_length], params)[0][1]
+    dip = dip_coefficients(params)
+    flat, _ = dip
+    far = hom_scan([10 * params.coherence_length], params, dip)[0][1]
     assert abs(far - flat) < 1e-6
 
 
 def test_hom_visibility_calibration():
     params = SourceParams(nu=0.03, gamma=0.0)
-    xi0 = calibrate_overlap_for_visibility(0.85, params)
+    dip = dip_coefficients(params)
+    xi0 = calibrate_overlap_for_visibility(0.85, dip)
     calibrated = SourceParams(nu=0.03, gamma=0.0, overlap=xi0)
-    assert hom_visibility(calibrated) == pytest.approx(0.85, abs=1e-8)
+    assert hom_visibility(calibrated, dip) == pytest.approx(0.85, abs=1e-8)
     # the multiphoton background caps the visibility below 1
-    assert hom_visibility(SourceParams(nu=0.03, gamma=0.0)) < 1.0
+    assert hom_visibility(SourceParams(nu=0.03, gamma=0.0), dip) < 1.0
     with pytest.raises(ValueError):
-        calibrate_overlap_for_visibility(0.9999, params)
+        calibrate_overlap_for_visibility(0.9999, dip)
 
 
 def _simulated_dip(xi, params):
@@ -164,21 +170,25 @@ def _simulated_dip(xi, params):
 def test_closed_form_dip_matches_circuit(nu, n_max):
     params = SourceParams(nu=nu, gamma=0.0, n_max=n_max)
     flat = _simulated_dip(0.0, params)
-    assert hom_asymptote(params) == pytest.approx(flat, rel=1e-12)
+    dip = dip_coefficients(params)
+    assert dip[0] == pytest.approx(flat, rel=1e-12)
     for xi in (0.0, 0.3, 0.7, 1.0):
         at_xi = SourceParams(nu=nu, gamma=0.0, n_max=n_max, overlap=xi)
         direct = _simulated_dip(xi, params)
-        assert hom_scan([0.0], at_xi)[0][1] == pytest.approx(direct, rel=1e-12)
-        assert hom_visibility(at_xi) == pytest.approx(1.0 - direct / flat, rel=1e-12)
-    xi0 = calibrate_overlap_for_visibility(0.85, params)
+        assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(direct, rel=1e-12)
+        assert hom_visibility(at_xi, dip) == pytest.approx(
+            1.0 - direct / flat, rel=1e-12
+        )
+    xi0 = calibrate_overlap_for_visibility(0.85, dip)
     assert 1.0 - _simulated_dip(xi0, params) / flat == pytest.approx(0.85, abs=1e-10)
 
 
 def test_hom_empty_delays_rejected():
+    params = SourceParams()
     with pytest.raises(ValueError):
-        hom_scan([], SourceParams())
+        hom_scan([], params, dip_coefficients(params))
     with pytest.raises(ValueError, match="coincidences"):
-        hom_scan([0.0], SourceParams(nu=0.0, gamma=0.0))
+        dip_coefficients(SourceParams(nu=0.0, gamma=0.0))
 
 
 def test_delay_overlap_gaussian_width():
@@ -193,7 +203,8 @@ def test_coherent_phase_does_not_affect_postselection():
     for phase in (0.0, math.pi / 2, math.pi):
         params = SourceParams(nu=0.3, gamma=0.05)
         pair = spdc_pair(params, (0, 1), V_POLARIZED)
-        pair_v = apply_jones(pair, 1, JonesUnitary.rotation(math.pi / 2))
+        rotate = JonesElement(1, JonesUnitary.rotation(math.pi / 2))
+        pair_v = apply_circuit(pair, [rotate])
         pulse = weak_coherent_pulse(params, 2, phase=phase)
         rho, prob = postselect_qubits(
             run_gate(tensor(pair_v, pulse)), (0,) + OUTPUT_MODES
