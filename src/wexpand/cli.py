@@ -261,6 +261,8 @@ def _tomography_block(
         "flux_multiplier": multiplier,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "certificate": result.certificate,
         "log_likelihood": result.log_likelihood,
         "fidelity": fidelity(result.rho, target),
         "witness": witness_value(result.rho, n_qubits),
@@ -271,11 +273,11 @@ def _tomography_block(
         "density_matrix": result.rho.to_json(),
     }
     if not config.exact and config.n_resamples >= 2:
-        block["bootstrap"] = bootstrap_errors(
+        block["bootstrap"], block["bootstrap_fits"] = bootstrap_errors(
             counts, settings, config.n_resamples, seeds[1], target=target
         )
     else:
-        block["bootstrap"] = None
+        block["bootstrap"] = block["bootstrap_fits"] = None
     return block
 
 
@@ -390,7 +392,7 @@ def run_scenario(config: ExperimentConfig) -> dict:
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "tool": {"name": "wexpand", "version": __version__},
         "scenario": config.scenario,
         "config": config_to_dict(config),

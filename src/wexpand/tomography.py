@@ -7,11 +7,15 @@ fixed-point map.  Because the setting projectors sum to an operator G that
 is not proportional to the identity, the iteration runs in the frame where
 the projectors form a proper POVM (conjugation by G^(-1/2)); this keeps the
 generating state an exact fixed point of the map and reduces to plain RρR
-whenever G is proportional to the identity.
+whenever G is proportional to the identity.  That frame, the
+``MeasurementModel``, is built once per settings tuple and shared by every
+fit, and in it the fit stops on an optimality certificate rather than on a
+stalled log-likelihood.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ import numpy as np
 
 from .fock import DensityMatrix, as_matrix
 from .tolerances import (
-    IMLM_LOGLIK_TOL,
+    IMLM_CERTIFICATE_RTOL,
     IMLM_MAX_ITER,
     IMLM_PROBABILITY_FLOOR,
     SETTINGS_RANK_TOL,
@@ -40,6 +44,9 @@ PROJECTOR_KETS = {
 DEFAULT_LABELS = ("H", "V", "D", "R")
 
 MeasurementSetting = tuple  # per-qubit projector labels, e.g. ("H", "D", "R")
+
+# Iterations between two checks of the optimality certificate.
+_CERTIFICATE_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -72,16 +79,41 @@ def setting_projector(setting: Sequence[str]) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def expected_probability(rho, setting: Sequence[str]) -> float:
-    """Born-rule coincidence probability Tr(rho P_setting)."""
-    m = as_matrix(rho)
-    proj = setting_projector(setting)
-    if proj.shape != m.shape:
+def _settings_key(settings: Sequence[Sequence[str]]) -> tuple:
+    return tuple(tuple(s) for s in settings)
+
+
+@functools.lru_cache(maxsize=32)
+def _projector_rows(settings: tuple) -> np.ndarray:
+    """Row j is setting j's projector flattened to interleaved (re, im)
+    doubles, so that ``rows @ m.ravel().view(float)`` is Re Tr(m P_j) for
+    every setting at once.  Read-only, because the cache shares it."""
+    if not settings:
+        raise ValueError("need at least one setting")
+    if any(len(s) != len(settings[0]) for s in settings):
+        raise ValueError("settings must all address the same qubit count")
+    rows = np.stack([setting_projector(s).ravel() for s in settings]).view(np.float64)
+    rows.setflags(write=False)
+    return rows
+
+
+def _born_probabilities(rho, settings: Sequence[Sequence[str]]) -> np.ndarray:
+    """Tr(rho P_j) for every setting in one product; rounding can leave a
+    zero probability slightly negative, so the result is clipped at zero."""
+    m = np.ascontiguousarray(as_matrix(rho), dtype=complex)
+    key = _settings_key(settings)
+    rows = _projector_rows(key)
+    if rows.shape[1] != 2 * m.size:
         raise ValueError(
-            f"setting on {len(setting)} qubits does not match a "
+            f"setting on {len(key[0])} qubits does not match a "
             f"{m.shape[0]}-dimensional state"
         )
-    return float(np.einsum("ij,ji->", proj, m).real)
+    return np.clip(rows @ m.reshape(-1).view(np.float64), 0.0, None)
+
+
+def expected_probability(rho, setting: Sequence[str]) -> float:
+    """Born-rule coincidence probability Tr(rho P_setting)."""
+    return float(_born_probabilities(rho, [setting])[0])
 
 
 def sample_counts(
@@ -93,23 +125,17 @@ def sample_counts(
     """Poisson coincidence counts, one per setting, deterministic in the seed."""
     if flux_per_setting <= 0:
         raise ValueError("flux per setting must be positive")
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting in settings:
-        p = expected_probability(rho, setting)
-        mean = flux_per_setting * max(p, 0.0)
-        records.append(CountRecord(tuple(setting), int(rng.poisson(mean))))
-    return records
+    means = flux_per_setting * _born_probabilities(rho, settings)
+    draws = np.random.default_rng(seed).poisson(means)
+    return [CountRecord(tuple(s), int(n)) for s, n in zip(settings, draws)]
 
 
 def exact_counts(
     rho, settings: Sequence[Sequence[str]], flux_per_setting: float
 ) -> list[CountRecord]:
     """Noiseless expected coincidence numbers (no sampling)."""
-    return [
-        CountRecord(tuple(s), flux_per_setting * expected_probability(rho, s))
-        for s in settings
-    ]
+    means = flux_per_setting * _born_probabilities(rho, settings)
+    return [CountRecord(tuple(s), float(n)) for s, n in zip(settings, means)]
 
 
 def flux_for_typical_count(rho, settings, typical_count: float) -> float:
@@ -120,12 +146,54 @@ def flux_for_typical_count(rho, settings, typical_count: float) -> float:
     setting, so rate x acquisition time fixes flux x (mean Born probability),
     not flux itself.
     """
-    mean_p = float(
-        np.mean([expected_probability(rho, s) for s in settings])
-    )
+    mean_p = float(np.mean(_born_probabilities(rho, settings)))
     if mean_p <= 0:
         raise ValueError("state assigns zero probability to every setting")
     return typical_count / mean_p
+
+
+@dataclass(frozen=True)
+class MeasurementModel:
+    """What a fit needs of one informationally complete settings list.
+
+    ``povm_rows`` holds the projectors in the frame where they resolve the
+    identity, E_j = G^(-1/2) P_j G^(-1/2) with G = sum_j P_j, as
+    interleaved (re, im) rows: ``povm_rows @ sigma.ravel().view(float)``
+    gives the predicted probabilities Tr(E_j sigma) of a Hermitian sigma,
+    and ``(w @ povm_rows).view(complex)`` the operator sum_j w_j E_j.
+    ``g_inv_sqrt`` maps a fitted sigma back to rho.
+    """
+
+    n_qubits: int
+    g_inv_sqrt: np.ndarray
+    povm_rows: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n_qubits
+
+
+@functools.lru_cache(maxsize=8)
+def measurement_model(settings: tuple) -> MeasurementModel:
+    """The model of a tuple of settings, built and checked for
+    informational completeness on first use, then shared from the cache."""
+    rows = _projector_rows(settings)
+    n_qubits = len(settings[0])
+    dim = 2**n_qubits
+    flat = rows.view(complex)
+    if np.linalg.matrix_rank(flat, tol=SETTINGS_RANK_TOL) < dim * dim:
+        raise ValueError("settings are not informationally complete")
+    projectors = flat.reshape(len(settings), dim, dim)
+    evals, evecs = np.linalg.eigh(projectors.sum(axis=0))
+    if evals.min() <= 0:
+        raise ValueError("settings are degenerate (singular normalization)")
+    g_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    povm = np.einsum("ab,jbc,cd->jad", g_inv_sqrt, projectors, g_inv_sqrt)
+    povm_rows = np.ascontiguousarray(povm.reshape(len(settings), dim * dim))
+    povm_rows = povm_rows.view(np.float64)
+    for array in (g_inv_sqrt, povm_rows):
+        array.setflags(write=False)
+    return MeasurementModel(n_qubits, g_inv_sqrt, povm_rows)
 
 
 @dataclass
@@ -133,9 +201,15 @@ class ReconstructionResult:
     rho: DensityMatrix
     iterations: int
     log_likelihood: float
-    converged: bool
+    stop_reason: str  # "certificate", "stall" or "max_iter"
+    certificate: float  # upper bound on L* - log_likelihood
     loglik_history: list[float]
     bootstrap: dict | None = None
+
+    @property
+    def converged(self) -> bool:
+        """True only when the optimality certificate stopped the fit."""
+        return self.stop_reason == "certificate"
 
     def to_json(self) -> dict:
         """Density-matrix serialization plus the scalar reconstruction fields."""
@@ -144,6 +218,8 @@ class ReconstructionResult:
             "iterations": self.iterations,
             "log_likelihood": self.log_likelihood,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
+            "certificate": self.certificate,
             "bootstrap": self.bootstrap,
         }
 
@@ -154,17 +230,14 @@ def _counts_array(counts) -> np.ndarray:
     return np.asarray(counts, dtype=float)
 
 
-def _check_informationally_complete(projectors: np.ndarray) -> None:
-    m, d, _ = projectors.shape
-    flat = projectors.reshape(m, d * d)
-    if np.linalg.matrix_rank(flat, tol=SETTINGS_RANK_TOL) < d * d:
-        raise ValueError("settings are not informationally complete")
+def _excess(r_op: np.ndarray) -> float:
+    """lambda_max(R) - 1, clipped at zero: the relative optimality gap."""
+    return max(float(np.linalg.eigvalsh(r_op)[-1]) - 1.0, 0.0)
 
 
 def imlm_reconstruct(
     counts,
     settings: Sequence[Sequence[str]],
-    tol: float = IMLM_LOGLIK_TOL,
     max_iter: int = IMLM_MAX_ITER,
     qubit_order: Sequence[int] | None = None,
 ) -> ReconstructionResult:
@@ -174,16 +247,19 @@ def imlm_reconstruct(
         counts: coincidence numbers aligned with ``settings`` (CountRecords
             or plain numbers; exact expected values are fine).
         settings: informationally complete projector settings.
-        tol: stop once the log-likelihood gain over a ten-iteration window
-            drops below this.
         max_iter: iteration cap.
         qubit_order: spatial-mode ids for the reconstructed qubits
             (defaults to 0..n-1).
 
-    The reported log-likelihood is sum_j n_j log q_j with q_j the predicted
-    coincidence fraction of setting j; its history is nondecreasing by
-    construction (a step that would lower it is damped, and the iteration
-    stops if no damped step helps).
+    The reported log-likelihood is L = sum_j n_j log q_j with q_j the
+    predicted coincidence fraction of setting j; its history is
+    nondecreasing by construction (a step that would lower it is damped,
+    and the iteration stops with ``stop_reason == "stall"`` if no damped
+    step helps).  In the frame where the settings resolve the identity,
+    L* - L(sigma) <= N (lambda_max(R(sigma)) - 1) with N the total count
+    (Glancy, Knill & Girard, NJP 14, 095017, 2012).  The fit stops on that
+    certificate once lambda_max - 1 <= IMLM_CERTIFICATE_RTOL, a test on the
+    frequencies alone, so the count scale does not decide when it stops.
     """
     data = _counts_array(counts)
     if len(data) != len(settings):
@@ -194,63 +270,44 @@ def imlm_reconstruct(
     if total <= 0:
         raise ValueError("total counts must be positive")
 
-    n_qubits = len(settings[0])
-    if any(len(s) != n_qubits for s in settings):
-        raise ValueError("settings must all address the same qubit count")
-    dim = 2**n_qubits
-
-    projectors = np.stack([setting_projector(s) for s in settings])
-    _check_informationally_complete(projectors)
-
-    # Move to the frame where the projectors resolve the identity.
-    gram = projectors.sum(axis=0)
-    evals, evecs = np.linalg.eigh(gram)
-    if evals.min() <= 0:
-        raise ValueError("settings are degenerate (singular normalization)")
-    g_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    povm = np.einsum("ab,jbc,cd->jad", g_inv_sqrt, projectors, g_inv_sqrt)
-
+    model = measurement_model(_settings_key(settings))
+    dim = model.dim
+    rows = model.povm_rows
     freq = data / total
-    povm_rows = povm.reshape(len(settings), dim * dim)
-    povm_rows_conj = povm_rows.conj()
 
-    def predicted(sigma: np.ndarray) -> np.ndarray:
-        q = (povm_rows_conj @ sigma.ravel()).real
-        return np.clip(q, IMLM_PROBABILITY_FLOOR, None)
+    def evaluate(op: np.ndarray):
+        """Normalize a candidate; return it with its q and log-likelihood.
+        The E_j resolve the identity, so the raw q sum to the trace."""
+        raw = rows @ op.reshape(-1).view(np.float64)
+        trace = raw.sum()
+        q = np.maximum(raw / trace, IMLM_PROBABILITY_FLOOR)
+        return op / trace, q, float(data @ np.log(q))
 
-    def loglik_of(q: np.ndarray) -> float:
-        return float(np.dot(data, np.log(q)))
-
-    def powered(op: np.ndarray, alpha: float) -> np.ndarray:
-        if alpha == 1.0:
-            return op
-        w, u = np.linalg.eigh(op)
-        return (u * np.clip(w, 0.0, None) ** alpha) @ u.conj().T
-
-    sigma = np.eye(dim, dtype=complex) / dim
-    q = predicted(sigma)
-    history = [loglik_of(q)]
-    converged = False
+    sigma, q, ll = evaluate(np.eye(dim, dtype=complex))
+    history = [ll]
     iterations = 0
-    alpha = 1.0  # step exponent; raised while full steps keep paying off
-    # Accelerated steps make single-iteration gains oscillate near the
-    # optimum, so convergence is judged on the gain over a short window.
-    window = 10
+    doublings = 0  # the step operator is R^(2**doublings): R, R^2 or R^4
+    stop_reason = "max_iter"
 
-    for iterations in range(1, max_iter + 1):
-        r_op = ((freq / q) @ povm_rows).reshape(dim, dim)
-        step = powered(r_op, alpha)
-        candidate = step @ sigma @ step
-        candidate /= np.trace(candidate).real
-        q_cand = predicted(candidate)
-        ll = loglik_of(q_cand)
+    while True:
+        r_op = ((freq / q) @ rows).view(complex).reshape(dim, dim)
+        checked = iterations % _CERTIFICATE_EVERY == 0
+        if checked:
+            excess = _excess(r_op)
+            if excess <= IMLM_CERTIFICATE_RTOL:
+                stop_reason = "certificate"
+                break
+        if iterations == max_iter:
+            break
 
-        if ll < history[-1] and alpha > 1.0:
-            alpha = 1.0
-            candidate = r_op @ sigma @ r_op
-            candidate /= np.trace(candidate).real
-            q_cand = predicted(candidate)
-            ll = loglik_of(q_cand)
+        step = r_op
+        for _ in range(doublings):
+            step = step @ step
+        candidate, q_cand, ll = evaluate(step @ sigma @ step)
+
+        if ll < history[-1] and doublings:
+            doublings = 0
+            candidate, q_cand, ll = evaluate(r_op @ sigma @ r_op)
 
         if ll < history[-1]:
             # Diluted step: sigma <- N[(I+eps R) sigma (I+eps R)].  For small
@@ -259,40 +316,37 @@ def imlm_reconstruct(
             eps = 0.5
             while eps > 1e-8:
                 damp = (np.eye(dim) + eps * r_op) / (1.0 + eps)
-                damped = damp @ sigma @ damp
-                damped /= np.trace(damped).real
-                q_cand = predicted(damped)
-                ll = loglik_of(q_cand)
+                damped, q_cand, ll = evaluate(damp @ sigma @ damp)
                 if ll >= history[-1]:
                     candidate = damped
                     break
                 eps *= 0.5
             else:
-                converged = True
-                iterations -= 1
+                stop_reason = "stall"
                 break
         else:
-            alpha = min(alpha * 1.25, 4.0)
+            doublings = min(doublings + 1, 2)
 
         sigma = candidate
         q = q_cand
         history.append(ll)
-        lookback = min(window, len(history) - 1)
-        if history[-1] - history[-1 - lookback] < tol:
-            converged = True
-            break
+        iterations += 1
 
+    if not checked:
+        excess = _excess(r_op)
+    g_inv_sqrt = model.g_inv_sqrt
     rho = g_inv_sqrt @ sigma @ g_inv_sqrt
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
-    order = list(qubit_order) if qubit_order is not None else list(range(n_qubits))
+    order = list(qubit_order) if qubit_order is not None else list(range(model.n_qubits))
     result_rho = DensityMatrix(rho, order)
     result_rho.validate()
     return ReconstructionResult(
         rho=result_rho,
         iterations=iterations,
         log_likelihood=history[-1],
-        converged=converged,
+        stop_reason=stop_reason,
+        certificate=float(total * excess),
         loglik_history=history,
     )
 
@@ -312,17 +366,18 @@ def bootstrap_errors(
     n_resamples: int,
     seed: int,
     target: np.ndarray | None = None,
-    tol: float = IMLM_LOGLIK_TOL,
     max_iter: int = IMLM_MAX_ITER,
-) -> dict[str, float]:
+) -> tuple[dict[str, float], dict]:
     """Parametric bootstrap error bars for the reconstruction statistics.
 
     Each resample draws every count from Poisson(observed count), re-runs the
     reconstruction, and evaluates fidelity to the target, the W-witness value
-    and every pairwise entanglement of formation; the reported numbers are
-    standard deviations over resamples.  Resample seeds derive from the
-    master seed, so results are reproducible and resamples could run in
-    parallel.
+    and every pairwise entanglement of formation.  Returns the standard
+    deviations of those statistics over resamples, and a summary of the
+    resample fits: how many did not converge and the p50, p90 (nearest
+    rank) and max of their iteration counts.  Resample seeds derive from the master seed, so
+    results are reproducible and resamples could run in parallel; every
+    resample shares the cached measurement model.
     """
     from .entanglement import pairwise_eof_table, witness_value
 
@@ -338,14 +393,16 @@ def bootstrap_errors(
     seed_seq = np.random.SeedSequence(seed)
     child_seeds = seed_seq.spawn(n_resamples)
     stats: dict[str, list[float]] = {}
+    iterations = []
+    unconverged = 0
     for child in child_seeds:
         rng = np.random.default_rng(child)
         resampled = rng.poisson(data)
         if resampled.sum() == 0:
             resampled = np.ones_like(resampled)
-        result = imlm_reconstruct(
-            resampled, settings, tol=tol, max_iter=max_iter
-        )
+        result = imlm_reconstruct(resampled, settings, max_iter=max_iter)
+        iterations.append(result.iterations)
+        unconverged += not result.converged
         values = {
             "fidelity": fidelity(result.rho, target),
             "witness": witness_value(result.rho, n_qubits),
@@ -356,4 +413,14 @@ def bootstrap_errors(
         for key, value in values.items():
             stats.setdefault(key, []).append(value)
 
-    return {key: float(np.std(vals)) for key, vals in stats.items()}
+    errors = {key: float(np.std(vals)) for key, vals in stats.items()}
+    # Nearest-rank percentiles: np.percentile would import numpy.ma, about
+    # 1 MB of resident memory, for two numbers.
+    iterations.sort()
+    fits = {
+        "unconverged": unconverged,
+        "iterations_p50": iterations[math.ceil(0.5 * n_resamples) - 1],
+        "iterations_p90": iterations[math.ceil(0.9 * n_resamples) - 1],
+        "iterations_max": iterations[-1],
+    }
+    return errors, fits

@@ -168,7 +168,7 @@ def test_criterion_6_imlm_soundness():
     mean_fid = float(np.mean(fidelities))
     assert mean_fid >= 0.95
 
-    errors = bootstrap_errors(
+    errors, _ = bootstrap_errors(
         sample_counts(rho_w3, settings, flux, 7), settings, 30, seed=11, target=w3
     )
     assert 0.0042 <= errors["fidelity"] <= 0.42

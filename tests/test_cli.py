@@ -103,6 +103,9 @@ def test_w3_exact_scenario_quality():
     assert tomo["mode"] == "exact"
     assert tomo["settings"] == 64
     assert tomo["fidelity"] >= 0.999
+    assert tomo["stop_reason"] == "certificate"
+    assert tomo["converged"] is True
+    assert tomo["bootstrap"] is None and tomo["bootstrap_fits"] is None
     assert tomo["witness"] <= -0.33
     assert report["results"]["postselection"]["probability"] == pytest.approx(
         3 / 16, abs=1e-10
@@ -118,6 +121,8 @@ def test_w4_exact_scenario_quality():
     tomo = report["results"]["tomography"]
     assert tomo["fidelity"] >= 0.999
     assert tomo["witness"] <= -0.24
+    assert tomo["stop_reason"] == "certificate"
+    assert pair["tomography"]["stop_reason"] == "certificate"
     assert set(tomo["pairwise_eof"]) == {"04", "05", "06", "45", "46", "56"}
     post = report["results"]["postselection"]
     assert post["probability_given_pair"] == pytest.approx(1 / 8, abs=1e-10)
@@ -161,7 +166,7 @@ def test_report_embeds_hash_and_version():
     report = run_scenario(config)
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert "reference_values" in report
     assert report["config"] == config_to_dict(config)
 
@@ -277,3 +282,17 @@ def test_main_rejects_mismatched_scenario(tmp_path, capsys):
 def test_main_missing_seed_fails(tmp_path, capsys):
     assert main(["w3", "--out", str(tmp_path / "x.json")]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+def test_sampled_report_summarizes_bootstrap_fits():
+    report = run_scenario(
+        ExperimentConfig(scenario="w3", seed=42, flux_per_setting=104.0, n_resamples=3)
+    )
+    tomo = report["results"]["tomography"]
+    assert tomo["stop_reason"] in ("certificate", "stall", "max_iter")
+    assert tomo["converged"] == (tomo["stop_reason"] == "certificate")
+    assert tomo["certificate"] >= 0.0
+    assert set(tomo["bootstrap"]) == {"fidelity", "witness", "eof_01", "eof_02", "eof_12"}
+    fits = tomo["bootstrap_fits"]
+    assert 0 <= fits["unconverged"] <= 3
+    assert fits["iterations_p50"] <= fits["iterations_p90"] <= fits["iterations_max"]

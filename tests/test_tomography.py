@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wexpand.fock import DensityMatrix
 from wexpand.gates import w_state_qubits
+from wexpand.tolerances import IMLM_CERTIFICATE_RTOL, PSD_ATOL, TRACE_ATOL
 from wexpand.tomography import (
     CountRecord,
     bootstrap_errors,
@@ -12,6 +14,7 @@ from wexpand.tomography import (
     fidelity,
     flux_for_typical_count,
     imlm_reconstruct,
+    measurement_model,
     sample_counts,
     setting_projector,
 )
@@ -124,9 +127,8 @@ def test_imlm_loglik_nondecreasing_on_random_counts():
 
 
 def test_imlm_fixed_point_on_full_rank_states():
-    # The iteration trajectory depends only on the relative frequencies, so
-    # exact probabilities are fed at a realistic count scale where the
-    # absolute log-likelihood-gain threshold is meaningfully tight.
+    # Exact probabilities of a full-rank state: the generating state is the
+    # fixed point the iteration must reach.
     rng = np.random.default_rng(37)
     for trial in range(4):
         for n, dim in ((2, 4), (3, 8)):
@@ -195,9 +197,10 @@ def test_bootstrap_deterministic_and_small_at_high_flux():
     rho = DensityMatrix.from_pure(w_state_qubits(2), [0, 1])
     counts = exact_counts(rho, settings, 1e7)
     kwargs = dict(seed=5, target=w_state_qubits(2), max_iter=2000)
-    errs_a = bootstrap_errors(counts, settings, 8, **kwargs)
-    errs_b = bootstrap_errors(counts, settings, 8, **kwargs)
+    errs_a, fits_a = bootstrap_errors(counts, settings, 8, **kwargs)
+    errs_b, fits_b = bootstrap_errors(counts, settings, 8, **kwargs)
     assert errs_a == errs_b
+    assert fits_a == fits_b
     # relative Poisson noise ~ 1/sqrt(1e7 p): errors collapse toward zero
     assert errs_a["fidelity"] < 1e-3
     assert abs(errs_a["witness"]) < 1e-2
@@ -206,7 +209,7 @@ def test_bootstrap_deterministic_and_small_at_high_flux():
 def test_bootstrap_experiment_scale_error_order():
     flux = flux_for_typical_count(RHO_W3, SETTINGS_3, 104.0)
     counts = sample_counts(RHO_W3, SETTINGS_3, flux, seed=7)
-    errs = bootstrap_errors(counts, SETTINGS_3, 25, seed=11, target=W3)
+    errs, _ = bootstrap_errors(counts, SETTINGS_3, 25, seed=11, target=W3)
     # order-of-magnitude agreement with the quoted +/- 0.042
     assert 0.0042 <= errs["fidelity"] <= 0.42
 
@@ -214,3 +217,83 @@ def test_bootstrap_experiment_scale_error_order():
 def test_count_record_rejects_negative_count():
     with pytest.raises(ValueError):
         CountRecord(("H",), -1)
+
+
+def test_born_probabilities_match_per_setting_traces():
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3):
+        settings_n = default_settings(n)
+        rho = DensityMatrix(random_density(rng, 2**n), list(range(n)))
+        reference = [
+            np.trace(setting_projector(s) @ rho.matrix).real for s in settings_n
+        ]
+        counts = exact_counts(rho, settings_n, 7.0)
+        assert [c.count for c in counts] == pytest.approx(
+            [7.0 * p for p in reference], abs=1e-12
+        )
+
+
+def test_imlm_stop_is_count_scale_free():
+    # The same exact W3 frequencies at typical counts 1.04, 104 and 1.04e6:
+    # the certificate depends on the frequencies alone, so every fit stops
+    # on it after about as many iterations, at about the same fidelity.
+    unit = flux_for_typical_count(RHO_W3, SETTINGS_3, 1.0)
+    iterations, fidelities = [], []
+    for typical in (1.04, 104.0, 1.04e6):
+        counts = exact_counts(RHO_W3, SETTINGS_3, unit * typical)
+        fit = imlm_reconstruct(counts, SETTINGS_3)
+        assert fit.stop_reason == "certificate"
+        assert fit.converged
+        total = sum(c.count for c in counts)
+        assert 0.0 <= fit.certificate <= total * IMLM_CERTIFICATE_RTOL
+        iterations.append(fit.iterations)
+        fidelities.append(fidelity(fit.rho, W3))
+    assert max(iterations) <= 1.25 * min(iterations)
+    assert max(fidelities) - min(fidelities) <= 2e-4
+    assert min(fidelities) >= 0.999
+
+
+def test_imlm_iteration_cap_is_not_convergence():
+    counts = exact_counts(RHO_W3, SETTINGS_3, 104.0)
+    result = imlm_reconstruct(counts, SETTINGS_3, max_iter=5)
+    assert result.iterations == 5
+    assert result.stop_reason == "max_iter"
+    assert result.converged is False
+    assert result.to_json()["converged"] is False
+    assert result.certificate > 0.0
+
+
+@st.composite
+def count_sets(draw):
+    n_qubits = draw(st.sampled_from((1, 2)))
+    size = 4**n_qubits
+    counts = draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size))
+    assume(sum(counts) > 0)
+    return default_settings(n_qubits), counts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(count_sets(), st.integers(1, 200))
+def test_imlm_certificate_bounds_the_remaining_gain(data, cap):
+    settings_n, counts = data
+    first = imlm_reconstruct(counts, settings_n, max_iter=cap)
+    assert (np.diff(first.loglik_history) >= 0).all()
+    eigs = np.linalg.eigvalsh(first.rho.matrix)
+    assert eigs.min() >= -PSD_ATOL
+    assert np.trace(first.rho.matrix).real == pytest.approx(1.0, abs=TRACE_ATOL)
+    longer = imlm_reconstruct(counts, settings_n, max_iter=50 * cap)
+    assert longer.log_likelihood - first.log_likelihood <= first.certificate + 1e-9
+
+
+def test_bootstrap_builds_the_measurement_model_once():
+    measurement_model.cache_clear()
+    counts = sample_counts(RHO_W3, SETTINGS_3, 300.0, seed=3)
+    imlm_reconstruct(counts, SETTINGS_3)
+    errs, fits = bootstrap_errors(counts, SETTINGS_3, 4, seed=5, target=W3)
+    assert measurement_model.cache_info().misses == 1
+    assert set(fits) == {
+        "unconverged", "iterations_p50", "iterations_p90", "iterations_max"
+    }
+    assert fits["unconverged"] == 0
+    assert fits["iterations_p50"] <= fits["iterations_p90"] <= fits["iterations_max"]
+    assert set(errs) == {"fidelity", "witness", "eof_01", "eof_02", "eof_12"}
