@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import types
 import typing
@@ -194,8 +195,22 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _is_finite(value) -> bool:
+    """False if a parsed JSON value holds a NaN or infinite number anywhere:
+    Python's parser accepts the NaN and Infinity literals, and 1e999 parses
+    to inf."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(map(_is_finite, value))
+    if isinstance(value, dict):
+        return all(map(_is_finite, value.values()))
+    return True
+
+
 def load_config(path) -> ExperimentConfig:
-    """Strict config parse: unknown fields are rejected, types checked."""
+    """Strict config parse: unknown fields are rejected, types checked, and
+    numbers must be finite, so that every report is strict JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -211,6 +226,8 @@ def load_config(path) -> ExperimentConfig:
     for key, value in raw.items():
         if not _matches(value, _FIELD_HINTS[key]):
             raise ValueError(f"{path}: field {key!r} has invalid type")
+        if not _is_finite(value):
+            raise ValueError(f"{path}: field {key!r} holds a non-finite number")
     config = ExperimentConfig(**raw)
     config.validate()
     return config
@@ -403,8 +420,10 @@ def run_scenario(config: ExperimentConfig) -> dict:
 
 
 def emit_report(report: dict, path) -> bytes:
-    """Write the report as canonical JSON; returns the bytes written."""
-    payload = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """Write the report as canonical, strict JSON (a NaN or infinity raises
+    ValueError before anything is written); returns the bytes written."""
+    payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    payload = (payload + "\n").encode("utf-8")
     Path(path).write_bytes(payload)
     return payload
 

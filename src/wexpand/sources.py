@@ -9,6 +9,7 @@ maps out the Hong-Ou-Mandel dip at the gate's first beamsplitter.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,6 +51,9 @@ class SourceParams:
     overlap: float = 1.0
 
     def __post_init__(self):
+        for name in ("nu", "gamma", "coherence_length"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.nu < 0:
             raise ValueError("mean photon number must be nonnegative")
         if self.gamma < 0:
@@ -158,30 +162,49 @@ def delay_overlap(delay_um: float, coherence_length_um: float) -> float:
     return math.exp(-0.5 * x * x)
 
 
-def _hom_coincidence(xi: float, params: SourceParams) -> float:
-    """Threefold coincidence probability (herald, mode 4, mode 5) for one
-    overlap value."""
-    pulse = weak_coherent_pulse(params, MODE_ANCILLA)
-    state = tensor(heralded_single_photon(), pulse)
-    state = apply_delay(state, MODE_ANCILLA, xi)
-    state = run_gate(state)
-    return coincidence_probability(state, (0, 4, 5))
+@functools.lru_cache(maxsize=None)
+def _number_coincidences(n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(A_n, B_n), n <= n_max: with n pulse photons, the threefold coincidence
+    (herald, mode 4, mode 5) is A_n + B_n xi^2.  Photon number is conserved, so
+    one lift per xi of the unit-weight sum of all |n> gives the table."""
+    pulse = mode(MODE_ANCILLA, H)
+    numbers = PhotonicState({basis_vector({pulse: n}): 1.0 for n in range(n_max + 1)})
+    state = tensor(heralded_single_photon(), numbers)
+
+    def by_photon_number(xi: float) -> list[float]:
+        split: list[dict[Basis, complex]] = [{} for _ in range(n_max + 1)]
+        for fbv, amp in run_gate(apply_delay(state, MODE_ANCILLA, xi)).items():
+            split[len(fbv) - 2][fbv] = amp  # the herald, the input and n photons
+        return [coincidence_probability(PhotonicState(t), (0, 4, 5)) for t in split]
+
+    flat, matched = by_photon_number(0.0), by_photon_number(1.0)
+    return tuple(flat), tuple(m - f for m, f in zip(matched, flat))
 
 
 def dip_coefficients(params: SourceParams) -> tuple[float, float]:
     """(a, b) with C(xi) = a + b xi^2 for the threefold coincidence.
 
-    Threshold detection does not resolve the temporal bins, so the bin
-    patterns of the delayed pulse add in probability, and the coincidence
-    comes out exactly affine in xi^2 (the tests check it against the
-    circuit).  Two circuit runs fix it; neither coefficient depends on
-    ``params.overlap``.  ``a`` is the level far outside the dip, where the
-    photons are fully distinguishable.
+    The pulse holds n photons with the truncated Poisson weight
+    p_n = (nu^n / n!) / sum_{k <= n_max} nu^k / k!, and C is the p_n-weighted
+    sum of the per-photon-number coincidences A_n + B_n xi^2, each exactly
+    affine in xi^2 because threshold detection adds the temporal bins of the
+    delayed pulse in probability.  The table depends on ``n_max`` alone and
+    costs two circuit runs once per process; neither coefficient depends on
+    ``params.overlap`` or the pulse phase.  ``a`` is the level far outside
+    the dip, where the photons are fully distinguishable.
     """
-    a = _hom_coincidence(0.0, params)
+    flat, slope = _number_coincidences(params.n_max)
+    # Divided by max(nu, 1)^n_max, so that no power of a large nu overflows.
+    nu, top, scale = params.nu, params.n_max, max(params.nu, 1.0)
+    weights = [
+        (nu / scale) ** n * scale ** (n - top) / math.factorial(n)
+        for n in range(top + 1)
+    ]
+    total = sum(weights)
+    a = sum(w * c for w, c in zip(weights, flat)) / total
     if a <= 0.0:
         raise ValueError("no threefold coincidences to form a dip (nu = 0?)")
-    return a, _hom_coincidence(1.0, params) - a
+    return a, sum(w * c for w, c in zip(weights, slope)) / total
 
 
 def hom_scan(

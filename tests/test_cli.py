@@ -242,8 +242,10 @@ def test_main_hom_writes_curve(tmp_path):
 
 
 def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
-    # The dip is affine in xi^2, so two circuit runs give the calibration,
-    # the scan and the asymptote.
+    # The dip is a photon-number mixture of terms affine in xi^2, so two
+    # circuit runs fill the per-process table that gives the calibration, the
+    # scan and the asymptote; a later scenario at another nu runs no gate.
+    sources._number_coincidences.cache_clear()
     calls = []
 
     def counted(state):
@@ -251,10 +253,42 @@ def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
         return run_gate(state)
 
     monkeypatch.setattr(sources, "run_gate", counted)
-    results = run_scenario(load_config(CONFIG_DIR / "hom.json"))["results"]
+    config = load_config(CONFIG_DIR / "hom.json")
+    results = run_scenario(config)["results"]
     assert len(calls) == 2
     assert results["overlap_used"] == pytest.approx(0.9262800541764591, abs=1e-10)
     assert results["visibility"] == pytest.approx(0.85, abs=1e-12)
+    config.nu = 0.05
+    run_scenario(config)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"scenario": "hom", "nu": 0.03, "gamma": 0.0, '
+        '"coherence_length_um": Infinity}',
+        '{"scenario": "hom", "nu": 0.03, "gamma": 0.0, "delays_um": [NaN, 0.0]}',
+        '{"scenario": "hom", "nu": 1e999}',
+        '{"scenario": "hom", "metadata": {"pump_power": -Infinity}}',
+    ],
+)
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, text):
+    cfg_path = tmp_path / "hom.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "hom_report.json"
+    assert main(["hom", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_with_non_finite_number_not_written(tmp_path, monkeypatch):
+    # Strict JSON has no NaN or Infinity; the report must not pretend.
+    report = {"scenario": "scaling", "results": {"rows": [float("nan")]}}
+    monkeypatch.setattr("wexpand.cli.run_scenario", lambda config: report)
+    out = tmp_path / "scaling.json"
+    assert main(["scaling", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_hom_visibility_is_the_model_dip_without_zero_delay():

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from wexpand import sources
 from wexpand.fock import (
     coincidence_probability,
     inner_product,
@@ -129,6 +132,14 @@ def test_params_validation():
         SourceParams(overlap=1.1)
 
 
+@pytest.mark.parametrize("field", ["nu", "gamma", "coherence_length"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite(field, value):
+    # A NaN nu would otherwise weight the dip table into NaN coefficients.
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SourceParams(**{field: value})
+
+
 def test_hom_curve_even_and_monotone():
     params = SourceParams(nu=0.03, gamma=0.0, overlap=0.93)
     delays = [-300.0, -200.0, -100.0, -50.0, 0.0, 50.0, 100.0, 200.0, 300.0]
@@ -159,28 +170,50 @@ def test_hom_visibility_calibration():
         calibrate_overlap_for_visibility(0.9999, dip)
 
 
-def _simulated_dip(xi, params):
+def _simulated_dip(xi, params, phase=0.0):
     # Reference: the whole circuit, independently of the closed form.
-    state = tensor(heralded_single_photon(), weak_coherent_pulse(params, 2))
+    pulse = weak_coherent_pulse(params, 2, phase=phase)
+    state = tensor(heralded_single_photon(), pulse)
     return coincidence_probability(run_gate(apply_delay(state, 2, xi)), (0, 4, 5))
 
 
-@pytest.mark.parametrize("n_max", [2, 4])
-@pytest.mark.parametrize("nu", [0.03, 0.3])
-def test_closed_form_dip_matches_circuit(nu, n_max):
-    params = SourceParams(nu=nu, gamma=0.0, n_max=n_max)
-    flat = _simulated_dip(0.0, params)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    log_nu=st.floats(math.log(1e-3), math.log(0.5)),
+    n_max=st.integers(2, 6),
+    xi=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+@example(log_nu=math.log(0.03), n_max=2, xi=0.3, phase=0.0)
+@example(log_nu=math.log(0.03), n_max=4, xi=0.7, phase=0.0)
+@example(log_nu=math.log(0.3), n_max=2, xi=1.0, phase=0.0)
+@example(log_nu=math.log(0.3), n_max=4, xi=0.0, phase=0.0)
+def test_closed_form_dip_matches_circuit(log_nu, n_max, xi, phase):
+    # The draws share one process, so the per-n_max table built by the first
+    # example of each n_max is reused across nu.
+    params = SourceParams(nu=math.exp(log_nu), gamma=0.0, n_max=n_max)
+    flat = _simulated_dip(0.0, params, phase)
     dip = dip_coefficients(params)
     assert dip[0] == pytest.approx(flat, rel=1e-12)
-    for xi in (0.0, 0.3, 0.7, 1.0):
-        at_xi = SourceParams(nu=nu, gamma=0.0, n_max=n_max, overlap=xi)
-        direct = _simulated_dip(xi, params)
-        assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(direct, rel=1e-12)
-        assert hom_visibility(at_xi, dip) == pytest.approx(
-            1.0 - direct / flat, rel=1e-12
-        )
+    at_xi = dataclasses.replace(params, overlap=xi)
+    direct = _simulated_dip(xi, params, phase)
+    assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(direct, rel=1e-12)
+    assert hom_visibility(at_xi, dip) == pytest.approx(
+        1.0 - direct / flat, rel=1e-12
+    )
     xi0 = calibrate_overlap_for_visibility(0.85, dip)
-    assert 1.0 - _simulated_dip(xi0, params) / flat == pytest.approx(0.85, abs=1e-10)
+    assert 1.0 - _simulated_dip(xi0, params, phase) / flat == pytest.approx(
+        0.85, abs=1e-10
+    )
+
+
+def test_dip_of_a_bright_pulse_is_the_top_photon_number():
+    # Far above n_max, the truncated pulse is |n_max>; no power of nu may
+    # overflow on the way.
+    top = sources._number_coincidences(4)
+    for nu in (1e100, 1e300):
+        dip = dip_coefficients(SourceParams(nu=nu, gamma=0.0))
+        assert dip == pytest.approx((top[0][4], top[1][4]), rel=1e-12)
 
 
 def test_hom_empty_delays_rejected():
