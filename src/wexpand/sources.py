@@ -9,7 +9,7 @@ maps out the Hong-Ou-Mandel dip at the gate's first beamsplitter.
 from __future__ import annotations
 
 import csv
-import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,16 +21,15 @@ from .fock import (
     PhotonicState,
     apply_creation,
     basis_vector,
-    coincidence_probability,
     mode,
     number_state,
+    single_photon,
     tensor,
     vacuum_state,
     H,
     V,
 )
 from .gates import MODE_ANCILLA, MODE_INPUT, run_gate, two_photon_ancilla
-from .optics import apply_delay
 
 
 @dataclass
@@ -162,23 +161,42 @@ def delay_overlap(delay_um: float, coherence_length_um: float) -> float:
     return math.exp(-0.5 * x * x)
 
 
-@functools.lru_cache(maxsize=None)
 def _number_coincidences(n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(A_n, B_n), n <= n_max: with n pulse photons, the threefold coincidence
-    (herald, mode 4, mode 5) is A_n + B_n xi^2.  Photon number is conserved, so
-    one lift per xi of the unit-weight sum of all |n> gives the table."""
-    pulse = mode(MODE_ANCILLA, H)
-    numbers = PhotonicState({basis_vector({pulse: n}): 1.0 for n in range(n_max + 1)})
-    state = tensor(heralded_single_photon(), numbers)
+    (herald, mode 4, mode 5) is A_n + B_n xi^2.
 
-    def by_photon_number(xi: float) -> list[float]:
-        split: list[dict[Basis, complex]] = [{} for _ in range(n_max + 1)]
-        for fbv, amp in run_gate(apply_delay(state, MODE_ANCILLA, xi)).items():
-            split[len(fbv) - 2][fbv] = amp  # the herald, the input and n photons
-        return [coincidence_probability(PhotonicState(t), (0, 4, 5)) for t in split]
-
-    flat, matched = by_photon_number(0.0), by_photon_number(1.0)
-    return tuple(flat), tuple(m - f for m, f in zip(matched, flat))
+    Two one-photon gate runs give the output modes u of the input photon and
+    v of a pulse photon.  With the input photon at a and the pulse photons at
+    m - a, occupations m get m_a s_a, s_a = sqrt(n! / prod m!) u_a v^(m - a).
+    Their probability is |sum_a m_a s_a|^2 at xi = 1, where the photons
+    interfere, and sum_a m_a |s_a|^2 at xi = 0, where they do not.  The herald
+    always clicks, so the threefold needs photons at modes 4 and 5.
+    """
+    u, v = (
+        {fbv[0]: amp for fbv, amp in run_gate(single_photon(m, H)).items()}
+        for m in (MODE_INPUT, MODE_ANCILLA)
+    )
+    labels = sorted(u.keys() | v.keys())
+    u, v = ([amps.get(lab, 0.0) for lab in labels] for amps in (u, v))
+    ids = range(len(labels))
+    flat, slope = [], []
+    for n in range(n_max + 1):
+        distinguishable = matched = 0.0
+        for out in itertools.combinations_with_replacement(ids, n + 1):
+            if not {4, 5} <= {labels[j].spatial for j in out}:
+                continue
+            m = [out.count(j) for j in ids]
+            root = math.sqrt(math.factorial(n) / math.prod(map(math.factorial, m)))
+            s = [
+                (m[a], root * u[a] * math.prod(v[j] ** (m[j] - (j == a)) for j in ids))
+                for a in ids
+                if m[a]
+            ]
+            matched += abs(sum(m_a * s_a for m_a, s_a in s)) ** 2
+            distinguishable += sum(m_a * abs(s_a) ** 2 for m_a, s_a in s)
+        flat.append(distinguishable)
+        slope.append(matched - distinguishable)
+    return tuple(flat), tuple(slope)
 
 
 def dip_coefficients(params: SourceParams) -> tuple[float, float]:
@@ -189,7 +207,7 @@ def dip_coefficients(params: SourceParams) -> tuple[float, float]:
     sum of the per-photon-number coincidences A_n + B_n xi^2, each exactly
     affine in xi^2 because threshold detection adds the temporal bins of the
     delayed pulse in probability.  The table depends on ``n_max`` alone and
-    costs two circuit runs once per process; neither coefficient depends on
+    comes from two one-photon gate runs; neither coefficient depends on
     ``params.overlap`` or the pulse phase.  ``a`` is the level far outside
     the dip, where the photons are fully distinguishable.
     """

@@ -242,25 +242,25 @@ def test_main_hom_writes_curve(tmp_path):
 
 
 def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
-    # The dip is a photon-number mixture of terms affine in xi^2, so two
-    # circuit runs fill the per-process table that gives the calibration, the
-    # scan and the asymptote; a later scenario at another nu runs no gate.
-    sources._number_coincidences.cache_clear()
-    calls = []
+    # The dip is a photon-number mixture of terms affine in xi^2, and one
+    # photon through the gate from each input gives every term, so each
+    # scenario runs the gate twice on one photon; nothing is kept between
+    # scenarios.
+    photons = []
 
     def counted(state):
-        calls.append(1)
+        photons.append(max(len(fbv) for fbv in state.terms))
         return run_gate(state)
 
     monkeypatch.setattr(sources, "run_gate", counted)
     config = load_config(CONFIG_DIR / "hom.json")
     results = run_scenario(config)["results"]
-    assert len(calls) == 2
+    assert photons == [1, 1]
     assert results["overlap_used"] == pytest.approx(0.9262800541764591, abs=1e-10)
     assert results["visibility"] == pytest.approx(0.85, abs=1e-12)
     config.nu = 0.05
     run_scenario(config)
-    assert len(calls) == 2
+    assert photons == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize(

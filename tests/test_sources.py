@@ -203,8 +203,6 @@ def test_closed_form_dip_matches_circuit(nu, n_max):
     phase=st.floats(0.0, 2.0 * math.pi),
 )
 def test_closed_form_dip_matches_circuit_random(log_nu, n_max, xi, phase):
-    # The draws share one process, so the per-n_max table built by the first
-    # example of each n_max is reused across nu.
     params = SourceParams(nu=math.exp(log_nu), gamma=0.0, n_max=n_max)
     flat = _simulated_dip(0.0, params, phase)
     dip = dip_coefficients(params)
