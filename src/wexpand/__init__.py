@@ -11,11 +11,9 @@ from .fock import (
     DensityMatrix,
     ModeLabel,
     PhotonicState,
-    apply_annihilation,
     apply_creation,
     basis_vector,
     coincidence_probability,
-    inner_product,
     mode,
     number_state,
     postselect_qubits,
@@ -50,11 +48,9 @@ from .sources import (
     weak_coherent_pulse,
 )
 from .tomography import (
-    CountRecord,
     ReconstructionResult,
     bootstrap_errors,
     default_settings,
-    expected_probability,
     fidelity,
     imlm_reconstruct,
     sample_counts,

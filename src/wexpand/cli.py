@@ -11,6 +11,7 @@ asserted against.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
@@ -38,7 +39,6 @@ from .gates import (
 )
 from .optics import apply_delay
 from .sources import (
-    DIAGONAL,
     SourceParams,
     calibrate_overlap_for_visibility,
     dip_coefficients,
@@ -119,7 +119,6 @@ class ExperimentConfig:
     n_resamples: int = 100
     seed: int | None = None
     exact: bool = False
-    out: str | None = None
     coherence_length_um: float = 144.0
     delays_um: list[float] | None = None
     visibility_target: float | None = None
@@ -141,9 +140,6 @@ class ExperimentConfig:
             raise ValueError("n_resamples must be nonnegative")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
-
-    def requires_sampling(self) -> bool:
-        return self.scenario in ("w3", "w4") and not self.exact
 
 
 # Field annotations drive the type check of config files.
@@ -168,27 +164,25 @@ def _matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+# Per-scenario overrides of the field defaults, matching the quoted
+# experimental settings.  The shipped configs/*.json differ from them only
+# in seed and n_resamples.
+_SCENARIO_DEFAULTS = {
+    "hom": {
+        "nu": 0.03,
+        "gamma": 0.0,
+        "visibility_target": 0.85,
+        "metadata": {"pump_power": "23 mW"},
+    },
+    "w3": {"metadata": {"pump_power": "75 mW", "acquisition_seconds": "5220"}},
+    "w4": {"metadata": {"pump_power": "150 mW", "acquisition_seconds": "4280"}},
+    "scaling": {},
+}
+
+
 def default_config(scenario: str) -> ExperimentConfig:
     """Scenario defaults matching the quoted experimental settings."""
-    if scenario == "hom":
-        return ExperimentConfig(
-            scenario="hom",
-            nu=0.03,
-            gamma=0.0,
-            visibility_target=0.85,
-            metadata={"pump_power": "23 mW"},
-        )
-    if scenario == "w3":
-        return ExperimentConfig(
-            scenario="w3",
-            metadata={"pump_power": "75 mW", "acquisition_seconds": "5220"},
-        )
-    if scenario == "w4":
-        return ExperimentConfig(
-            scenario="w4",
-            metadata={"pump_power": "150 mW", "acquisition_seconds": "4280"},
-        )
-    return ExperimentConfig(scenario=scenario)
+    return ExperimentConfig(scenario, **copy.deepcopy(_SCENARIO_DEFAULTS[scenario]))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -231,13 +225,6 @@ def load_config(path) -> ExperimentConfig:
     config = ExperimentConfig(**raw)
     config.validate()
     return config
-
-
-def emit_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def config_sha256(config: ExperimentConfig) -> str:
@@ -325,18 +312,18 @@ def _run_hom(config: ExperimentConfig) -> dict:
     }
 
 
-def _expanded_seed_state(config: ExperimentConfig):
-    """Input photon + ancilla through the gate with the overlap knob applied."""
-    photon = single_photon(MODE_INPUT, "V")
-    state = tensor(photon, two_photon_ancilla())
-    if config.overlap < 1.0:
-        state = apply_delay(state, MODE_ANCILLA, config.overlap)
+def _through_gate(w_input, overlap: float):
+    """A W state whose accessed photon is in mode 1, and the two-photon
+    ancilla delayed to wavepacket overlap ``overlap``, through the gate."""
+    state = tensor(w_input, two_photon_ancilla())
+    if overlap < 1.0:
+        state = apply_delay(state, MODE_ANCILLA, overlap)
     return run_gate(state)
 
 
 def _run_w3(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(config.seed, 2)
-    out_state = _expanded_seed_state(config)
+    out_state = _through_gate(single_photon(MODE_INPUT, "V"), config.overlap)
     rho, probability = postselect_qubits(out_state, OUTPUT_MODES)
     if rho is None:
         raise ValueError("post-selection probability vanished")
@@ -354,17 +341,14 @@ def _run_w3(config: ExperimentConfig) -> dict:
 def _run_w4(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(config.seed, 4)
     params = SourceParams(nu=config.nu, gamma=config.gamma)
-    pair = spdc_pair(params, modes=(0, MODE_INPUT), pump=DIAGONAL)
+    pair = spdc_pair(params, modes=(0, MODE_INPUT))
     sigma_pair, pair_probability = postselect_qubits(pair, (0, MODE_INPUT))
     if sigma_pair is None:
         raise ValueError("pair source produced no coincidences (gamma = 0?)")
 
     pair_block = _tomography_block(sigma_pair, 2, config, seeds[:2])
 
-    state = tensor(pair, two_photon_ancilla())
-    if config.overlap < 1.0:
-        state = apply_delay(state, MODE_ANCILLA, config.overlap)
-    out_state = run_gate(state)
+    out_state = _through_gate(pair, config.overlap)
     rho, raw_probability = postselect_qubits(out_state, (0,) + OUTPUT_MODES)
     if rho is None:
         raise ValueError("post-selection probability vanished")
@@ -409,7 +393,7 @@ def run_scenario(config: ExperimentConfig) -> dict:
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "tool": {"name": "wexpand", "version": __version__},
         "scenario": config.scenario,
         "config": config_to_dict(config),
@@ -481,12 +465,10 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.exact:
             config.exact = True
-        if args.out is not None:
-            config.out = str(args.out)
         config.validate()
 
         report = run_scenario(config)
-        out_path = Path(config.out or f"{config.scenario}_report.json")
+        out_path = args.out or Path(f"{config.scenario}_report.json")
         emit_report(report, out_path)
         side = _write_side_outputs(report, out_path)
         print(f"report written to {out_path}")

@@ -129,22 +129,9 @@ class PhotonicState:
             raise ValueError("cannot normalize a zero state")
         return PhotonicState({f: a / n for f, a in self._terms.items()}, prune=0.0)
 
-    def scaled(self, factor: complex) -> "PhotonicState":
-        return PhotonicState({f: a * factor for f, a in self._terms.items()})
-
     def spatial_modes(self) -> frozenset[int]:
         return frozenset(lab.spatial for fbv in self._terms for lab in fbv)
 
-    def amplitude(self, fbv: Basis) -> complex:
-        return self._terms.get(fbv, 0.0 + 0.0j)
-
-    def __repr__(self) -> str:
-        body = " + ".join(
-            f"({amp:.4g})|{' '.join(map(str, fbv)) or 'vac'}>"
-            for fbv, amp in list(self._terms.items())[:6]
-        )
-        more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
-        return f"PhotonicState[{body}{more}]"
 
 
 def vacuum_state() -> PhotonicState:
@@ -169,33 +156,6 @@ def apply_creation(state: PhotonicState, label: ModeLabel) -> PhotonicState:
         new = tuple(sorted(fbv + (label,)))
         out[new] = out.get(new, 0.0) + amp * math.sqrt(new.count(label))
     return PhotonicState(out)
-
-
-def apply_annihilation(state: PhotonicState, label: ModeLabel) -> PhotonicState:
-    """Annihilation operator on one mode; kills empty-mode terms."""
-    out: dict[Basis, complex] = {}
-    for fbv, amp in state.items():
-        n = fbv.count(label)
-        if n == 0:
-            continue
-        i = fbv.index(label)
-        new = fbv[:i] + fbv[i + 1 :]
-        out[new] = out.get(new, 0.0) + amp * math.sqrt(n)
-    return PhotonicState(out)
-
-
-def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
-    """<a|b>, conjugate-linear in ``a``."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    total = 0.0 + 0.0j
-    for fbv, amp in small.items():
-        other = large.amplitude(fbv)
-        if other:
-            if small is a:
-                total += amp.conjugate() * other
-            else:
-                total += other.conjugate() * amp
-    return total
 
 
 def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
@@ -389,13 +349,6 @@ class DensityMatrix:
             "re": [float(x) for x in self.matrix.real.ravel()],
             "im": [float(x) for x in self.matrix.imag.ravel()],
         }
-
-    @staticmethod
-    def from_json(doc: Mapping) -> "DensityMatrix":
-        dim = int(doc["dim"])
-        re = np.asarray(doc["re"], dtype=float).reshape(dim, dim)
-        im = np.asarray(doc["im"], dtype=float).reshape(dim, dim)
-        return DensityMatrix(re + 1j * im, list(doc["qubit_order"]))
 
 
 def as_matrix(rho) -> np.ndarray:

@@ -76,22 +76,6 @@ class BeamsplitterSpec:
         r1, r2 = _SIGN_CONVENTIONS[self.sign_convention]
         return np.array([[t, r2 * r], [r1 * r, t]])
 
-    def inverse(self) -> "BeamsplitterSpec":
-        """Beamsplitter undoing this one (outputs fed back as inputs)."""
-        flipped = (
-            REFLECTION_MINUS_ON_OUT_B
-            if self.sign_convention == REFLECTION_MINUS_ON_OUT_A
-            else REFLECTION_MINUS_ON_OUT_A
-        )
-        return BeamsplitterSpec(
-            in_a=self.out_a,
-            in_b=self.out_b,
-            out_a=self.in_a,
-            out_b=self.in_b,
-            transmissivity=self.transmissivity,
-            sign_convention=flipped,
-        )
-
     def image(self, lab: ModeLabel) -> Image:
         """Route a photon between the spatial ports, keeping polarization
         and temporal bin."""
@@ -120,19 +104,9 @@ class JonesUnitary:
         return np.asarray(self.matrix, dtype=complex)
 
     @staticmethod
-    def identity() -> "JonesUnitary":
-        return JonesUnitary(((1.0, 0.0), (0.0, 1.0)))
-
-    @staticmethod
     def v_phase_flip() -> "JonesUnitary":
         """Half-wave plate aligned to add a pi phase on V."""
         return JonesUnitary(((1.0, 0.0), (0.0, -1.0)))
-
-    @staticmethod
-    def rotation(angle: float) -> "JonesUnitary":
-        """Polarization rotation by ``angle``; pi/2 maps H to V."""
-        c, s = math.cos(angle), math.sin(angle)
-        return JonesUnitary(((c, -s), (s, c)))
 
 
 @dataclass(frozen=True)

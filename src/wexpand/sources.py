@@ -8,6 +8,7 @@ maps out the Hong-Ou-Mandel dip at the gate's first beamsplitter.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import itertools
 import math
@@ -22,9 +23,7 @@ from .fock import (
     apply_creation,
     basis_vector,
     mode,
-    number_state,
     single_photon,
-    tensor,
     vacuum_state,
     H,
     V,
@@ -71,59 +70,59 @@ class SourceParams:
             )
 
 
+def _poisson_weights(nu: float, n_max: int) -> list[float]:
+    """Truncated Poisson weights nu^n / n!, n <= n_max, proportional to the
+    photon-number probabilities p_n of the pulse.  They are divided by
+    max(nu, 1)^n_max, so that no power of a large nu overflows; for
+    nu <= 1 the division is by 1.0 exactly."""
+    scale = max(nu, 1.0)
+    return [
+        (nu / scale) ** n * scale ** (n - n_max) / math.factorial(n)
+        for n in range(n_max + 1)
+    ]
+
+
 def weak_coherent_pulse(
     params: SourceParams, spatial_mode: int = MODE_ANCILLA, phase: float = 0.0
 ) -> PhotonicState:
     """H-polarized coherent state truncated at ``n_max`` photons.
 
-    Number-state amplitudes follow exp(-nu/2) nu^(n/2) / sqrt(n!) with an
-    optional coherent phase per photon; the truncated state is renormalized.
+    Number-state amplitudes are sqrt(p_n) e^(i n phase), with p_n the Poisson
+    weight renormalized over n <= n_max; a bright pulse gives |n_max>.
     """
-    nu = params.nu
-    if nu == 0.0:
-        return vacuum_state()
-    alpha = math.sqrt(nu) * complex(math.cos(phase), math.sin(phase))
+    weights = _poisson_weights(params.nu, params.n_max)
+    total = sum(weights)
     label = mode(spatial_mode, H)
-    terms = {}
-    for n in range(params.n_max + 1):
-        amp = math.exp(-nu / 2.0) * alpha**n / math.sqrt(math.factorial(n))
-        terms[basis_vector({label: n})] = amp
-    return PhotonicState(terms).normalized()
-
-
-V_POLARIZED = "V_polarized"
-DIAGONAL = "diagonal"
+    return PhotonicState(
+        {
+            basis_vector({label: n}): math.sqrt(w / total) * cmath.exp(1j * n * phase)
+            for n, w in enumerate(weights)
+        }
+    )
 
 
 def spdc_pair(
     params: SourceParams,
     modes: tuple[int, int] = (0, 1),
-    pump: str = V_POLARIZED,
     include_double_pairs: bool = False,
 ) -> PhotonicState:
     """Down-conversion output on two spatial modes, mostly vacuum.
 
-    A V-polarized pump emits sqrt(gamma) |1_H, 1_H|; a diagonal pump emits
-    the symmetric pair (|1_H 1_V> + |1_V 1_H>)/sqrt(2), already written in
-    the local frame where it matches the two-qubit W state.  With
-    ``include_double_pairs`` the exponential pair-creation series is kept to
-    second order, adding double-pair terms at amplitude O(gamma).
+    A diagonal pump emits sqrt(gamma) times the symmetric pair
+    (|1_H 1_V> + |1_V 1_H>)/sqrt(2), already written in the local frame
+    where it matches the two-qubit W state.  With ``include_double_pairs``
+    the exponential pair-creation series is kept to second order, adding
+    double-pair terms at amplitude O(gamma).
     """
     m0, m1 = modes
     if m0 == m1:
         raise ValueError("pair source needs two distinct modes")
-    if pump not in (V_POLARIZED, DIAGONAL):
-        raise ValueError(f"unknown pump setting {pump!r}")
     root_gamma = math.sqrt(params.gamma)
-
-    if pump == V_POLARIZED:
-        pair_ops = [((mode(m0, H), mode(m1, H)), 1.0)]
-    else:
-        inv = 1.0 / math.sqrt(2.0)
-        pair_ops = [
-            ((mode(m0, H), mode(m1, V)), inv),
-            ((mode(m0, V), mode(m1, H)), inv),
-        ]
+    inv = 1.0 / math.sqrt(2.0)
+    pair_ops = [
+        ((mode(m0, H), mode(m1, V)), inv),
+        ((mode(m0, V), mode(m1, H)), inv),
+    ]
 
     def create_pair(state: PhotonicState) -> PhotonicState:
         grown: dict[Basis, complex] = {}
@@ -140,15 +139,6 @@ def spdc_pair(
         for fbv, amp in create_pair(one_pair).items():
             terms[fbv] = terms.get(fbv, 0.0) + (params.gamma / 2.0) * amp
     return PhotonicState(terms).normalized()
-
-
-def heralded_single_photon(
-    herald_mode: int = 0, signal_mode: int = MODE_INPUT
-) -> PhotonicState:
-    """Pair state conditioned on a herald click: |1_H>_herald |1_H>_signal."""
-    return tensor(
-        number_state(herald_mode, H, 1), number_state(signal_mode, H, 1)
-    )
 
 
 def delay_overlap(delay_um: float, coherence_length_um: float) -> float:
@@ -212,12 +202,7 @@ def dip_coefficients(params: SourceParams) -> tuple[float, float]:
     the dip, where the photons are fully distinguishable.
     """
     flat, slope = _number_coincidences(params.n_max)
-    # Divided by max(nu, 1)^n_max, so that no power of a large nu overflows.
-    nu, top, scale = params.nu, params.n_max, max(params.nu, 1.0)
-    weights = [
-        (nu / scale) ** n * scale ** (n - top) / math.factorial(n)
-        for n in range(top + 1)
-    ]
+    weights = _poisson_weights(params.nu, params.n_max)
     total = sum(weights)
     a = sum(w * c for w, c in zip(weights, flat)) / total
     if a <= 0.0:

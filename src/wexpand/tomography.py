@@ -37,7 +37,6 @@ PROJECTOR_KETS = {
     "V": np.array([0.0, 1.0], dtype=complex),
     "D": np.array([1.0, 1.0], dtype=complex) / _SQRT2,
     "R": np.array([1.0, -1.0j], dtype=complex) / _SQRT2,
-    "L": np.array([1.0, 1.0j], dtype=complex) / _SQRT2,
 }
 
 DEFAULT_LABELS = ("H", "V", "D", "R")
@@ -48,18 +47,6 @@ _CERTIFICATE_EVERY = 10
 # shrinks by _STEP_SHRINK while a step fails the sufficient-increase test.
 _STEP_GROWTH = 1.25
 _STEP_SHRINK = 0.5
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One coincidence number for one projector setting."""
-
-    setting: tuple
-    count: float
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("counts must be nonnegative")
 
 
 def default_settings(n_qubits: int) -> list[tuple]:
@@ -112,31 +99,25 @@ def _born_probabilities(rho, settings: Sequence[Sequence[str]]) -> np.ndarray:
     return np.clip(rows @ m.reshape(-1).view(np.float64), 0.0, None)
 
 
-def expected_probability(rho, setting: Sequence[str]) -> float:
-    """Born-rule coincidence probability Tr(rho P_setting)."""
-    return float(_born_probabilities(rho, [setting])[0])
-
-
 def sample_counts(
     rho,
     settings: Sequence[Sequence[str]],
     flux_per_setting: float,
     seed: int,
-) -> list[CountRecord]:
-    """Poisson coincidence counts, one per setting, deterministic in the seed."""
+) -> np.ndarray:
+    """Poisson coincidence counts aligned with ``settings``, deterministic in
+    the seed."""
     if flux_per_setting <= 0:
         raise ValueError("flux per setting must be positive")
     means = flux_per_setting * _born_probabilities(rho, settings)
-    draws = np.random.default_rng(seed).poisson(means)
-    return [CountRecord(tuple(s), int(n)) for s, n in zip(settings, draws)]
+    return np.random.default_rng(seed).poisson(means)
 
 
 def exact_counts(
     rho, settings: Sequence[Sequence[str]], flux_per_setting: float
-) -> list[CountRecord]:
-    """Noiseless expected coincidence numbers (no sampling)."""
-    means = flux_per_setting * _born_probabilities(rho, settings)
-    return [CountRecord(tuple(s), float(n)) for s, n in zip(settings, means)]
+) -> np.ndarray:
+    """Noiseless expected coincidence numbers aligned with ``settings``."""
+    return flux_per_setting * _born_probabilities(rho, settings)
 
 
 def flux_for_typical_count(rho, settings, typical_count: float) -> float:
@@ -211,23 +192,6 @@ class ReconstructionResult:
         """True only when the optimality certificate stopped the fit."""
         return self.stop_reason == "certificate"
 
-    def to_json(self) -> dict:
-        """Density-matrix serialization plus the scalar reconstruction fields."""
-        return {
-            "density_matrix": self.rho.to_json(),
-            "iterations": self.iterations,
-            "log_likelihood": self.log_likelihood,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "certificate": self.certificate,
-        }
-
-
-def _counts_array(counts) -> np.ndarray:
-    if len(counts) and isinstance(counts[0], CountRecord):
-        return np.array([c.count for c in counts], dtype=float)
-    return np.asarray(counts, dtype=float)
-
 
 def _excess(r_op: np.ndarray) -> float:
     """lambda_max(R) - 1, clipped at zero: the relative optimality gap."""
@@ -264,8 +228,8 @@ def imlm_reconstruct(
     accelerated projected gradient.
 
     Args:
-        counts: coincidence numbers aligned with ``settings`` (CountRecords
-            or plain numbers; exact expected values are fine).
+        counts: coincidence numbers aligned with ``settings`` (exact
+            expected values are fine).
         settings: informationally complete projector settings.
         max_iter: iteration cap.
         qubit_order: spatial-mode ids for the reconstructed qubits
@@ -290,7 +254,7 @@ def imlm_reconstruct(
     returned sigma; whenever it holds there, ``stop_reason`` is
     ``"certificate"``.
     """
-    data = _counts_array(counts)
+    data = np.asarray(counts, dtype=float)
     if len(data) != len(settings):
         raise ValueError("counts and settings must align")
     if np.any(data < 0):
@@ -415,7 +379,7 @@ def bootstrap_errors(
 
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
-    data = _counts_array(counts)
+    data = np.asarray(counts, dtype=float)
     n_qubits = len(settings[0])
     if target is None:
         from .gates import w_state_qubits

