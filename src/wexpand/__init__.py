@@ -41,7 +41,6 @@ from .gates import (
     w_state_qubits,
 )
 from .sources import (
-    SourceParams,
     calibrate_overlap_for_visibility,
     hom_scan,
     spdc_pair,

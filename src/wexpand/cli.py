@@ -11,7 +11,6 @@ asserted against.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import hashlib
 import json
@@ -19,7 +18,7 @@ import math
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,6 @@ from .gates import (
 )
 from .optics import apply_delay
 from .sources import (
-    SourceParams,
     calibrate_overlap_for_visibility,
     dip_coefficients,
     hom_scan,
@@ -109,6 +107,20 @@ REFERENCE_EXPERIMENT = {
 }
 
 
+# Domain of each config field: (what it must do, membership test).  Every
+# scenario checks every field.
+_DOMAINS = {
+    "nu": ("be nonnegative", lambda x: x >= 0),
+    "gamma": ("be nonnegative", lambda x: x >= 0),
+    "overlap": ("lie in [0, 1]", lambda x: 0 <= x <= 1),
+    "flux_per_setting": ("be positive", lambda x: x > 0),
+    "n_resamples": ("be nonnegative", lambda x: x >= 0),
+    "coherence_length_um": ("be positive", lambda x: x > 0),
+    "delays_um": ("be non-empty", lambda x: x is None or len(x) > 0),
+    "visibility_target": ("lie in [0, 1)", lambda x: x is None or 0 <= x < 1),
+}
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -122,24 +134,22 @@ class ExperimentConfig:
     coherence_length_um: float = 144.0
     delays_um: list[float] | None = None
     visibility_target: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        """The one check of a config's values, whichever scenario reads
+        them.  A NaN fails every domain, since it compares false."""
         if self.scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
-        if self.scenario in ("w3", "w4"):
-            if self.flux_per_setting <= 0:
-                raise ValueError("flux_per_setting must be positive")
-            if not self.exact and self.seed is None:
-                raise ValueError(
-                    f"scenario {self.scenario!r} samples counts; a seed is required"
-                )
-        if self.n_resamples < 0:
-            raise ValueError("n_resamples must be nonnegative")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must lie in [0, 1]")
+        for name, (domain, ok) in _DOMAINS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must {domain}, got {value!r}")
+        if self.scenario in ("w3", "w4") and not self.exact and self.seed is None:
+            raise ValueError(
+                f"scenario {self.scenario!r} samples counts; a seed is required"
+            )
 
 
 # Field annotations drive the type check of config files.
@@ -168,21 +178,16 @@ def _matches(value, hint) -> bool:
 # experimental settings.  The shipped configs/*.json differ from them only
 # in seed and n_resamples.
 _SCENARIO_DEFAULTS = {
-    "hom": {
-        "nu": 0.03,
-        "gamma": 0.0,
-        "visibility_target": 0.85,
-        "metadata": {"pump_power": "23 mW"},
-    },
-    "w3": {"metadata": {"pump_power": "75 mW", "acquisition_seconds": "5220"}},
-    "w4": {"metadata": {"pump_power": "150 mW", "acquisition_seconds": "4280"}},
+    "hom": {"nu": 0.03, "visibility_target": 0.85},
+    "w3": {},
+    "w4": {},
     "scaling": {},
 }
 
 
 def default_config(scenario: str) -> ExperimentConfig:
     """Scenario defaults matching the quoted experimental settings."""
-    return ExperimentConfig(scenario, **copy.deepcopy(_SCENARIO_DEFAULTS[scenario]))
+    return ExperimentConfig(scenario, **_SCENARIO_DEFAULTS[scenario])
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -197,14 +202,14 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     if isinstance(value, list):
         return all(map(_is_finite, value))
-    if isinstance(value, dict):
-        return all(map(_is_finite, value.values()))
     return True
 
 
 def load_config(path) -> ExperimentConfig:
     """Strict config parse: unknown fields are rejected, types checked, and
-    numbers must be finite, so that every report is strict JSON."""
+    numbers must be finite, so that every report is strict JSON.  The values'
+    domains are checked by ``run_scenario``, after any command-line
+    overrides."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -222,9 +227,7 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: field {key!r} has invalid type")
         if not _is_finite(value):
             raise ValueError(f"{path}: field {key!r} holds a non-finite number")
-    config = ExperimentConfig(**raw)
-    config.validate()
-    return config
+    return ExperimentConfig(**raw)
 
 
 def config_sha256(config: ExperimentConfig) -> str:
@@ -286,28 +289,20 @@ def _tomography_block(
 
 
 def _run_hom(config: ExperimentConfig) -> dict:
-    params = SourceParams(
-        nu=config.nu,
-        gamma=config.gamma,
-        coherence_length=config.coherence_length_um,
-        overlap=config.overlap,
-    )
-    dip = dip_coefficients(params)
+    dip = dip_coefficients(config.nu)
+    overlap = config.overlap
     if config.visibility_target is not None:
-        params = dataclasses.replace(
-            params,
-            overlap=calibrate_overlap_for_visibility(config.visibility_target, dip),
-        )
+        overlap = calibrate_overlap_for_visibility(config.visibility_target, dip)
     delays = config.delays_um
     if delays is None:
         delays = [float(d) for d in range(-400, 401, 25)]
-    curve = hom_scan(delays, params, dip)
+    curve = hom_scan(delays, dip, overlap, config.coherence_length_um)
     return {
-        "overlap_used": params.overlap,
+        "overlap_used": overlap,
         "coherence_length_um": config.coherence_length_um,
         "asymptote": dip[0],
         "dip_minimum": min(p for _, p in curve),
-        "visibility": hom_visibility(params, dip),
+        "visibility": hom_visibility(dip, overlap),
         "points": [[d, p] for d, p in curve],
     }
 
@@ -340,8 +335,7 @@ def _run_w3(config: ExperimentConfig) -> dict:
 
 def _run_w4(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(config.seed, 4)
-    params = SourceParams(nu=config.nu, gamma=config.gamma)
-    pair = spdc_pair(params, modes=(0, MODE_INPUT))
+    pair = spdc_pair(config.gamma, modes=(0, MODE_INPUT))
     sigma_pair, pair_probability = postselect_qubits(pair, (0, MODE_INPUT))
     if sigma_pair is None:
         raise ValueError("pair source produced no coincidences (gamma = 0?)")
@@ -389,11 +383,12 @@ _RUNNERS = {"hom": _run_hom, "w3": _run_w3, "w4": _run_w4, "scaling": _run_scali
 
 
 def run_scenario(config: ExperimentConfig) -> dict:
-    """Full report document for one scenario."""
+    """Full report document for one scenario; raises ValueError first if a
+    config value lies outside its field's domain."""
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "tool": {"name": "wexpand", "version": __version__},
         "scenario": config.scenario,
         "config": config_to_dict(config),
@@ -465,7 +460,6 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.exact:
             config.exact = True
-        config.validate()
 
         report = run_scenario(config)
         out_path = args.out or Path(f"{config.scenario}_report.json")

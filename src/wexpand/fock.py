@@ -25,6 +25,7 @@ from .tolerances import (
     POSTSELECT_NORM_ATOL,
     PSD_ATOL,
     TRACE_ATOL,
+    ZERO_NORM,
 )
 
 H = "H"
@@ -125,7 +126,7 @@ class PhotonicState:
 
     def normalized(self) -> "PhotonicState":
         n = self.norm()
-        if n < 1e-300:
+        if n < ZERO_NORM:
             raise ValueError("cannot normalize a zero state")
         return PhotonicState({f: a / n for f, a in self._terms.items()}, prune=0.0)
 
@@ -323,7 +324,7 @@ class DensityMatrix:
     def from_pure(vector: np.ndarray, qubit_order: Sequence[int]) -> "DensityMatrix":
         vec = np.asarray(vector, dtype=complex)
         norm = np.linalg.norm(vec)
-        if norm < 1e-300:
+        if norm < ZERO_NORM:
             raise ValueError("cannot build a density matrix from a zero vector")
         vec = vec / norm
         return DensityMatrix(np.outer(vec, vec.conj()), list(qubit_order))

@@ -12,8 +12,6 @@ import cmath
 import csv
 import itertools
 import math
-import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fock import (
@@ -31,43 +29,8 @@ from .fock import (
 from .gates import MODE_ANCILLA, MODE_INPUT, run_gate, two_photon_ancilla
 
 
-@dataclass
-class SourceParams:
-    """Knobs of the experimental sources.
-
-    nu                mean photon number of the weak coherent pulse
-    gamma             pair-emission probability per pulse of the SPDC source
-    n_max             Fock truncation of the coherent pulse
-    coherence_length  1/e half-width of the coincidence dip, in micrometers
-    overlap           static mode overlap at zero delay (1 = perfectly matched)
-    """
-
-    nu: float = 0.3
-    gamma: float = 0.05
-    n_max: int = 4
-    coherence_length: float = 144.0
-    overlap: float = 1.0
-
-    def __post_init__(self):
-        for name in ("nu", "gamma", "coherence_length"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.nu < 0:
-            raise ValueError("mean photon number must be nonnegative")
-        if self.gamma < 0:
-            raise ValueError("pair probability must be nonnegative")
-        if self.n_max < 2:
-            raise ValueError("coherent-pulse truncation must keep at least 2 photons")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must lie in [0, 1]")
-        if self.coherence_length <= 0:
-            raise ValueError("coherence length must be positive")
-        if self.gamma > 0 and self.nu > 0 and self.gamma >= self.nu:
-            warnings.warn(
-                "pair rate gamma should be well below the coherent-pulse "
-                "mean photon number nu",
-                stacklevel=2,
-            )
+# Fock truncation of the coherent pulse.
+N_MAX = 4
 
 
 def _poisson_weights(nu: float, n_max: int) -> list[float]:
@@ -75,6 +38,8 @@ def _poisson_weights(nu: float, n_max: int) -> list[float]:
     photon-number probabilities p_n of the pulse.  They are divided by
     max(nu, 1)^n_max, so that no power of a large nu overflows; for
     nu <= 1 the division is by 1.0 exactly."""
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and nonnegative, got {nu!r}")
     scale = max(nu, 1.0)
     return [
         (nu / scale) ** n * scale ** (n - n_max) / math.factorial(n)
@@ -83,14 +48,18 @@ def _poisson_weights(nu: float, n_max: int) -> list[float]:
 
 
 def weak_coherent_pulse(
-    params: SourceParams, spatial_mode: int = MODE_ANCILLA, phase: float = 0.0
+    nu: float,
+    n_max: int = N_MAX,
+    spatial_mode: int = MODE_ANCILLA,
+    phase: float = 0.0,
 ) -> PhotonicState:
-    """H-polarized coherent state truncated at ``n_max`` photons.
+    """H-polarized coherent state of mean photon number ``nu``, truncated at
+    ``n_max`` photons.
 
     Number-state amplitudes are sqrt(p_n) e^(i n phase), with p_n the Poisson
     weight renormalized over n <= n_max; a bright pulse gives |n_max>.
     """
-    weights = _poisson_weights(params.nu, params.n_max)
+    weights = _poisson_weights(nu, n_max)
     total = sum(weights)
     label = mode(spatial_mode, H)
     return PhotonicState(
@@ -102,7 +71,7 @@ def weak_coherent_pulse(
 
 
 def spdc_pair(
-    params: SourceParams,
+    gamma: float,
     modes: tuple[int, int] = (0, 1),
     include_double_pairs: bool = False,
 ) -> PhotonicState:
@@ -115,9 +84,7 @@ def spdc_pair(
     double-pair terms at amplitude O(gamma).
     """
     m0, m1 = modes
-    if m0 == m1:
-        raise ValueError("pair source needs two distinct modes")
-    root_gamma = math.sqrt(params.gamma)
+    root_gamma = math.sqrt(gamma)
     inv = 1.0 / math.sqrt(2.0)
     pair_ops = [
         ((mode(m0, H), mode(m1, V)), inv),
@@ -137,7 +104,7 @@ def spdc_pair(
         terms[fbv] = terms.get(fbv, 0.0) + root_gamma * amp
     if include_double_pairs:
         for fbv, amp in create_pair(one_pair).items():
-            terms[fbv] = terms.get(fbv, 0.0) + (params.gamma / 2.0) * amp
+            terms[fbv] = terms.get(fbv, 0.0) + (gamma / 2.0) * amp
     return PhotonicState(terms).normalized()
 
 
@@ -189,7 +156,7 @@ def _number_coincidences(n_max: int) -> tuple[tuple[float, ...], tuple[float, ..
     return tuple(flat), tuple(slope)
 
 
-def dip_coefficients(params: SourceParams) -> tuple[float, float]:
+def dip_coefficients(nu: float, n_max: int = N_MAX) -> tuple[float, float]:
     """(a, b) with C(xi) = a + b xi^2 for the threefold coincidence.
 
     The pulse holds n photons with the truncated Poisson weight
@@ -198,11 +165,11 @@ def dip_coefficients(params: SourceParams) -> tuple[float, float]:
     affine in xi^2 because threshold detection adds the temporal bins of the
     delayed pulse in probability.  The table depends on ``n_max`` alone and
     comes from two one-photon gate runs; neither coefficient depends on
-    ``params.overlap`` or the pulse phase.  ``a`` is the level far outside
+    the overlap or the pulse phase.  ``a`` is the level far outside
     the dip, where the photons are fully distinguishable.
     """
-    flat, slope = _number_coincidences(params.n_max)
-    weights = _poisson_weights(params.nu, params.n_max)
+    flat, slope = _number_coincidences(n_max)
+    weights = _poisson_weights(nu, n_max)
     total = sum(weights)
     a = sum(w * c for w, c in zip(weights, flat)) / total
     if a <= 0.0:
@@ -211,28 +178,30 @@ def dip_coefficients(params: SourceParams) -> tuple[float, float]:
 
 
 def hom_scan(
-    delays: Sequence[float], params: SourceParams, dip: tuple[float, float]
+    delays: Sequence[float],
+    dip: tuple[float, float],
+    overlap: float,
+    coherence_length: float,
 ) -> list[tuple[float, float]]:
     """Coincidence dip: threefold probability versus delay in micrometers.
 
     A heralded single photon meets the delayed coherent pulse at the gate's
-    first beamsplitter; the static mode mismatch ``params.overlap`` caps the
-    zero-delay overlap.  ``dip`` is ``dip_coefficients(params)``.
+    first beamsplitter; the static mode overlap ``overlap`` caps the
+    zero-delay overlap, and the dip's 1/e half-width is ``coherence_length``
+    micrometers.  ``dip`` is ``dip_coefficients(nu)``.
     """
-    if len(delays) == 0:
-        raise ValueError("empty delay list")
     a, b = dip
     curve = []
     for delta in delays:
-        xi = params.overlap * delay_overlap(delta, params.coherence_length)
+        xi = overlap * delay_overlap(delta, coherence_length)
         curve.append((float(delta), a + b * xi * xi))
     return curve
 
 
-def hom_visibility(params: SourceParams, dip: tuple[float, float]) -> float:
-    """1 - C(0)/C(inf) of the modeled dip, -b xi_0^2 / a."""
+def hom_visibility(dip: tuple[float, float], overlap: float) -> float:
+    """1 - C(0)/C(inf) of the modeled dip at static overlap xi_0, -b xi_0^2 / a."""
     a, b = dip
-    return -b * params.overlap**2 / a
+    return -b * overlap**2 / a
 
 
 def calibrate_overlap_for_visibility(
@@ -244,8 +213,6 @@ def calibrate_overlap_for_visibility(
     multiphoton background of the coherent pulse caps it at -b/a < 1;
     requesting more than the cap raises.
     """
-    if not 0.0 <= target_visibility < 1.0:
-        raise ValueError("target visibility must lie in [0, 1)")
     a, b = dip
     cap = -b / a
     if cap < target_visibility:

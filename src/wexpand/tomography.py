@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .entanglement import pairwise_eof_table, witness_value
 from .fock import DensityMatrix, as_matrix
 from .tolerances import (
     IMLM_CERTIFICATE_RTOL,
@@ -361,7 +362,7 @@ def bootstrap_errors(
     settings: Sequence[Sequence[str]],
     n_resamples: int,
     seed: int,
-    target: np.ndarray | None = None,
+    target: np.ndarray,
     max_iter: int = IMLM_MAX_ITER,
 ) -> tuple[dict[str, float], dict]:
     """Parametric bootstrap error bars for the reconstruction statistics.
@@ -375,16 +376,10 @@ def bootstrap_errors(
     results are reproducible and resamples could run in parallel; every
     resample shares the cached measurement model.
     """
-    from .entanglement import pairwise_eof_table, witness_value
-
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
     data = np.asarray(counts, dtype=float)
     n_qubits = len(settings[0])
-    if target is None:
-        from .gates import w_state_qubits
-
-        target = w_state_qubits(n_qubits)
 
     seed_seq = np.random.SeedSequence(seed)
     child_seeds = seed_seq.spawn(n_resamples)

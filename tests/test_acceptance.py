@@ -22,7 +22,6 @@ from wexpand.gates import (
 )
 from wexpand.optics import BeamsplitterSpec, apply_circuit, apply_delay
 from wexpand.sources import (
-    SourceParams,
     calibrate_overlap_for_visibility,
     dip_coefficients,
     hom_scan,
@@ -195,12 +194,10 @@ def test_criterion_7_hom_and_noise_properties():
 
     # calibrated dip: Gaussian of visibility 0.85 and width set by the
     # 144 um coherence length, within 2% of the flat level at all samples
-    base = SourceParams(nu=0.03, gamma=0.0, coherence_length=144.0)
-    dip = dip_coefficients(base)
+    dip = dip_coefficients(0.03)
     xi0 = calibrate_overlap_for_visibility(0.85, dip)
-    params = SourceParams(nu=0.03, gamma=0.0, coherence_length=144.0, overlap=xi0)
     delays = [float(d) for d in range(-400, 401, 40)]
-    curve = hom_scan(delays, params, dip)
+    curve = hom_scan(delays, dip, xi0, 144.0)
     flat, _ = dip
     for delta, prob in curve:
         reference = flat * (1.0 - 0.85 * math.exp(-((delta / 144.0) ** 2)))

@@ -47,12 +47,65 @@ def test_unknown_field_rejected(tmp_path):
 
 
 def test_missing_seed_on_sampling_scenario_rejected(tmp_path):
-    path = write_config(tmp_path, scenario="w3")
+    # The file may leave the seed to --seed, so the check is made when the
+    # scenario runs.
+    seedless = load_config(write_config(tmp_path, scenario="w3", n_resamples=0))
     with pytest.raises(ValueError, match="seed"):
-        load_config(path)
+        run_scenario(seedless)
     # exact mode needs no seed
     exact = load_config(write_config(tmp_path, scenario="w3", exact=True))
     assert exact.seed is None
+    run_scenario(exact)
+
+
+def test_seed_option_completes_a_seedless_config(tmp_path):
+    seedless = write_config(tmp_path, scenario="w3", n_resamples=2)
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(
+        json.dumps({"scenario": "w3", "n_resamples": 2, "seed": 7}), encoding="utf-8"
+    )
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["w3", "--config", str(seedless), "--seed", "7", "--out", str(a)]) == 0
+    assert main(["w3", "--config", str(seeded), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+# One value outside each field's domain; every scenario checks every field.
+OUT_OF_DOMAIN = [
+    ("nu", -5.0),
+    ("gamma", -1.0),
+    ("overlap", 1.5),
+    ("overlap", -0.1),
+    ("flux_per_setting", -4.0),
+    ("flux_per_setting", 0.0),
+    ("n_resamples", -1),
+    ("coherence_length_um", -3.0),
+    ("coherence_length_um", 0.0),
+    ("delays_um", []),
+    ("visibility_target", 7.0),
+    ("visibility_target", 1.0),
+    ("visibility_target", -0.1),
+]
+
+
+def test_every_value_field_has_a_domain():
+    from wexpand.cli import _DOMAINS
+
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(_DOMAINS) == fields - {"scenario", "seed", "exact"}
+    assert {name for name, _ in OUT_OF_DOMAIN} == set(_DOMAINS)
+
+
+@pytest.mark.parametrize("scenario", ["hom", "w3"])
+@pytest.mark.parametrize(
+    "name, value", OUT_OF_DOMAIN, ids=[f"{n}={v}" for n, v in OUT_OF_DOMAIN]
+)
+def test_out_of_domain_field_rejected(tmp_path, capsys, scenario, name, value):
+    cfg_path = write_config(tmp_path, scenario=scenario, seed=1, **{name: value})
+    out = tmp_path / "report.json"
+    assert main([scenario, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"error: {name} must" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_types_and_scenarios_rejected(tmp_path):
@@ -66,7 +119,7 @@ def test_bad_types_and_scenarios_rejected(tmp_path):
     optional = write_config(tmp_path, scenario="w3", exact=True, seed=None)
     assert load_config(optional).seed is None
     with pytest.raises(ValueError, match="scenario"):
-        load_config(write_config(tmp_path, scenario="w9"))
+        run_scenario(load_config(write_config(tmp_path, scenario="w9")))
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError, match="line"):
@@ -171,7 +224,7 @@ def test_report_embeds_hash_and_version():
     report = run_scenario(config)
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert "reference_values" in report
     assert report["config"] == config_to_dict(config)
 
@@ -192,10 +245,9 @@ def test_reference_values_are_annotations():
 
 def test_default_configs_per_scenario():
     assert default_config("hom").nu == 0.03
+    assert default_config("hom").visibility_target == 0.85
     assert default_config("w3").nu == 0.3
-    assert default_config("w4").metadata["pump_power"] == "150 mW"
-    default_config("w3").metadata["pump_power"] = "0 mW"
-    assert default_config("w3").metadata["pump_power"] == "75 mW"
+    assert default_config("w4") == ExperimentConfig("w4")
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
@@ -285,7 +337,7 @@ def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
         '"coherence_length_um": Infinity}',
         '{"scenario": "hom", "nu": 0.03, "gamma": 0.0, "delays_um": [NaN, 0.0]}',
         '{"scenario": "hom", "nu": 1e999}',
-        '{"scenario": "hom", "metadata": {"pump_power": -Infinity}}',
+        '{"scenario": "hom", "visibility_target": -Infinity}',
     ],
 )
 def test_non_finite_config_numbers_rejected(tmp_path, capsys, text):

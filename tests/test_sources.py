@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wexpand import sources
+from wexpand.cli import ExperimentConfig, load_config
 from wexpand.fock import (
     coincidence_probability,
     number_state,
@@ -16,7 +17,7 @@ from wexpand.fock import (
 from wexpand.gates import OUTPUT_MODES, run_gate, w_state_qubits
 from wexpand.optics import JonesElement, apply_circuit, apply_delay
 from wexpand.sources import (
-    SourceParams,
+    N_MAX,
     calibrate_overlap_for_visibility,
     delay_overlap,
     dip_coefficients,
@@ -40,29 +41,25 @@ def test_two_photon_ancilla_normalized():
 def test_wcp_two_photon_amplitude_matches_series():
     # Oracle: coherent-state series amplitude exp(-nu/2) nu / sqrt(2);
     # truncation at n_max=4 shifts the norm by < 1e-5 at nu = 0.3.
-    params = SourceParams(nu=0.3, gamma=0.0)
-    overlap = inner_product(two_photon_ancilla(), weak_coherent_pulse(params))
+    overlap = inner_product(two_photon_ancilla(), weak_coherent_pulse(0.3))
     expected = math.exp(-0.15) * 0.3 / math.sqrt(2)
     assert overlap.real == pytest.approx(expected, rel=1e-5)
 
 
 def test_wcp_two_photon_probability():
-    params = SourceParams(nu=0.3, gamma=0.0)
-    overlap = inner_product(two_photon_ancilla(), weak_coherent_pulse(params))
+    overlap = inner_product(two_photon_ancilla(), weak_coherent_pulse(0.3))
     assert abs(overlap) ** 2 == pytest.approx(math.exp(-0.3) * 0.3**2 / 2, rel=1e-4)
 
 
 def test_wcp_zero_mean_is_vacuum():
-    params = SourceParams(nu=0.0, gamma=0.0)
-    wcp = weak_coherent_pulse(params)
+    wcp = weak_coherent_pulse(0.0)
     assert inner_product(vacuum_state(), wcp).real == pytest.approx(1.0)
 
 
 def test_wcp_with_ideal_ancilla_reproduces_gate_success():
     # Post-selecting the two-photon component of the pulse through the gate
     # reproduces the ideal 3/16 conditional probability and the W state.
-    params = SourceParams(nu=0.3, gamma=0.0)
-    pulse = weak_coherent_pulse(params)
+    pulse = weak_coherent_pulse(0.3)
     p2 = abs(inner_product(two_photon_ancilla(), pulse)) ** 2
     rho, prob = postselect_qubits(
         run_gate(
@@ -82,22 +79,20 @@ def test_wcp_with_ideal_ancilla_reproduces_gate_success():
 
 
 def test_spdc_diagonal_pump_prepares_w2():
-    params = SourceParams(nu=0.3, gamma=0.05)
-    pair = spdc_pair(params, (0, 1))
+    pair = spdc_pair(0.05, (0, 1))
     rho, prob = postselect_qubits(pair, (0, 1))
     assert prob == pytest.approx(0.05 / 1.05, rel=1e-9)
     assert fidelity(rho, w_state_qubits(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spdc_zero_gamma_is_vacuum():
-    params = SourceParams(nu=0.3, gamma=0.0)
-    pair = spdc_pair(params, (0, 1))
+    pair = spdc_pair(0.0, (0, 1))
     assert inner_product(vacuum_state(), pair).real == pytest.approx(1.0)
 
 
 def test_spdc_double_pair_amplitude_order_gamma():
-    params = SourceParams(nu=0.3, gamma=0.01)
-    pair = spdc_pair(params, (0, 1), include_double_pairs=True)
+    gamma = 0.01
+    pair = spdc_pair(gamma, (0, 1), include_double_pairs=True)
     double = [
         amp
         for fbv, amp in pair.items()
@@ -108,35 +103,37 @@ def test_spdc_double_pair_amplitude_order_gamma():
     # of amplitude gamma / 2: HH-VV, VV-HH and HV-HV.
     assert len(double) == 3
     for amp in double:
-        assert abs(amp) == pytest.approx(params.gamma / 2, rel=1e-2)
-
-
-def test_gamma_much_less_than_nu_warning():
-    with pytest.warns(UserWarning):
-        SourceParams(nu=0.01, gamma=0.05)
+        assert abs(amp) == pytest.approx(gamma / 2, rel=1e-2)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SourceParams(nu=-0.1)
-    with pytest.raises(ValueError):
-        SourceParams(n_max=1)
-    with pytest.raises(ValueError):
-        SourceParams(overlap=1.1)
+    # The config checks the source settings once, for every scenario; the
+    # pulse weights guard nu themselves, since a negative nu would give
+    # wrong numbers without an error.
+    for scenario in ("hom", "w4"):
+        for bad in ({"nu": -0.1}, {"gamma": -0.1}, {"overlap": 1.1}):
+            (name,) = bad
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(scenario, exact=True, **bad).validate()
+    with pytest.raises(ValueError, match="nu"):
+        sources._poisson_weights(-0.1, N_MAX)
 
 
-@pytest.mark.parametrize("field", ["nu", "gamma", "coherence_length"])
+@pytest.mark.parametrize("field", ["nu", "gamma", "coherence_length_um"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_params_reject_non_finite(field, value):
+def test_params_reject_non_finite(tmp_path, field, value):
     # A NaN nu would otherwise weight the dip table into NaN coefficients.
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        SourceParams(**{field: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "hom", field: value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"'{field}' holds a non-finite number"):
+        load_config(path)
+    with pytest.raises(ValueError, match="nu must be finite"):
+        sources._poisson_weights(value, N_MAX)
 
 
 def test_hom_curve_even_and_monotone():
-    params = SourceParams(nu=0.03, gamma=0.0, overlap=0.93)
     delays = [-300.0, -200.0, -100.0, -50.0, 0.0, 50.0, 100.0, 200.0, 300.0]
-    curve = dict(hom_scan(delays, params, dip_coefficients(params)))
+    curve = dict(hom_scan(delays, dip_coefficients(0.03), 0.93, 144.0))
     for d in (50.0, 100.0, 200.0, 300.0):
         assert curve[d] == pytest.approx(curve[-d], abs=1e-12)
     left = [curve[d] for d in sorted(d for d in delays if d <= 0)]
@@ -144,28 +141,25 @@ def test_hom_curve_even_and_monotone():
 
 
 def test_hom_far_delay_reaches_classical_level():
-    params = SourceParams(nu=0.03, gamma=0.0)
-    dip = dip_coefficients(params)
+    dip = dip_coefficients(0.03)
     flat, _ = dip
-    far = hom_scan([10 * params.coherence_length], params, dip)[0][1]
+    far = hom_scan([1440.0], dip, 1.0, 144.0)[0][1]
     assert abs(far - flat) < 1e-6
 
 
 def test_hom_visibility_calibration():
-    params = SourceParams(nu=0.03, gamma=0.0)
-    dip = dip_coefficients(params)
+    dip = dip_coefficients(0.03)
     xi0 = calibrate_overlap_for_visibility(0.85, dip)
-    calibrated = SourceParams(nu=0.03, gamma=0.0, overlap=xi0)
-    assert hom_visibility(calibrated, dip) == pytest.approx(0.85, abs=1e-8)
+    assert hom_visibility(dip, xi0) == pytest.approx(0.85, abs=1e-8)
     # the multiphoton background caps the visibility below 1
-    assert hom_visibility(SourceParams(nu=0.03, gamma=0.0), dip) < 1.0
+    assert hom_visibility(dip, 1.0) < 1.0
     with pytest.raises(ValueError):
         calibrate_overlap_for_visibility(0.9999, dip)
 
 
-def _simulated_dip(xi, params, phase=0.0):
+def _simulated_dip(xi, nu, n_max, phase=0.0):
     # Reference: the whole circuit, independently of the closed form.
-    pulse = weak_coherent_pulse(params, 2, phase=phase)
+    pulse = weak_coherent_pulse(nu, n_max, phase=phase)
     state = tensor(heralded_single_photon(), pulse)
     return coincidence_probability(run_gate(apply_delay(state, 2, xi)), (0, 4, 5))
 
@@ -173,21 +167,19 @@ def _simulated_dip(xi, params, phase=0.0):
 @pytest.mark.parametrize("n_max", [2, 4])
 @pytest.mark.parametrize("nu", [0.03, 0.3])
 def test_closed_form_dip_matches_circuit(nu, n_max):
-    params = SourceParams(nu=nu, gamma=0.0, n_max=n_max)
-    flat = _simulated_dip(0.0, params)
-    dip = dip_coefficients(params)
+    flat = _simulated_dip(0.0, nu, n_max)
+    dip = dip_coefficients(nu, n_max)
     assert dip[0] == pytest.approx(flat, rel=1e-12, abs=0)
     for xi in (0.0, 0.3, 0.7, 1.0):
-        at_xi = dataclasses.replace(params, overlap=xi)
-        direct = _simulated_dip(xi, params)
-        assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(
+        direct = _simulated_dip(xi, nu, n_max)
+        assert hom_scan([0.0], dip, xi, 144.0)[0][1] == pytest.approx(
             direct, rel=1e-12, abs=0
         )
-        assert 1.0 - hom_visibility(at_xi, dip) == pytest.approx(
+        assert 1.0 - hom_visibility(dip, xi) == pytest.approx(
             direct / flat, rel=1e-12, abs=0
         )
     xi0 = calibrate_overlap_for_visibility(0.85, dip)
-    assert 1.0 - _simulated_dip(xi0, params) / flat == pytest.approx(0.85, abs=1e-10)
+    assert 1.0 - _simulated_dip(xi0, nu, n_max) / flat == pytest.approx(0.85, abs=1e-10)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -198,22 +190,21 @@ def test_closed_form_dip_matches_circuit(nu, n_max):
     phase=st.floats(0.0, 2.0 * math.pi),
 )
 def test_closed_form_dip_matches_circuit_random(log_nu, n_max, xi, phase):
-    params = SourceParams(nu=math.exp(log_nu), gamma=0.0, n_max=n_max)
-    flat = _simulated_dip(0.0, params, phase)
-    dip = dip_coefficients(params)
+    nu = math.exp(log_nu)
+    flat = _simulated_dip(0.0, nu, n_max, phase)
+    dip = dip_coefficients(nu, n_max)
     assert dip[0] == pytest.approx(flat, rel=1e-12, abs=0)
-    at_xi = dataclasses.replace(params, overlap=xi)
-    direct = _simulated_dip(xi, params, phase)
-    assert hom_scan([0.0], at_xi, dip)[0][1] == pytest.approx(
+    direct = _simulated_dip(xi, nu, n_max, phase)
+    assert hom_scan([0.0], dip, xi, 144.0)[0][1] == pytest.approx(
         direct, rel=1e-12, abs=0
     )
     # 1 - V, not V: at small xi, 1 - direct / flat cancels to a few ulps of
     # 1, which is far more than 1e-12 of V.
-    assert 1.0 - hom_visibility(at_xi, dip) == pytest.approx(
+    assert 1.0 - hom_visibility(dip, xi) == pytest.approx(
         direct / flat, rel=1e-12, abs=0
     )
     xi0 = calibrate_overlap_for_visibility(0.85, dip)
-    assert 1.0 - _simulated_dip(xi0, params, phase) / flat == pytest.approx(
+    assert 1.0 - _simulated_dip(xi0, nu, n_max, phase) / flat == pytest.approx(
         0.85, abs=1e-10
     )
 
@@ -221,22 +212,21 @@ def test_closed_form_dip_matches_circuit_random(log_nu, n_max, xi, phase):
 def test_dip_of_a_bright_pulse_is_the_top_photon_number():
     # Far above n_max, the truncated pulse is |n_max>; no power of nu may
     # overflow on the way.
-    top = sources._number_coincidences(4)
+    top = sources._number_coincidences(N_MAX)
     for nu in (1e100, 1e300):
-        dip = dip_coefficients(SourceParams(nu=nu, gamma=0.0))
-        assert dip == pytest.approx((top[0][4], top[1][4]), rel=1e-12)
+        dip = dip_coefficients(nu)
+        assert dip == pytest.approx((top[0][N_MAX], top[1][N_MAX]), rel=1e-12)
 
 
 @pytest.mark.parametrize("nu", [1e3, 1e200])
 def test_bright_pulse_is_the_top_photon_number(nu):
     # exp(-nu / 2) underflows and nu^n overflows on the way; the truncated
     # Poisson weights must not.
-    params = SourceParams(nu=nu, gamma=0.0)
-    top = params.n_max
+    top = N_MAX
     p_top = 1.0 / sum(
         nu ** (k - top) * math.factorial(top) / math.factorial(k) for k in range(top + 1)
     )
-    pulse = weak_coherent_pulse(params)
+    pulse = weak_coherent_pulse(nu)
     assert pulse.norm() == pytest.approx(1.0, abs=1e-12)
     overlap = inner_product(number_state(2, "H", top), pulse)
     assert abs(overlap) ** 2 == pytest.approx(p_top, rel=1e-12, abs=0)
@@ -244,11 +234,10 @@ def test_bright_pulse_is_the_top_photon_number(nu):
 
 
 def test_hom_empty_delays_rejected():
-    params = SourceParams()
-    with pytest.raises(ValueError):
-        hom_scan([], params, dip_coefficients(params))
+    with pytest.raises(ValueError, match="delays_um"):
+        ExperimentConfig("hom", delays_um=[]).validate()
     with pytest.raises(ValueError, match="coincidences"):
-        dip_coefficients(SourceParams(nu=0.0, gamma=0.0))
+        dip_coefficients(0.0)
 
 
 def test_delay_overlap_gaussian_width():
@@ -261,9 +250,8 @@ def test_coherent_phase_does_not_affect_postselection():
     # the coherent phase enters only as a global factor.
     reference = None
     for phase in (0.0, math.pi / 2, math.pi):
-        params = SourceParams(nu=0.3, gamma=0.05)
-        pair = spdc_pair(params, (0, 1))
-        pulse = weak_coherent_pulse(params, 2, phase=phase)
+        pair = spdc_pair(0.05, (0, 1))
+        pulse = weak_coherent_pulse(0.3, spatial_mode=2, phase=phase)
         rho, prob = postselect_qubits(
             run_gate(tensor(pair, pulse)), (0,) + OUTPUT_MODES
         )
@@ -274,7 +262,6 @@ def test_coherent_phase_does_not_affect_postselection():
             assert np.allclose(rho.matrix, reference[0], atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_double_pair_contamination_scales_as_gamma_squared():
     # With the pulse truncated to its one-photon component (tiny nu), the
     # only fourfold channel is double pair + one pulse photon; its rate
@@ -282,25 +269,23 @@ def test_double_pair_contamination_scales_as_gamma_squared():
     rates = []
     gammas = [1e-3, 2e-3]
     for gamma in gammas:
-        params = SourceParams(nu=1e-4, gamma=gamma)
-        pair = spdc_pair(params, (0, 1), include_double_pairs=True)
-        state = run_gate(tensor(pair, weak_coherent_pulse(params, 2)))
+        pair = spdc_pair(gamma, (0, 1), include_double_pairs=True)
+        state = run_gate(tensor(pair, weak_coherent_pulse(1e-4, spatial_mode=2)))
         rates.append(coincidence_probability(state, (0,) + OUTPUT_MODES))
     slope = math.log(rates[1] / rates[0]) / math.log(gammas[1] / gammas[0])
     assert slope == pytest.approx(2.0, abs=0.1)
 
 
 def test_no_pulse_photons_kills_fourfold():
-    params = SourceParams(nu=0.0, gamma=0.01)
-    pair = spdc_pair(params, (0, 1), include_double_pairs=True)
-    state = run_gate(tensor(pair, weak_coherent_pulse(params, 2)))
+    pair = spdc_pair(0.01, (0, 1), include_double_pairs=True)
+    state = run_gate(tensor(pair, weak_coherent_pulse(0.0, spatial_mode=2)))
     assert coincidence_probability(state, (0,) + OUTPUT_MODES) == 0.0
 
 
 def test_source_outputs_normalized():
     for state in (
         two_photon_ancilla(),
-        weak_coherent_pulse(SourceParams(nu=0.3, gamma=0.0)),
-        spdc_pair(SourceParams(nu=0.3, gamma=0.02), include_double_pairs=True),
+        weak_coherent_pulse(0.3),
+        spdc_pair(0.02, include_double_pairs=True),
     ):
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
