@@ -55,7 +55,6 @@ from .tomography import (
     sample_counts,
 )
 from .entanglement import (
-    WitnessSpec,
     concurrence,
     eof,
     eof_from_concurrence,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entanglement import eof, pairwise_eof_table, witness_value
+from .entanglement import eof
 from .fock import DensityMatrix, postselect_qubits, single_photon, tensor
 from .gates import (
     MODE_ANCILLA,
@@ -47,12 +47,12 @@ from .sources import (
 )
 from .tomography import (
     bootstrap_errors,
-    default_settings,
     exact_counts,
     fidelity,
     flux_for_typical_count,
     imlm_reconstruct,
     sample_counts,
+    w_statistics,
 )
 
 SCENARIOS = ("hom", "w3", "w4", "scaling")
@@ -114,7 +114,7 @@ _DOMAINS = {
     "gamma": ("be nonnegative", lambda x: x >= 0),
     "overlap": ("lie in [0, 1]", lambda x: 0 <= x <= 1),
     "flux_per_setting": ("be positive", lambda x: x > 0),
-    "n_resamples": ("be nonnegative", lambda x: x >= 0),
+    "n_resamples": ("be 0 or at least 2", lambda x: x == 0 or x >= 2),
     "coherence_length_um": ("be positive", lambda x: x > 0),
     "delays_um": ("be non-empty", lambda x: x is None or len(x) > 0),
     "visibility_target": ("lie in [0, 1)", lambda x: x is None or 0 <= x < 1),
@@ -146,6 +146,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ValueError(f"{name} must {domain}, got {value!r}")
+        if self.visibility_target is not None and self.overlap != 1:
+            raise ValueError(
+                "overlap and visibility_target both set the overlap; set "
+                '"visibility_target": null to scan at a fixed overlap'
+            )
         if self.scenario in ("w3", "w4") and not self.exact and self.seed is None:
             raise ValueError(
                 f"scenario {self.scenario!r} samples counts; a seed is required"
@@ -207,8 +212,9 @@ def _is_finite(value) -> bool:
 
 def load_config(path) -> ExperimentConfig:
     """Strict config parse: unknown fields are rejected, types checked, and
-    numbers must be finite, so that every report is strict JSON.  The values'
-    domains are checked by ``run_scenario``, after any command-line
+    numbers must be finite, so that every report is strict JSON.  Omitted
+    fields take the scenario's defaults, as a run without a file does.  The
+    values' domains are checked by ``run_scenario``, after any command-line
     overrides."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -227,7 +233,7 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: field {key!r} has invalid type")
         if not _is_finite(value):
             raise ValueError(f"{path}: field {key!r} holds a non-finite number")
-    return ExperimentConfig(**raw)
+    return ExperimentConfig(**{**_SCENARIO_DEFAULTS.get(raw["scenario"], {}), **raw})
 
 
 def config_sha256(config: ExperimentConfig) -> str:
@@ -242,10 +248,7 @@ def _child_seeds(seed: int | None, count: int) -> list[int]:
 
 
 def _tomography_block(
-    rho: DensityMatrix,
-    n_qubits: int,
-    config: ExperimentConfig,
-    seeds: list[int],
+    rho: DensityMatrix, config: ExperimentConfig, seeds: list[int]
 ) -> dict:
     """Shared tomography pipeline: counts, reconstruction, statistics.
 
@@ -253,17 +256,15 @@ def _tomography_block(
     time) at a typical setting, so the Born-rule multiplier handed to the
     samplers is flux / mean setting probability.
     """
-    settings = default_settings(n_qubits)
-    multiplier = flux_for_typical_count(rho, settings, config.flux_per_setting)
+    multiplier = flux_for_typical_count(rho, config.flux_per_setting)
     if config.exact:
-        counts = exact_counts(rho, settings, multiplier)
+        counts = exact_counts(rho, multiplier)
     else:
-        counts = sample_counts(rho, settings, multiplier, seeds[0])
-    result = imlm_reconstruct(counts, settings, qubit_order=rho.qubit_order)
-    target = w_state_qubits(n_qubits)
+        counts = sample_counts(rho, multiplier, seeds[0])
+    result = imlm_reconstruct(counts, qubit_order=rho.qubit_order)
     block = {
         "mode": "exact" if config.exact else "sampled",
-        "settings": len(settings),
+        "settings": len(counts),
         "flux_per_setting": config.flux_per_setting,
         "flux_multiplier": multiplier,
         "iterations": result.iterations,
@@ -271,17 +272,12 @@ def _tomography_block(
         "stop_reason": result.stop_reason,
         "certificate": result.certificate,
         "log_likelihood": result.log_likelihood,
-        "fidelity": fidelity(result.rho, target),
-        "witness": witness_value(result.rho, n_qubits),
-        "pairwise_eof": {
-            f"{i}{j}": value
-            for (i, j), value in pairwise_eof_table(result.rho).items()
-        },
+        **w_statistics(result.rho),
         "density_matrix": result.rho.to_json(),
     }
-    if not config.exact and config.n_resamples >= 2:
+    if not config.exact and config.n_resamples:
         block["bootstrap"], block["bootstrap_fits"] = bootstrap_errors(
-            counts, settings, config.n_resamples, seeds[1], target=target
+            counts, config.n_resamples, seeds[1], rho.qubit_order
         )
     else:
         block["bootstrap"] = block["bootstrap_fits"] = None
@@ -328,7 +324,7 @@ def _run_w3(config: ExperimentConfig) -> dict:
             "analytic_ideal": success_probability_analytic(1),
             "overlap": config.overlap,
         },
-        "tomography": _tomography_block(rho, 3, config, seeds),
+        "tomography": _tomography_block(rho, config, seeds),
     }
     return results
 
@@ -340,7 +336,7 @@ def _run_w4(config: ExperimentConfig) -> dict:
     if sigma_pair is None:
         raise ValueError("pair source produced no coincidences (gamma = 0?)")
 
-    pair_block = _tomography_block(sigma_pair, 2, config, seeds[:2])
+    pair_block = _tomography_block(sigma_pair, config, seeds[:2])
 
     out_state = _through_gate(pair, config.overlap)
     rho, raw_probability = postselect_qubits(out_state, (0,) + OUTPUT_MODES)
@@ -360,7 +356,7 @@ def _run_w4(config: ExperimentConfig) -> dict:
             "analytic_ideal_given_pair": success_probability_analytic(2),
             "overlap": config.overlap,
         },
-        "tomography": _tomography_block(rho, 4, config, seeds[2:]),
+        "tomography": _tomography_block(rho, config, seeds[2:]),
     }
 
 
@@ -388,7 +384,7 @@ def run_scenario(config: ExperimentConfig) -> dict:
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {
-        "schema_version": 4,
+        "schema_version": 5,
         "tool": {"name": "wexpand", "version": __version__},
         "scenario": config.scenario,
         "config": config_to_dict(config),

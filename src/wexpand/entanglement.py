@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,27 +29,17 @@ def _symmetrized(rho) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
-    """W-class witness ((N-1)/N) 1 - |W_N><W_N|; negative expectation
-    certifies genuine N-partite entanglement of the W class."""
-
-    n_qubits: int
-
-    def operator(self) -> np.ndarray:
-        w = w_state_qubits(self.n_qubits)
-        dim = 2**self.n_qubits
-        return ((self.n_qubits - 1) / self.n_qubits) * np.eye(dim) - np.outer(
-            w, w.conj()
-        )
-
-
 def witness_value(rho, n_qubits: int) -> float:
-    """Tr(W_W rho) for the N-qubit W-state witness."""
+    """Tr(W rho) for the N-qubit W-class witness W = ((N-1)/N) 1 - |W_N><W_N|;
+    a negative value certifies genuine N-partite entanglement of the W
+    class."""
     m = _symmetrized(rho)
-    if m.shape[0] != 2**n_qubits:
+    dim = 2**n_qubits
+    if m.shape[0] != dim:
         raise ValueError("density matrix does not match the stated qubit count")
-    return float(np.einsum("ij,ji->", WitnessSpec(n_qubits).operator(), m).real)
+    w = w_state_qubits(n_qubits)
+    operator = ((n_qubits - 1) / n_qubits) * np.eye(dim) - np.outer(w, w.conj())
+    return float(np.einsum("ij,ji->", operator, m).real)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

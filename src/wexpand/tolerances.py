@@ -28,7 +28,6 @@ IMLM_PROBABILITY_FLOOR = 1e-12   # floor on predicted probabilities inside the R
 IMLM_CERTIFICATE_RTOL = 1e-7     # stop when the relative optimality gap lambda_max(R) - 1 is below this
 IMLM_STEP_FLOOR = 1e-12          # a fit stalls when its backtracked gradient step is shorter than this
 IMLM_MAX_ITER = 100_000
-SETTINGS_RANK_TOL = 1e-9         # rank tolerance of the informational-completeness check
 
 # Analytic cross-checks
 PROBABILITY_ATOL = 1e-10       # simulated vs analytic success probabilities

@@ -1,13 +1,13 @@
 """Simulated polarization tomography and maximum-likelihood reconstruction.
 
-One coincidence number is recorded per tensor-product projector setting
-(the {H, V, D, R}^n family by default).  The setting projectors sum to an
-operator G that is not proportional to the identity, so the fit works in
-the frame where they form a proper POVM (conjugation by G^(-1/2)).  That
-frame, the ``MeasurementModel``, is built once per settings tuple and
-shared by every fit.  In it the log-likelihood is maximized over density
-matrices by accelerated projected gradient, with a momentum restart that
-keeps the log-likelihood history nondecreasing, and the fit stops on an
+One coincidence number is recorded per tensor-product projector setting of
+the {H, V, D, R}^n family, in ``default_settings`` order.  The setting
+projectors sum to an operator G that is not proportional to the identity,
+so the fit works in the frame where they form a proper POVM (conjugation by
+G^(-1/2)).  That frame, the ``MeasurementModel``, is built once per qubit
+count and shared by every fit.  In it the log-likelihood is maximized over
+density matrices by accelerated projected gradient, with a momentum restart
+that keeps the log-likelihood history nondecreasing, and the fit stops on an
 optimality certificate rather than on a stalled log-likelihood.
 """
 
@@ -23,24 +23,23 @@ import numpy as np
 
 from .entanglement import pairwise_eof_table, witness_value
 from .fock import DensityMatrix, as_matrix
+from .gates import w_state_qubits
 from .tolerances import (
     IMLM_CERTIFICATE_RTOL,
     IMLM_MAX_ITER,
     IMLM_PROBABILITY_FLOOR,
     IMLM_STEP_FLOOR,
-    SETTINGS_RANK_TOL,
 )
 
 _SQRT2 = math.sqrt(2.0)
 
+# The key order is the label order of default_settings.
 PROJECTOR_KETS = {
     "H": np.array([1.0, 0.0], dtype=complex),
     "V": np.array([0.0, 1.0], dtype=complex),
     "D": np.array([1.0, 1.0], dtype=complex) / _SQRT2,
     "R": np.array([1.0, -1.0j], dtype=complex) / _SQRT2,
 }
-
-DEFAULT_LABELS = ("H", "V", "D", "R")
 
 # Iterations between two checks of the optimality certificate.
 _CERTIFICATE_EVERY = 10
@@ -54,74 +53,80 @@ def default_settings(n_qubits: int) -> list[tuple]:
     """The {H, V, D, R}^n tensor-product settings (4^n of them)."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    return list(itertools.product(DEFAULT_LABELS, repeat=n_qubits))
+    return list(itertools.product(PROJECTOR_KETS, repeat=n_qubits))
 
 
 def setting_projector(setting: Sequence[str]) -> np.ndarray:
     """Rank-one projector onto the tensor product of the labeled kets."""
     ket = np.array([1.0], dtype=complex)
     for label in setting:
-        try:
-            ket = np.kron(ket, PROJECTOR_KETS[label])
-        except KeyError:
-            raise ValueError(f"unknown projector label {label!r}") from None
+        ket = np.kron(ket, PROJECTOR_KETS[label])
     return np.outer(ket, ket.conj())
 
 
-def _settings_key(settings: Sequence[Sequence[str]]) -> tuple:
-    return tuple(tuple(s) for s in settings)
+@dataclass(frozen=True)
+class MeasurementModel:
+    """The {H, V, D, R}^n settings of one qubit count, as a fit and the
+    count samplers need them.
+
+    Each row array holds one setting per row, in ``default_settings``
+    order, as interleaved (re, im) doubles.  ``projector_rows`` holds the
+    plain projectors P_j: ``projector_rows @ m.ravel().view(float)`` is
+    Re Tr(m P_j) for every setting at once.  ``povm_rows`` holds them in
+    the frame where they resolve the identity, E_j = G^(-1/2) P_j G^(-1/2)
+    with G = sum_j P_j: ``povm_rows @ sigma.ravel().view(float)`` gives the
+    predicted probabilities Tr(E_j sigma) of a Hermitian sigma, and
+    ``(w @ povm_rows).view(complex)`` the operator sum_j w_j E_j.
+    ``g_inv_sqrt`` maps a fitted sigma back to rho.
+    """
+
+    projector_rows: np.ndarray
+    g_inv_sqrt: np.ndarray
+    povm_rows: np.ndarray
 
 
-@functools.lru_cache(maxsize=32)
-def _projector_rows(settings: tuple) -> np.ndarray:
-    """Row j is setting j's projector flattened to interleaved (re, im)
-    doubles, so that ``rows @ m.ravel().view(float)`` is Re Tr(m P_j) for
-    every setting at once.  Read-only, because the cache shares it."""
-    if not settings:
-        raise ValueError("need at least one setting")
-    if any(len(s) != len(settings[0]) for s in settings):
-        raise ValueError("settings must all address the same qubit count")
+@functools.lru_cache(maxsize=8)
+def measurement_model(n_qubits: int) -> MeasurementModel:
+    """The model of ``default_settings(n_qubits)``, built on first use,
+    then shared read-only from the cache."""
+    settings = default_settings(n_qubits)
+    dim = 2**n_qubits
     rows = np.stack([setting_projector(s).ravel() for s in settings]).view(np.float64)
-    rows.setflags(write=False)
-    return rows
+    projectors = rows.view(complex).reshape(len(settings), dim, dim)
+    evals, evecs = np.linalg.eigh(projectors.sum(axis=0))
+    g_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    povm = np.einsum("ab,jbc,cd->jad", g_inv_sqrt, projectors, g_inv_sqrt)
+    povm_rows = np.ascontiguousarray(povm.reshape(len(settings), dim * dim))
+    povm_rows = povm_rows.view(np.float64)
+    for array in (rows, g_inv_sqrt, povm_rows):
+        array.setflags(write=False)
+    return MeasurementModel(rows, g_inv_sqrt, povm_rows)
 
 
-def _born_probabilities(rho, settings: Sequence[Sequence[str]]) -> np.ndarray:
+def _born_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Tr(rho P_j) for every setting in one product; rounding can leave a
     zero probability slightly negative, so the result is clipped at zero."""
-    m = np.ascontiguousarray(as_matrix(rho), dtype=complex)
-    key = _settings_key(settings)
-    rows = _projector_rows(key)
-    if rows.shape[1] != 2 * m.size:
-        raise ValueError(
-            f"setting on {len(key[0])} qubits does not match a "
-            f"{m.shape[0]}-dimensional state"
-        )
+    m = np.ascontiguousarray(rho.matrix, dtype=complex)
+    rows = measurement_model(rho.n_qubits).projector_rows
     return np.clip(rows @ m.reshape(-1).view(np.float64), 0.0, None)
 
 
-def sample_counts(
-    rho,
-    settings: Sequence[Sequence[str]],
-    flux_per_setting: float,
-    seed: int,
-) -> np.ndarray:
-    """Poisson coincidence counts aligned with ``settings``, deterministic in
-    the seed."""
+def sample_counts(rho: DensityMatrix, flux_per_setting: float, seed: int) -> np.ndarray:
+    """Poisson coincidence counts aligned with ``default_settings``,
+    deterministic in the seed."""
     if flux_per_setting <= 0:
         raise ValueError("flux per setting must be positive")
-    means = flux_per_setting * _born_probabilities(rho, settings)
+    means = flux_per_setting * _born_probabilities(rho)
     return np.random.default_rng(seed).poisson(means)
 
 
-def exact_counts(
-    rho, settings: Sequence[Sequence[str]], flux_per_setting: float
-) -> np.ndarray:
-    """Noiseless expected coincidence numbers aligned with ``settings``."""
-    return flux_per_setting * _born_probabilities(rho, settings)
+def exact_counts(rho: DensityMatrix, flux_per_setting: float) -> np.ndarray:
+    """Noiseless expected coincidence numbers aligned with
+    ``default_settings``."""
+    return flux_per_setting * _born_probabilities(rho)
 
 
-def flux_for_typical_count(rho, settings, typical_count: float) -> float:
+def flux_for_typical_count(rho: DensityMatrix, typical_count: float) -> float:
     """Flux multiplier that makes the average setting expect ``typical_count``
     events.
 
@@ -129,54 +134,10 @@ def flux_for_typical_count(rho, settings, typical_count: float) -> float:
     setting, so rate x acquisition time fixes flux x (mean Born probability),
     not flux itself.
     """
-    mean_p = float(np.mean(_born_probabilities(rho, settings)))
+    mean_p = float(np.mean(_born_probabilities(rho)))
     if mean_p <= 0:
         raise ValueError("state assigns zero probability to every setting")
     return typical_count / mean_p
-
-
-@dataclass(frozen=True)
-class MeasurementModel:
-    """What a fit needs of one informationally complete settings list.
-
-    ``povm_rows`` holds the projectors in the frame where they resolve the
-    identity, E_j = G^(-1/2) P_j G^(-1/2) with G = sum_j P_j, as
-    interleaved (re, im) rows: ``povm_rows @ sigma.ravel().view(float)``
-    gives the predicted probabilities Tr(E_j sigma) of a Hermitian sigma,
-    and ``(w @ povm_rows).view(complex)`` the operator sum_j w_j E_j.
-    ``g_inv_sqrt`` maps a fitted sigma back to rho.
-    """
-
-    n_qubits: int
-    g_inv_sqrt: np.ndarray
-    povm_rows: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-
-@functools.lru_cache(maxsize=8)
-def measurement_model(settings: tuple) -> MeasurementModel:
-    """The model of a tuple of settings, built and checked for
-    informational completeness on first use, then shared from the cache."""
-    rows = _projector_rows(settings)
-    n_qubits = len(settings[0])
-    dim = 2**n_qubits
-    flat = rows.view(complex)
-    if np.linalg.matrix_rank(flat, tol=SETTINGS_RANK_TOL) < dim * dim:
-        raise ValueError("settings are not informationally complete")
-    projectors = flat.reshape(len(settings), dim, dim)
-    evals, evecs = np.linalg.eigh(projectors.sum(axis=0))
-    if evals.min() <= 0:
-        raise ValueError("settings are degenerate (singular normalization)")
-    g_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    povm = np.einsum("ab,jbc,cd->jad", g_inv_sqrt, projectors, g_inv_sqrt)
-    povm_rows = np.ascontiguousarray(povm.reshape(len(settings), dim * dim))
-    povm_rows = povm_rows.view(np.float64)
-    for array in (g_inv_sqrt, povm_rows):
-        array.setflags(write=False)
-    return MeasurementModel(n_qubits, g_inv_sqrt, povm_rows)
 
 
 @dataclass
@@ -221,7 +182,6 @@ def _project_density(h: np.ndarray) -> np.ndarray:
 
 def imlm_reconstruct(
     counts,
-    settings: Sequence[Sequence[str]],
     max_iter: int = IMLM_MAX_ITER,
     qubit_order: Sequence[int] | None = None,
 ) -> ReconstructionResult:
@@ -229,9 +189,8 @@ def imlm_reconstruct(
     accelerated projected gradient.
 
     Args:
-        counts: coincidence numbers aligned with ``settings`` (exact
-            expected values are fine).
-        settings: informationally complete projector settings.
+        counts: 4^n coincidence numbers aligned with
+            ``default_settings(n)`` (exact expected values are fine).
         max_iter: iteration cap.
         qubit_order: spatial-mode ids for the reconstructed qubits
             (defaults to 0..n-1).
@@ -256,16 +215,20 @@ def imlm_reconstruct(
     ``"certificate"``.
     """
     data = np.asarray(counts, dtype=float)
-    if len(data) != len(settings):
-        raise ValueError("counts and settings must align")
+    n_qubits = (data.size.bit_length() - 1) // 2
+    if n_qubits < 1 or data.shape != (4**n_qubits,):
+        raise ValueError(
+            f"need 4^n counts, one per setting of default_settings(n); "
+            f"got shape {data.shape}"
+        )
     if np.any(data < 0):
         raise ValueError("counts must be nonnegative")
     total = data.sum()
     if total <= 0:
         raise ValueError("total counts must be positive")
 
-    model = measurement_model(_settings_key(settings))
-    dim = model.dim
+    model = measurement_model(n_qubits)
+    dim = 2**n_qubits
     rows = model.povm_rows
     freq = data / total
 
@@ -335,7 +298,7 @@ def imlm_reconstruct(
     rho = g_inv_sqrt @ sigma @ g_inv_sqrt
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
-    order = list(qubit_order) if qubit_order is not None else list(range(model.n_qubits))
+    order = list(qubit_order) if qubit_order is not None else list(range(n_qubits))
     result_rho = DensityMatrix(rho, order)
     result_rho.validate()
     return ReconstructionResult(
@@ -357,33 +320,44 @@ def fidelity(rho, target: np.ndarray) -> float:
     return float(np.real(vec.conj() @ m @ vec))
 
 
+def w_statistics(rho: DensityMatrix) -> dict:
+    """The report's statistics of a fitted N-qubit state: fidelity to W_N,
+    the W-witness value and the entanglement of formation of every qubit
+    pair, keyed by the pair's mode ids ("45" for modes 4 and 5)."""
+    n_qubits = rho.n_qubits
+    return {
+        "fidelity": fidelity(rho, w_state_qubits(n_qubits)),
+        "witness": witness_value(rho, n_qubits),
+        "pairwise_eof": {
+            f"{i}{j}": value for (i, j), value in pairwise_eof_table(rho).items()
+        },
+    }
+
+
 def bootstrap_errors(
     counts,
-    settings: Sequence[Sequence[str]],
     n_resamples: int,
     seed: int,
-    target: np.ndarray,
+    qubit_order: Sequence[int],
     max_iter: int = IMLM_MAX_ITER,
-) -> tuple[dict[str, float], dict]:
-    """Parametric bootstrap error bars for the reconstruction statistics.
+) -> tuple[dict, dict]:
+    """Parametric bootstrap error bars for the ``w_statistics`` of a fit.
 
     Each resample draws every count from Poisson(observed count), re-runs the
-    reconstruction, and evaluates fidelity to the target, the W-witness value
-    and every pairwise entanglement of formation.  Returns the standard
-    deviations of those statistics over resamples, and a summary of the
-    resample fits: how many did not converge and the p50, p90 (nearest
-    rank) and max of their iteration counts.  Resample seeds derive from the master seed, so
-    results are reproducible and resamples could run in parallel; every
+    reconstruction on the qubits ``qubit_order`` and evaluates
+    ``w_statistics``.  Returns the standard deviations of those statistics
+    over resamples, in the same nested keys, and a summary of the resample
+    fits: how many did not converge and the p50, p90 (nearest rank) and max
+    of their iteration counts.  Resample seeds derive from the master seed,
+    so results are reproducible and resamples could run in parallel; every
     resample shares the cached measurement model.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
     data = np.asarray(counts, dtype=float)
-    n_qubits = len(settings[0])
 
-    seed_seq = np.random.SeedSequence(seed)
-    child_seeds = seed_seq.spawn(n_resamples)
-    stats: dict[str, list[float]] = {}
+    child_seeds = np.random.SeedSequence(seed).spawn(n_resamples)
+    samples = []
     iterations = []
     unconverged = 0
     for child in child_seeds:
@@ -391,20 +365,18 @@ def bootstrap_errors(
         resampled = rng.poisson(data)
         if resampled.sum() == 0:
             resampled = np.ones_like(resampled)
-        result = imlm_reconstruct(resampled, settings, max_iter=max_iter)
+        result = imlm_reconstruct(resampled, max_iter=max_iter, qubit_order=qubit_order)
         iterations.append(result.iterations)
         unconverged += not result.converged
-        values = {
-            "fidelity": fidelity(result.rho, target),
-            "witness": witness_value(result.rho, n_qubits),
-        }
-        if n_qubits >= 2:
-            for pair, value in pairwise_eof_table(result.rho).items():
-                values[f"eof_{pair[0]}{pair[1]}"] = value
-        for key, value in values.items():
-            stats.setdefault(key, []).append(value)
+        samples.append(w_statistics(result.rho))
 
-    errors = {key: float(np.std(vals)) for key, vals in stats.items()}
+    errors = {
+        key: float(np.std([s[key] for s in samples])) for key in ("fidelity", "witness")
+    }
+    errors["pairwise_eof"] = {
+        pair: float(np.std([s["pairwise_eof"][pair] for s in samples]))
+        for pair in samples[0]["pairwise_eof"]
+    }
     # Nearest-rank percentiles: np.percentile would import numpy.ma, about
     # 1 MB of resident memory, for two numbers.
     iterations.sort()

@@ -29,7 +29,6 @@ from wexpand.sources import (
 )
 from wexpand.tomography import (
     bootstrap_errors,
-    default_settings,
     exact_counts,
     fidelity,
     flux_for_typical_count,
@@ -131,18 +130,16 @@ def test_criterion_6_imlm_soundness():
     checked = 0
     for k in range(100):
         n = 2 if k < 80 else 3
-        settings = default_settings(n)
         dim = 2**n
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = x @ x.conj().T
         rho /= np.trace(rho).real
         counts = sample_counts(
             DensityMatrix(rho, list(range(n))),
-            settings,
             float(rng.uniform(20, 200)),
             seed=int(rng.integers(1 << 31)),
         )
-        result = imlm_reconstruct(counts, settings, max_iter=1500)
+        result = imlm_reconstruct(counts, max_iter=1500)
         assert (np.diff(result.loglik_history) >= 0).all()
         checked += 1
     assert checked == 100
@@ -150,9 +147,8 @@ def test_criterion_6_imlm_soundness():
     # (b) exact-probability reconstruction of the ideal three-qubit W state
     w3 = w_state_qubits(3)
     rho_w3 = DensityMatrix.from_pure(w3, [4, 5, 6])
-    settings = default_settings(3)
-    flux = flux_for_typical_count(rho_w3, settings, 104.0)
-    exact_result = imlm_reconstruct(exact_counts(rho_w3, settings, flux), settings)
+    flux = flux_for_typical_count(rho_w3, 104.0)
+    exact_result = imlm_reconstruct(exact_counts(rho_w3, flux))
     fid_exact = fidelity(exact_result.rho, w3)
     assert fid_exact >= 0.999
 
@@ -161,14 +157,14 @@ def test_criterion_6_imlm_soundness():
     # setting probability.
     fidelities = []
     for seed in range(20):
-        counts = sample_counts(rho_w3, settings, flux, seed)
-        result = imlm_reconstruct(counts, settings)
+        counts = sample_counts(rho_w3, flux, seed)
+        result = imlm_reconstruct(counts)
         fidelities.append(fidelity(result.rho, w3))
     mean_fid = float(np.mean(fidelities))
     assert mean_fid >= 0.95
 
     errors, _ = bootstrap_errors(
-        sample_counts(rho_w3, settings, flux, 7), settings, 30, seed=11, target=w3
+        sample_counts(rho_w3, flux, 7), 30, seed=11, qubit_order=[4, 5, 6]
     )
     assert 0.0042 <= errors["fidelity"] <= 0.42
 

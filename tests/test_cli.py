@@ -11,6 +11,7 @@ import pytest
 import wexpand
 from wexpand import sources
 from wexpand.cli import (
+    SCENARIOS,
     ExperimentConfig,
     config_sha256,
     config_to_dict,
@@ -38,6 +39,14 @@ def test_load_config_round_trip(tmp_path):
     config = load_config(path)
     again = write_config(tmp_path, **config_to_dict(config))
     assert load_config(again) == config
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_scenario_only_file_loads_the_defaults(tmp_path, scenario):
+    # A file takes the scenario's defaults for every field it omits, as a
+    # run without --config does.
+    path = write_config(tmp_path, scenario=scenario)
+    assert load_config(path) == default_config(scenario)
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -79,6 +88,7 @@ OUT_OF_DOMAIN = [
     ("flux_per_setting", -4.0),
     ("flux_per_setting", 0.0),
     ("n_resamples", -1),
+    ("n_resamples", 1),
     ("coherence_length_um", -3.0),
     ("coherence_length_um", 0.0),
     ("delays_um", []),
@@ -106,6 +116,20 @@ def test_out_of_domain_field_rejected(tmp_path, capsys, scenario, name, value):
     assert main([scenario, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"error: {name} must" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_visibility_target_and_overlap_together_rejected(tmp_path, capsys):
+    # Both set the overlap, so a config may set only one of them.
+    both = write_config(
+        tmp_path, scenario="hom", nu=0.03, visibility_target=0.85, overlap=0.5
+    )
+    out = tmp_path / "report.json"
+    assert main(["hom", "--config", str(both), "--out", str(out)]) == 1
+    assert '"visibility_target": null' in capsys.readouterr().err
+    assert not out.exists()
+    fixed = write_config(tmp_path, scenario="hom", visibility_target=None, overlap=0.5)
+    assert main(["hom", "--config", str(fixed), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["overlap_used"] == 0.5
 
 
 def test_bad_types_and_scenarios_rejected(tmp_path):
@@ -224,7 +248,7 @@ def test_report_embeds_hash_and_version():
     report = run_scenario(config)
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert "reference_values" in report
     assert report["config"] == config_to_dict(config)
 
@@ -384,6 +408,23 @@ def test_main_missing_seed_fails(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["w3", "w4"])
+def test_bootstrap_keys_mirror_the_statistics(scenario):
+    # Each error bar sits at the key of the value it belongs to, pairs
+    # keyed by mode id, in the pair-source block of w4 too.
+    results = run_scenario(
+        ExperimentConfig(scenario=scenario, seed=5, n_resamples=2)
+    )["results"]
+    blocks = [results["tomography"]]
+    if scenario == "w4":
+        blocks.append(results["pair_source"]["tomography"])
+    for tomo in blocks:
+        errors = tomo["bootstrap"]
+        assert errors.keys() == {"fidelity", "witness", "pairwise_eof"}
+        assert errors["pairwise_eof"].keys() == tomo["pairwise_eof"].keys()
+        assert all(value >= 0 for value in errors["pairwise_eof"].values())
+
+
 def test_sampled_report_summarizes_bootstrap_fits():
     report = run_scenario(
         ExperimentConfig(scenario="w3", seed=42, flux_per_setting=104.0, n_resamples=3)
@@ -392,7 +433,6 @@ def test_sampled_report_summarizes_bootstrap_fits():
     assert tomo["stop_reason"] in ("certificate", "stall", "max_iter")
     assert tomo["converged"] == (tomo["stop_reason"] == "certificate")
     assert tomo["certificate"] >= 0.0
-    assert set(tomo["bootstrap"]) == {"fidelity", "witness", "eof_01", "eof_02", "eof_12"}
     fits = tomo["bootstrap_fits"]
     assert 0 <= fits["unconverged"] <= 3
     assert fits["iterations_p50"] <= fits["iterations_p90"] <= fits["iterations_max"]

@@ -8,7 +8,6 @@ from scipy.optimize import minimize
 from wexpand.fock import DensityMatrix
 from wexpand.gates import w_state_qubits
 from wexpand.entanglement import (
-    WitnessSpec,
     binary_entropy,
     concurrence,
     eof,
@@ -139,11 +138,19 @@ def test_witness_values():
         assert witness_value(w_density(n), n) == pytest.approx(-1 / n, abs=1e-12)
 
 
-def test_witness_spec_expectation():
+def test_witness_value_is_the_operator_expectation():
+    # Oracle: Tr(W rho) with W = ((N-1)/N) 1 - |W_N><W_N| built here, on
+    # random mixed states.
+    rng = np.random.default_rng(53)
     for n in (3, 4, 5):
-        spec = WitnessSpec(n)
+        dim = 2**n
         w = w_state_qubits(n)
-        assert np.real(w.conj() @ spec.operator() @ w) == pytest.approx(-1 / n)
+        operator = ((n - 1) / n) * np.eye(dim) - np.outer(w, w.conj())
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = x @ x.conj().T / np.trace(x @ x.conj().T).real
+        expected = np.trace(operator @ rho).real
+        assert witness_value(rho, n) == pytest.approx(expected, abs=1e-12)
+        assert witness_value(np.outer(w, w.conj()), n) == pytest.approx(-1 / n)
 
 
 def test_witness_dimension_mismatch():

@@ -51,21 +51,16 @@ def test_projector_identities():
 
 def test_expected_probabilities_for_w3():
     # At unit flux the expected counts are the Born probabilities.
-    probabilities = exact_counts(RHO_W3, [("V", "H", "H"), ("V", "V", "V")], 1.0)
-    assert probabilities == pytest.approx([1 / 3, 0.0])
+    probabilities = exact_counts(RHO_W3, 1.0)
+    assert probabilities[SETTINGS_3.index(("V", "H", "H"))] == pytest.approx(1 / 3)
+    assert probabilities[SETTINGS_3.index(("V", "V", "V"))] == pytest.approx(0.0)
     mixed = DensityMatrix(np.eye(8) / 8, [0, 1, 2])
-    probabilities = exact_counts(mixed, [("H", "D", "R"), ("V", "V", "D")], 1.0)
-    assert probabilities == pytest.approx([1 / 8, 1 / 8])
-
-
-def test_expected_probability_dimension_mismatch():
-    with pytest.raises(ValueError):
-        exact_counts(RHO_W3, [("H", "V")], 1.0)
+    assert exact_counts(mixed, 1.0) == pytest.approx([1 / 8] * 64)
 
 
 def test_sample_counts_deterministic_and_zero_prob():
-    a = sample_counts(RHO_W3, SETTINGS_3, 104.0, seed=9)
-    b = sample_counts(RHO_W3, SETTINGS_3, 104.0, seed=9)
+    a = sample_counts(RHO_W3, 104.0, seed=9)
+    b = sample_counts(RHO_W3, 104.0, seed=9)
     assert a.tolist() == b.tolist()
     assert a[SETTINGS_3.index(("V", "V", "V"))] == 0
 
@@ -74,42 +69,39 @@ def test_sample_counts_poisson_mean():
     # Oracle: Poisson statistics; the empirical mean over many draws stays
     # within 3 sigma of flux * probability.
     flux, p = 50.0, 1 / 3
-    draws = [
-        sample_counts(RHO_W3, [("V", "H", "H")], flux, seed)[0]
-        for seed in range(400)
-    ]
+    vhh = SETTINGS_3.index(("V", "H", "H"))
+    draws = [sample_counts(RHO_W3, flux, seed)[vhh] for seed in range(400)]
     mean = np.mean(draws)
     sigma = np.sqrt(flux * p / len(draws))
     assert abs(mean - flux * p) < 3 * sigma
 
 
 def test_imlm_exact_w3_counts():
-    counts = exact_counts(RHO_W3, SETTINGS_3, 104.0)
-    result = imlm_reconstruct(counts, SETTINGS_3)
+    counts = exact_counts(RHO_W3, 104.0)
+    result = imlm_reconstruct(counts)
     assert fidelity(result.rho, W3) >= 0.999
     assert result.converged
 
 
 def test_imlm_recovers_maximally_mixed():
     mixed = DensityMatrix(np.eye(8) / 8, [0, 1, 2])
-    counts = exact_counts(mixed, SETTINGS_3, 104.0)
-    result = imlm_reconstruct(counts, SETTINGS_3)
+    counts = exact_counts(mixed, 104.0)
+    result = imlm_reconstruct(counts)
     assert trace_distance(result.rho.matrix, mixed.matrix) < 0.01
 
 
 def test_imlm_single_qubit_pure_state():
-    settings = default_settings(1)
-    result = imlm_reconstruct([100, 0, 50, 50], settings)
+    assert default_settings(1) == [("H",), ("V",), ("D",), ("R",)]
+    result = imlm_reconstruct([100, 0, 50, 50])
     assert fidelity(result.rho, np.array([1.0, 0.0])) >= 0.999
 
 
 def test_imlm_loglik_nondecreasing_on_random_counts():
     rng = np.random.default_rng(31)
-    settings = default_settings(2)
     for _ in range(10):
         rho = DensityMatrix(random_density(rng, 4), [0, 1])
-        counts = sample_counts(rho, settings, 80.0, seed=int(rng.integers(1 << 31)))
-        result = imlm_reconstruct(counts, settings, max_iter=3000)
+        counts = sample_counts(rho, 80.0, seed=int(rng.integers(1 << 31)))
+        result = imlm_reconstruct(counts, max_iter=3000)
         diffs = np.diff(result.loglik_history)
         assert (diffs >= 0).all()
 
@@ -120,40 +112,39 @@ def test_imlm_fixed_point_on_full_rank_states():
     rng = np.random.default_rng(37)
     for trial in range(4):
         for n, dim in ((2, 4), (3, 8)):
-            settings = default_settings(n)
             rho = random_density(rng, dim)
-            counts = exact_counts(DensityMatrix(rho, list(range(n))), settings, 1e4)
-            result = imlm_reconstruct(counts, settings, max_iter=5000)
+            counts = exact_counts(DensityMatrix(rho, list(range(n))), 1e4)
+            result = imlm_reconstruct(counts, max_iter=5000)
             assert trace_distance(result.rho.matrix, rho) < 1e-3
 
 
 def test_imlm_output_physical():
     rng = np.random.default_rng(41)
-    settings = default_settings(2)
     for seed in range(5):
         rho = DensityMatrix(random_density(rng, 4, rank=2), [0, 1])
-        counts = sample_counts(rho, settings, 30.0, seed=seed)
-        result = imlm_reconstruct(counts, settings)
+        counts = sample_counts(rho, 30.0, seed=seed)
+        result = imlm_reconstruct(counts)
         result.rho.validate()
         eigs = np.linalg.eigvalsh(result.rho.matrix)
         assert eigs.min() >= -1e-10
         assert np.trace(result.rho.matrix).real == pytest.approx(1.0, abs=1e-9)
 
 
-def test_imlm_rejects_incomplete_settings():
-    settings = [("H", "H"), ("H", "V"), ("V", "H"), ("V", "V")]
-    with pytest.raises(ValueError):
-        imlm_reconstruct([10, 10, 10, 10], settings)
+def test_imlm_rejects_counts_that_are_not_4_to_the_n():
+    # Counts align with default_settings(n), 4^n of them.
+    for counts in ([10] * 5, [10] * 63, [], [10], np.ones((4, 16))):
+        with pytest.raises(ValueError, match="4\\^n counts"):
+            imlm_reconstruct(counts)
 
 
 def test_imlm_rejects_empty_data():
     with pytest.raises(ValueError):
-        imlm_reconstruct([0] * 64, SETTINGS_3)
+        imlm_reconstruct([0] * 64)
 
 
 def test_imlm_rejects_negative_count():
     with pytest.raises(ValueError, match="nonnegative"):
-        imlm_reconstruct([-1] + [1] * 63, SETTINGS_3)
+        imlm_reconstruct([-1] + [1] * 63)
 
 
 def test_fidelity_reference_values():
@@ -178,18 +169,17 @@ def test_fidelity_invariant_under_common_reordering():
 
 
 def test_flux_for_typical_count():
-    flux = flux_for_typical_count(RHO_W3, SETTINGS_3, 104.0)
-    mean_count = np.mean(exact_counts(RHO_W3, SETTINGS_3, flux))
+    flux = flux_for_typical_count(RHO_W3, 104.0)
+    mean_count = np.mean(exact_counts(RHO_W3, flux))
     assert mean_count == pytest.approx(104.0)
 
 
 def test_bootstrap_deterministic_and_small_at_high_flux():
-    settings = default_settings(2)
     rho = DensityMatrix.from_pure(w_state_qubits(2), [0, 1])
-    counts = exact_counts(rho, settings, 1e7)
-    kwargs = dict(seed=5, target=w_state_qubits(2), max_iter=2000)
-    errs_a, fits_a = bootstrap_errors(counts, settings, 8, **kwargs)
-    errs_b, fits_b = bootstrap_errors(counts, settings, 8, **kwargs)
+    counts = exact_counts(rho, 1e7)
+    kwargs = dict(seed=5, qubit_order=[0, 1], max_iter=2000)
+    errs_a, fits_a = bootstrap_errors(counts, 8, **kwargs)
+    errs_b, fits_b = bootstrap_errors(counts, 8, **kwargs)
     assert errs_a == errs_b
     assert fits_a == fits_b
     # relative Poisson noise ~ 1/sqrt(1e7 p): errors collapse toward zero
@@ -198,9 +188,9 @@ def test_bootstrap_deterministic_and_small_at_high_flux():
 
 
 def test_bootstrap_experiment_scale_error_order():
-    flux = flux_for_typical_count(RHO_W3, SETTINGS_3, 104.0)
-    counts = sample_counts(RHO_W3, SETTINGS_3, flux, seed=7)
-    errs, _ = bootstrap_errors(counts, SETTINGS_3, 25, seed=11, target=W3)
+    flux = flux_for_typical_count(RHO_W3, 104.0)
+    counts = sample_counts(RHO_W3, flux, seed=7)
+    errs, _ = bootstrap_errors(counts, 25, seed=11, qubit_order=[4, 5, 6])
     # order-of-magnitude agreement with the quoted +/- 0.042
     assert 0.0042 <= errs["fidelity"] <= 0.42
 
@@ -213,7 +203,7 @@ def test_born_probabilities_match_per_setting_traces():
         reference = [
             np.trace(setting_projector(s) @ rho.matrix).real for s in settings_n
         ]
-        counts = exact_counts(rho, settings_n, 7.0)
+        counts = exact_counts(rho, 7.0)
         assert counts == pytest.approx(
             [7.0 * p for p in reference], abs=1e-12
         )
@@ -223,11 +213,11 @@ def test_imlm_stop_is_count_scale_free():
     # The same exact W3 frequencies at typical counts 1.04, 104 and 1.04e6:
     # the certificate depends on the frequencies alone, so every fit stops
     # on it after about as many iterations, at about the same fidelity.
-    unit = flux_for_typical_count(RHO_W3, SETTINGS_3, 1.0)
+    unit = flux_for_typical_count(RHO_W3, 1.0)
     iterations, fidelities = [], []
     for typical in (1.04, 104.0, 1.04e6):
-        counts = exact_counts(RHO_W3, SETTINGS_3, unit * typical)
-        fit = imlm_reconstruct(counts, SETTINGS_3)
+        counts = exact_counts(RHO_W3, unit * typical)
+        fit = imlm_reconstruct(counts)
         assert fit.stop_reason == "certificate"
         assert fit.converged
         total = counts.sum()
@@ -240,8 +230,8 @@ def test_imlm_stop_is_count_scale_free():
 
 
 def test_imlm_iteration_cap_is_not_convergence():
-    counts = exact_counts(RHO_W3, SETTINGS_3, 104.0)
-    result = imlm_reconstruct(counts, SETTINGS_3, max_iter=5)
+    counts = exact_counts(RHO_W3, 104.0)
+    result = imlm_reconstruct(counts, max_iter=5)
     assert result.iterations == 5
     assert result.stop_reason == "max_iter"
     assert result.converged is False
@@ -254,43 +244,43 @@ def count_sets(draw):
     size = 4**n_qubits
     counts = draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size))
     assume(sum(counts) > 0)
-    return default_settings(n_qubits), counts
+    return counts
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(count_sets(), st.integers(1, 200))
-def test_imlm_certificate_bounds_the_remaining_gain(data, cap):
-    settings_n, counts = data
-    first = imlm_reconstruct(counts, settings_n, max_iter=cap)
+def test_imlm_certificate_bounds_the_remaining_gain(counts, cap):
+    first = imlm_reconstruct(counts, max_iter=cap)
     assert (np.diff(first.loglik_history) >= 0).all()
     eigs = np.linalg.eigvalsh(first.rho.matrix)
     assert eigs.min() >= -PSD_ATOL
     assert np.trace(first.rho.matrix).real == pytest.approx(1.0, abs=TRACE_ATOL)
-    longer = imlm_reconstruct(counts, settings_n, max_iter=50 * cap)
+    longer = imlm_reconstruct(counts, max_iter=50 * cap)
     assert longer.log_likelihood - first.log_likelihood <= first.certificate + 1e-9
 
 
 def test_bootstrap_builds_the_measurement_model_once():
     measurement_model.cache_clear()
-    counts = sample_counts(RHO_W3, SETTINGS_3, 300.0, seed=3)
-    imlm_reconstruct(counts, SETTINGS_3)
-    errs, fits = bootstrap_errors(counts, SETTINGS_3, 4, seed=5, target=W3)
+    counts = sample_counts(RHO_W3, 300.0, seed=3)
+    imlm_reconstruct(counts)
+    errs, fits = bootstrap_errors(counts, 4, seed=5, qubit_order=[4, 5, 6])
     assert measurement_model.cache_info().misses == 1
     assert set(fits) == {
         "unconverged", "iterations_p50", "iterations_p90", "iterations_max"
     }
     assert fits["unconverged"] == 0
     assert fits["iterations_p50"] <= fits["iterations_p90"] <= fits["iterations_max"]
-    assert set(errs) == {"fidelity", "witness", "eof_01", "eof_02", "eof_12"}
+    assert errs.keys() == {"fidelity", "witness", "pairwise_eof"}
+    assert errs["pairwise_eof"].keys() == {"45", "46", "56"}
 
 
 def test_sampled_w3_fits_have_no_heavy_tail():
     # The experiment-scale sampled W3 count sets of acceptance criterion
     # 6(c): every fit stops on the certificate, and none takes a long tail
     # of iterations toward the rank-deficient optimum.
-    flux = flux_for_typical_count(RHO_W3, SETTINGS_3, 104.0)
+    flux = flux_for_typical_count(RHO_W3, 104.0)
     for seed in range(20):
-        fit = imlm_reconstruct(sample_counts(RHO_W3, SETTINGS_3, flux, seed), SETTINGS_3)
+        fit = imlm_reconstruct(sample_counts(RHO_W3, flux, seed))
         assert fit.stop_reason == "certificate"
         assert fit.iterations <= 200
 
