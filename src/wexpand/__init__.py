@@ -23,12 +23,12 @@ from .fock import (
     vacuum_state,
 )
 from .optics import (
-    BeamsplitterSpec,
-    DelayElement,
-    JonesElement,
-    JonesUnitary,
+    Element,
     apply_circuit,
     apply_delay,
+    beamsplitter,
+    delay,
+    wave_plate,
 )
 from .gates import (
     GATE_ELEMENTS,
@@ -37,6 +37,7 @@ from .gates import (
     photonic_w_state,
     run_gate,
     success_probability_analytic,
+    through_gate,
     two_photon_ancilla,
     w_state_qubits,
 )

@@ -25,18 +25,15 @@ import numpy as np
 
 from . import __version__
 from .entanglement import eof
-from .fock import DensityMatrix, postselect_qubits, single_photon, tensor
+from .fock import DensityMatrix, postselect_qubits, single_photon
 from .gates import (
-    MODE_ANCILLA,
     MODE_INPUT,
     OUTPUT_MODES,
     expand_w,
-    run_gate,
     success_probability_analytic,
-    two_photon_ancilla,
+    through_gate,
     w_state_qubits,
 )
-from .optics import apply_delay
 from .sources import (
     calibrate_overlap_for_visibility,
     dip_coefficients,
@@ -118,6 +115,7 @@ _DOMAINS = {
     "coherence_length_um": ("be positive", lambda x: x > 0),
     "delays_um": ("be non-empty", lambda x: x is None or len(x) > 0),
     "visibility_target": ("lie in [0, 1)", lambda x: x is None or 0 <= x < 1),
+    "seed": ("be null or nonnegative", lambda x: x is None or x >= 0),
 }
 
 
@@ -303,18 +301,9 @@ def _run_hom(config: ExperimentConfig) -> dict:
     }
 
 
-def _through_gate(w_input, overlap: float):
-    """A W state whose accessed photon is in mode 1, and the two-photon
-    ancilla delayed to wavepacket overlap ``overlap``, through the gate."""
-    state = tensor(w_input, two_photon_ancilla())
-    if overlap < 1.0:
-        state = apply_delay(state, MODE_ANCILLA, overlap)
-    return run_gate(state)
-
-
 def _run_w3(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(config.seed, 2)
-    out_state = _through_gate(single_photon(MODE_INPUT, "V"), config.overlap)
+    out_state = through_gate(single_photon(MODE_INPUT, "V"), config.overlap)
     rho, probability = postselect_qubits(out_state, OUTPUT_MODES)
     if rho is None:
         raise ValueError("post-selection probability vanished")
@@ -338,7 +327,7 @@ def _run_w4(config: ExperimentConfig) -> dict:
 
     pair_block = _tomography_block(sigma_pair, config, seeds[:2])
 
-    out_state = _through_gate(pair, config.overlap)
+    out_state = through_gate(pair, config.overlap)
     rho, raw_probability = postselect_qubits(out_state, (0,) + OUTPUT_MODES)
     if rho is None:
         raise ValueError("post-selection probability vanished")

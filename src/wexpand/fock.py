@@ -202,19 +202,37 @@ def basis_index(pols: Sequence[str]) -> int:
     return idx
 
 
-def _single_photon_pattern(
-    fbv: Basis, modes: Sequence[int]
-) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """(pol pattern, bin pattern) if ``fbv`` has exactly one photon per listed
-    mode and none anywhere else, otherwise None."""
-    if len(fbv) != len(modes):
-        return None
-    by_spatial = {lab.spatial: lab for lab in fbv}
-    if len(by_spatial) != len(fbv) or set(by_spatial) != set(modes):
-        return None
-    pols = tuple(by_spatial[m].pol for m in modes)
-    bins = tuple(by_spatial[m].tbin for m in modes)
-    return pols, bins
+def _qubit_vectors(
+    state: PhotonicState, spatial_modes: Sequence[int]
+) -> tuple[dict[tuple[str, ...], np.ndarray], float]:
+    """Project onto one photon per listed mode and none anywhere else.
+
+    Returns the unnormalized polarization-qubit amplitude vector of each
+    surviving temporal-bin pattern, with qubits ordered as in
+    ``spatial_modes``, and the projection's probability.
+    """
+    modes = list(spatial_modes)
+    if not modes:
+        raise ValueError("empty mode list")
+    if len(set(modes)) != len(modes):
+        raise ValueError("duplicate spatial modes in post-selection list")
+    wanted = set(modes)
+    by_bins: dict[tuple[str, ...], np.ndarray] = {}
+    probability = 0.0
+    for fbv, amp in state.items():
+        if len(fbv) != len(modes):
+            continue
+        by_spatial = {lab.spatial: lab for lab in fbv}
+        if by_spatial.keys() != wanted:
+            continue
+        labels = [by_spatial[m] for m in modes]
+        bins = tuple(lab.tbin for lab in labels)
+        vec = by_bins.get(bins)
+        if vec is None:
+            vec = by_bins[bins] = np.zeros(2 ** len(modes), dtype=complex)
+        vec[basis_index([lab.pol for lab in labels])] += amp
+        probability += abs(amp) ** 2
+    return by_bins, probability
 
 
 def postselect_qubits(
@@ -225,69 +243,32 @@ def postselect_qubits(
 
     Returns the renormalized polarization-qubit density matrix, with qubits
     ordered as in ``spatial_modes``, together with the success probability.
-    A probability at or below the flag threshold yields ``(None, probability)``.
+    A probability at or below the flag threshold yields ``(None, 0.0)``.
     """
-    modes = list(spatial_modes)
-    if not modes:
-        raise ValueError("empty mode list")
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate spatial modes in post-selection list")
     if abs(state.norm_squared() - 1.0) > POSTSELECT_NORM_ATOL:
         raise ValueError("postselect_qubits expects a normalized state")
-
-    n = len(modes)
-    dim = 2**n
-    # Amplitude vector over polarization patterns, one per temporal-bin pattern.
-    by_bins: dict[tuple[str, ...], np.ndarray] = {}
-    probability = 0.0
-    for fbv, amp in state.items():
-        pattern = _single_photon_pattern(fbv, modes)
-        if pattern is None:
-            continue
-        pols, bins = pattern
-        vec = by_bins.get(bins)
-        if vec is None:
-            vec = np.zeros(dim, dtype=complex)
-            by_bins[bins] = vec
-        vec[basis_index(pols)] += amp
-        probability += abs(amp) ** 2
-
+    by_bins, probability = _qubit_vectors(state, spatial_modes)
     if probability <= POSTSELECT_MIN_PROBABILITY:
         return None, 0.0
-
-    rho = np.zeros((dim, dim), dtype=complex)
-    for vec in by_bins.values():
-        rho += np.outer(vec, vec.conj())
-    rho /= probability
-    result = DensityMatrix(rho, list(modes))
+    rho = sum(np.outer(vec, vec.conj()) for vec in by_bins.values()) / probability
+    result = DensityMatrix(rho, list(spatial_modes))
     result.validate()
     return result, probability
 
 
 def qubit_amplitudes(state: PhotonicState, spatial_modes: Sequence[int]) -> np.ndarray:
     """Unnormalized polarization-qubit amplitudes of the one-photon-per-mode
-    component of a pure state.
+    component of a pure state; the zero vector if nothing survives.
 
     Raises if more than one temporal-bin pattern survives the projection,
     because the projected state is then not a pure qubit state.
     """
-    modes = list(spatial_modes)
-    if not modes:
-        raise ValueError("empty mode list")
-    vec = np.zeros(2 ** len(modes), dtype=complex)
-    seen_bins: set[tuple[str, ...]] = set()
-    for fbv, amp in state.items():
-        pattern = _single_photon_pattern(fbv, modes)
-        if pattern is None:
-            continue
-        pols, bins = pattern
-        seen_bins.add(bins)
-        if len(seen_bins) > 1:
-            raise ValueError(
-                "temporal bins are mixed; the projected state is not pure"
-            )
-        vec[basis_index(pols)] += amp
-    return vec
+    by_bins, _ = _qubit_vectors(state, spatial_modes)
+    if len(by_bins) > 1:
+        raise ValueError("temporal bins are mixed; the projected state is not pure")
+    return next(
+        iter(by_bins.values()), np.zeros(2 ** len(spatial_modes), dtype=complex)
+    )
 
 
 @dataclass

@@ -30,14 +30,7 @@ from .fock import (
     H,
     V,
 )
-from .optics import (
-    BeamsplitterSpec,
-    JonesElement,
-    JonesUnitary,
-    REFLECTION_MINUS_ON_OUT_A,
-    REFLECTION_MINUS_ON_OUT_B,
-    apply_circuit,
-)
+from .optics import apply_circuit, apply_delay, beamsplitter, wave_plate
 
 MODE_INPUT = 1
 MODE_ANCILLA = 2
@@ -55,22 +48,10 @@ class GateInputError(ValueError):
 
 # The gate wiring, in propagation order.
 GATE_ELEMENTS = (
-    BeamsplitterSpec(
-        in_a=MODE_INPUT,
-        in_b=MODE_ANCILLA,
-        out_a=MODE_INTERNAL,
-        out_b=OUTPUT_MODES[0],
-        transmissivity=0.5,
-        sign_convention=REFLECTION_MINUS_ON_OUT_B,
-    ),
-    JonesElement(OUTPUT_MODES[0], JonesUnitary.v_phase_flip()),
-    BeamsplitterSpec(
-        in_a=MODE_INTERNAL,
-        in_b=MODE_AUX,
-        out_a=OUTPUT_MODES[1],
-        out_b=OUTPUT_MODES[2],
-        transmissivity=0.5,
-        sign_convention=REFLECTION_MINUS_ON_OUT_A,
+    beamsplitter(MODE_INPUT, MODE_ANCILLA, MODE_INTERNAL, OUTPUT_MODES[0]),
+    wave_plate(OUTPUT_MODES[0], ((1, 0), (0, -1))),  # pi phase on V
+    beamsplitter(
+        MODE_INTERNAL, MODE_AUX, OUTPUT_MODES[1], OUTPUT_MODES[2], minus_on_out_a=True
     ),
 )
 
@@ -108,9 +89,18 @@ def photonic_w_state(mode_ids: Sequence[int]) -> PhotonicState:
     )
 
 
-def two_photon_ancilla(spatial_mode: int = MODE_ANCILLA) -> PhotonicState:
-    """Ideal ancilla: two H photons in one mode."""
-    return number_state(spatial_mode, H, 2)
+def two_photon_ancilla() -> PhotonicState:
+    """Ideal ancilla: two H photons in the ancilla mode."""
+    return number_state(MODE_ANCILLA, H, 2)
+
+
+def through_gate(w_input: PhotonicState, overlap: float = 1.0) -> PhotonicState:
+    """A W state whose accessed photon is in mode 1, and the two-photon
+    ancilla delayed to wavepacket overlap ``overlap``, through the gate."""
+    state = tensor(w_input, two_photon_ancilla())
+    if overlap < 1.0:
+        state = apply_delay(state, MODE_ANCILLA, overlap)
+    return run_gate(state)
 
 
 def untouched_mode_ids(n: int) -> list[int]:
@@ -133,30 +123,21 @@ def success_probability_analytic(n: int) -> float:
     return (n + 2) / (16.0 * n)
 
 
-def _gate_branch_amplitudes() -> tuple[np.ndarray, np.ndarray]:
-    """Post-selected three-qubit amplitude maps of the gate for an H and a V
-    photon entering mode 1, computed from the full Fock simulation."""
-    ancilla = two_photon_ancilla()
-    branch_h, branch_v = (
-        qubit_amplitudes(
-            run_gate(tensor(single_photon(MODE_INPUT, pol), ancilla)), OUTPUT_MODES
-        )
-        for pol in (H, V)
-    )
-    return branch_h, branch_v
-
-
 def expand_w(n: int) -> tuple[DensityMatrix, float]:
     """Expand an ideal N-qubit W state into an (N+2)-qubit one.
 
     The accessed qubit is routed photonically through the gate; the N-1
     untouched qubits never enter the optics and are carried directly as
-    polarization qubits, which keeps the state size linear in N.  Output
-    qubit order: untouched modes ascending, then the gate outputs 4, 5, 6.
+    polarization qubits, which keeps the state size linear in N; the gate
+    runs once for an H and once for a V photon in mode 1.  Output qubit
+    order: untouched modes ascending, then the gate outputs 4, 5, 6.
     """
     if n < 1:
         raise ValueError("W state needs at least one qubit")
-    branch_h, branch_v = _gate_branch_amplitudes()
+    branch_h, branch_v = (
+        qubit_amplitudes(through_gate(single_photon(MODE_INPUT, pol)), OUTPUT_MODES)
+        for pol in (H, V)
+    )
 
     rest = untouched_mode_ids(n)
     n_rest = len(rest)
@@ -184,6 +165,5 @@ def expand_w_full_photonic(n: int) -> tuple[DensityMatrix | None, float]:
     if n < 1:
         raise ValueError("W state needs at least one qubit")
     rest = untouched_mode_ids(n)
-    seed = photonic_w_state(rest + [MODE_INPUT])
-    state = run_gate(tensor(seed, two_photon_ancilla()))
+    state = through_gate(photonic_w_state(rest + [MODE_INPUT]))
     return postselect_qubits(state, rest + list(OUTPUT_MODES))

@@ -27,104 +27,75 @@ from .fock import (
 )
 from .tolerances import UNITARY_ATOL
 
-REFLECTION_MINUS_ON_OUT_A = "reflection_minus_on_out_a"
-REFLECTION_MINUS_ON_OUT_B = "reflection_minus_on_out_b"
-_SIGN_CONVENTIONS = {
-    # (r1, r2): sign of the in_a -> out_b reflection, sign of in_b -> out_a.
-    REFLECTION_MINUS_ON_OUT_A: (1.0, -1.0),
-    REFLECTION_MINUS_ON_OUT_B: (-1.0, 1.0),
-}
-
 # The one-photon image of a mode label: (output label, coefficient) pairs,
 # or None for a label the element or circuit leaves alone.
 Image = Optional[list[tuple[ModeLabel, complex]]]
 
 
 @dataclass(frozen=True)
-class BeamsplitterSpec:
-    """Two-input two-output beamsplitter acting on spatial modes only.
+class Element:
+    """A 2x2 unitary on one field of the mode label.
 
-    The mode matrix is
-        a_in_a -> sqrt(T) a_out_a + r1 sqrt(1-T) a_out_b
-        a_in_b -> r2 sqrt(1-T) a_out_a + sqrt(T) a_out_b
-    with (r1, r2) = (+1, -1) or (-1, +1) chosen by ``sign_convention``: the
-    minus sign sits on the reflection into the named output arm.
+    ``field`` is "spatial", "pol" or "tbin".  A photon whose ``field`` value
+    is ``inputs[j]`` goes to ``outputs[i]`` with coefficient
+    ``matrix[i][j]``, keeping its other fields.  With ``spatial`` set, only
+    photons in that spatial mode are touched.
     """
 
-    in_a: int
-    in_b: int
-    out_a: int
-    out_b: int
-    transmissivity: float = 0.5
-    sign_convention: str = REFLECTION_MINUS_ON_OUT_B
+    field: str
+    inputs: tuple
+    outputs: tuple
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
+    spatial: Optional[int] = None
 
     def __post_init__(self):
-        if self.in_a == self.in_b or self.out_a == self.out_b:
-            raise ValueError("beamsplitter ports must be distinct")
-        if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError(f"transmissivity {self.transmissivity} outside [0, 1]")
-        if self.sign_convention not in _SIGN_CONVENTIONS:
-            raise ValueError(f"unknown sign convention {self.sign_convention!r}")
-        m = self.mode_matrix()
+        if len(set(self.inputs)) != 2 or len(set(self.outputs)) != 2:
+            raise ValueError("element ports must be distinct")
+        m = np.asarray(self.matrix, dtype=complex)
         if np.max(np.abs(m.conj().T @ m - np.eye(2))) > UNITARY_ATOL:
-            raise ValueError("beamsplitter mode matrix is not unitary")
-
-    def mode_matrix(self) -> np.ndarray:
-        """2x2 matrix on (in_a, in_b) -> (out_a, out_b)."""
-        t = math.sqrt(self.transmissivity)
-        r = math.sqrt(1.0 - self.transmissivity)
-        r1, r2 = _SIGN_CONVENTIONS[self.sign_convention]
-        return np.array([[t, r2 * r], [r1 * r, t]])
+            raise ValueError("element matrix is not unitary")
 
     def image(self, lab: ModeLabel) -> Image:
-        """Route a photon between the spatial ports, keeping polarization
-        and temporal bin."""
-        if lab.spatial not in (self.in_a, self.in_b):
+        if self.spatial is not None and lab.spatial != self.spatial:
             return None
-        col = 0 if lab.spatial == self.in_a else 1
-        m = self.mode_matrix().tolist()
+        value = getattr(lab, self.field)
+        if value not in self.inputs:
+            return None
+        col = self.inputs.index(value)
         return [
-            (lab._replace(spatial=self.out_a), m[0][col]),
-            (lab._replace(spatial=self.out_b), m[1][col]),
+            (lab._replace(**{self.field: out}), row[col])
+            for out, row in zip(self.outputs, self.matrix)
         ]
 
 
-@dataclass(frozen=True)
-class JonesUnitary:
-    """2x2 polarization unitary acting on (H, V) at one spatial mode."""
-
-    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
-
-    def __post_init__(self):
-        u = self.as_array()
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_ATOL:
-            raise ValueError("Jones matrix is not unitary")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=complex)
-
-    @staticmethod
-    def v_phase_flip() -> "JonesUnitary":
-        """Half-wave plate aligned to add a pi phase on V."""
-        return JonesUnitary(((1.0, 0.0), (0.0, -1.0)))
-
-
-@dataclass(frozen=True)
-class JonesElement:
-    """Polarization unitary at one spatial mode (both temporal bins)."""
-
-    spatial: int
-    jones: JonesUnitary
-
-    def image(self, lab: ModeLabel) -> Image:
-        if lab.spatial != self.spatial:
-            return None
-        column = self.jones.as_array()[:, 0 if lab.pol == H else 1].tolist()
-        return [(lab._replace(pol=H), column[0]), (lab._replace(pol=V), column[1])]
+def beamsplitter(
+    in_a: int,
+    in_b: int,
+    out_a: int,
+    out_b: int,
+    transmissivity: float = 0.5,
+    minus_on_out_a: bool = False,
+) -> Element:
+    """Beamsplitter between spatial ports, keeping polarization and temporal
+    bin.  Transmission (in_a to out_a, in_b to out_b) has amplitude sqrt(T),
+    reflection sqrt(1 - T) with a minus sign on the reflection into out_b,
+    or into out_a if ``minus_on_out_a``."""
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ValueError(f"transmissivity {transmissivity} outside [0, 1]")
+    t = math.sqrt(transmissivity)
+    r = math.sqrt(1.0 - transmissivity)
+    matrix = ((t, -r), (r, t)) if minus_on_out_a else ((t, r), (-r, t))
+    return Element("spatial", (in_a, in_b), (out_a, out_b), matrix)
 
 
-@dataclass(frozen=True)
-class DelayElement:
+def wave_plate(spatial: int, jones) -> Element:
+    """Polarization unitary (Jones matrix on (H, V)) at one spatial mode,
+    both temporal bins."""
+    matrix = tuple(map(tuple, np.asarray(jones, dtype=complex).tolist()))
+    return Element("pol", (H, V), (H, V), matrix, spatial)
+
+
+def delay(spatial: int, overlap: float) -> Element:
     """Rotation of the principal temporal bin at one spatial mode.
 
     ``overlap`` is the residual wavepacket overlap xi in [0, 1]: xi = 1 keeps
@@ -132,24 +103,12 @@ class DelayElement:
     distinguishable.  The orthogonal bin rotates along to keep the map
     unitary.
     """
-
-    spatial: int
-    overlap: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"overlap {self.overlap} outside [0, 1]")
-
-    def image(self, lab: ModeLabel) -> Image:
-        if lab.spatial != self.spatial:
-            return None
-        xi = float(self.overlap)
-        s = math.sqrt(max(0.0, 1.0 - xi * xi))
-        principal = lab._replace(tbin=PRINCIPAL)
-        orthogonal = lab._replace(tbin=ORTHOGONAL)
-        if lab.tbin == PRINCIPAL:
-            return [(principal, xi), (orthogonal, s)]
-        return [(principal, -s), (orthogonal, xi)]
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap {overlap} outside [0, 1]")
+    xi = float(overlap)
+    s = math.sqrt(1.0 - xi * xi)
+    bins = (PRINCIPAL, ORTHOGONAL)
+    return Element("tbin", bins, bins, ((xi, -s), (s, xi)), spatial)
 
 
 def _compose(label: ModeLabel, elements: Sequence) -> Image:
@@ -209,5 +168,5 @@ def apply_circuit(state: PhotonicState, elements: Sequence) -> PhotonicState:
 
 def apply_delay(state: PhotonicState, spatial_mode: int, overlap: float) -> PhotonicState:
     """Delay the photons of one spatial mode to wavepacket overlap
-    ``overlap`` (see ``DelayElement``)."""
-    return apply_circuit(state, [DelayElement(spatial_mode, overlap)])
+    ``overlap`` (see ``delay``)."""
+    return apply_circuit(state, [delay(spatial_mode, overlap)])

@@ -1,9 +1,9 @@
 """Photon-source models and the two-photon interference scan.
 
-Covers the ideal two-photon Fock ancilla (defined next to the gate wiring
-and re-exported here), the weak coherent pulse (WCP) that stands in for it
-experimentally, the down-conversion pair source, and the delay scan that
-maps out the Hong-Ou-Mandel dip at the gate's first beamsplitter.
+Covers the weak coherent pulse (WCP) that stands in experimentally for the
+gate's two-photon Fock ancilla, the down-conversion pair source, and the
+delay scan that maps out the Hong-Ou-Mandel dip at the gate's first
+beamsplitter.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .fock import (
     H,
     V,
 )
-from .gates import MODE_ANCILLA, MODE_INPUT, run_gate, two_photon_ancilla
+from .gates import MODE_ANCILLA, MODE_INPUT, run_gate
 
 
 # Fock truncation of the coherent pulse.

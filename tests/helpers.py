@@ -4,7 +4,6 @@ import math
 
 from wexpand.fock import PhotonicState, number_state, tensor
 from wexpand.gates import MODE_INPUT
-from wexpand.optics import JonesUnitary
 
 
 def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
@@ -20,10 +19,10 @@ def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
     return PhotonicState({fbv: amp * factor for fbv, amp in state.items()})
 
 
-def rotation(angle: float) -> JonesUnitary:
-    """Polarization rotation by ``angle``; pi/2 maps H to V."""
+def rotation(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Jones matrix of a polarization rotation by ``angle``; pi/2 maps H to V."""
     c, s = math.cos(angle), math.sin(angle)
-    return JonesUnitary(((c, -s), (s, c)))
+    return ((c, -s), (s, c))
 
 
 def heralded_single_photon(

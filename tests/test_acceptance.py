@@ -16,17 +16,12 @@ from wexpand.fock import DensityMatrix, postselect_qubits, single_photon, tensor
 from wexpand.gates import (
     OUTPUT_MODES,
     expand_w,
-    run_gate,
     success_probability_analytic,
+    through_gate,
     w_state_qubits,
 )
-from wexpand.optics import BeamsplitterSpec, apply_circuit, apply_delay
-from wexpand.sources import (
-    calibrate_overlap_for_visibility,
-    dip_coefficients,
-    hom_scan,
-    two_photon_ancilla,
-)
+from wexpand.optics import apply_circuit, beamsplitter
+from wexpand.sources import calibrate_overlap_for_visibility, dip_coefficients, hom_scan
 from wexpand.tomography import (
     bootstrap_errors,
     exact_counts,
@@ -77,13 +72,8 @@ def test_criterion_2_state_correctness():
 
 
 def test_criterion_3_h_input_suppression():
-    ancilla = two_photon_ancilla()
-    _, prob_v = postselect_qubits(
-        run_gate(tensor(single_photon(1, "V"), ancilla)), OUTPUT_MODES
-    )
-    rho_h, prob_h = postselect_qubits(
-        run_gate(tensor(single_photon(1, "H"), ancilla)), OUTPUT_MODES
-    )
+    _, prob_v = postselect_qubits(through_gate(single_photon(1, "V")), OUTPUT_MODES)
+    rho_h, prob_h = postselect_qubits(through_gate(single_photon(1, "H")), OUTPUT_MODES)
     assert prob_h == pytest.approx(1 / 16, abs=1e-12)
     assert prob_v / prob_h == pytest.approx(3.0, abs=1e-12)
     hhh = np.zeros(8)
@@ -180,7 +170,7 @@ def test_criterion_6_imlm_soundness():
 
 def test_criterion_7_hom_and_noise_properties():
     # ideal indistinguishable two-photon interference: zero coincidence
-    bs = BeamsplitterSpec(in_a=1, in_b=2, out_a=3, out_b=4)
+    bs = beamsplitter(1, 2, 3, 4)
     out = apply_circuit(
         tensor(single_photon(1, "H"), single_photon(2, "H")), [bs]
     )
@@ -207,14 +197,12 @@ def test_criterion_7_hom_and_noise_properties():
     # pairwise coherence dies at zero overlap
     fidelities = []
     for overlap in (1.0, 0.9, 0.8):
-        state = tensor(single_photon(1, "V"), two_photon_ancilla())
-        state = apply_delay(state, 2, overlap)
-        rho, _ = postselect_qubits(run_gate(state), OUTPUT_MODES)
+        state = through_gate(single_photon(1, "V"), overlap)
+        rho, _ = postselect_qubits(state, OUTPUT_MODES)
         fidelities.append(fidelity(rho, w_state_qubits(3)))
     assert fidelities[0] > fidelities[1] > fidelities[2]
 
-    state = apply_delay(tensor(single_photon(1, "V"), two_photon_ancilla()), 2, 0.0)
-    rho0, _ = postselect_qubits(run_gate(state), OUTPUT_MODES)
+    rho0, _ = postselect_qubits(through_gate(single_photon(1, "V"), 0.0), OUTPUT_MODES)
     off_diagonal = rho0.matrix - np.diag(np.diag(rho0.matrix))
     assert np.max(np.abs(off_diagonal)) < 1e-12
 

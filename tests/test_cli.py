@@ -95,6 +95,7 @@ OUT_OF_DOMAIN = [
     ("visibility_target", 7.0),
     ("visibility_target", 1.0),
     ("visibility_target", -0.1),
+    ("seed", -3),
 ]
 
 
@@ -102,7 +103,7 @@ def test_every_value_field_has_a_domain():
     from wexpand.cli import _DOMAINS
 
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert set(_DOMAINS) == fields - {"scenario", "seed", "exact"}
+    assert set(_DOMAINS) == fields - {"scenario", "exact"}
     assert {name for name, _ in OUT_OF_DOMAIN} == set(_DOMAINS)
 
 
@@ -111,7 +112,7 @@ def test_every_value_field_has_a_domain():
     "name, value", OUT_OF_DOMAIN, ids=[f"{n}={v}" for n, v in OUT_OF_DOMAIN]
 )
 def test_out_of_domain_field_rejected(tmp_path, capsys, scenario, name, value):
-    cfg_path = write_config(tmp_path, scenario=scenario, seed=1, **{name: value})
+    cfg_path = write_config(tmp_path, scenario=scenario, **{"seed": 1, name: value})
     out = tmp_path / "report.json"
     assert main([scenario, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"error: {name} must" in capsys.readouterr().err
@@ -205,19 +206,18 @@ def test_w4_exact_scenario_quality():
 
 
 def test_fidelity_decreases_with_overlap_and_coherences_vanish():
-    from wexpand.cli import _through_gate
     from wexpand.fock import postselect_qubits, single_photon
-    from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
+    from wexpand.gates import MODE_INPUT, OUTPUT_MODES, through_gate, w_state_qubits
     from wexpand.tomography import fidelity
 
     photon = single_photon(MODE_INPUT, "V")
     fidelities = []
     for overlap in (1.0, 0.9, 0.8):
-        rho, _ = postselect_qubits(_through_gate(photon, overlap), OUTPUT_MODES)
+        rho, _ = postselect_qubits(through_gate(photon, overlap), OUTPUT_MODES)
         fidelities.append(fidelity(rho, w_state_qubits(3)))
     assert fidelities[0] > fidelities[1] > fidelities[2]
 
-    rho, _ = postselect_qubits(_through_gate(photon, 0.0), OUTPUT_MODES)
+    rho, _ = postselect_qubits(through_gate(photon, 0.0), OUTPUT_MODES)
     off_diagonal = rho.matrix - np.diag(np.diag(rho.matrix))
     assert np.max(np.abs(off_diagonal)) < 1e-12
 

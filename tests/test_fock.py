@@ -206,6 +206,15 @@ def test_qubit_amplitudes_pure_projection():
     assert amps[1] == pytest.approx(1 / math.sqrt(3))  # HHV
 
 
+def test_qubit_amplitudes_zero_when_nothing_survives():
+    # Two photons in mode 4 and none in mode 5: no term has one photon per
+    # listed mode.
+    state = number_state(4, "H", 2)
+    amps = qubit_amplitudes(state, [4, 5])
+    assert amps.shape == (4,)
+    assert np.array_equal(amps, np.zeros(4))
+
+
 def test_qubit_amplitudes_rejects_mixed_bins():
     f1 = basis_vector(
         {mode(4, "H", PRINCIPAL): 1, mode(5, "V", ORTHOGONAL): 1}

@@ -13,19 +13,19 @@ from wexpand.gates import (
     photonic_w_state,
     run_gate,
     success_probability_analytic,
+    through_gate,
+    two_photon_ancilla,
     untouched_mode_ids,
     w_state_qubits,
 )
-from wexpand.optics import JonesElement, apply_circuit
-from wexpand.sources import two_photon_ancilla
+from wexpand.optics import apply_circuit
 from wexpand.tomography import fidelity
 
 from helpers import scaled
 
 
 def gate_output(pol):
-    state = tensor(single_photon(1, pol), two_photon_ancilla())
-    return run_gate(state)
+    return through_gate(single_photon(1, pol))
 
 
 def test_w_state_small_sizes():
@@ -68,8 +68,7 @@ def test_h_input_suppressed_by_interference():
 
 
 def test_w2_input_expands_to_w4_full_photonic():
-    seed = photonic_w_state([0, 1])
-    state = run_gate(tensor(seed, two_photon_ancilla()))
+    state = through_gate(photonic_w_state([0, 1]))
     rho, prob = postselect_qubits(state, (0,) + OUTPUT_MODES)
     assert prob == pytest.approx(1 / 8, abs=1e-10)
     assert fidelity(rho, w_state_qubits(4)) == pytest.approx(1.0, abs=1e-10)
@@ -106,16 +105,16 @@ def test_analytic_probability_values_and_limit():
 
 
 def test_output_invariant_under_input_global_phase():
-    base = tensor(single_photon(1, "V"), two_photon_ancilla())
-    rho_a, p_a = postselect_qubits(run_gate(base), OUTPUT_MODES)
+    base = single_photon(1, "V")
+    rho_a, p_a = postselect_qubits(through_gate(base), OUTPUT_MODES)
     phased = scaled(base, np.exp(1j * 0.83))
-    rho_b, p_b = postselect_qubits(run_gate(phased), OUTPUT_MODES)
+    rho_b, p_b = postselect_qubits(through_gate(phased), OUTPUT_MODES)
     assert p_a == pytest.approx(p_b, abs=1e-12)
     assert np.allclose(rho_a.matrix, rho_b.matrix, atol=1e-12)
 
 
 def test_sign_plate_required_for_w3():
-    without_plate = [e for e in GATE_ELEMENTS if not isinstance(e, JonesElement)]
+    without_plate = [e for e in GATE_ELEMENTS if e.field != "pol"]
     state = apply_circuit(
         tensor(single_photon(1, "V"), two_photon_ancilla()), without_plate
     )
@@ -138,14 +137,11 @@ def test_partial_overlap_matches_closed_form():
     # into bin cos = xi.  Both ancilla photons see the same delay, so the
     # success probability stays 3/16 for every xi, the three populations
     # stay 1/3, every coherence is xi^2/3, and the fidelity is (1+2xi^2)/3.
-    from wexpand.optics import apply_delay
-
     w3 = w_state_qubits(3)
     support = (1, 2, 4)
     for xi in (0.0, 0.3, 0.6, 0.9, 1.0):
-        state = tensor(single_photon(1, "V"), two_photon_ancilla())
-        state = apply_delay(state, 2, xi)
-        rho, prob = postselect_qubits(run_gate(state), OUTPUT_MODES)
+        state = through_gate(single_photon(1, "V"), xi)
+        rho, prob = postselect_qubits(state, OUTPUT_MODES)
         assert prob == pytest.approx(3 / 16, abs=1e-12)
         assert fidelity(rho, w3) == pytest.approx((1 + 2 * xi * xi) / 3, abs=1e-12)
         for i in support:

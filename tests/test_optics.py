@@ -17,21 +17,17 @@ from wexpand.fock import (
     TEMPORAL_BINS,
 )
 from wexpand.optics import (
-    BeamsplitterSpec,
-    DelayElement,
-    JonesElement,
-    JonesUnitary,
-    REFLECTION_MINUS_ON_OUT_A,
-    REFLECTION_MINUS_ON_OUT_B,
+    Element,
     apply_circuit,
     apply_delay,
+    beamsplitter,
+    delay,
+    wave_plate,
 )
 
 from helpers import inner_product, rotation
 
-BS_GATE_FRONT = BeamsplitterSpec(
-    in_a=1, in_b=2, out_a=3, out_b=4, sign_convention=REFLECTION_MINUS_ON_OUT_B
-)
+BS_GATE_FRONT = beamsplitter(1, 2, 3, 4)
 
 
 def random_two_mode_state(rng):
@@ -68,7 +64,7 @@ def test_two_photon_bunching():
 
 
 def test_full_transmission_is_relabeling():
-    spec = BeamsplitterSpec(in_a=1, in_b=2, out_a=3, out_b=4, transmissivity=1.0)
+    spec = beamsplitter(1, 2, 3, 4, transmissivity=1.0)
     out = apply_circuit(number_state(1, "V", 2), [spec])
     assert inner_product(number_state(3, "V", 2), out).real == pytest.approx(1.0)
 
@@ -88,7 +84,7 @@ def test_elements_preserve_norm_and_photon_number():
         before = sector_weights(state)
         for out in (
             apply_circuit(state, [BS_GATE_FRONT]),
-            apply_circuit(state, [JonesElement(1, rotation(0.7))]),
+            apply_circuit(state, [wave_plate(1, rotation(0.7))]),
             apply_delay(state, 2, 0.6),
         ):
             assert out.norm() == pytest.approx(1.0, abs=1e-12)
@@ -104,9 +100,7 @@ def test_beamsplitter_inverse_restores_input():
     state = random_two_mode_state(rng)
     out = apply_circuit(state, [BS_GATE_FRONT])
     # Outputs fed back as inputs, with the minus sign on the other arm.
-    inverse = BeamsplitterSpec(
-        in_a=3, in_b=4, out_a=1, out_b=2, sign_convention=REFLECTION_MINUS_ON_OUT_A
-    )
+    inverse = beamsplitter(3, 4, 1, 2, minus_on_out_a=True)
     back = apply_circuit(out, [inverse])
     for fbv, amp in state.items():
         assert back.terms.get(fbv, 0.0) == pytest.approx(amp, abs=1e-12)
@@ -114,11 +108,13 @@ def test_beamsplitter_inverse_restores_input():
 
 def test_nonunitary_specs_rejected():
     with pytest.raises(ValueError):
-        BeamsplitterSpec(in_a=1, in_b=1, out_a=3, out_b=4)
+        beamsplitter(1, 1, 3, 4)
     with pytest.raises(ValueError):
-        BeamsplitterSpec(in_a=1, in_b=2, out_a=3, out_b=4, transmissivity=1.2)
+        beamsplitter(1, 2, 3, 4, transmissivity=1.2)
     with pytest.raises(ValueError):
-        JonesUnitary(((1.0, 0.0), (0.0, 2.0)))
+        wave_plate(1, ((1.0, 0.0), (0.0, 2.0)))
+    with pytest.raises(ValueError):
+        Element("pol", ("H", "V"), ("H", "H"), ((1.0, 0.0), (0.0, 1.0)))
 
 
 def test_jones_sign_plate_flips_v():
@@ -128,20 +124,19 @@ def test_jones_sign_plate_flips_v():
             basis_vector({mode(4, "V"): 1}): 1 / math.sqrt(2),
         }
     )
-    out = apply_circuit(plus, [JonesElement(4, JonesUnitary.v_phase_flip())])
+    out = apply_circuit(plus, [wave_plate(4, ((1.0, 0.0), (0.0, -1.0)))])
     assert out.terms[basis_vector({mode(4, "V"): 1})] == pytest.approx(-1 / math.sqrt(2))
     assert out.terms[basis_vector({mode(4, "H"): 1})] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_jones_rotation_maps_h_to_v():
-    out = apply_circuit(single_photon(1, "H"), [JonesElement(1, rotation(math.pi / 2))])
+    out = apply_circuit(single_photon(1, "H"), [wave_plate(1, rotation(math.pi / 2))])
     assert inner_product(single_photon(1, "V"), out).real == pytest.approx(1.0)
 
 
 def test_jones_identity_noop():
     state = single_photon(1, "H")
-    identity = JonesUnitary(((1.0, 0.0), (0.0, 1.0)))
-    out = apply_circuit(state, [JonesElement(1, identity)])
+    out = apply_circuit(state, [wave_plate(1, ((1.0, 0.0), (0.0, 1.0)))])
     assert inner_product(state, out).real == pytest.approx(1.0)
 
 
@@ -149,8 +144,8 @@ def test_jones_commutes_with_beamsplitter_on_disjoint_modes():
     rng = np.random.default_rng(29)
     state = tensor(random_two_mode_state(rng), single_photon(5, "H"))
     u = rotation(0.3)
-    a = apply_circuit(apply_circuit(state, [BS_GATE_FRONT]), [JonesElement(5, u)])
-    b = apply_circuit(apply_circuit(state, [JonesElement(5, u)]), [BS_GATE_FRONT])
+    a = apply_circuit(apply_circuit(state, [BS_GATE_FRONT]), [wave_plate(5, u)])
+    b = apply_circuit(apply_circuit(state, [wave_plate(5, u)]), [BS_GATE_FRONT])
     for fbv, amp in a.items():
         assert b.terms.get(fbv, 0.0) == pytest.approx(amp, abs=1e-12)
 
@@ -196,27 +191,16 @@ def beamsplitters(draw):
     # the state can occupy.
     a, b = draw(st.lists(SPATIAL, min_size=2, max_size=2, unique=True))
     out_a, out_b = (b, a) if draw(st.booleans()) else (a, b)
-    return BeamsplitterSpec(
-        in_a=a,
-        in_b=b,
-        out_a=out_a,
-        out_b=out_b,
-        transmissivity=draw(UNIT),
-        sign_convention=draw(
-            st.sampled_from((REFLECTION_MINUS_ON_OUT_A, REFLECTION_MINUS_ON_OUT_B))
-        ),
+    return beamsplitter(
+        a, b, out_a, out_b, transmissivity=draw(UNIT), minus_on_out_a=draw(st.booleans())
     )
 
 
 ELEMENTS = st.lists(
     st.one_of(
         beamsplitters(),
-        st.builds(
-            JonesElement,
-            SPATIAL,
-            st.floats(-math.pi, math.pi).map(rotation),
-        ),
-        st.builds(DelayElement, SPATIAL, UNIT),
+        st.builds(wave_plate, SPATIAL, st.floats(-math.pi, math.pi).map(rotation)),
+        st.builds(delay, SPATIAL, UNIT),
     ),
     max_size=5,
 )

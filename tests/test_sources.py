@@ -14,8 +14,8 @@ from wexpand.fock import (
     tensor,
     vacuum_state,
 )
-from wexpand.gates import OUTPUT_MODES, run_gate, w_state_qubits
-from wexpand.optics import JonesElement, apply_circuit, apply_delay
+from wexpand.gates import OUTPUT_MODES, run_gate, two_photon_ancilla, w_state_qubits
+from wexpand.optics import apply_circuit, apply_delay, wave_plate
 from wexpand.sources import (
     N_MAX,
     calibrate_overlap_for_visibility,
@@ -24,7 +24,6 @@ from wexpand.sources import (
     hom_scan,
     hom_visibility,
     spdc_pair,
-    two_photon_ancilla,
     weak_coherent_pulse,
 )
 from wexpand.tomography import fidelity
@@ -66,7 +65,7 @@ def test_wcp_with_ideal_ancilla_reproduces_gate_success():
             tensor(
                 apply_circuit(
                     heralded_single_photon(),
-                    [JonesElement(1, rotation(math.pi / 2))],
+                    [wave_plate(1, rotation(math.pi / 2))],
                 ),
                 pulse,
             )
