@@ -29,7 +29,8 @@ from .fock import DensityMatrix, postselect_qubits, single_photon
 from .gates import (
     MODE_INPUT,
     OUTPUT_MODES,
-    expand_w,
+    _expand_from_branches,
+    _gate_branches,
     success_probability_analytic,
     through_gate,
     w_state_qubits,
@@ -275,7 +276,11 @@ def _tomography_block(
     }
     if not config.exact and config.n_resamples:
         block["bootstrap"], block["bootstrap_fits"] = bootstrap_errors(
-            counts, config.n_resamples, seeds[1], rho.qubit_order
+            counts,
+            config.n_resamples,
+            seeds[1],
+            rho.qubit_order,
+            start=result.rho.matrix,
         )
     else:
         block["bootstrap"] = block["bootstrap_fits"] = None
@@ -350,9 +355,11 @@ def _run_w4(config: ExperimentConfig) -> dict:
 
 
 def _run_scaling(config: ExperimentConfig) -> dict:
+    # Every size is built from the same two gate runs.
+    branches = _gate_branches()
     rows = []
     for n in range(1, 9):
-        rho, probability = expand_w(n)
+        rho, probability = _expand_from_branches(n, branches)
         rows.append(
             {
                 "n": n,

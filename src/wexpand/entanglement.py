@@ -22,11 +22,13 @@ _YY = np.kron(_PAULI_Y, _PAULI_Y)
 
 
 def _symmetrized(rho) -> np.ndarray:
-    """Hermitian-symmetrize, rejecting anything asymmetric beyond tolerance."""
+    """Hermitian-symmetrize a matrix or a stack of matrices, rejecting
+    anything asymmetric beyond tolerance."""
     m = as_matrix(rho)
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    if np.max(np.abs(m - adjoint)) > HERMITICITY_ATOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (m + m.conj().T) / 2.0
+    return (m + adjoint) / 2.0
 
 
 def witness_value(rho, n_qubits: int) -> float:
@@ -74,28 +76,29 @@ def _ptrace_matrix(matrix: np.ndarray, n_qubits: int, keep: list[int]) -> np.nda
     return tensor.reshape(dim, dim)
 
 
-def _validated_two_qubit(rho) -> np.ndarray:
-    m = _symmetrized(rho)
-    if m.shape != (4, 4):
-        raise ValueError("expected a two-qubit (4x4) density matrix")
-    if abs(np.trace(m).real - 1.0) > TWO_QUBIT_TRACE_ATOL:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(m).min() < -TWO_QUBIT_PSD_ATOL:
-        raise ValueError("density matrix is not positive semidefinite")
-    return m
-
-
-def concurrence(rho) -> float:
-    """Two-qubit concurrence from the spin-flipped spectrum.
+def _concurrences(stack) -> np.ndarray:
+    """Concurrence of each two-qubit density matrix in a (k, 4, 4) stack,
+    with one validation and one ``eigvals`` call for the whole stack.
 
     max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of the
     eigenvalues of rho (Y x Y) rho* (Y x Y).
     """
-    m = _validated_two_qubit(rho)
+    m = _symmetrized(stack)
+    if m.shape[1:] != (4, 4):
+        raise ValueError("expected a two-qubit (4x4) density matrix")
+    if np.max(np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)) > TWO_QUBIT_TRACE_ATOL:
+        raise ValueError("density matrix trace differs from 1")
+    if np.linalg.eigvalsh(m).min() < -TWO_QUBIT_PSD_ATOL:
+        raise ValueError("density matrix is not positive semidefinite")
     flipped = m @ _YY @ m.conj() @ _YY
-    eigenvalues = np.sort(np.abs(np.real(np.linalg.eigvals(flipped))))[::-1]
+    eigenvalues = np.sort(np.abs(np.real(np.linalg.eigvals(flipped))))[:, ::-1]
     lam = np.sqrt(eigenvalues)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+
+
+def concurrence(rho) -> float:
+    """Two-qubit concurrence from the spin-flipped spectrum."""
+    return float(_concurrences(as_matrix(rho)[None])[0])
 
 
 def binary_entropy(x: float) -> float:
@@ -121,11 +124,13 @@ def pairwise_eof_table(rho: DensityMatrix) -> dict[tuple[int, int], float]:
 
     Keys are (mode id, mode id) pairs taken from the qubit order.
     """
-    if rho.n_qubits < 2:
+    n = rho.n_qubits
+    if n < 2:
         raise ValueError("need at least two qubits")
-    table = {}
-    for i, j in itertools.combinations(range(rho.n_qubits), 2):
-        marginal = partial_trace(rho, [i, j])
-        key = (rho.qubit_order[i], rho.qubit_order[j])
-        table[key] = eof(marginal)
-    return table
+    pairs = list(itertools.combinations(range(n), 2))
+    m = _symmetrized(rho)
+    marginals = np.stack([_ptrace_matrix(m, n, list(pair)) for pair in pairs])
+    return {
+        (rho.qubit_order[i], rho.qubit_order[j]): eof_from_concurrence(float(c))
+        for (i, j), c in zip(pairs, _concurrences(marginals))
+    }

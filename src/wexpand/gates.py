@@ -123,6 +123,15 @@ def success_probability_analytic(n: int) -> float:
     return (n + 2) / (16.0 * n)
 
 
+def _gate_branches() -> tuple[np.ndarray, np.ndarray]:
+    """The output qubit amplitudes of an H and of a V photon alone in mode
+    1 through the gate: the two gate runs every expansion is built from."""
+    return tuple(
+        qubit_amplitudes(through_gate(single_photon(MODE_INPUT, pol)), OUTPUT_MODES)
+        for pol in (H, V)
+    )
+
+
 def expand_w(n: int) -> tuple[DensityMatrix, float]:
     """Expand an ideal N-qubit W state into an (N+2)-qubit one.
 
@@ -134,11 +143,14 @@ def expand_w(n: int) -> tuple[DensityMatrix, float]:
     """
     if n < 1:
         raise ValueError("W state needs at least one qubit")
-    branch_h, branch_v = (
-        qubit_amplitudes(through_gate(single_photon(MODE_INPUT, pol)), OUTPUT_MODES)
-        for pol in (H, V)
-    )
+    return _expand_from_branches(n, _gate_branches())
 
+
+def _expand_from_branches(
+    n: int, branches: tuple[np.ndarray, np.ndarray]
+) -> tuple[DensityMatrix, float]:
+    """``expand_w(n)`` from the two runs of ``_gate_branches``."""
+    branch_h, branch_v = branches
     rest = untouched_mode_ids(n)
     n_rest = len(rest)
     out = np.zeros(2 ** (n_rest + 3), dtype=complex)

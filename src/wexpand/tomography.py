@@ -41,12 +41,15 @@ PROJECTOR_KETS = {
     "R": np.array([1.0, -1.0j], dtype=complex) / _SQRT2,
 }
 
-# Iterations between two checks of the optimality certificate.
-_CERTIFICATE_EVERY = 10
 # The gradient step length grows by _STEP_GROWTH after each step and
 # shrinks by _STEP_SHRINK while a step fails the sufficient-increase test.
-_STEP_GROWTH = 1.25
+_STEP_GROWTH = 1.1
 _STEP_SHRINK = 0.5
+# The certificate is next checked when the optimality gap, assumed to
+# shrink by _GAP_RATE per iteration, would reach the stop tolerance, and at
+# most _CHECK_WAIT_MAX iterations later.
+_GAP_RATE = 0.6
+_CHECK_WAIT_MAX = 10
 
 
 def default_settings(n_qubits: int) -> list[tuple]:
@@ -77,10 +80,12 @@ class MeasurementModel:
     with G = sum_j P_j: ``povm_rows @ sigma.ravel().view(float)`` gives the
     predicted probabilities Tr(E_j sigma) of a Hermitian sigma, and
     ``(w @ povm_rows).view(complex)`` the operator sum_j w_j E_j.
-    ``g_inv_sqrt`` maps a fitted sigma back to rho.
+    ``g_inv_sqrt`` maps a fitted sigma back to rho, and ``g_sqrt`` a rho
+    into the fit's frame.
     """
 
     projector_rows: np.ndarray
+    g_sqrt: np.ndarray
     g_inv_sqrt: np.ndarray
     povm_rows: np.ndarray
 
@@ -94,13 +99,14 @@ def measurement_model(n_qubits: int) -> MeasurementModel:
     rows = np.stack([setting_projector(s).ravel() for s in settings]).view(np.float64)
     projectors = rows.view(complex).reshape(len(settings), dim, dim)
     evals, evecs = np.linalg.eigh(projectors.sum(axis=0))
+    g_sqrt = (evecs * np.sqrt(evals)) @ evecs.conj().T
     g_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
     povm = np.einsum("ab,jbc,cd->jad", g_inv_sqrt, projectors, g_inv_sqrt)
     povm_rows = np.ascontiguousarray(povm.reshape(len(settings), dim * dim))
     povm_rows = povm_rows.view(np.float64)
-    for array in (rows, g_inv_sqrt, povm_rows):
+    for array in (rows, g_sqrt, g_inv_sqrt, povm_rows):
         array.setflags(write=False)
-    return MeasurementModel(rows, g_inv_sqrt, povm_rows)
+    return MeasurementModel(rows, g_sqrt, g_inv_sqrt, povm_rows)
 
 
 def _born_probabilities(rho: DensityMatrix) -> np.ndarray:
@@ -184,6 +190,7 @@ def imlm_reconstruct(
     counts,
     max_iter: int = IMLM_MAX_ITER,
     qubit_order: Sequence[int] | None = None,
+    start=None,
 ) -> ReconstructionResult:
     """Maximum-likelihood density-matrix reconstruction by monotone
     accelerated projected gradient.
@@ -194,6 +201,8 @@ def imlm_reconstruct(
         max_iter: iteration cap.
         qubit_order: spatial-mode ids for the reconstructed qubits
             (defaults to 0..n-1).
+        start: density matrix the fit starts from, in the frame of the
+            returned rho (defaults to the maximally mixed state).
 
     The fit maximizes L = sum_j n_j log q_j over density matrices sigma in
     the frame where the settings resolve the identity, with q_j =
@@ -210,8 +219,10 @@ def imlm_reconstruct(
     (Glancy, Knill & Girard, NJP 14, 095017, 2012).  The fit stops on that
     certificate once lambda_max - 1 <= IMLM_CERTIFICATE_RTOL, a test on the
     frequencies alone, so the count scale does not decide when it stops.
-    The test runs every _CERTIFICATE_EVERY iterations and once more at the
-    returned sigma; whenever it holds there, ``stop_reason`` is
+    After a check that finds the gap e too large, the next one comes after
+    ln(IMLM_CERTIFICATE_RTOL / e) / ln(_GAP_RATE) iterations, rounded up and
+    clamped to [1, _CHECK_WAIT_MAX]; the test runs once more at the returned
+    sigma, and whenever it holds there, ``stop_reason`` is
     ``"certificate"``.
     """
     data = np.asarray(counts, dtype=float)
@@ -242,22 +253,33 @@ def imlm_reconstruct(
     def gradient(q: np.ndarray) -> np.ndarray:
         return ((freq / q) @ rows).view(complex).reshape(dim, dim)
 
-    sigma = np.eye(dim, dtype=complex) / dim
+    if start is None:
+        sigma = np.eye(dim, dtype=complex) / dim
+    else:
+        start = np.asarray(start, dtype=complex)
+        if start.shape != (dim, dim):
+            raise ValueError(
+                f"start must be a {dim}x{dim} density matrix; got shape {start.shape}"
+            )
+        sigma = model.g_sqrt @ start @ model.g_sqrt
+        sigma /= np.trace(sigma).real
     q, ll = evaluate(sigma)
     y, q_y, ll_y = sigma, q, ll  # the momentum point
     theta = 1.0
     step = 1.0
     history = [total * ll]
-    iterations = 0
+    iterations = next_check = 0
     stop_reason = "max_iter"
 
     while True:
-        checked = iterations % _CERTIFICATE_EVERY == 0
+        checked = iterations == next_check
         if checked:
             excess = _excess(gradient(q))
             if excess <= IMLM_CERTIFICATE_RTOL:
                 stop_reason = "certificate"
                 break
+            wait = math.log(IMLM_CERTIFICATE_RTOL / excess) / math.log(_GAP_RATE)
+            next_check += min(max(math.ceil(wait), 1), _CHECK_WAIT_MAX)
         if iterations == max_iter:
             break
 
@@ -340,6 +362,7 @@ def bootstrap_errors(
     seed: int,
     qubit_order: Sequence[int],
     max_iter: int = IMLM_MAX_ITER,
+    start=None,
 ) -> tuple[dict, dict]:
     """Parametric bootstrap error bars for the ``w_statistics`` of a fit.
 
@@ -350,7 +373,12 @@ def bootstrap_errors(
     fits: how many did not converge and the p50, p90 (nearest rank) and max
     of their iteration counts.  Resample seeds derive from the master seed,
     so results are reproducible and resamples could run in parallel; every
-    resample shares the cached measurement model.
+    resample shares the cached measurement model.  Every resample drawn from
+    the data starts its fit at ``start``, normally the fit of the observed
+    counts: a resampled count is zero wherever the observed one is.  A
+    resample that draws no count at all is replaced by one count per
+    setting, which is not the data, so its fit starts from the maximally
+    mixed state.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
@@ -363,9 +391,12 @@ def bootstrap_errors(
     for child in child_seeds:
         rng = np.random.default_rng(child)
         resampled = rng.poisson(data)
+        origin = start
         if resampled.sum() == 0:
-            resampled = np.ones_like(resampled)
-        result = imlm_reconstruct(resampled, max_iter=max_iter, qubit_order=qubit_order)
+            resampled, origin = np.ones_like(resampled), None
+        result = imlm_reconstruct(
+            resampled, max_iter=max_iter, qubit_order=qubit_order, start=origin
+        )
         iterations.append(result.iterations)
         unconverged += not result.converged
         samples.append(w_statistics(result.rho))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wexpand
-from wexpand import sources
+from wexpand import gates, sources
 from wexpand.cli import (
     SCENARIOS,
     ExperimentConfig,
@@ -22,6 +22,7 @@ from wexpand.cli import (
     run_scenario,
 )
 from wexpand.gates import run_gate
+from wexpand.tomography import fidelity
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -352,6 +353,25 @@ def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
     config.nu = 0.05
     run_scenario(config)
     assert photons == [1, 1, 1, 1]
+
+
+def test_shipped_scaling_scenario_takes_two_gate_runs(monkeypatch):
+    # Every row expands W_N through the same two gate runs, an H and a V
+    # photon alone in mode 1 with the two-photon ancilla, so the scenario
+    # runs the gate twice in all.
+    photons = []
+
+    def counted(state):
+        photons.append(max(len(fbv) for fbv in state.terms))
+        return run_gate(state)
+
+    monkeypatch.setattr(gates, "run_gate", counted)
+    rows = run_scenario(load_config(CONFIG_DIR / "scaling.json"))["results"]["rows"]
+    assert photons == [3, 3]
+    for row in rows:
+        rho, probability = gates.expand_w(row["n"])
+        assert row["simulated"] == probability
+        assert row["fidelity"] == fidelity(rho, gates.w_state_qubits(row["n"] + 2))
 
 
 @pytest.mark.parametrize(

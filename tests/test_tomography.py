@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wexpand.fock import DensityMatrix
-from wexpand.gates import w_state_qubits
+from wexpand.cli import _child_seeds, load_config
+from wexpand.fock import DensityMatrix, postselect_qubits, single_photon
+from wexpand.gates import MODE_INPUT, OUTPUT_MODES, through_gate, w_state_qubits
 from wexpand.tolerances import IMLM_CERTIFICATE_RTOL, PSD_ATOL, TRACE_ATOL
 from wexpand.tomography import (
     _project_density,
@@ -18,6 +21,7 @@ from wexpand.tomography import (
     setting_projector,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 W3 = w_state_qubits(3)
 RHO_W3 = DensityMatrix.from_pure(W3, [4, 5, 6])
 SETTINGS_3 = default_settings(3)
@@ -274,13 +278,84 @@ def test_bootstrap_builds_the_measurement_model_once():
     assert errs["pairwise_eof"].keys() == {"45", "46", "56"}
 
 
+def w3_sampled_count_sets():
+    """The experiment-scale sampled W3 count sets of acceptance criterion
+    6(c)."""
+    flux = flux_for_typical_count(RHO_W3, 104.0)
+    return [sample_counts(RHO_W3, flux, seed) for seed in range(20)]
+
+
+def test_certificate_is_checked_soon_after_it_first_holds():
+    # Refitting with max_iter = k stops at iterate k and checks the
+    # certificate there, so the first k whose fit converges is the first
+    # certified iterate.  A fit stops on average at most 3 iterations past
+    # it; a check every 10 iterations would stop about 5 past it.
+    overshoot = []
+    for counts in w3_sampled_count_sets():
+        fit = imlm_reconstruct(counts)
+        assert fit.converged
+        first = next(
+            k for k in range(fit.iterations + 1)
+            if imlm_reconstruct(counts, max_iter=k).converged
+        )
+        overshoot.append(fit.iterations - first)
+    assert min(overshoot) >= 0
+    assert np.mean(overshoot) <= 3
+
+
+def test_warm_started_bootstrap_matches_the_cold_one():
+    # The shipped w3 counts: resamples started from the fit of the observed
+    # counts give the same error bars as resamples started from I/d.
+    config = load_config(CONFIG_DIR / "w3.json")
+    count_seed, bootstrap_seed = _child_seeds(config.seed, 2)
+    rho, _ = postselect_qubits(
+        through_gate(single_photon(MODE_INPUT, "V"), config.overlap), OUTPUT_MODES
+    )
+    flux = flux_for_typical_count(rho, config.flux_per_setting)
+    counts = sample_counts(rho, flux, count_seed)
+    fit = imlm_reconstruct(counts, qubit_order=rho.qubit_order)
+    cold, cold_fits = bootstrap_errors(counts, 20, bootstrap_seed, rho.qubit_order)
+    warm, warm_fits = bootstrap_errors(
+        counts, 20, bootstrap_seed, rho.qubit_order, start=fit.rho.matrix
+    )
+    assert cold_fits["unconverged"] == warm_fits["unconverged"] == 0
+    for key in ("fidelity", "witness"):
+        assert warm[key] == pytest.approx(cold[key], abs=1e-5)
+    assert warm["pairwise_eof"].keys() == cold["pairwise_eof"].keys()
+    for pair, value in cold["pairwise_eof"].items():
+        assert warm["pairwise_eof"][pair] == pytest.approx(value, abs=1e-5)
+
+
+def test_resample_without_counts_starts_cold():
+    # With one click in all, a resample draws no count at all about a third
+    # of the time.  It is then replaced by one count per setting, which is
+    # not the data, so its fit starts from I/d rather than from the
+    # one-click fit (71 iterations against 125).  Every other resample is
+    # the one-click data scaled, whose fit is the start.
+    one_click = [1] + [0] * 63
+    start = imlm_reconstruct(one_click).rho.matrix
+    cold = imlm_reconstruct(np.ones(64))
+    assert imlm_reconstruct(np.ones(64), start=start).iterations > cold.iterations
+    _, fits = bootstrap_errors(one_click, 8, seed=1, qubit_order=[0, 1, 2], start=start)
+    assert fits["unconverged"] == 0
+    assert fits["iterations_max"] == cold.iterations
+
+
+def test_start_of_the_wrong_shape_rejected():
+    one_click = [1] + [0] * 63
+    for start in (np.eye(4) / 4, np.ones(8) / 8, np.eye(16) / 16):
+        with pytest.raises(ValueError, match="8x8"):
+            imlm_reconstruct(one_click, start=start)
+        with pytest.raises(ValueError, match="8x8"):
+            bootstrap_errors(one_click, 2, seed=1, qubit_order=[0, 1, 2], start=start)
+
+
 def test_sampled_w3_fits_have_no_heavy_tail():
     # The experiment-scale sampled W3 count sets of acceptance criterion
     # 6(c): every fit stops on the certificate, and none takes a long tail
     # of iterations toward the rank-deficient optimum.
-    flux = flux_for_typical_count(RHO_W3, 104.0)
-    for seed in range(20):
-        fit = imlm_reconstruct(sample_counts(RHO_W3, flux, seed))
+    for counts in w3_sampled_count_sets():
+        fit = imlm_reconstruct(counts)
         assert fit.stop_reason == "certificate"
         assert fit.iterations <= 200
 
