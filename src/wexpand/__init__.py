@@ -17,7 +17,6 @@ from .fock import (
     mode,
     number_state,
     postselect_qubits,
-    qubit_amplitudes,
     single_photon,
     tensor,
     vacuum_state,
@@ -32,9 +31,8 @@ from .optics import (
 )
 from .gates import (
     GATE_ELEMENTS,
-    expand_w,
-    expand_w_full_photonic,
-    photonic_w_state,
+    excitation_density,
+    expand,
     run_gate,
     success_probability_analytic,
     through_gate,

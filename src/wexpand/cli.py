@@ -25,14 +25,14 @@ import numpy as np
 
 from . import __version__
 from .entanglement import eof
-from .fock import DensityMatrix, postselect_qubits, single_photon
+from .fock import DensityMatrix, postselect_qubits
 from .gates import (
     MODE_INPUT,
     OUTPUT_MODES,
-    _expand_from_branches,
-    _gate_branches,
+    excitation_density,
+    excitation_indices,
+    expand,
     success_probability_analytic,
-    through_gate,
     w_state_qubits,
 )
 from .sources import (
@@ -308,19 +308,16 @@ def _run_hom(config: ExperimentConfig) -> dict:
 
 def _run_w3(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(config.seed, 2)
-    out_state = through_gate(single_photon(MODE_INPUT, "V"), config.overlap)
-    rho, probability = postselect_qubits(out_state, OUTPUT_MODES)
-    if rho is None:
-        raise ValueError("post-selection probability vanished")
-    results = {
+    expanded = expand(np.ones((1, 1)), 0, config.overlap)
+    rho = excitation_density(expanded, OUTPUT_MODES)
+    return {
         "postselection": {
-            "probability": probability,
+            "probability": float(np.trace(expanded).real),
             "analytic_ideal": success_probability_analytic(1),
             "overlap": config.overlap,
         },
         "tomography": _tomography_block(rho, config, seeds),
     }
-    return results
 
 
 def _run_w4(config: ExperimentConfig) -> dict:
@@ -332,10 +329,12 @@ def _run_w4(config: ExperimentConfig) -> dict:
 
     pair_block = _tomography_block(sigma_pair, config, seeds[:2])
 
-    out_state = through_gate(pair, config.overlap)
-    rho, raw_probability = postselect_qubits(out_state, (0,) + OUTPUT_MODES)
-    if rho is None:
-        raise ValueError("post-selection probability vanished")
+    # The pair holds one V on modes 0 and 1; its photon in mode 1 enters
+    # the gate.
+    single = np.ix_(excitation_indices(2), excitation_indices(2))
+    expanded = expand(pair_probability * sigma_pair.matrix[single], 1, config.overlap)
+    rho = excitation_density(expanded, (0,) + OUTPUT_MODES)
+    raw_probability = float(np.trace(expanded).real)
 
     return {
         "pair_source": {
@@ -354,18 +353,44 @@ def _run_w4(config: ExperimentConfig) -> dict:
     }
 
 
+# The W_N input sizes of a scaling report.
+SCALING_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64, 1024)
+
+
+def _smallest(block: np.ndarray) -> float | None:
+    """The smallest entry of a block, or None if it has no finite one."""
+    value = block.min(initial=np.inf)
+    return float(value) if value < np.inf else None
+
+
 def _run_scaling(config: ExperimentConfig) -> dict:
-    # Every size is built from the same two gate runs.
-    branches = _gate_branches()
+    # W_N is J/N, with J the N x N all-ones matrix, and the map is linear.
+    # So one expansion of the largest J, which accesses its last qubit,
+    # gives every row: its last N+2 rows and columns, divided by N.
+    largest = max(SCALING_SIZES)
+    expanded = expand(np.ones((largest, largest)), largest - 1, config.overlap)
     rows = []
-    for n in range(1, 9):
-        rho, probability = _expand_from_branches(n, branches)
+    for n in SCALING_SIZES:
+        block = expanded[-(n + 2) :, -(n + 2) :] / n
+        probability = float(np.trace(block).real)
+        rho = block / probability
+        fid = float(rho.sum().real) / (n + 2)
+        # No pair holds two V photons, so a pair's concurrence is 2|rho_ij|.
+        pairs = 2 * np.abs(rho)
+        np.fill_diagonal(pairs, np.inf)
+        u = n - 1  # the untouched qubits come first
         rows.append(
             {
                 "n": n,
                 "analytic": success_probability_analytic(n),
                 "simulated": probability,
-                "fidelity": fidelity(rho, w_state_qubits(n + 2)),
+                "fidelity": fid,
+                "witness": (n + 1) / (n + 2) - fid,
+                "pair_concurrence": {
+                    "untouched_untouched": _smallest(pairs[:u, :u]),
+                    "untouched_new": _smallest(pairs[:u, u:]),
+                    "new_new": _smallest(pairs[u:, u:]),
+                },
             }
         )
     return {"rows": rows}
@@ -380,7 +405,7 @@ def run_scenario(config: ExperimentConfig) -> dict:
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {
-        "schema_version": 5,
+        "schema_version": 6,
         "tool": {"name": "wexpand", "version": __version__},
         "scenario": config.scenario,
         "config": config_to_dict(config),

@@ -256,21 +256,6 @@ def postselect_qubits(
     return result, probability
 
 
-def qubit_amplitudes(state: PhotonicState, spatial_modes: Sequence[int]) -> np.ndarray:
-    """Unnormalized polarization-qubit amplitudes of the one-photon-per-mode
-    component of a pure state; the zero vector if nothing survives.
-
-    Raises if more than one temporal-bin pattern survives the projection,
-    because the projected state is then not a pure qubit state.
-    """
-    by_bins, _ = _qubit_vectors(state, spatial_modes)
-    if len(by_bins) > 1:
-        raise ValueError("temporal bins are mixed; the projected state is not pure")
-    return next(
-        iter(by_bins.values()), np.zeros(2 ** len(spatial_modes), dtype=complex)
-    )
-
-
 @dataclass
 class DensityMatrix:
     """Density operator over polarization qubits.

@@ -8,6 +8,11 @@ auxiliary input, mode 7) into modes 5 and 6.  Success is post-selected on
 one photon in each of the output modes 4, 5 and 6, which maps an N-qubit
 W state whose accessed qubit enters mode 1 onto the (N+2)-qubit W state
 with probability (N+2)/(16N).
+
+The gate conserves the number of V photons, so a W-class input, one V
+among its qubits, stays in the single-excitation subspace at any overlap.
+``expand`` maps such a state, held as an (M x M) matrix, to its
+(M+2 x M+2) post-selected output from two one-photon gate runs.
 """
 
 from __future__ import annotations
@@ -20,17 +25,15 @@ import numpy as np
 from .fock import (
     DensityMatrix,
     PhotonicState,
-    basis_vector,
-    mode,
+    _qubit_vectors,
     number_state,
-    postselect_qubits,
-    qubit_amplitudes,
     single_photon,
     tensor,
     H,
     V,
 )
 from .optics import apply_circuit, apply_delay, beamsplitter, wave_plate
+from .tolerances import POSTSELECT_MIN_PROBABILITY
 
 MODE_INPUT = 1
 MODE_ANCILLA = 2
@@ -69,24 +72,8 @@ def w_state_qubits(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("W state needs at least one qubit")
     vec = np.zeros(2**n, dtype=complex)
-    amp = 1.0 / math.sqrt(n)
-    for j in range(n):
-        vec[1 << (n - 1 - j)] = amp
+    vec[excitation_indices(n)] = 1.0 / math.sqrt(n)
     return vec
-
-
-def photonic_w_state(mode_ids: Sequence[int]) -> PhotonicState:
-    """W state embedded as one photon per listed spatial mode."""
-    ids = list(mode_ids)
-    if not ids:
-        raise ValueError("W state needs at least one mode")
-    amp = 1.0 / math.sqrt(len(ids))
-    return PhotonicState(
-        {
-            basis_vector({mode(m, V if m == v_mode else H): 1 for m in ids}): amp
-            for v_mode in ids
-        }
-    )
 
 
 def two_photon_ancilla() -> PhotonicState:
@@ -103,19 +90,6 @@ def through_gate(w_input: PhotonicState, overlap: float = 1.0) -> PhotonicState:
     return run_gate(state)
 
 
-def untouched_mode_ids(n: int) -> list[int]:
-    """Spatial ids of the N-1 W-state photons that never enter the gate.
-
-    Mode 0 comes first (the two-qubit seed keeps its untouched photon
-    there); further photons take ids above the gate's wiring range.
-    """
-    if n < 1:
-        raise ValueError("W state needs at least one qubit")
-    if n == 1:
-        return []
-    return [0] + [MODE_AUX + 1 + k for k in range(n - 2)]
-
-
 def success_probability_analytic(n: int) -> float:
     """Post-selection success probability (N+2)/(16N) for an N-qubit input."""
     if n < 1:
@@ -123,59 +97,63 @@ def success_probability_analytic(n: int) -> float:
     return (n + 2) / (16.0 * n)
 
 
-def _gate_branches() -> tuple[np.ndarray, np.ndarray]:
-    """The output qubit amplitudes of an H and of a V photon alone in mode
-    1 through the gate: the two gate runs every expansion is built from."""
-    return tuple(
-        qubit_amplitudes(through_gate(single_photon(MODE_INPUT, pol)), OUTPUT_MODES)
-        for pol in (H, V)
+def excitation_indices(n: int) -> list[int]:
+    """Basis index of the n-qubit state with V on qubit i, for each i."""
+    return [1 << (n - 1 - i) for i in range(n)]
+
+
+def excitation_density(matrix, qubit_order: Sequence[int]) -> DensityMatrix:
+    """The validated 2^n density matrix of an unnormalized single-excitation
+    matrix over the qubits of ``qubit_order``, normalized by its trace."""
+    matrix = np.asarray(matrix, dtype=complex)
+    probability = np.trace(matrix).real
+    if probability <= POSTSELECT_MIN_PROBABILITY:
+        raise ValueError("post-selection probability vanished")
+    n = len(qubit_order)
+    dense = np.zeros((2**n, 2**n), dtype=complex)
+    dense[np.ix_(excitation_indices(n), excitation_indices(n))] = matrix / probability
+    rho = DensityMatrix(dense, list(qubit_order))
+    rho.validate()
+    return rho
+
+
+def expand(rho, k: int, overlap: float = 1.0) -> np.ndarray:
+    """Send qubit ``k`` of a single-excitation state through the gate.
+
+    ``rho`` is an unnormalized M x M matrix whose entry (i, j) belongs to V
+    on qubit i and V on qubit j.  The result is the same kind of matrix for
+    the post-selected output: the M-1 untouched qubits in their order, then
+    the output modes 4, 5, 6.  Its trace is the success probability.
+
+    For each temporal-bin pattern b of the outputs, let h_b be the |HHH>
+    amplitude of an H photon in mode 1 through the gate, and v_b the three
+    single-V amplitudes of a V photon, both with the ancilla at wavepacket
+    overlap ``overlap``.  With s = sum_b |h_b|^2, c = sum_b h_b v_b^* and
+    G = sum_b v_b v_b^dagger, the output holds s rho_ij between untouched
+    qubits, rho_ik c_a between untouched qubit i and output qubit a, and
+    rho_kk G on the outputs.  The H run fills only untouched rows, so a
+    one-qubit input runs the gate once.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    m = len(rho)
+    if rho.shape != (m, m) or not 0 <= k < m:
+        raise ValueError(f"need a square matrix and a qubit index below {m}")
+
+    def outputs(pol):
+        state = through_gate(single_photon(MODE_INPUT, pol), overlap)
+        return _qubit_vectors(state, OUTPUT_MODES)[0]
+
+    v = {b: vec[excitation_indices(3)] for b, vec in outputs(V).items()}
+    out = np.zeros((m + 2, m + 2), dtype=complex)
+    out[m - 1 :, m - 1 :] = rho[k, k] * sum(
+        (np.outer(vb, vb.conj()) for vb in v.values()), np.zeros((3, 3))
     )
-
-
-def expand_w(n: int) -> tuple[DensityMatrix, float]:
-    """Expand an ideal N-qubit W state into an (N+2)-qubit one.
-
-    The accessed qubit is routed photonically through the gate; the N-1
-    untouched qubits never enter the optics and are carried directly as
-    polarization qubits, which keeps the state size linear in N; the gate
-    runs once for an H and once for a V photon in mode 1.  Output qubit
-    order: untouched modes ascending, then the gate outputs 4, 5, 6.
-    """
-    if n < 1:
-        raise ValueError("W state needs at least one qubit")
-    return _expand_from_branches(n, _gate_branches())
-
-
-def _expand_from_branches(
-    n: int, branches: tuple[np.ndarray, np.ndarray]
-) -> tuple[DensityMatrix, float]:
-    """``expand_w(n)`` from the two runs of ``_gate_branches``."""
-    branch_h, branch_v = branches
-    rest = untouched_mode_ids(n)
-    n_rest = len(rest)
-    out = np.zeros(2 ** (n_rest + 3), dtype=complex)
-    amp = 1.0 / math.sqrt(n)
-    block = 8  # the three gate-output qubits are the least significant bits
-    # V on one of the untouched qubits: the gate sees an H photon.
-    for j in range(n_rest):
-        rest_index = 1 << (n_rest - 1 - j)
-        out[rest_index * block : (rest_index + 1) * block] += amp * branch_h
-    # V enters the gate.
-    out[0:block] += amp * branch_v
-
-    probability = float(np.vdot(out, out).real)
-    qubit_order = rest + list(OUTPUT_MODES)
-    return DensityMatrix.from_pure(out, qubit_order), probability
-
-
-def expand_w_full_photonic(n: int) -> tuple[DensityMatrix | None, float]:
-    """Same expansion with every W-state photon represented in Fock space.
-
-    Exponentially heavier than ``expand_w``; used to cross-check it on
-    small instances.
-    """
-    if n < 1:
-        raise ValueError("W state needs at least one qubit")
-    rest = untouched_mode_ids(n)
-    state = through_gate(photonic_w_state(rest + [MODE_INPUT]))
-    return postselect_qubits(state, rest + list(OUTPUT_MODES))
+    if m > 1:
+        h = {b: vec[0] for b, vec in outputs(H).items()}
+        s = sum(abs(hb) ** 2 for hb in h.values())
+        c = sum((hb * v[b].conj() for b, hb in h.items() if b in v), np.zeros(3))
+        rest = [i for i in range(m) if i != k]
+        out[: m - 1, : m - 1] = s * rho[np.ix_(rest, rest)]
+        out[: m - 1, m - 1 :] = np.outer(rho[rest, k], c)
+        out[m - 1 :, : m - 1] = np.outer(c.conj(), rho[k, rest])
+    return out

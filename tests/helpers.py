@@ -1,9 +1,27 @@
 """Test oracles and state helpers that the program itself does not need."""
 
 import math
+from typing import Sequence
 
-from wexpand.fock import PhotonicState, number_state, tensor
-from wexpand.gates import MODE_INPUT
+import numpy as np
+
+from wexpand.fock import (
+    DensityMatrix,
+    PhotonicState,
+    basis_vector,
+    mode,
+    number_state,
+    postselect_qubits,
+    tensor,
+)
+from wexpand.gates import (
+    MODE_AUX,
+    MODE_INPUT,
+    OUTPUT_MODES,
+    excitation_density,
+    expand,
+    through_gate,
+)
 
 
 def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
@@ -30,3 +48,39 @@ def heralded_single_photon(
 ) -> PhotonicState:
     """Pair state conditioned on a herald click: |1_H>_herald |1_H>_signal."""
     return tensor(number_state(herald_mode, "H", 1), number_state(signal_mode, "H", 1))
+
+
+def photonic_w_state(mode_ids: Sequence[int]) -> PhotonicState:
+    """W state embedded as one photon per listed spatial mode."""
+    ids = list(mode_ids)
+    amp = 1.0 / math.sqrt(len(ids))
+    return PhotonicState(
+        {
+            basis_vector({mode(m, "V" if m == v_mode else "H"): 1 for m in ids}): amp
+            for v_mode in ids
+        }
+    )
+
+
+def untouched_mode_ids(n: int) -> list[int]:
+    """Spatial ids of the N-1 W-state photons that never enter the gate:
+    mode 0 first, then ids above the gate's wiring range."""
+    return [0] + [MODE_AUX + 1 + k for k in range(n - 2)] if n > 1 else []
+
+
+def expand_w_full_photonic(n: int, overlap: float = 1.0):
+    """Oracle for expanding W_N: every W-state photon in Fock space, the
+    ancilla at wavepacket overlap ``overlap``, post-selected on one photon
+    per untouched mode and per output mode.  Exponentially heavier than
+    ``gates.expand``."""
+    rest = untouched_mode_ids(n)
+    state = through_gate(photonic_w_state(rest + [MODE_INPUT]), overlap)
+    return postselect_qubits(state, rest + list(OUTPUT_MODES))
+
+
+def expanded_w(n: int, overlap: float = 1.0) -> tuple[DensityMatrix, float]:
+    """W_N expanded by ``gates.expand`` on its last qubit, as the dense
+    state and the success probability, in the oracle's qubit order."""
+    expanded = expand(np.ones((n, n)) / n, n - 1, overlap)
+    order = untouched_mode_ids(n) + list(OUTPUT_MODES)
+    return excitation_density(expanded, order), float(np.trace(expanded).real)

@@ -15,7 +15,6 @@ from wexpand.entanglement import concurrence, eof, partial_trace, witness_value
 from wexpand.fock import DensityMatrix, postselect_qubits, single_photon, tensor
 from wexpand.gates import (
     OUTPUT_MODES,
-    expand_w,
     success_probability_analytic,
     through_gate,
     w_state_qubits,
@@ -31,6 +30,8 @@ from wexpand.tomography import (
     sample_counts,
 )
 
+from helpers import expanded_w
+
 
 def w_density(n):
     return DensityMatrix.from_pure(w_state_qubits(n), list(range(n)))
@@ -38,26 +39,32 @@ def w_density(n):
 
 def test_criterion_1_success_probability_table():
     start = time.monotonic()
-    for n in range(1, 9):
-        _, prob = expand_w(n)
-        assert prob == pytest.approx(success_probability_analytic(n), abs=1e-10)
-    _, p1 = expand_w(1)
-    _, p2 = expand_w(2)
-    assert p1 == pytest.approx(3 / 16, abs=1e-10)
-    assert p2 == pytest.approx(1 / 8, abs=1e-10)
+    rows = run_scenario(ExperimentConfig(scenario="scaling"))["results"]["rows"]
+    assert [row["n"] for row in rows] == [1, 2, 3, 4, 5, 6, 7, 8, 16, 64, 1024]
+    for row in rows:
+        n = row["n"]
+        assert row["simulated"] == pytest.approx(
+            success_probability_analytic(n), abs=1e-10
+        )
+        assert row["fidelity"] == pytest.approx(1.0, abs=1e-10)
+        for value in row["pair_concurrence"].values():
+            assert value is None or value == pytest.approx(2 / (n + 2), abs=1e-10)
+    assert rows[0]["simulated"] == pytest.approx(3 / 16, abs=1e-10)
+    assert rows[1]["simulated"] == pytest.approx(1 / 8, abs=1e-10)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(
         f"\nACCEPTANCE 1 PASS: simulated success probability equals (N+2)/(16N) "
-        f"for N=1..8 within 1e-10 ({elapsed:.1f}s)"
+        f"for N=1..8, 16, 64, 1024 within 1e-10, at fidelity 1 and pair "
+        f"concurrence 2/(N+2) ({elapsed:.1f}s)"
     )
 
 
 def test_criterion_2_state_correctness():
     for n in range(1, 9):
-        rho, _ = expand_w(n)
+        rho, _ = expanded_w(n)
         assert fidelity(rho, w_state_qubits(n + 2)) >= 1 - 1e-10
-    rho3, _ = expand_w(1)
+    rho3, _ = expanded_w(1)
     nonzero = np.argwhere(np.abs(rho3.matrix) > 1e-12)
     support = {1, 2, 4}  # HHV, HVH, VHH
     assert len(nonzero) == 9

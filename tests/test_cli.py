@@ -11,6 +11,7 @@ import pytest
 import wexpand
 from wexpand import gates, sources
 from wexpand.cli import (
+    SCALING_SIZES,
     SCENARIOS,
     ExperimentConfig,
     config_sha256,
@@ -21,8 +22,11 @@ from wexpand.cli import (
     main,
     run_scenario,
 )
+from wexpand.entanglement import concurrence, partial_trace, witness_value
 from wexpand.gates import run_gate
 from wexpand.tomography import fidelity
+
+from helpers import expand_w_full_photonic, expanded_w
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -167,12 +171,48 @@ def test_repo_fixture_configs_load():
 def test_scaling_report_rows():
     report = run_scenario(ExperimentConfig(scenario="scaling"))
     rows = report["results"]["rows"]
-    assert [row["n"] for row in rows] == list(range(1, 9))
+    assert [row["n"] for row in rows] == list(SCALING_SIZES)
     assert rows[0]["analytic"] == pytest.approx(0.1875)
     assert rows[1]["analytic"] == pytest.approx(0.125)
     for row in rows:
+        n = row["n"]
         assert row["simulated"] == pytest.approx(row["analytic"], abs=1e-10)
         assert row["fidelity"] >= 1 - 1e-10
+        assert row["witness"] == pytest.approx(-1 / (n + 2), abs=1e-10)
+        classes = row["pair_concurrence"]
+        assert (classes["untouched_untouched"] is None) == (n < 3)
+        assert (classes["untouched_new"] is None) == (n < 2)
+        for value in classes.values():
+            assert value is None or value == pytest.approx(2 / (n + 2), abs=1e-10)
+
+
+def test_scaling_rows_at_partial_overlap_match_the_fock_engine():
+    rows = run_scenario(ExperimentConfig(scenario="scaling", overlap=0.926))[
+        "results"
+    ]["rows"]
+    assert rows[0]["fidelity"] == pytest.approx(0.90498, abs=1e-5)
+    assert rows[1]["simulated"] == pytest.approx(0.133908, abs=1e-5)
+    assert rows[1]["fidelity"] == pytest.approx(0.86696, abs=1e-5)
+    for row in rows[:4]:
+        n = row["n"]
+        oracle, probability = expand_w_full_photonic(n, 0.926)
+        assert row["simulated"] == pytest.approx(probability, abs=1e-12)
+        assert row["witness"] == pytest.approx(witness_value(oracle, n + 2), abs=1e-12)
+        # Pair concurrences from the dense state, smallest per class; the
+        # untouched qubits come first.
+        smallest = {}
+        kind = ("untouched", "new")
+        for i in range(n + 2):
+            for j in range(i + 1, n + 2):
+                name = f"{kind[i >= n - 1]}_{kind[j >= n - 1]}"
+                value = concurrence(partial_trace(oracle, [i, j]))
+                smallest[name] = min(smallest.get(name, 1.0), value)
+        assert row["pair_concurrence"].keys() >= smallest.keys()
+        for name, value in row["pair_concurrence"].items():
+            if name not in smallest:
+                assert value is None
+            else:
+                assert value == pytest.approx(smallest[name], abs=1e-10)
 
 
 def test_w3_exact_scenario_quality():
@@ -249,7 +289,7 @@ def test_report_embeds_hash_and_version():
     report = run_scenario(config)
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
-    assert report["schema_version"] == 5
+    assert report["schema_version"] == 6
     assert "reference_values" in report
     assert report["config"] == config_to_dict(config)
 
@@ -288,7 +328,7 @@ def test_main_scaling_and_outputs(tmp_path):
     out = tmp_path / "scaling.json"
     assert main(["scaling", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert len(report["results"]["rows"]) == 8
+    assert len(report["results"]["rows"]) == len(SCALING_SIZES)
 
 
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):
@@ -355,10 +395,8 @@ def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
     assert photons == [1, 1, 1, 1]
 
 
-def test_shipped_scaling_scenario_takes_two_gate_runs(monkeypatch):
-    # Every row expands W_N through the same two gate runs, an H and a V
-    # photon alone in mode 1 with the two-photon ancilla, so the scenario
-    # runs the gate twice in all.
+def count_gate_runs(monkeypatch) -> list[int]:
+    """Patch the gate to record the photon number of each run's input."""
     photons = []
 
     def counted(state):
@@ -366,12 +404,32 @@ def test_shipped_scaling_scenario_takes_two_gate_runs(monkeypatch):
         return run_gate(state)
 
     monkeypatch.setattr(gates, "run_gate", counted)
+    return photons
+
+
+def test_shipped_scaling_scenario_takes_two_gate_runs(monkeypatch):
+    # Every row expands W_N through the same two gate runs, an H and a V
+    # photon alone in mode 1 with the two-photon ancilla, so the scenario
+    # runs the gate twice in all.
+    photons = count_gate_runs(monkeypatch)
     rows = run_scenario(load_config(CONFIG_DIR / "scaling.json"))["results"]["rows"]
     assert photons == [3, 3]
-    for row in rows:
-        rho, probability = gates.expand_w(row["n"])
-        assert row["simulated"] == probability
-        assert row["fidelity"] == fidelity(rho, gates.w_state_qubits(row["n"] + 2))
+    for row in rows[:8]:
+        rho, probability = expanded_w(row["n"])
+        assert row["simulated"] == pytest.approx(probability, abs=1e-12)
+        assert row["fidelity"] == pytest.approx(
+            fidelity(rho, gates.w_state_qubits(row["n"] + 2)), abs=1e-12
+        )
+
+
+def test_w3_and_w4_expand_through_one_photon_runs(monkeypatch):
+    # w3 sends only its V photon through the gate; w4 adds an H photon for
+    # the untouched qubit of its pair.
+    photons = count_gate_runs(monkeypatch)
+    run_scenario(ExperimentConfig(scenario="w3", exact=True))
+    assert photons == [3]
+    run_scenario(ExperimentConfig(scenario="w4", exact=True))
+    assert photons == [3, 3, 3]
 
 
 @pytest.mark.parametrize(

@@ -12,17 +12,15 @@ from wexpand.fock import (
     coincidence_probability,
     mode,
     number_state,
+    _qubit_vectors,
     postselect_qubits,
-    qubit_amplitudes,
     single_photon,
     tensor,
     vacuum_state,
     ORTHOGONAL,
     PRINCIPAL,
 )
-from wexpand.gates import photonic_w_state
-
-from helpers import inner_product, scaled
+from helpers import inner_product, photonic_w_state, scaled
 
 
 def random_state(rng, modes, max_photons=2):
@@ -200,7 +198,9 @@ def test_postselect_probability_matches_term_filter():
 
 def test_qubit_amplitudes_pure_projection():
     w3 = photonic_w_state([4, 5, 6])
-    amps = qubit_amplitudes(w3, [4, 5, 6])
+    by_bins, prob = _qubit_vectors(w3, [4, 5, 6])
+    assert prob == pytest.approx(1.0)
+    (amps,) = by_bins.values()
     assert amps[4] == pytest.approx(1 / math.sqrt(3))  # VHH
     assert amps[2] == pytest.approx(1 / math.sqrt(3))  # HVH
     assert amps[1] == pytest.approx(1 / math.sqrt(3))  # HHV
@@ -210,21 +210,22 @@ def test_qubit_amplitudes_zero_when_nothing_survives():
     # Two photons in mode 4 and none in mode 5: no term has one photon per
     # listed mode.
     state = number_state(4, "H", 2)
-    amps = qubit_amplitudes(state, [4, 5])
-    assert amps.shape == (4,)
-    assert np.array_equal(amps, np.zeros(4))
+    assert _qubit_vectors(state, [4, 5]) == ({}, 0.0)
 
 
-def test_qubit_amplitudes_rejects_mixed_bins():
+def test_qubit_vectors_keep_bin_patterns_apart():
     f1 = basis_vector(
         {mode(4, "H", PRINCIPAL): 1, mode(5, "V", ORTHOGONAL): 1}
     )
     f2 = basis_vector(
         {mode(4, "V", ORTHOGONAL): 1, mode(5, "H", PRINCIPAL): 1}
     )
-    state = PhotonicState({f1: 1 / math.sqrt(2), f2: 1 / math.sqrt(2)})
-    with pytest.raises(ValueError):
-        qubit_amplitudes(state, [4, 5])
+    state = PhotonicState({f1: 0.6, f2: 0.8})
+    by_bins, prob = _qubit_vectors(state, [4, 5])
+    assert prob == pytest.approx(1.0)
+    assert set(by_bins) == {(PRINCIPAL, ORTHOGONAL), (ORTHOGONAL, PRINCIPAL)}
+    assert np.array_equal(by_bins[PRINCIPAL, ORTHOGONAL], [0, 0.6, 0, 0])  # HV
+    assert np.array_equal(by_bins[ORTHOGONAL, PRINCIPAL], [0, 0, 0.8, 0])  # VH
 
 
 def test_coincidence_probability_threshold():

@@ -2,26 +2,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from wexpand.fock import postselect_qubits, single_photon, tensor, qubit_amplitudes
+from wexpand.fock import (
+    PhotonicState,
+    _qubit_vectors,
+    mode,
+    postselect_qubits,
+    single_photon,
+    tensor,
+    TEMPORAL_BINS,
+)
 from wexpand.gates import (
     GATE_ELEMENTS,
     GateInputError,
+    MODE_INPUT,
     OUTPUT_MODES,
-    expand_w,
-    expand_w_full_photonic,
-    photonic_w_state,
+    excitation_density,
+    excitation_indices,
+    expand,
     run_gate,
     success_probability_analytic,
     through_gate,
     two_photon_ancilla,
-    untouched_mode_ids,
     w_state_qubits,
 )
 from wexpand.optics import apply_circuit
+from wexpand.sources import spdc_pair
 from wexpand.tomography import fidelity
 
-from helpers import scaled
+from helpers import (
+    expand_w_full_photonic,
+    expanded_w,
+    photonic_w_state,
+    scaled,
+    untouched_mode_ids,
+)
 
 
 def gate_output(pol):
@@ -76,18 +92,75 @@ def test_w2_input_expands_to_w4_full_photonic():
 
 def test_expand_w_matches_analytic_scaling():
     for n in range(1, 9):
-        rho, prob = expand_w(n)
+        rho, prob = expanded_w(n)
         assert prob == pytest.approx(success_probability_analytic(n), abs=1e-10)
         assert fidelity(rho, w_state_qubits(n + 2)) >= 1 - 1e-10
         assert rho.qubit_order == untouched_mode_ids(n) + list(OUTPUT_MODES)
 
 
-def test_expand_w_cross_checked_against_full_embedding():
-    for n in (1, 2, 3):
-        fast, p_fast = expand_w(n)
-        full, p_full = expand_w_full_photonic(n)
-        assert p_fast == pytest.approx(p_full, abs=1e-12)
-        assert np.allclose(fast.matrix, full.matrix, atol=1e-10)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.floats(0.0, 1.0))
+def test_expand_w_cross_checked_against_full_embedding(n, overlap):
+    rho, prob = expanded_w(n, overlap)
+    oracle, oracle_prob = expand_w_full_photonic(n, overlap)
+    assert prob == pytest.approx(oracle_prob, abs=1e-12)
+    assert np.abs(rho.matrix - oracle.matrix).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0), st.floats(0.01, 1.0))
+def test_expand_matches_the_fock_oracle_on_the_pair(overlap, gamma):
+    # The w4 input: a down-conversion pair on modes 0 and 1, one V between
+    # them, whose photon in mode 1 enters the gate.
+    pair = spdc_pair(gamma, modes=(0, MODE_INPUT))
+    sigma, pair_prob = postselect_qubits(pair, (0, MODE_INPUT))
+    single = np.ix_(excitation_indices(2), excitation_indices(2))
+    expanded = expand(pair_prob * sigma.matrix[single], 1, overlap)
+    rho = excitation_density(expanded, (0,) + OUTPUT_MODES)
+    oracle, oracle_prob = postselect_qubits(
+        through_gate(pair, overlap), (0,) + OUTPUT_MODES
+    )
+    assert np.trace(expanded).real == pytest.approx(oracle_prob, abs=1e-12)
+    assert np.abs(rho.matrix - oracle.matrix).max() <= 1e-12
+
+
+def test_expand_rejects_a_bad_shape_or_qubit():
+    with pytest.raises(ValueError):
+        expand(np.ones((2, 3)), 0)
+    with pytest.raises(ValueError):
+        expand(np.ones((2, 2)), 2)
+    with pytest.raises(ValueError, match="vanished"):
+        excitation_density(np.zeros((3, 3)), OUTPUT_MODES)
+
+
+# A photon in mode 1 or 2 of either polarization and temporal bin.
+PHOTONS = st.builds(
+    mode, st.sampled_from((1, 2)), st.sampled_from("HV"), st.sampled_from(TEMPORAL_BINS)
+)
+GATE_INPUTS = st.dictionaries(
+    st.lists(PHOTONS, min_size=1, max_size=3).map(lambda p: tuple(sorted(p))),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=4,
+)
+
+
+def v_count(fbv) -> int:
+    return sum(lab.pol == "V" for lab in fbv)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(GATE_INPUTS)
+def test_gate_conserves_the_v_photon_number(terms):
+    # Its beamsplitters leave polarization alone and its plate is diagonal,
+    # so every V-number sector of the input stays in its sector, with its
+    # norm.
+    for n_v in {v_count(fbv) for fbv in terms}:
+        part = PhotonicState({f: a for f, a in terms.items() if v_count(f) == n_v})
+        assume(part.norm_squared() > 1e-6)
+        out = run_gate(part)
+        assert {v_count(fbv) for fbv in out.terms} <= {n_v}
+        assert out.norm_squared() == pytest.approx(part.norm_squared(), abs=1e-12)
 
 
 def test_full_simulation_probability_at_n6():
@@ -118,7 +191,7 @@ def test_sign_plate_required_for_w3():
     state = apply_circuit(
         tensor(single_photon(1, "V"), two_photon_ancilla()), without_plate
     )
-    amps = qubit_amplitudes(state, OUTPUT_MODES)
+    (amps,) = _qubit_vectors(state, OUTPUT_MODES)[0].values()
     # amplitude pattern (-1, 1, 1)/sqrt(3) after normalization
     scaled = amps / np.linalg.norm(amps)
     assert scaled[4] == pytest.approx(-1 / math.sqrt(3))
