@@ -11,7 +11,6 @@ asserted against.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -52,8 +51,6 @@ from .tomography import (
     sample_counts,
     w_statistics,
 )
-
-SCENARIOS = ("hom", "w3", "w4", "scaling")
 
 # Experimental values quoted for the same scenarios, shown next to the
 # simulated numbers in every report.  Annotations only.
@@ -105,8 +102,8 @@ REFERENCE_EXPERIMENT = {
 }
 
 
-# Domain of each config field: (what it must do, membership test).  Every
-# scenario checks every field.
+# Domain of each config field: (what it must do, membership test).  A
+# scenario checks the fields it reads.
 _DOMAINS = {
     "nu": ("be nonnegative", lambda x: x >= 0),
     "gamma": ("be nonnegative", lambda x: x >= 0),
@@ -119,11 +116,24 @@ _DOMAINS = {
     "seed": ("be null or nonnegative", lambda x: x is None or x >= 0),
 }
 
+# The fields each scenario reads.  A config file or flag may set only these,
+# and a report's config block lists only these.
+_W3_FIELDS = ("overlap", "flux_per_setting", "n_resamples", "seed", "exact")
+SCENARIO_FIELDS = {
+    "hom": ("nu", "overlap", "coherence_length_um", "delays_um", "visibility_target"),
+    "w3": _W3_FIELDS,
+    "w4": ("gamma",) + _W3_FIELDS,
+    "scaling": ("overlap",),
+}
+SCENARIOS = tuple(SCENARIO_FIELDS)
+
 
 @dataclass
 class ExperimentConfig:
+    """One scenario's settings; the defaults are the quoted experimental ones."""
+
     scenario: str
-    nu: float = 0.3
+    nu: float = 0.03
     gamma: float = 0.05
     overlap: float = 1.0
     flux_per_setting: float = 104.0
@@ -132,25 +142,25 @@ class ExperimentConfig:
     exact: bool = False
     coherence_length_um: float = 144.0
     delays_um: list[float] | None = None
-    visibility_target: float | None = None
+    visibility_target: float | None = 0.85
 
     def validate(self) -> None:
-        """The one check of a config's values, whichever scenario reads
-        them.  A NaN fails every domain, since it compares false."""
+        """The one check of the values of the fields the scenario reads.  A
+        NaN fails every domain, since it compares false."""
         if self.scenario not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
-            )
+            raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        fields = SCENARIO_FIELDS[self.scenario]
         for name, (domain, ok) in _DOMAINS.items():
             value = getattr(self, name)
-            if not ok(value):
+            if name in fields and not ok(value):
                 raise ValueError(f"{name} must {domain}, got {value!r}")
-        if self.visibility_target is not None and self.overlap != 1:
+        calibrated = "visibility_target" in fields and self.visibility_target is not None
+        if calibrated and self.overlap != 1:
             raise ValueError(
                 "overlap and visibility_target both set the overlap; set "
                 '"visibility_target": null to scan at a fixed overlap'
             )
-        if self.scenario in ("w3", "w4") and not self.exact and self.seed is None:
+        if "seed" in fields and not self.exact and self.seed is None:
             raise ValueError(
                 f"scenario {self.scenario!r} samples counts; a seed is required"
             )
@@ -166,8 +176,6 @@ def _matches(value, hint) -> bool:
     ``list[X]`` checks its items."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_matches(value, arg) for arg in typing.get_args(hint))
-    if hint is type(None):
-        return value is None
     if typing.get_origin(hint) is list:
         (item,) = typing.get_args(hint)
         return isinstance(value, list) and all(_matches(v, item) for v in value)
@@ -178,61 +186,52 @@ def _matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-# Per-scenario overrides of the field defaults, matching the quoted
-# experimental settings.  The shipped configs/*.json differ from them only
-# in seed and n_resamples.
-_SCENARIO_DEFAULTS = {
-    "hom": {"nu": 0.03, "visibility_target": 0.85},
-    "w3": {},
-    "w4": {},
-    "scaling": {},
-}
-
-
-def default_config(scenario: str) -> ExperimentConfig:
-    """Scenario defaults matching the quoted experimental settings."""
-    return ExperimentConfig(scenario, **_SCENARIO_DEFAULTS[scenario])
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return dataclasses.asdict(config)
+    """The scenario and the fields it reads."""
+    fields = SCENARIO_FIELDS[config.scenario]
+    return {"scenario": config.scenario, **{f: getattr(config, f) for f in fields}}
 
 
-def _is_finite(value) -> bool:
-    """False if a parsed JSON value holds a NaN or infinite number anywhere:
-    Python's parser accepts the NaN and Infinity literals, and 1e999 parses
-    to inf."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, list):
-        return all(map(_is_finite, value))
-    return True
+def _strict_object(pairs: list) -> dict:
+    """A JSON object's dict; ValueError names a key that is repeated or that
+    holds a non-finite number.  Python's parser accepts the NaN and Infinity
+    literals, and 1e999 parses to inf."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise ValueError(f"field {key!r} is repeated")
+        values = value if isinstance(value, list) else [value]
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise ValueError(f"field {key!r} holds a non-finite number")
+        fields[key] = value
+    return fields
 
 
 def load_config(path) -> ExperimentConfig:
-    """Strict config parse: unknown fields are rejected, types checked, and
-    numbers must be finite, so that every report is strict JSON.  Omitted
-    fields take the scenario's defaults, as a run without a file does.  The
-    values' domains are checked by ``run_scenario``, after any command-line
-    overrides."""
+    """Strict config parse: each field once and finite, so that every report
+    is strict JSON, then a known scenario, and only fields that scenario
+    reads, each of its type.  Omitted fields take their defaults, as a run
+    without a file does.  The values' domains are checked by
+    ``run_scenario``, after any command-line overrides."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # from _strict_object
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - set(_FIELD_HINTS)
-    if unknown:
-        raise ValueError(f"{path}: unknown config fields {sorted(unknown)}")
-    if "scenario" not in raw:
-        raise ValueError(f"{path}: missing required field 'scenario'")
+    scenario = raw.get("scenario")
+    if scenario not in SCENARIOS:
+        raise ValueError(f"{path}: scenario must be one of {SCENARIOS}, got {scenario!r}")
+    unread = sorted(set(raw) - {"scenario", *SCENARIO_FIELDS[scenario]})
+    if unread:
+        raise ValueError(f"{path}: fields scenario {scenario!r} does not read: {unread}")
     for key, value in raw.items():
         if not _matches(value, _FIELD_HINTS[key]):
             raise ValueError(f"{path}: field {key!r} has invalid type")
-        if not _is_finite(value):
-            raise ValueError(f"{path}: field {key!r} holds a non-finite number")
-    return ExperimentConfig(**{**_SCENARIO_DEFAULTS.get(raw["scenario"], {}), **raw})
+    return ExperimentConfig(**raw)
 
 
 def config_sha256(config: ExperimentConfig) -> str:
@@ -405,7 +404,7 @@ def run_scenario(config: ExperimentConfig) -> dict:
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {
-        "schema_version": 6,
+        "schema_version": 7,
         "tool": {"name": "wexpand", "version": __version__},
         "scenario": config.scenario,
         "config": config_to_dict(config),
@@ -448,15 +447,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate the W-state expansion gate experiments",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
+    for name, fields in SCENARIO_FIELDS.items():
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--seed", type=int, help="seed for sampled scenarios")
-        p.add_argument(
-            "--exact",
-            action="store_true",
-            help="feed noiseless expected probabilities to the reconstruction",
-        )
+        if "seed" in fields:
+            p.add_argument("--seed", type=int, help="seed for sampled scenarios")
+        if "exact" in fields:
+            p.add_argument(
+                "--exact",
+                action="store_true",
+                help="feed noiseless expected probabilities to the reconstruction",
+            )
         p.add_argument("--out", type=Path, help="report path (JSON)")
     return parser
 
@@ -464,18 +465,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        config = ExperimentConfig(args.scenario)
         if args.config is not None:
             config = load_config(args.config)
-            if config.scenario != args.scenario:
-                raise ValueError(
-                    f"config is for scenario {config.scenario!r}, "
-                    f"but {args.scenario!r} was requested"
-                )
-        else:
-            config = default_config(args.scenario)
-        if args.seed is not None:
+        if config.scenario != args.scenario:
+            raise ValueError(
+                f"config is for scenario {config.scenario!r}, "
+                f"but {args.scenario!r} was requested"
+            )
+        if getattr(args, "seed", None) is not None:
             config.seed = args.seed
-        if args.exact:
+        if getattr(args, "exact", False):
             config.exact = True
 
         report = run_scenario(config)

@@ -286,15 +286,6 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return len(self.qubit_order)
 
-    @staticmethod
-    def from_pure(vector: np.ndarray, qubit_order: Sequence[int]) -> "DensityMatrix":
-        vec = np.asarray(vector, dtype=complex)
-        norm = np.linalg.norm(vec)
-        if norm < ZERO_NORM:
-            raise ValueError("cannot build a density matrix from a zero vector")
-        vec = vec / norm
-        return DensityMatrix(np.outer(vec, vec.conj()), list(qubit_order))
-
     def validate(self) -> None:
         """Raise unless Hermitian, positive semidefinite and trace one."""
         m = self.matrix

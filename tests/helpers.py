@@ -22,6 +22,7 @@ from wexpand.gates import (
     expand,
     through_gate,
 )
+from wexpand.tolerances import ZERO_NORM
 
 
 def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
@@ -35,6 +36,16 @@ def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
     return PhotonicState({fbv: amp * factor for fbv, amp in state.items()})
+
+
+def density_from_pure(vector, qubit_order: Sequence[int]) -> DensityMatrix:
+    """|v><v| / <v|v> on the listed qubits."""
+    vec = np.asarray(vector, dtype=complex)
+    norm = np.linalg.norm(vec)
+    if norm < ZERO_NORM:
+        raise ValueError("cannot build a density matrix from a zero vector")
+    vec = vec / norm
+    return DensityMatrix(np.outer(vec, vec.conj()), list(qubit_order))
 
 
 def rotation(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -30,11 +30,11 @@ from wexpand.tomography import (
     sample_counts,
 )
 
-from helpers import expanded_w
+from helpers import density_from_pure, expanded_w
 
 
 def w_density(n):
-    return DensityMatrix.from_pure(w_state_qubits(n), list(range(n)))
+    return density_from_pure(w_state_qubits(n), list(range(n)))
 
 
 def test_criterion_1_success_probability_table():
@@ -143,7 +143,7 @@ def test_criterion_6_imlm_soundness():
 
     # (b) exact-probability reconstruction of the ideal three-qubit W state
     w3 = w_state_qubits(3)
-    rho_w3 = DensityMatrix.from_pure(w3, [4, 5, 6])
+    rho_w3 = density_from_pure(w3, [4, 5, 6])
     flux = flux_for_typical_count(rho_w3, 104.0)
     exact_result = imlm_reconstruct(exact_counts(rho_w3, flux))
     fid_exact = fidelity(exact_result.rho, w3)

@@ -12,11 +12,11 @@ import wexpand
 from wexpand import gates, sources
 from wexpand.cli import (
     SCALING_SIZES,
+    SCENARIO_FIELDS,
     SCENARIOS,
     ExperimentConfig,
     config_sha256,
     config_to_dict,
-    default_config,
     emit_report,
     load_config,
     main,
@@ -39,7 +39,7 @@ def write_config(tmp_path, **fields):
 
 def test_load_config_round_trip(tmp_path):
     path = write_config(
-        tmp_path, scenario="w3", nu=0.3, flux_per_setting=104.0, seed=7
+        tmp_path, scenario="w3", overlap=0.9, flux_per_setting=104.0, seed=7
     )
     config = load_config(path)
     again = write_config(tmp_path, **config_to_dict(config))
@@ -51,12 +51,68 @@ def test_scenario_only_file_loads_the_defaults(tmp_path, scenario):
     # A file takes the scenario's defaults for every field it omits, as a
     # run without --config does.
     path = write_config(tmp_path, scenario=scenario)
-    assert load_config(path) == default_config(scenario)
+    assert load_config(path) == ExperimentConfig(scenario)
 
 
 def test_unknown_field_rejected(tmp_path):
     path = write_config(tmp_path, scenario="w3", seed=1, typo_field=3)
-    with pytest.raises(ValueError, match="typo_field"):
+    with pytest.raises(ValueError, match=r"does not read: \['typo_field'\]"):
+        load_config(path)
+
+
+# One value inside each field's domain, other than its default.
+IN_DOMAIN = {
+    "nu": 0.3,
+    "gamma": 0.2,
+    "overlap": 0.9,
+    "flux_per_setting": 50.0,
+    "n_resamples": 3,
+    "seed": 11,
+    "exact": True,
+    "coherence_length_um": 100.0,
+    "delays_um": [-50.0, 0.0, 50.0],
+    "visibility_target": 0.8,
+}
+UNREAD = [
+    (scenario, name)
+    for scenario, fields in SCENARIO_FIELDS.items()
+    for name in IN_DOMAIN
+    if name not in fields
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, name", UNREAD, ids=[f"{s}-{n}" for s, n in UNREAD]
+)
+def test_unread_field_rejected(tmp_path, capsys, scenario, name):
+    # A config file may set only the fields its scenario reads, even to a
+    # value inside the field's domain.
+    cfg_path = write_config(tmp_path, scenario=scenario, **{name: IN_DOMAIN[name]})
+    out = tmp_path / "report.json"
+    assert main([scenario, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"does not read: ['{name}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hom", "--seed", "1"], ["hom", "--exact"], ["scaling", "--seed", "1"],
+     ["scaling", "--exact"]],
+)
+def test_flags_only_on_scenarios_that_read_them(tmp_path, argv):
+    # argparse rejects --seed and --exact where the scenario reads neither.
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--out", str(tmp_path / "report.json")])
+    assert exited.value.code == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_duplicate_key_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"scenario": "scaling", "overlap": 0.5, "overlap": 1.0}', encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match="field .overlap. is repeated"):
         load_config(path)
 
 
@@ -110,18 +166,64 @@ def test_every_value_field_has_a_domain():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(_DOMAINS) == fields - {"scenario", "exact"}
     assert {name for name, _ in OUT_OF_DOMAIN} == set(_DOMAINS)
+    # Some scenario reads every field.
+    assert set(IN_DOMAIN) == set().union(*SCENARIO_FIELDS.values())
+    assert set(IN_DOMAIN) == fields - {"scenario"}
 
 
-@pytest.mark.parametrize("scenario", ["hom", "w3"])
+@pytest.mark.parametrize("scenario", ["hom", "w3", "w4"])
 @pytest.mark.parametrize(
     "name, value", OUT_OF_DOMAIN, ids=[f"{n}={v}" for n, v in OUT_OF_DOMAIN]
 )
 def test_out_of_domain_field_rejected(tmp_path, capsys, scenario, name, value):
-    cfg_path = write_config(tmp_path, scenario=scenario, **{"seed": 1, name: value})
+    # A scenario checks the domain of a field it reads, and rejects a field
+    # it does not read whatever its value.  Between them, hom, w3 and w4
+    # read every field.
+    fields = SCENARIO_FIELDS[scenario]
+    seed = {"seed": 1} if "seed" in fields else {}
+    cfg_path = write_config(tmp_path, scenario=scenario, **{**seed, name: value})
     out = tmp_path / "report.json"
     assert main([scenario, "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert f"error: {name} must" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if name in fields:
+        assert f"error: {name} must" in err
+    else:
+        assert f"does not read: ['{name}']" in err
     assert not out.exists()
+
+
+def _results(config: ExperimentConfig) -> str:
+    return json.dumps(run_scenario(config)["results"], sort_keys=True)
+
+
+# A small sampled run of each scenario, so that seed and n_resamples act.
+BASE = {
+    "hom": ExperimentConfig("hom", delays_um=[-50.0, 0.0]),
+    "w3": ExperimentConfig("w3", seed=5, n_resamples=2),
+    "w4": ExperimentConfig("w4", seed=5, n_resamples=2),
+    "scaling": ExperimentConfig("scaling"),
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_scenario_fields_match_the_runners(scenario):
+    # The table lists exactly the fields each runner reads: the others do
+    # not move the results even outside their domains, and each listed one
+    # does.
+    base = BASE[scenario]
+    fields = SCENARIO_FIELDS[scenario]
+    expected = _results(base)
+    unread = {name: value for name, value in OUT_OF_DOMAIN if name not in fields}
+    if "exact" not in fields:
+        unread["exact"] = True
+    assert _results(dataclasses.replace(base, **unread)) == expected
+    for name in fields:
+        changed = {name: IN_DOMAIN[name]}
+        if scenario == "hom" and name == "overlap":
+            changed["visibility_target"] = None
+        assert _results(dataclasses.replace(base, **changed)) != expected, name
+    report = run_scenario(base)
+    assert set(report["config"]) == {"scenario", *fields}
 
 
 def test_visibility_target_and_overlap_together_rejected(tmp_path, capsys):
@@ -139,17 +241,23 @@ def test_visibility_target_and_overlap_together_rejected(tmp_path, capsys):
 
 
 def test_bad_types_and_scenarios_rejected(tmp_path):
-    for bad in ({"nu": "0.3"}, {"nu": True}, {"n_resamples": 2.5}, {"nu": None}):
+    for bad in ({"nu": "0.3"}, {"nu": True}, {"nu": None}, {"delays_um": ["a"]}):
         with pytest.raises(ValueError, match="invalid type"):
-            load_config(write_config(tmp_path, scenario="w3", seed=1, **bad))
-    with pytest.raises(ValueError, match="invalid type"):
-        load_config(write_config(tmp_path, scenario="hom", delays_um=["a"]))
+            load_config(write_config(tmp_path, scenario="hom", **bad))
+    for bad in ({"n_resamples": 2.5}, {"exact": 1}, {"gamma": "0.1"}):
+        with pytest.raises(ValueError, match="invalid type"):
+            load_config(write_config(tmp_path, scenario="w4", seed=1, **bad))
     # float fields take ints, and X | None fields take null
-    assert load_config(write_config(tmp_path, scenario="w3", seed=1, nu=1)).nu == 1
+    assert load_config(write_config(tmp_path, scenario="hom", nu=1)).nu == 1
     optional = write_config(tmp_path, scenario="w3", exact=True, seed=None)
     assert load_config(optional).seed is None
+    for scenario in ("w9", ["w3"], None):
+        with pytest.raises(ValueError, match="scenario must be one of"):
+            load_config(write_config(tmp_path, scenario=scenario))
+    with pytest.raises(ValueError, match="scenario must be one of"):
+        load_config(write_config(tmp_path, overlap=0.5))
     with pytest.raises(ValueError, match="scenario"):
-        run_scenario(load_config(write_config(tmp_path, scenario="w9")))
+        run_scenario(ExperimentConfig("w9"))
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError, match="line"):
@@ -158,7 +266,6 @@ def test_bad_types_and_scenarios_rejected(tmp_path):
 
 def test_repo_fixture_configs_load():
     w3 = load_config(CONFIG_DIR / "w3.json")
-    assert w3.nu == 0.3
     assert w3.flux_per_setting == 104.0
     assert w3.seed is not None
     hom = load_config(CONFIG_DIR / "hom.json")
@@ -289,9 +396,9 @@ def test_report_embeds_hash_and_version():
     report = run_scenario(config)
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
-    assert report["schema_version"] == 6
+    assert report["schema_version"] == 7
     assert "reference_values" in report
-    assert report["config"] == config_to_dict(config)
+    assert report["config"] == config_to_dict(config) == {"scenario": "scaling", "overlap": 1.0}
 
 
 def test_reference_values_are_annotations():
@@ -309,16 +416,25 @@ def test_reference_values_are_annotations():
 
 
 def test_default_configs_per_scenario():
-    assert default_config("hom").nu == 0.03
-    assert default_config("hom").visibility_target == 0.85
-    assert default_config("w3").nu == 0.3
-    assert default_config("w4") == ExperimentConfig("w4")
+    # The field defaults are the quoted settings; only hom reads nu and
+    # visibility_target, so they are hom's.
+    hom = ExperimentConfig("hom")
+    assert (hom.nu, hom.visibility_target, hom.coherence_length_um) == (0.03, 0.85, 144.0)
+    assert config_to_dict(ExperimentConfig("w3")) == {
+        "scenario": "w3",
+        "overlap": 1.0,
+        "flux_per_setting": 104.0,
+        "n_resamples": 100,
+        "seed": None,
+        "exact": False,
+    }
+    assert config_to_dict(ExperimentConfig("w4"))["gamma"] == 0.05
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_configs_are_the_defaults(path):
     shipped = load_config(path)
-    default = default_config(shipped.scenario)
+    default = ExperimentConfig(shipped.scenario)
     assert config_to_dict(shipped) == config_to_dict(
         dataclasses.replace(default, seed=shipped.seed, n_resamples=shipped.n_resamples)
     )
@@ -360,7 +476,6 @@ def test_main_hom_writes_curve(tmp_path):
         tmp_path,
         scenario="hom",
         nu=0.03,
-        gamma=0.0,
         delays_um=[-100.0, 0.0, 100.0],
         visibility_target=0.85,
     )
@@ -440,13 +555,15 @@ def test_w3_and_w4_expand_through_one_photon_runs(monkeypatch):
         '{"scenario": "hom", "nu": 0.03, "gamma": 0.0, "delays_um": [NaN, 0.0]}',
         '{"scenario": "hom", "nu": 1e999}',
         '{"scenario": "hom", "visibility_target": -Infinity}',
+        '{"scenario": "w4", "gamma": NaN}',
     ],
 )
 def test_non_finite_config_numbers_rejected(tmp_path, capsys, text):
-    cfg_path = tmp_path / "hom.json"
+    cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text, encoding="utf-8")
-    out = tmp_path / "hom_report.json"
-    assert main(["hom", "--config", str(cfg_path), "--out", str(out)]) == 1
+    out = tmp_path / "report.json"
+    scenario = json.loads(text)["scenario"]
+    assert main([scenario, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -466,7 +583,6 @@ def test_hom_visibility_is_the_model_dip_without_zero_delay():
     config = ExperimentConfig(
         scenario="hom",
         nu=0.03,
-        gamma=0.0,
         visibility_target=0.85,
         delays_um=[-100.0, 100.0],
     )

@@ -17,6 +17,8 @@ from wexpand.entanglement import (
     witness_value,
 )
 
+from helpers import density_from_pure
+
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 YY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -27,7 +29,7 @@ EOF_AT_TWO_THIRDS = 0.5500477595827576
 
 def w_density(n):
     w = w_state_qubits(n)
-    return DensityMatrix.from_pure(w, list(range(n)))
+    return density_from_pure(w, list(range(n)))
 
 
 def test_partial_trace_of_w3_pair():
@@ -46,7 +48,7 @@ def test_partial_trace_of_w3_pair():
 def test_partial_trace_product_state():
     single = np.array([1.0, 1.0j]) / math.sqrt(2)
     other = np.array([0.6, 0.8])
-    joint = DensityMatrix.from_pure(np.kron(single, other), [3, 7])
+    joint = density_from_pure(np.kron(single, other), [3, 7])
     reduced = partial_trace(joint, [0])
     assert np.allclose(reduced.matrix, np.outer(single, single.conj()), atol=1e-12)
     assert reduced.qubit_order == [3]
@@ -67,9 +69,9 @@ def test_partial_trace_index_errors():
 def test_concurrence_reference_states():
     bell = np.zeros(4)
     bell[0] = bell[3] = 1 / math.sqrt(2)
-    assert concurrence(DensityMatrix.from_pure(bell, [0, 1])) == pytest.approx(1.0)
+    assert concurrence(density_from_pure(bell, [0, 1])) == pytest.approx(1.0)
 
-    product = DensityMatrix.from_pure(np.kron([1, 0], [1, 0]), [0, 1])
+    product = density_from_pure(np.kron([1, 0], [1, 0]), [0, 1])
     assert concurrence(product) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -171,7 +173,7 @@ def test_pairwise_eof_tables():
 
     ghz = np.zeros(8)
     ghz[0] = ghz[7] = 1 / math.sqrt(2)
-    table_ghz = pairwise_eof_table(DensityMatrix.from_pure(ghz, [0, 1, 2]))
+    table_ghz = pairwise_eof_table(density_from_pure(ghz, [0, 1, 2]))
     for value in table_ghz.values():
         assert value == pytest.approx(0.0, abs=1e-10)
 
@@ -189,7 +191,7 @@ def test_pairwise_eof_symmetry_and_size_monotonicity():
 
 def test_pairwise_table_uses_mode_ids():
     w4 = w_state_qubits(4)
-    rho = DensityMatrix.from_pure(w4, [0, 4, 5, 6])
+    rho = density_from_pure(w4, [0, 4, 5, 6])
     assert set(pairwise_eof_table(rho)) == {
         (0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)
     }

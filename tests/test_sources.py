@@ -106,14 +106,17 @@ def test_spdc_double_pair_amplitude_order_gamma():
 
 
 def test_params_validation():
-    # The config checks the source settings once, for every scenario; the
-    # pulse weights guard nu themselves, since a negative nu would give
-    # wrong numbers without an error.
-    for scenario in ("hom", "w4"):
-        for bad in ({"nu": -0.1}, {"gamma": -0.1}, {"overlap": 1.1}):
-            (name,) = bad
-            with pytest.raises(ValueError, match=name):
-                ExperimentConfig(scenario, exact=True, **bad).validate()
+    # The config checks each source setting once, in the scenarios that read
+    # it; the pulse weights guard nu themselves, since a negative nu would
+    # give wrong numbers without an error.
+    for scenario, bad in [
+        ("hom", {"nu": -0.1}),
+        ("hom", {"overlap": 1.1}),
+        ("w4", {"gamma": -0.1}),
+        ("w4", {"overlap": 1.1}),
+    ]:
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
+            ExperimentConfig(scenario, exact=True, **bad).validate()
     with pytest.raises(ValueError, match="nu"):
         sources._poisson_weights(-0.1, N_MAX)
 
@@ -122,8 +125,9 @@ def test_params_validation():
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_params_reject_non_finite(tmp_path, field, value):
     # A NaN nu would otherwise weight the dip table into NaN coefficients.
+    scenario = "w4" if field == "gamma" else "hom"
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"scenario": "hom", field: value}), encoding="utf-8")
+    path.write_text(json.dumps({"scenario": scenario, field: value}), encoding="utf-8")
     with pytest.raises(ValueError, match=f"'{field}' holds a non-finite number"):
         load_config(path)
     with pytest.raises(ValueError, match="nu must be finite"):

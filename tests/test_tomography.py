@@ -21,9 +21,11 @@ from wexpand.tomography import (
     setting_projector,
 )
 
+from helpers import density_from_pure
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 W3 = w_state_qubits(3)
-RHO_W3 = DensityMatrix.from_pure(W3, [4, 5, 6])
+RHO_W3 = density_from_pure(W3, [4, 5, 6])
 SETTINGS_3 = default_settings(3)
 
 
@@ -179,7 +181,7 @@ def test_flux_for_typical_count():
 
 
 def test_bootstrap_deterministic_and_small_at_high_flux():
-    rho = DensityMatrix.from_pure(w_state_qubits(2), [0, 1])
+    rho = density_from_pure(w_state_qubits(2), [0, 1])
     counts = exact_counts(rho, 1e7)
     kwargs = dict(seed=5, qubit_order=[0, 1], max_iter=2000)
     errs_a, fits_a = bootstrap_errors(counts, 8, **kwargs)
