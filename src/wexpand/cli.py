@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entanglement import eof
+from .entanglement import eof, fidelity
 from .fock import DensityMatrix, postselect_qubits
 from .gates import (
     MODE_INPUT,
@@ -45,7 +45,6 @@ from .sources import (
 from .tomography import (
     bootstrap_errors,
     exact_counts,
-    fidelity,
     flux_for_typical_count,
     imlm_reconstruct,
     sample_counts,
@@ -187,8 +186,11 @@ def _matches(value, hint) -> bool:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """The scenario and the fields it reads."""
+    """The scenario and the fields its run reads.  An exact run samples
+    nothing, so it reads neither ``seed`` nor ``n_resamples``."""
     fields = SCENARIO_FIELDS[config.scenario]
+    if config.exact:
+        fields = [f for f in fields if f not in ("seed", "n_resamples")]
     return {"scenario": config.scenario, **{f: getattr(config, f) for f in fields}}
 
 
@@ -258,7 +260,13 @@ def _tomography_block(
     if config.exact:
         counts = exact_counts(rho, multiplier)
     else:
-        counts = sample_counts(rho, multiplier, seeds[0])
+        flux = f"flux_per_setting {config.flux_per_setting!r}"
+        try:
+            counts = sample_counts(rho, multiplier, seeds[0])
+        except ValueError as exc:  # numpy: "lam value too large"
+            raise ValueError(f"cannot sample counts at {flux}: {exc}") from None
+        if not counts.any():
+            raise ValueError(f"{flux} drew no count in any setting")
     result = imlm_reconstruct(counts, qubit_order=rho.qubit_order)
     block = {
         "mode": "exact" if config.exact else "sampled",
@@ -404,7 +412,7 @@ def run_scenario(config: ExperimentConfig) -> dict:
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {
-        "schema_version": 7,
+        "schema_version": 8,
         "tool": {"name": "wexpand", "version": __version__},
         "scenario": config.scenario,
         "config": config_to_dict(config),

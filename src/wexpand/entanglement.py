@@ -1,5 +1,6 @@
-"""Entanglement analysis: marginals, W-state witnesses, concurrence and
-entanglement of formation."""
+"""Analysis of a ``DensityMatrix``: fidelity to a pure state, the W-state
+witness, and the concurrence and entanglement of formation of two-qubit
+marginals."""
 
 from __future__ import annotations
 
@@ -8,54 +9,28 @@ import math
 
 import numpy as np
 
-from .fock import DensityMatrix, as_matrix
+from .fock import DensityMatrix
 from .gates import w_state_qubits
-from .tolerances import (
-    CONCURRENCE_SLACK,
-    HERMITICITY_ATOL,
-    TWO_QUBIT_PSD_ATOL,
-    TWO_QUBIT_TRACE_ATOL,
-)
+from .tolerances import CONCURRENCE_SLACK
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_PAULI_Y, _PAULI_Y)
 
 
-def _symmetrized(rho) -> np.ndarray:
-    """Hermitian-symmetrize a matrix or a stack of matrices, rejecting
-    anything asymmetric beyond tolerance."""
-    m = as_matrix(rho)
-    adjoint = np.swapaxes(m, -1, -2).conj()
-    if np.max(np.abs(m - adjoint)) > HERMITICITY_ATOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return (m + adjoint) / 2.0
+def fidelity(rho: DensityMatrix, target) -> float:
+    """<psi| rho |psi> against a pure target state."""
+    vec = np.asarray(target, dtype=complex)
+    if vec.shape != (rho.dim,):
+        raise ValueError("target state dimension does not match the density matrix")
+    return float(np.real(vec.conj() @ rho.matrix @ vec))
 
 
-def witness_value(rho, n_qubits: int) -> float:
-    """Tr(W rho) for the N-qubit W-class witness W = ((N-1)/N) 1 - |W_N><W_N|;
-    a negative value certifies genuine N-partite entanglement of the W
-    class."""
-    m = _symmetrized(rho)
-    dim = 2**n_qubits
-    if m.shape[0] != dim:
-        raise ValueError("density matrix does not match the stated qubit count")
-    w = w_state_qubits(n_qubits)
-    operator = ((n_qubits - 1) / n_qubits) * np.eye(dim) - np.outer(w, w.conj())
-    return float(np.einsum("ij,ji->", operator, m).real)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduce to the qubits at the given positions (in the given order)."""
-    keep = list(keep)
+def witness_value(rho: DensityMatrix) -> float:
+    """Tr(W rho) = (N-1)/N - <W_N| rho |W_N> for the N-qubit W-class witness
+    W = ((N-1)/N) 1 - |W_N><W_N|; a negative value certifies genuine
+    N-partite entanglement of the W class."""
     n = rho.n_qubits
-    if not keep:
-        raise ValueError("must keep at least one qubit")
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate qubit indices")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"qubit index out of range 0..{n - 1}")
-    reduced = _ptrace_matrix(_symmetrized(rho), n, keep)
-    return DensityMatrix(reduced, [rho.qubit_order[k] for k in keep])
+    return (n - 1) / n - fidelity(rho, w_state_qubits(n))
 
 
 def _ptrace_matrix(matrix: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:
@@ -76,29 +51,24 @@ def _ptrace_matrix(matrix: np.ndarray, n_qubits: int, keep: list[int]) -> np.nda
     return tensor.reshape(dim, dim)
 
 
-def _concurrences(stack) -> np.ndarray:
+def _concurrences(stack: np.ndarray) -> np.ndarray:
     """Concurrence of each two-qubit density matrix in a (k, 4, 4) stack,
-    with one validation and one ``eigvals`` call for the whole stack.
+    with one ``eigvals`` call for the whole stack.
 
     max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of the
     eigenvalues of rho (Y x Y) rho* (Y x Y).
     """
-    m = _symmetrized(stack)
-    if m.shape[1:] != (4, 4):
-        raise ValueError("expected a two-qubit (4x4) density matrix")
-    if np.max(np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)) > TWO_QUBIT_TRACE_ATOL:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(m).min() < -TWO_QUBIT_PSD_ATOL:
-        raise ValueError("density matrix is not positive semidefinite")
-    flipped = m @ _YY @ m.conj() @ _YY
+    flipped = stack @ _YY @ stack.conj() @ _YY
     eigenvalues = np.sort(np.abs(np.real(np.linalg.eigvals(flipped))))[:, ::-1]
     lam = np.sqrt(eigenvalues)
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
-def concurrence(rho) -> float:
+def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence from the spin-flipped spectrum."""
-    return float(_concurrences(as_matrix(rho)[None])[0])
+    if rho.dim != 4:
+        raise ValueError("expected a two-qubit (4x4) density matrix")
+    return float(_concurrences(rho.matrix[None])[0])
 
 
 def binary_entropy(x: float) -> float:
@@ -114,7 +84,7 @@ def eof_from_concurrence(c: float) -> float:
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
 
 
-def eof(rho) -> float:
+def eof(rho: DensityMatrix) -> float:
     """Two-qubit entanglement of formation via the concurrence."""
     return eof_from_concurrence(concurrence(rho))
 
@@ -128,8 +98,7 @@ def pairwise_eof_table(rho: DensityMatrix) -> dict[tuple[int, int], float]:
     if n < 2:
         raise ValueError("need at least two qubits")
     pairs = list(itertools.combinations(range(n), 2))
-    m = _symmetrized(rho)
-    marginals = np.stack([_ptrace_matrix(m, n, list(pair)) for pair in pairs])
+    marginals = np.stack([_ptrace_matrix(rho.matrix, n, list(pair)) for pair in pairs])
     return {
         (rho.qubit_order[i], rho.qubit_order[j]): eof_from_concurrence(float(c))
         for (i, j), c in zip(pairs, _concurrences(marginals))

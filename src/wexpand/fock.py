@@ -251,9 +251,7 @@ def postselect_qubits(
     if probability <= POSTSELECT_MIN_PROBABILITY:
         return None, 0.0
     rho = sum(np.outer(vec, vec.conj()) for vec in by_bins.values()) / probability
-    result = DensityMatrix(rho, list(spatial_modes))
-    result.validate()
-    return result, probability
+    return DensityMatrix(rho, list(spatial_modes)), probability
 
 
 @dataclass
@@ -261,34 +259,23 @@ class DensityMatrix:
     """Density operator over polarization qubits.
 
     ``qubit_order`` records which spatial mode each qubit came from; the
-    first entry is the most significant bit of the matrix index.
+    first entry is the most significant bit of the matrix index.  The
+    matrix is checked once, here: construction raises ValueError unless it
+    is Hermitian, positive semidefinite and of trace one within the strict
+    tolerances, so every function that takes a ``DensityMatrix`` trusts it.
     """
 
     matrix: np.ndarray
     qubit_order: list[int]
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("density matrix must be square")
-        n = len(self.qubit_order)
-        if self.matrix.shape[0] != 2**n:
+        m = self.matrix = np.asarray(self.matrix, dtype=complex)
+        dim = 2 ** len(self.qubit_order)
+        if m.shape != (dim, dim):
             raise ValueError(
-                f"dimension {self.matrix.shape[0]} does not match "
-                f"{n} qubits in qubit_order"
+                f"density matrix of shape {m.shape} does not match "
+                f"{len(self.qubit_order)} qubits in qubit_order"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubit_order)
-
-    def validate(self) -> None:
-        """Raise unless Hermitian, positive semidefinite and trace one."""
-        m = self.matrix
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian")
         eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2)
@@ -299,6 +286,14 @@ class DensityMatrix:
         if abs(np.trace(m).real - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {np.trace(m).real!r} != 1")
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.qubit_order)
+
     def to_json(self) -> dict:
         """Serialization with fixed field names {dim, qubit_order, re, im}."""
         return {
@@ -307,10 +302,3 @@ class DensityMatrix:
             "re": [float(x) for x in self.matrix.real.ravel()],
             "im": [float(x) for x in self.matrix.imag.ravel()],
         }
-
-
-def as_matrix(rho) -> np.ndarray:
-    """The matrix of a ``DensityMatrix``, or any array-like as complex."""
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)

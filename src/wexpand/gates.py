@@ -103,8 +103,8 @@ def excitation_indices(n: int) -> list[int]:
 
 
 def excitation_density(matrix, qubit_order: Sequence[int]) -> DensityMatrix:
-    """The validated 2^n density matrix of an unnormalized single-excitation
-    matrix over the qubits of ``qubit_order``, normalized by its trace."""
+    """The 2^n density matrix of an unnormalized single-excitation matrix
+    over the qubits of ``qubit_order``, normalized by its trace."""
     matrix = np.asarray(matrix, dtype=complex)
     probability = np.trace(matrix).real
     if probability <= POSTSELECT_MIN_PROBABILITY:
@@ -112,9 +112,7 @@ def excitation_density(matrix, qubit_order: Sequence[int]) -> DensityMatrix:
     n = len(qubit_order)
     dense = np.zeros((2**n, 2**n), dtype=complex)
     dense[np.ix_(excitation_indices(n), excitation_indices(n))] = matrix / probability
-    rho = DensityMatrix(dense, list(qubit_order))
-    rho.validate()
-    return rho
+    return DensityMatrix(dense, list(qubit_order))
 
 
 def expand(rho, k: int, overlap: float = 1.0) -> np.ndarray:

@@ -15,8 +15,6 @@ PSD_ATOL = 1e-10               # density matrices: eigenvalues >= -PSD_ATOL
 TRACE_ATOL = 1e-9              # density matrices: |trace - 1|
 
 # Two-qubit entanglement measures
-TWO_QUBIT_TRACE_ATOL = 1e-6    # |trace - 1| accepted by concurrence / EoF
-TWO_QUBIT_PSD_ATOL = 1e-8      # eigenvalues >= -TWO_QUBIT_PSD_ATOL accepted there
 CONCURRENCE_SLACK = 1e-12      # concurrence may exceed 1 by this much (then clipped)
 
 # Post-selection

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entanglement import pairwise_eof_table, witness_value
-from .fock import DensityMatrix, as_matrix
+from .entanglement import fidelity, pairwise_eof_table, witness_value
+from .fock import DensityMatrix
 from .gates import w_state_qubits
 from .tolerances import (
     IMLM_CERTIFICATE_RTOL,
@@ -321,10 +321,8 @@ def imlm_reconstruct(
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
     order = list(qubit_order) if qubit_order is not None else list(range(n_qubits))
-    result_rho = DensityMatrix(rho, order)
-    result_rho.validate()
     return ReconstructionResult(
-        rho=result_rho,
+        rho=DensityMatrix(rho, order),
         iterations=iterations,
         log_likelihood=history[-1],
         stop_reason=stop_reason,
@@ -333,23 +331,13 @@ def imlm_reconstruct(
     )
 
 
-def fidelity(rho, target: np.ndarray) -> float:
-    """<psi| rho |psi> against a pure target state."""
-    m = as_matrix(rho)
-    vec = np.asarray(target, dtype=complex)
-    if vec.shape != (m.shape[0],):
-        raise ValueError("target state dimension does not match the density matrix")
-    return float(np.real(vec.conj() @ m @ vec))
-
-
 def w_statistics(rho: DensityMatrix) -> dict:
     """The report's statistics of a fitted N-qubit state: fidelity to W_N,
     the W-witness value and the entanglement of formation of every qubit
     pair, keyed by the pair's mode ids ("45" for modes 4 and 5)."""
-    n_qubits = rho.n_qubits
     return {
-        "fidelity": fidelity(rho, w_state_qubits(n_qubits)),
-        "witness": witness_value(rho, n_qubits),
+        "fidelity": fidelity(rho, w_state_qubits(rho.n_qubits)),
+        "witness": witness_value(rho),
         "pairwise_eof": {
             f"{i}{j}": value for (i, j), value in pairwise_eof_table(rho).items()
         },

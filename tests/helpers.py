@@ -1,5 +1,6 @@
 """Test oracles and state helpers that the program itself does not need."""
 
+import itertools
 import math
 from typing import Sequence
 
@@ -46,6 +47,39 @@ def density_from_pure(vector, qubit_order: Sequence[int]) -> DensityMatrix:
         raise ValueError("cannot build a density matrix from a zero vector")
     vec = vec / norm
     return DensityMatrix(np.outer(vec, vec.conj()), list(qubit_order))
+
+
+def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
+    """A random dim x dim density matrix of the given rank (full by default)."""
+    rank = rank or dim
+    x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Oracle marginal on the qubits at positions ``keep``, in that order:
+    entry (a, b) is the sum over every basis pattern t of the traced qubits
+    of rho[(a, t), (b, t)], with each index assembled bit by bit."""
+    keep = list(keep)
+    n = rho.n_qubits
+    traced = [q for q in range(n) if q not in keep]
+
+    def index(kept_bits, traced_bits):
+        bits = [0] * n
+        for q, bit in zip(keep + traced, kept_bits + traced_bits):
+            bits[q] = bit
+        return sum(bit << (n - 1 - q) for q, bit in enumerate(bits))
+
+    patterns = list(itertools.product((0, 1), repeat=len(keep)))
+    rest = list(itertools.product((0, 1), repeat=len(traced)))
+    marginal = np.zeros((len(patterns), len(patterns)), dtype=complex)
+    for a, bits_a in enumerate(patterns):
+        for b, bits_b in enumerate(patterns):
+            marginal[a, b] = sum(
+                rho.matrix[index(bits_a, t), index(bits_b, t)] for t in rest
+            )
+    return DensityMatrix(marginal, [rho.qubit_order[q] for q in keep])
 
 
 def rotation(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wexpand.cli import ExperimentConfig, emit_report, run_scenario
-from wexpand.entanglement import concurrence, eof, partial_trace, witness_value
+from wexpand.entanglement import concurrence, eof, fidelity, witness_value
 from wexpand.fock import DensityMatrix, postselect_qubits, single_photon, tensor
 from wexpand.gates import (
     OUTPUT_MODES,
@@ -24,13 +24,12 @@ from wexpand.sources import calibrate_overlap_for_visibility, dip_coefficients, 
 from wexpand.tomography import (
     bootstrap_errors,
     exact_counts,
-    fidelity,
     flux_for_typical_count,
     imlm_reconstruct,
     sample_counts,
 )
 
-from helpers import density_from_pure, expanded_w
+from helpers import density_from_pure, expanded_w, partial_trace
 
 
 def w_density(n):
@@ -93,8 +92,8 @@ def test_criterion_3_h_input_suppression():
 
 
 def test_criterion_4_witness_values():
-    assert witness_value(w_density(3), 3) == pytest.approx(-1 / 3, abs=1e-12)
-    assert witness_value(w_density(4), 4) == pytest.approx(-1 / 4, abs=1e-12)
+    assert witness_value(w_density(3)) == pytest.approx(-1 / 3, abs=1e-12)
+    assert witness_value(w_density(4)) == pytest.approx(-1 / 4, abs=1e-12)
     print(
         "\nACCEPTANCE 4 PASS: witness expectation is -1/3 on the ideal "
         "three-qubit W state and -1/4 on the four-qubit one"

@@ -22,11 +22,10 @@ from wexpand.cli import (
     main,
     run_scenario,
 )
-from wexpand.entanglement import concurrence, partial_trace, witness_value
+from wexpand.entanglement import concurrence, fidelity, witness_value
 from wexpand.gates import run_gate
-from wexpand.tomography import fidelity
 
-from helpers import expand_w_full_photonic, expanded_w
+from helpers import expand_w_full_photonic, expanded_w, partial_trace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -304,7 +303,7 @@ def test_scaling_rows_at_partial_overlap_match_the_fock_engine():
         n = row["n"]
         oracle, probability = expand_w_full_photonic(n, 0.926)
         assert row["simulated"] == pytest.approx(probability, abs=1e-12)
-        assert row["witness"] == pytest.approx(witness_value(oracle, n + 2), abs=1e-12)
+        assert row["witness"] == pytest.approx(witness_value(oracle), abs=1e-12)
         # Pair concurrences from the dense state, smallest per class; the
         # untouched qubits come first.
         smallest = {}
@@ -356,7 +355,7 @@ def test_w4_exact_scenario_quality():
 def test_fidelity_decreases_with_overlap_and_coherences_vanish():
     from wexpand.fock import postselect_qubits, single_photon
     from wexpand.gates import MODE_INPUT, OUTPUT_MODES, through_gate, w_state_qubits
-    from wexpand.tomography import fidelity
+    from wexpand.entanglement import fidelity
 
     photon = single_photon(MODE_INPUT, "V")
     fidelities = []
@@ -396,7 +395,7 @@ def test_report_embeds_hash_and_version():
     report = run_scenario(config)
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
-    assert report["schema_version"] == 7
+    assert report["schema_version"] == 8
     assert "reference_values" in report
     assert report["config"] == config_to_dict(config) == {"scenario": "scaling", "overlap": 1.0}
 
@@ -469,6 +468,43 @@ def test_main_w3_exact_writes_density_matrix(tmp_path):
     rho_doc = json.loads((tmp_path / "w3_rho.json").read_text())
     assert rho_doc["dim"] == 8
     assert rho_doc["qubit_order"] == [4, 5, 6]
+
+
+@pytest.mark.parametrize("scenario", ["w3", "w4"])
+def test_exact_report_does_not_depend_on_seed_or_resamples(tmp_path, scenario):
+    # An exact run samples nothing, so its config block and hash leave out
+    # seed and n_resamples, and setting them changes no byte.
+    outs = [tmp_path / "plain.json", tmp_path / "seeded.json"]
+    assert main([scenario, "--exact", "--out", str(outs[0])]) == 0
+    assert main([scenario, "--exact", "--seed", "5", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert (tmp_path / "plain_rho.json").read_bytes() == (
+        tmp_path / "seeded_rho.json"
+    ).read_bytes()
+    config = json.loads(outs[0].read_text())["config"]
+    assert set(config) == {"scenario", *SCENARIO_FIELDS[scenario]} - {
+        "seed",
+        "n_resamples",
+    }
+    resampled = ExperimentConfig(scenario, exact=True, seed=5, n_resamples=7)
+    assert config_sha256(resampled) == config_sha256(ExperimentConfig(scenario, exact=True))
+
+
+@pytest.mark.parametrize(
+    "flux, cause", [(0.001, "drew no count"), (1e25, "lam value too large")]
+)
+def test_degenerate_flux_is_named(tmp_path, capsys, flux, cause):
+    # Counts from a flux too small to draw any, or too large for the Poisson
+    # sampler, fail naming the config field and its value.
+    cfg_path = write_config(
+        tmp_path, scenario="w3", seed=1, n_resamples=2, flux_per_setting=flux
+    )
+    out = tmp_path / "report.json"
+    assert main(["w3", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"flux_per_setting {flux!r}" in err
+    assert cause in err
+    assert not out.exists()
 
 
 def test_main_hom_writes_curve(tmp_path):

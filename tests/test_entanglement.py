@@ -1,23 +1,26 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from wexpand.fock import DensityMatrix
-from wexpand.gates import w_state_qubits
 from wexpand.entanglement import (
+    _ptrace_matrix,
     binary_entropy,
     concurrence,
     eof,
     eof_from_concurrence,
     pairwise_eof_table,
-    partial_trace,
     witness_value,
 )
+from wexpand.fock import DensityMatrix
+from wexpand.gates import excitation_indices, w_state_qubits
+from wexpand.tolerances import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL
 
-from helpers import density_from_pure
+from helpers import density_from_pure, partial_trace, random_density
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 YY = np.kron(PAULI_Y, PAULI_Y)
@@ -57,13 +60,6 @@ def test_partial_trace_product_state():
 def test_partial_trace_keep_all_identity():
     rho = w_density(3)
     assert np.allclose(partial_trace(rho, [0, 1, 2]).matrix, rho.matrix)
-
-
-def test_partial_trace_index_errors():
-    with pytest.raises(ValueError):
-        partial_trace(w_density(2), [2])
-    with pytest.raises(ValueError):
-        partial_trace(w_density(2), [])
 
 
 def test_concurrence_reference_states():
@@ -132,12 +128,12 @@ def test_eof_of_w4_pair_near_quoted_maximum():
 
 
 def test_witness_values():
-    assert witness_value(w_density(3), 3) == pytest.approx(-1 / 3, abs=1e-12)
-    assert witness_value(w_density(4), 4) == pytest.approx(-1 / 4, abs=1e-12)
+    assert witness_value(w_density(3)) == pytest.approx(-1 / 3, abs=1e-12)
+    assert witness_value(w_density(4)) == pytest.approx(-1 / 4, abs=1e-12)
     mixed = DensityMatrix(np.eye(8) / 8, [0, 1, 2])
-    assert witness_value(mixed, 3) == pytest.approx(2 / 3 - 1 / 8, abs=1e-12)
+    assert witness_value(mixed) == pytest.approx(2 / 3 - 1 / 8, abs=1e-12)
     for n in range(3, 7):
-        assert witness_value(w_density(n), n) == pytest.approx(-1 / n, abs=1e-12)
+        assert witness_value(w_density(n)) == pytest.approx(-1 / n, abs=1e-12)
 
 
 def test_witness_value_is_the_operator_expectation():
@@ -151,13 +147,10 @@ def test_witness_value_is_the_operator_expectation():
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = x @ x.conj().T / np.trace(x @ x.conj().T).real
         expected = np.trace(operator @ rho).real
-        assert witness_value(rho, n) == pytest.approx(expected, abs=1e-12)
-        assert witness_value(np.outer(w, w.conj()), n) == pytest.approx(-1 / n)
-
-
-def test_witness_dimension_mismatch():
-    with pytest.raises(ValueError):
-        witness_value(w_density(3), 4)
+        assert witness_value(DensityMatrix(rho, list(range(n)))) == pytest.approx(
+            expected, abs=1e-12
+        )
+        assert witness_value(w_density(n)) == pytest.approx(-1 / n)
 
 
 def test_pairwise_eof_tables():
@@ -200,11 +193,83 @@ def test_pairwise_table_uses_mode_ids():
 def test_non_hermitian_input_rejected():
     bad = np.eye(4, dtype=complex) / 4
     bad[0, 1] = 0.1
-    with pytest.raises(ValueError):
-        concurrence(DensityMatrix(bad, [0, 1]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(bad, [0, 1])
 
 
 def test_invalid_density_matrix_rejected():
     not_psd = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        concurrence(DensityMatrix(not_psd, [0, 1]))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(not_psd, [0, 1])
+
+
+def test_concurrence_needs_two_qubits():
+    with pytest.raises(ValueError, match="two-qubit"):
+        concurrence(w_density(3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.data())
+def test_pair_marginals_are_density_matrices(n, data):
+    # Random valid n-qubit states of random rank: each pair marginal the
+    # EOF table reads meets the strict tolerances a DensityMatrix is built
+    # with.
+    rank = data.draw(st.integers(1, 2**n), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rho = DensityMatrix(random_density(rng, 2**n, rank), list(range(n)))
+    for pair in itertools.combinations(range(n), 2):
+        m = _ptrace_matrix(rho.matrix, n, list(pair))
+        assert np.max(np.abs(m - m.conj().T)) <= HERMITICITY_ATOL
+        assert abs(np.trace(m).real - 1.0) <= TRACE_ATOL
+        assert np.linalg.eigvalsh(m).min() >= -PSD_ATOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+def test_pairwise_eof_table_matches_the_oracle_marginals(n, noise, seed):
+    # A random single-excitation pure state, whose pairs are entangled,
+    # mixed with a random full-rank state so that the mixture is full rank.
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    psi = np.zeros(dim, dtype=complex)
+    psi[excitation_indices(n)] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    mixture = (1 - noise) * np.outer(psi, psi.conj()) + noise * random_density(rng, dim)
+    rho = DensityMatrix(mixture, [10 + q for q in range(n)])
+    table = pairwise_eof_table(rho)
+    assert len(table) == n * (n - 1) // 2
+    for i, j in itertools.combinations(range(n), 2):
+        expected = eof(partial_trace(rho, [i, j]))
+        assert table[(10 + i, 10 + j)] == pytest.approx(expected, abs=1e-12)
+
+
+def missing_tolerance(kind, factor, rng, dim):
+    """A full-rank dim x dim density matrix that misses one tolerance of
+    ``DensityMatrix`` by ``factor`` times that tolerance."""
+    if kind == "psd":
+        unitary, _ = np.linalg.qr(
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        )
+        evals = rng.uniform(0.5, 1.0, dim)
+        evals[0] = -factor * PSD_ATOL
+        evals[1:] *= (1.0 - evals[0]) / evals[1:].sum()
+        return (unitary * evals) @ unitary.conj().T
+    m = (np.eye(dim) / dim + random_density(rng, dim)) / 2
+    if kind == "hermiticity":
+        m[0, 1] += factor * HERMITICITY_ATOL
+    else:
+        m *= 1.0 + factor * TRACE_ATOL
+    return m
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("hermiticity", "not Hermitian"), ("psd", "negative eigenvalue"), ("trace", "trace")],
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_density_matrix_checks_each_tolerance(kind, message, n, seed):
+    rng = np.random.default_rng(seed)
+    DensityMatrix(missing_tolerance(kind, 0.5, rng, 2**n), list(range(n)))
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(missing_tolerance(kind, 2.0, rng, 2**n), list(range(n)))

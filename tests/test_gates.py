@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from wexpand.entanglement import fidelity
 from wexpand.fock import (
     PhotonicState,
     _qubit_vectors,
@@ -29,7 +30,6 @@ from wexpand.gates import (
 )
 from wexpand.optics import apply_circuit
 from wexpand.sources import spdc_pair
-from wexpand.tomography import fidelity
 
 from helpers import (
     expand_w_full_photonic,

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wexpand import sources
 from wexpand.cli import ExperimentConfig, load_config
+from wexpand.entanglement import fidelity
 from wexpand.fock import (
     coincidence_probability,
     number_state,
@@ -26,7 +27,6 @@ from wexpand.sources import (
     spdc_pair,
     weak_coherent_pulse,
 )
-from wexpand.tomography import fidelity
 
 from helpers import heralded_single_photon, inner_product, rotation
 
