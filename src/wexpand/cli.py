@@ -143,12 +143,18 @@ class ExperimentConfig:
     delays_um: list[float] | None = None
     visibility_target: float | None = 0.85
 
+    def read_fields(self) -> tuple[str, ...]:
+        """The fields this run reads.  An exact run samples nothing, so it
+        reads neither ``seed`` nor ``n_resamples``."""
+        unread = ("seed", "n_resamples") if self.exact else ()
+        return tuple(f for f in SCENARIO_FIELDS[self.scenario] if f not in unread)
+
     def validate(self) -> None:
-        """The one check of the values of the fields the scenario reads.  A
+        """The one check of the values of the fields the run reads.  A
         NaN fails every domain, since it compares false."""
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        fields = SCENARIO_FIELDS[self.scenario]
+        fields = self.read_fields()
         for name, (domain, ok) in _DOMAINS.items():
             value = getattr(self, name)
             if name in fields and not ok(value):
@@ -159,7 +165,7 @@ class ExperimentConfig:
                 "overlap and visibility_target both set the overlap; set "
                 '"visibility_target": null to scan at a fixed overlap'
             )
-        if "seed" in fields and not self.exact and self.seed is None:
+        if "seed" in fields and self.seed is None:
             raise ValueError(
                 f"scenario {self.scenario!r} samples counts; a seed is required"
             )
@@ -186,11 +192,8 @@ def _matches(value, hint) -> bool:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """The scenario and the fields its run reads.  An exact run samples
-    nothing, so it reads neither ``seed`` nor ``n_resamples``."""
-    fields = SCENARIO_FIELDS[config.scenario]
-    if config.exact:
-        fields = [f for f in fields if f not in ("seed", "n_resamples")]
+    """The scenario and the fields its run reads."""
+    fields = config.read_fields()
     return {"scenario": config.scenario, **{f: getattr(config, f) for f in fields}}
 
 
@@ -314,7 +317,7 @@ def _run_hom(config: ExperimentConfig) -> dict:
 
 
 def _run_w3(config: ExperimentConfig) -> dict:
-    seeds = _child_seeds(config.seed, 2)
+    seeds = _child_seeds(None if config.exact else config.seed, 2)
     expanded = expand(np.ones((1, 1)), 0, config.overlap)
     rho = excitation_density(expanded, OUTPUT_MODES)
     return {
@@ -328,7 +331,7 @@ def _run_w3(config: ExperimentConfig) -> dict:
 
 
 def _run_w4(config: ExperimentConfig) -> dict:
-    seeds = _child_seeds(config.seed, 4)
+    seeds = _child_seeds(None if config.exact else config.seed, 4)
     pair = spdc_pair(config.gamma, modes=(0, MODE_INPUT))
     sigma_pair, pair_probability = postselect_qubits(pair, (0, MODE_INPUT))
     if sigma_pair is None:

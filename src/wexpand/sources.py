@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import csv
-import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -118,42 +117,42 @@ def delay_overlap(delay_um: float, coherence_length_um: float) -> float:
     return math.exp(-0.5 * x * x)
 
 
-def _number_coincidences(n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(A_n, B_n), n <= n_max: with n pulse photons, the threefold coincidence
-    (herald, mode 4, mode 5) is A_n + B_n xi^2.
+def _dip_table(
+    u: dict, v: dict, n_max: int
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(A_n, B_n), n <= n_max: with one photon of output amplitudes ``u`` and
+    n of amplitudes ``v``, at overlap xi, modes 4 and 5 both hold a photon
+    with probability A_n + B_n xi^2.
 
-    Two one-photon gate runs give the output modes u of the input photon and
-    v of a pulse photon.  With the input photon at a and the pulse photons at
-    m - a, occupations m get m_a s_a, s_a = sqrt(n! / prod m!) u_a v^(m - a).
-    Their probability is |sum_a m_a s_a|^2 at xi = 1, where the photons
-    interfere, and sum_a m_a |s_a|^2 at xi = 0, where they do not.  The herald
-    always clicks, so the threefold needs photons at modes 4 and 5.
+    Restricted to the labels outside a set S of spatial modes, u_S and v_S
+    leave S dark with probability ||a_u+ (a_v+)^n |0>||^2 / n! =
+    |u_S|^2 |v_S|^(2n) + xi^2 n |<u_S, v_S>|^2 |v_S|^(2n - 2), and
+    inclusion-exclusion over S in {}, {4}, {5}, {4, 5} gives the table.  One
+    photon cannot fire two detectors, so the n = 0 row is exactly zero.
+    Labels are summed in sorted order, not in the order of a set.
     """
+    labels = sorted(u.keys() | v.keys())
+    flat, slope = [0.0] * (n_max + 1), [0.0] * (n_max + 1)
+    for sign, dark in ((1, ()), (-1, (4,)), (-1, (5,)), (1, (4, 5))):
+        kept = [(u.get(k, 0j), v.get(k, 0j)) for k in labels if k.spatial not in dark]
+        uu = sum(abs(a) ** 2 for a, _ in kept)
+        vv = sum(abs(b) ** 2 for _, b in kept)
+        uv = abs(sum(a.conjugate() * b for a, b in kept)) ** 2
+        for n in range(1, n_max + 1):
+            flat[n] += sign * uu * vv**n
+            slope[n] += sign * n * uv * vv ** (n - 1)
+    return tuple(flat), tuple(slope)
+
+
+def _number_coincidences(n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``_dip_table`` of the input photon and a pulse photon, from one gate
+    run each: with n pulse photons, the threefold coincidence (herald, mode
+    4, mode 5) is A_n + B_n xi^2, since the herald always clicks."""
     u, v = (
         {fbv[0]: amp for fbv, amp in run_gate(single_photon(m, H)).items()}
         for m in (MODE_INPUT, MODE_ANCILLA)
     )
-    labels = sorted(u.keys() | v.keys())
-    u, v = ([amps.get(lab, 0.0) for lab in labels] for amps in (u, v))
-    ids = range(len(labels))
-    flat, slope = [], []
-    for n in range(n_max + 1):
-        distinguishable = matched = 0.0
-        for out in itertools.combinations_with_replacement(ids, n + 1):
-            if not {4, 5} <= {labels[j].spatial for j in out}:
-                continue
-            m = [out.count(j) for j in ids]
-            root = math.sqrt(math.factorial(n) / math.prod(map(math.factorial, m)))
-            s = [
-                (m[a], root * u[a] * math.prod(v[j] ** (m[j] - (j == a)) for j in ids))
-                for a in ids
-                if m[a]
-            ]
-            matched += abs(sum(m_a * s_a for m_a, s_a in s)) ** 2
-            distinguishable += sum(m_a * abs(s_a) ** 2 for m_a, s_a in s)
-        flat.append(distinguishable)
-        slope.append(matched - distinguishable)
-    return tuple(flat), tuple(slope)
+    return _dip_table(u, v, n_max)
 
 
 def dip_coefficients(nu: float, n_max: int = N_MAX) -> tuple[float, float]:

@@ -82,6 +82,40 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(marginal, [rho.qubit_order[q] for q in keep])
 
 
+def dip_table_by_enumeration(
+    u: dict, v: dict, n_max: int
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Oracle for ``sources._dip_table``: every arrangement of the one photon
+    of output amplitudes ``u`` and the n photons of amplitudes ``v``.
+
+    With the first photon at a and the others at m - a, occupations m get
+    m_a s_a, s_a = sqrt(n! / prod m!) u_a v^(m - a).  Their probability is
+    |sum_a m_a s_a|^2 at xi = 1, where the photons interfere, and
+    sum_a m_a |s_a|^2 at xi = 0, where they do not.  Only the arrangements
+    with photons at modes 4 and 5 count."""
+    labels = sorted(u.keys() | v.keys())
+    u, v = ([amps.get(lab, 0.0) for lab in labels] for amps in (u, v))
+    ids = range(len(labels))
+    flat, slope = [], []
+    for n in range(n_max + 1):
+        distinguishable = matched = 0.0
+        for out in itertools.combinations_with_replacement(ids, n + 1):
+            if not {4, 5} <= {labels[j].spatial for j in out}:
+                continue
+            m = [out.count(j) for j in ids]
+            root = math.sqrt(math.factorial(n) / math.prod(map(math.factorial, m)))
+            s = [
+                (m[a], root * u[a] * math.prod(v[j] ** (m[j] - (j == a)) for j in ids))
+                for a in ids
+                if m[a]
+            ]
+            matched += abs(sum(m_a * s_a for m_a, s_a in s)) ** 2
+            distinguishable += sum(m_a * abs(s_a) ** 2 for m_a, s_a in s)
+        flat.append(distinguishable)
+        slope.append(matched - distinguishable)
+    return tuple(flat), tuple(slope)
+
+
 def rotation(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """Jones matrix of a polarization rotation by ``angle``; pi/2 maps H to V."""
     c, s = math.cos(angle), math.sin(angle)

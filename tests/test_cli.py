@@ -446,20 +446,43 @@ def test_main_scaling_and_outputs(tmp_path):
     assert len(report["results"]["rows"]) == len(SCALING_SIZES)
 
 
-def test_module_entry_point_runs_without_runtime_warning(tmp_path):
-    # runpy warns when the package __init__ has already imported the module
-    # it is asked to run as __main__.
+def run_module(*args, **env) -> subprocess.CompletedProcess:
+    """``python -m wexpand.cli`` with ``args`` in a new process, with this
+    checkout's sources first on the path and ``env`` added."""
     src = str(Path(wexpand.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "wexpand.cli",
-         "scaling", "--out", str(tmp_path / "scaling.json")],
-        env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    # runpy warns when the package __init__ has already imported the module
+    # it is asked to run as __main__.
+    done = run_module(
+        "-W", "error::RuntimeWarning", "-m", "wexpand.cli",
+        "scaling", "--out", str(tmp_path / "scaling.json"),
+    )
     assert done.returncode == 0, done.stderr
+
+
+def test_hom_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # Sets of mode labels iterate in an order that PYTHONHASHSEED picks; the
+    # dip sums its labels in sorted order, so no byte may depend on it.
+    for hash_seed in ("1", "2"):
+        done = run_module(
+            "-m", "wexpand.cli", "hom", "--config", str(CONFIG_DIR / "hom.json"),
+            "--out", str(tmp_path / f"hom_{hash_seed}.json"),
+            PYTHONHASHSEED=hash_seed,
+        )
+        assert done.returncode == 0, done.stderr
+    for suffix in (".json", "_curve.csv"):
+        first, second = (tmp_path / f"hom_{k}{suffix}" for k in "12")
+        assert first.read_bytes() == second.read_bytes(), suffix
 
 
 def test_main_w3_exact_writes_density_matrix(tmp_path):
@@ -488,6 +511,55 @@ def test_exact_report_does_not_depend_on_seed_or_resamples(tmp_path, scenario):
     }
     resampled = ExperimentConfig(scenario, exact=True, seed=5, n_resamples=7)
     assert config_sha256(resampled) == config_sha256(ExperimentConfig(scenario, exact=True))
+
+
+def test_dip_table_does_not_depend_on_the_hash_seed():
+    # The gate's one-photon outputs sum to the same bits in any order, so
+    # the hom report alone cannot show an order that follows the hash seed;
+    # a table over more labels with random amplitudes does.
+    script = (
+        "import numpy as np\n"
+        "from wexpand.fock import POLARIZATIONS, TEMPORAL_BINS, mode\n"
+        "from wexpand.sources import _dip_table\n"
+        "rng = np.random.default_rng(3)\n"
+        "labels = [mode(m, p, b) for m in range(8) for p in POLARIZATIONS\n"
+        "          for b in TEMPORAL_BINS]\n"
+        "u, v = ({lab: complex(*rng.normal(size=2)) for lab in labels} for _ in 'uv')\n"
+        "print(repr(_dip_table(u, v, 4)))\n"
+    )
+    tables = [run_module("-c", script, PYTHONHASHSEED=k) for k in ("1", "2")]
+    assert all(done.returncode == 0 for done in tables), tables[0].stderr
+    assert tables[0].stdout == tables[1].stdout
+
+
+@pytest.mark.parametrize("scenario", ["w3", "w4"])
+def test_exact_run_skips_the_domains_of_what_it_does_not_read(
+    tmp_path, capsys, scenario
+):
+    # A seed of -1 and a single resample lie outside their domains.  An
+    # exact run reads neither, so it runs and writes the plain exact bytes;
+    # a sampled run reads both, so it rejects each.
+    resampled = write_config(tmp_path, scenario=scenario, exact=True, n_resamples=1)
+    runs = {
+        "plain": [scenario, "--exact"],
+        "negative_seed": [scenario, "--exact", "--seed", "-1"],
+        "one_resample": [scenario, "--config", str(resampled)],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / f"{name}.json")]) == 0, name
+    for suffix in (".json", "_rho.json"):
+        plain = (tmp_path / f"plain{suffix}").read_bytes()
+        for name in ("negative_seed", "one_resample"):
+            assert (tmp_path / f"{name}{suffix}").read_bytes() == plain, name
+    sampled = write_config(tmp_path, scenario=scenario, seed=1, n_resamples=1)
+    for argv, message in [
+        ([scenario, "--seed", "-1"], "seed must be null or nonnegative"),
+        ([scenario, "--config", str(sampled)], "n_resamples must be 0 or at least 2"),
+    ]:
+        out = tmp_path / "sampled.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

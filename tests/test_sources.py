@@ -9,7 +9,10 @@ from wexpand import sources
 from wexpand.cli import ExperimentConfig, load_config
 from wexpand.entanglement import fidelity
 from wexpand.fock import (
+    POLARIZATIONS,
+    TEMPORAL_BINS,
     coincidence_probability,
+    mode,
     number_state,
     postselect_qubits,
     tensor,
@@ -28,7 +31,12 @@ from wexpand.sources import (
     weak_coherent_pulse,
 )
 
-from helpers import heralded_single_photon, inner_product, rotation
+from helpers import (
+    dip_table_by_enumeration,
+    heralded_single_photon,
+    inner_product,
+    rotation,
+)
 
 
 def test_two_photon_ancilla_normalized():
@@ -210,6 +218,50 @@ def test_closed_form_dip_matches_circuit_random(log_nu, n_max, xi, phase):
     assert 1.0 - _simulated_dip(xi0, nu, n_max, phase) / flat == pytest.approx(
         0.85, abs=1e-10
     )
+
+
+def _amplitudes(draw, labels) -> dict:
+    """A unit-norm amplitude map over ``labels``, or all zeros."""
+    part = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    amps = {lab: draw(part) for lab in labels}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return {lab: a / norm if norm > 0 else a for lab, a in amps.items()}
+
+
+@st.composite
+def amplitude_pairs(draw):
+    """Output amplitudes of two photons over one or two labels in mode 4, as
+    many in mode 5 and a few more: H or V, either bin, modes 4 to 6 or
+    others.  ``v`` mixes ``u`` with a map over some of the labels, so the
+    two overlap by any amount, and at no mixing need not share labels."""
+    def labels(spatial):
+        polarized = st.builds(
+            mode, spatial, st.sampled_from(POLARIZATIONS), st.sampled_from(TEMPORAL_BINS)
+        )
+        return st.lists(polarized, min_size=1, max_size=2, unique=True)
+
+    ids = draw(labels(st.just(4))) + draw(labels(st.just(5)))
+    ids = sorted({*ids, *draw(labels(st.sampled_from([0, 1, 3, 4, 5, 6, 7, 9])))})
+    u = _amplitudes(draw, ids)
+    w = _amplitudes(draw, [lab for lab in ids if draw(st.booleans())])
+    c = draw(st.floats(0.0, 1.0))
+    v = {lab: c * u[lab] + (1 - c) * w.get(lab, 0j) for lab in ids}
+    return u, v if c else w
+
+
+@pytest.mark.parametrize("n_max", range(7))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(amplitudes=amplitude_pairs())
+def test_dip_table_matches_the_enumeration(amplitudes, n_max):
+    # The dark-set formula against every photon arrangement, on amplitude
+    # maps that need not come from the gate.
+    u, v = amplitudes
+    table = sources._dip_table(u, v, n_max)
+    oracle = dip_table_by_enumeration(u, v, n_max)
+    for row, expected in zip(table, oracle):
+        assert len(row) == n_max + 1
+        assert row == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert row[0] == 0.0
 
 
 def test_dip_of_a_bright_pulse_is_the_top_photon_number():
