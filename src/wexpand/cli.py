@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .entanglement import eof, fidelity
-from .fock import DensityMatrix, postselect_qubits
+from .fock import DensityMatrix
 from .gates import (
     MODE_INPUT,
     OUTPUT_MODES,
@@ -40,7 +40,6 @@ from .sources import (
     hom_scan,
     hom_scan_to_csv,
     hom_visibility,
-    spdc_pair,
 )
 from .tomography import (
     bootstrap_errors,
@@ -105,7 +104,7 @@ REFERENCE_EXPERIMENT = {
 # scenario checks the fields it reads.
 _DOMAINS = {
     "nu": ("be nonnegative", lambda x: x >= 0),
-    "gamma": ("be nonnegative", lambda x: x >= 0),
+    "gamma": ("be positive", lambda x: x > 0),
     "overlap": ("lie in [0, 1]", lambda x: 0 <= x <= 1),
     "flux_per_setting": ("be positive", lambda x: x > 0),
     "n_resamples": ("be 0 or at least 2", lambda x: x == 0 or x >= 2),
@@ -332,10 +331,12 @@ def _run_w3(config: ExperimentConfig) -> dict:
 
 def _run_w4(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(None if config.exact else config.seed, 4)
-    pair = spdc_pair(config.gamma, modes=(0, MODE_INPUT))
-    sigma_pair, pair_probability = postselect_qubits(pair, (0, MODE_INPUT))
-    if sigma_pair is None:
-        raise ValueError("pair source produced no coincidences (gamma = 0?)")
+    # The diagonal pump emits sqrt(gamma) times the pair, already W_2 in the
+    # local frame of modes 0 and 1, on top of vacuum; a coincidence keeps
+    # the pair, with probability gamma / (1 + gamma).
+    w2 = w_state_qubits(2)
+    sigma_pair = DensityMatrix(np.outer(w2, w2.conj()), [0, MODE_INPUT])
+    pair_probability = config.gamma / (1 + config.gamma)
 
     pair_block = _tomography_block(sigma_pair, config, seeds[:2])
 
@@ -348,7 +349,7 @@ def _run_w4(config: ExperimentConfig) -> dict:
 
     return {
         "pair_source": {
-            "fidelity_w2": fidelity(sigma_pair, w_state_qubits(2)),
+            "fidelity_w2": fidelity(sigma_pair, w2),
             "eof": eof(sigma_pair),
             "coincidence_probability": pair_probability,
             "tomography": pair_block,

@@ -1,11 +1,15 @@
-"""Sparse bosonic Fock-space states over labeled optical modes.
+"""Mode labels, polarization-qubit density matrices, and the sparse
+bosonic Fock engine.
 
-A mode is labeled by (spatial path, polarization, temporal bin) and a state
-is a sparse complex amplitude map over Fock basis vectors, each stored as
-the sorted tuple of its photons' mode labels.
-All circuit evolution stays pure; mixedness enters only in
-``postselect_qubits``, which keeps one photon per listed spatial mode and
-traces the temporal bins out of the surviving polarization qubits.
+A mode is labeled by (spatial path, polarization, temporal bin).  The
+scenarios use the labels and ``DensityMatrix`` only: every number they
+report follows from one photon's image through the gate.  The Fock engine
+is the reference the tests check them against.  A state is a sparse complex
+amplitude map over Fock basis vectors, each stored as the sorted tuple of
+its photons' mode labels.  All circuit evolution stays pure; mixedness
+enters only in ``postselect_qubits``, which keeps one photon per listed
+spatial mode and traces the temporal bins out of the surviving polarization
+qubits.
 """
 
 from __future__ import annotations

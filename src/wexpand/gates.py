@@ -9,30 +9,24 @@ one photon in each of the output modes 4, 5 and 6, which maps an N-qubit
 W state whose accessed qubit enters mode 1 onto the (N+2)-qubit W state
 with probability (N+2)/(16N).
 
-The gate conserves the number of V photons, so a W-class input, one V
-among its qubits, stays in the single-excitation subspace at any overlap.
-``expand`` maps such a state, held as an (M x M) matrix, to its
-(M+2 x M+2) post-selected output from two one-photon gate runs.
+The gate is linear optics, so one photon's image through it, ``run_gate``,
+fixes every output.  It conserves the number of V photons, so a W-class
+input, one V among its qubits, stays in the single-excitation subspace at
+any overlap.  ``expand`` maps such a state, held as an (M x M) matrix, to
+its (M+2 x M+2) post-selected output from the images of the input photon
+and of an ancilla photon.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .fock import (
-    DensityMatrix,
-    PhotonicState,
-    _qubit_vectors,
-    number_state,
-    single_photon,
-    tensor,
-    H,
-    V,
-)
-from .optics import apply_circuit, apply_delay, beamsplitter, wave_plate
+from .fock import DensityMatrix, ModeLabel, TEMPORAL_BINS, mode, H, V
+from .optics import _compose, beamsplitter, delay, wave_plate
 from .tolerances import POSTSELECT_MIN_PROBABILITY
 
 MODE_INPUT = 1
@@ -41,12 +35,9 @@ MODE_INTERNAL = 3
 MODE_AUX = 7
 OUTPUT_MODES = (4, 5, 6)
 
-# Mode ids every gate run expects to find in vacuum.
-_GATE_CLEAN_MODES = (MODE_INTERNAL, MODE_AUX) + OUTPUT_MODES
-
 
 class GateInputError(ValueError):
-    """The gate input already holds photons in internal or output modes."""
+    """A photon was sent into the gate through a mode other than 1 or 2."""
 
 
 # The gate wiring, in propagation order.
@@ -59,12 +50,14 @@ GATE_ELEMENTS = (
 )
 
 
-def run_gate(state: PhotonicState) -> PhotonicState:
-    """Propagate a state with photons in modes 1 and 2 through the gate."""
-    dirty = state.spatial_modes() & set(_GATE_CLEAN_MODES)
-    if dirty:
-        raise GateInputError(f"gate input must leave modes {sorted(dirty)} in vacuum")
-    return apply_circuit(state, GATE_ELEMENTS)
+def run_gate(label: ModeLabel) -> dict[ModeLabel, complex]:
+    """The gate's image of one photon entering on ``label``: its amplitude
+    on each output label.  Only modes 1 and 2 are gate inputs."""
+    if label.spatial not in (MODE_INPUT, MODE_ANCILLA):
+        raise GateInputError(
+            f"gate inputs are modes {MODE_INPUT} and {MODE_ANCILLA}, got {label}"
+        )
+    return dict(_compose(label, GATE_ELEMENTS))
 
 
 def w_state_qubits(n: int) -> np.ndarray:
@@ -74,20 +67,6 @@ def w_state_qubits(n: int) -> np.ndarray:
     vec = np.zeros(2**n, dtype=complex)
     vec[excitation_indices(n)] = 1.0 / math.sqrt(n)
     return vec
-
-
-def two_photon_ancilla() -> PhotonicState:
-    """Ideal ancilla: two H photons in the ancilla mode."""
-    return number_state(MODE_ANCILLA, H, 2)
-
-
-def through_gate(w_input: PhotonicState, overlap: float = 1.0) -> PhotonicState:
-    """A W state whose accessed photon is in mode 1, and the two-photon
-    ancilla delayed to wavepacket overlap ``overlap``, through the gate."""
-    state = tensor(w_input, two_photon_ancilla())
-    if overlap < 1.0:
-        state = apply_delay(state, MODE_ANCILLA, overlap)
-    return run_gate(state)
 
 
 def success_probability_analytic(n: int) -> float:
@@ -115,6 +94,21 @@ def excitation_density(matrix, qubit_order: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(dense, list(qubit_order))
 
 
+# Every temporal-bin pattern (b_4, b_5, b_6) of the three output photons,
+# as indices into TEMPORAL_BINS.
+_BIN_PATTERNS = np.array(list(itertools.product((0, 1), repeat=3)))
+
+
+def _by_bins(image: dict[ModeLabel, complex], pol: str) -> np.ndarray:
+    """(8, 3) array of a one-photon image: entry (b, i) is its amplitude on
+    polarization ``pol`` in output mode i and temporal bin b_i."""
+    grid = np.array(
+        [[image.get(mode(m, pol, t), 0) for t in TEMPORAL_BINS] for m in OUTPUT_MODES],
+        dtype=complex,
+    )
+    return grid[np.arange(3), _BIN_PATTERNS]
+
+
 def expand(rho, k: int, overlap: float = 1.0) -> np.ndarray:
     """Send qubit ``k`` of a single-excitation state through the gate.
 
@@ -123,33 +117,36 @@ def expand(rho, k: int, overlap: float = 1.0) -> np.ndarray:
     the post-selected output: the M-1 untouched qubits in their order, then
     the output modes 4, 5, 6.  Its trace is the success probability.
 
-    For each temporal-bin pattern b of the outputs, let h_b be the |HHH>
-    amplitude of an H photon in mode 1 through the gate, and v_b the three
-    single-V amplitudes of a V photon, both with the ancilla at wavepacket
-    overlap ``overlap``.  With s = sum_b |h_b|^2, c = sum_b h_b v_b^* and
+    An ancilla photon delayed to wavepacket overlap xi has the image
+    a = xi g_p + sqrt(1 - xi^2) g_o, with g_p and g_o the images of the two
+    temporal bins.  With the input photon's image u, one photon lands in
+    each output, at bin pattern b = (b_4, b_5, b_6), with amplitude
+    sqrt(2) sum_i u(i, b_i) prod_{j != i} a(j, b_j): the permanent of the
+    photons' amplitudes, with the ancilla row taken twice, over sqrt(2), the
+    norm of the two-photon ancilla.  Let h_b be that amplitude for
+    an H input on |HHH>, and v_b the three single-V amplitudes for a V
+    input.  With s = sum_b |h_b|^2, c = sum_b h_b v_b^* and
     G = sum_b v_b v_b^dagger, the output holds s rho_ij between untouched
     qubits, rho_ik c_a between untouched qubit i and output qubit a, and
-    rho_kk G on the outputs.  The H run fills only untouched rows, so a
-    one-qubit input runs the gate once.
+    rho_kk G on the outputs.  The H image fills only untouched rows, so a
+    one-qubit input does without it.
     """
     rho = np.asarray(rho, dtype=complex)
     m = len(rho)
     if rho.shape != (m, m) or not 0 <= k < m:
         raise ValueError(f"need a square matrix and a qubit index below {m}")
 
-    def outputs(pol):
-        state = through_gate(single_photon(MODE_INPUT, pol), overlap)
-        return _qubit_vectors(state, OUTPUT_MODES)[0]
-
-    v = {b: vec[excitation_indices(3)] for b, vec in outputs(V).items()}
+    delayed = delay(MODE_ANCILLA, overlap).image(mode(MODE_ANCILLA, H))
+    a = sum(c * _by_bins(run_gate(label), H) for label, c in delayed)
+    # sqrt(2) prod_{j != i} a(j, b_j), for the input photon in output i.
+    others = math.sqrt(2) * a[:, [1, 0, 0]] * a[:, [2, 2, 1]]
+    v = _by_bins(run_gate(mode(MODE_INPUT, V)), V) * others
     out = np.zeros((m + 2, m + 2), dtype=complex)
-    out[m - 1 :, m - 1 :] = rho[k, k] * sum(
-        (np.outer(vb, vb.conj()) for vb in v.values()), np.zeros((3, 3))
-    )
+    out[m - 1 :, m - 1 :] = rho[k, k] * (v.T @ v.conj())
     if m > 1:
-        h = {b: vec[0] for b, vec in outputs(H).items()}
-        s = sum(abs(hb) ** 2 for hb in h.values())
-        c = sum((hb * v[b].conj() for b, hb in h.items() if b in v), np.zeros(3))
+        h = (_by_bins(run_gate(mode(MODE_INPUT, H)), H) * others).sum(axis=1)
+        s = np.vdot(h, h).real
+        c = h @ v.conj()
         rest = [i for i in range(m) if i != k]
         out[: m - 1, : m - 1] = s * rho[np.ix_(rest, rest)]
         out[: m - 1, m - 1 :] = np.outer(rho[rest, k], c)

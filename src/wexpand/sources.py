@@ -1,34 +1,23 @@
-"""Photon-source models and the two-photon interference scan.
+"""The coherent-pulse dip at the gate's first beamsplitter.
 
-Covers the weak coherent pulse (WCP) that stands in experimentally for the
-gate's two-photon Fock ancilla, the down-conversion pair source, and the
-delay scan that maps out the Hong-Ou-Mandel dip at the gate's first
-beamsplitter.
+A heralded single photon meets a weak coherent pulse (WCP), which stands in
+experimentally for the gate's two-photon Fock ancilla.  The threefold
+coincidence follows from the gate's one-photon images of the two photons,
+weighted over the pulse's photon number, and the delay scan maps out the
+Hong-Ou-Mandel dip.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from typing import Iterable, Sequence
 
-from .fock import (
-    VACUUM,
-    Basis,
-    PhotonicState,
-    apply_creation,
-    basis_vector,
-    mode,
-    single_photon,
-    vacuum_state,
-    H,
-    V,
-)
+from .fock import mode, H
 from .gates import MODE_ANCILLA, MODE_INPUT, run_gate
 
 
-# Fock truncation of the coherent pulse.
+# Photon-number truncation of the coherent pulse.
 N_MAX = 4
 
 
@@ -44,67 +33,6 @@ def _poisson_weights(nu: float, n_max: int) -> list[float]:
         (nu / scale) ** n * scale ** (n - n_max) / math.factorial(n)
         for n in range(n_max + 1)
     ]
-
-
-def weak_coherent_pulse(
-    nu: float,
-    n_max: int = N_MAX,
-    spatial_mode: int = MODE_ANCILLA,
-    phase: float = 0.0,
-) -> PhotonicState:
-    """H-polarized coherent state of mean photon number ``nu``, truncated at
-    ``n_max`` photons.
-
-    Number-state amplitudes are sqrt(p_n) e^(i n phase), with p_n the Poisson
-    weight renormalized over n <= n_max; a bright pulse gives |n_max>.
-    """
-    weights = _poisson_weights(nu, n_max)
-    total = sum(weights)
-    label = mode(spatial_mode, H)
-    return PhotonicState(
-        {
-            basis_vector({label: n}): math.sqrt(w / total) * cmath.exp(1j * n * phase)
-            for n, w in enumerate(weights)
-        }
-    )
-
-
-def spdc_pair(
-    gamma: float,
-    modes: tuple[int, int] = (0, 1),
-    include_double_pairs: bool = False,
-) -> PhotonicState:
-    """Down-conversion output on two spatial modes, mostly vacuum.
-
-    A diagonal pump emits sqrt(gamma) times the symmetric pair
-    (|1_H 1_V> + |1_V 1_H>)/sqrt(2), already written in the local frame
-    where it matches the two-qubit W state.  With ``include_double_pairs``
-    the exponential pair-creation series is kept to second order, adding
-    double-pair terms at amplitude O(gamma).
-    """
-    m0, m1 = modes
-    root_gamma = math.sqrt(gamma)
-    inv = 1.0 / math.sqrt(2.0)
-    pair_ops = [
-        ((mode(m0, H), mode(m1, V)), inv),
-        ((mode(m0, V), mode(m1, H)), inv),
-    ]
-
-    def create_pair(state: PhotonicState) -> PhotonicState:
-        grown: dict[Basis, complex] = {}
-        for (lab_a, lab_b), coeff in pair_ops:
-            for fbv, amp in apply_creation(apply_creation(state, lab_a), lab_b).items():
-                grown[fbv] = grown.get(fbv, 0.0) + coeff * amp
-        return PhotonicState(grown)
-
-    terms = {VACUUM: 1.0}
-    one_pair = create_pair(vacuum_state())
-    for fbv, amp in one_pair.items():
-        terms[fbv] = terms.get(fbv, 0.0) + root_gamma * amp
-    if include_double_pairs:
-        for fbv, amp in create_pair(one_pair).items():
-            terms[fbv] = terms.get(fbv, 0.0) + (gamma / 2.0) * amp
-    return PhotonicState(terms).normalized()
 
 
 def delay_overlap(delay_um: float, coherence_length_um: float) -> float:
@@ -145,13 +73,10 @@ def _dip_table(
 
 
 def _number_coincidences(n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``_dip_table`` of the input photon and a pulse photon, from one gate
-    run each: with n pulse photons, the threefold coincidence (herald, mode
-    4, mode 5) is A_n + B_n xi^2, since the herald always clicks."""
-    u, v = (
-        {fbv[0]: amp for fbv, amp in run_gate(single_photon(m, H)).items()}
-        for m in (MODE_INPUT, MODE_ANCILLA)
-    )
+    """``_dip_table`` of the gate's images of the input photon and a pulse
+    photon: with n pulse photons, the threefold coincidence (herald, mode 4,
+    mode 5) is A_n + B_n xi^2, since the herald always clicks."""
+    u, v = (run_gate(mode(m, H)) for m in (MODE_INPUT, MODE_ANCILLA))
     return _dip_table(u, v, n_max)
 
 
@@ -163,7 +88,7 @@ def dip_coefficients(nu: float, n_max: int = N_MAX) -> tuple[float, float]:
     sum of the per-photon-number coincidences A_n + B_n xi^2, each exactly
     affine in xi^2 because threshold detection adds the temporal bins of the
     delayed pulse in probability.  The table depends on ``n_max`` alone and
-    comes from two one-photon gate runs; neither coefficient depends on
+    comes from the gate's images of two photons; neither coefficient depends on
     the overlap or the pulse phase.  ``a`` is the level far outside
     the dip, where the photons are fully distinguishable.
     """

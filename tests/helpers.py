@@ -1,5 +1,11 @@
-"""Test oracles and state helpers that the program itself does not need."""
+"""Test oracles and state helpers that the program itself does not need.
 
+The Fock-space oracle sends whole photonic states through the gate's
+elements with ``optics.apply_circuit``, where the program reads only the
+gate's one-photon images.
+"""
+
+import cmath
 import itertools
 import math
 from typing import Sequence
@@ -7,22 +13,29 @@ from typing import Sequence
 import numpy as np
 
 from wexpand.fock import (
+    VACUUM,
+    Basis,
     DensityMatrix,
     PhotonicState,
+    apply_creation,
     basis_vector,
     mode,
     number_state,
     postselect_qubits,
     tensor,
+    vacuum_state,
 )
 from wexpand.gates import (
+    GATE_ELEMENTS,
+    MODE_ANCILLA,
     MODE_AUX,
     MODE_INPUT,
     OUTPUT_MODES,
     excitation_density,
     expand,
-    through_gate,
 )
+from wexpand.optics import apply_circuit, apply_delay
+from wexpand.sources import N_MAX, _poisson_weights
 from wexpand.tolerances import ZERO_NORM
 
 
@@ -116,6 +129,86 @@ def dip_table_by_enumeration(
     return tuple(flat), tuple(slope)
 
 
+def fock_gate(state: PhotonicState) -> PhotonicState:
+    """Oracle gate: a whole Fock state through the gate's elements."""
+    return apply_circuit(state, GATE_ELEMENTS)
+
+
+def two_photon_ancilla() -> PhotonicState:
+    """Ideal ancilla: two H photons in the ancilla mode."""
+    return number_state(MODE_ANCILLA, "H", 2)
+
+
+def through_gate(w_input: PhotonicState, overlap: float = 1.0) -> PhotonicState:
+    """A W state whose accessed photon is in mode 1, and the two-photon
+    ancilla delayed to wavepacket overlap ``overlap``, through the gate."""
+    state = tensor(w_input, two_photon_ancilla())
+    if overlap < 1.0:
+        state = apply_delay(state, MODE_ANCILLA, overlap)
+    return fock_gate(state)
+
+
+def weak_coherent_pulse(
+    nu: float,
+    n_max: int = N_MAX,
+    spatial_mode: int = MODE_ANCILLA,
+    phase: float = 0.0,
+) -> PhotonicState:
+    """H-polarized coherent state of mean photon number ``nu``, truncated at
+    ``n_max`` photons.
+
+    Number-state amplitudes are sqrt(p_n) e^(i n phase), with p_n the Poisson
+    weight renormalized over n <= n_max; a bright pulse gives |n_max>.
+    """
+    weights = _poisson_weights(nu, n_max)
+    total = sum(weights)
+    label = mode(spatial_mode, "H")
+    return PhotonicState(
+        {
+            basis_vector({label: n}): math.sqrt(w / total) * cmath.exp(1j * n * phase)
+            for n, w in enumerate(weights)
+        }
+    )
+
+
+def spdc_pair(
+    gamma: float,
+    modes: tuple[int, int] = (0, 1),
+    include_double_pairs: bool = False,
+) -> PhotonicState:
+    """Down-conversion output on two spatial modes, mostly vacuum.
+
+    A diagonal pump emits sqrt(gamma) times the symmetric pair
+    (|1_H 1_V> + |1_V 1_H>)/sqrt(2), already written in the local frame
+    where it matches the two-qubit W state.  With ``include_double_pairs``
+    the exponential pair-creation series is kept to second order, adding
+    double-pair terms at amplitude O(gamma).
+    """
+    m0, m1 = modes
+    root_gamma = math.sqrt(gamma)
+    inv = 1.0 / math.sqrt(2.0)
+    pair_ops = [
+        ((mode(m0, "H"), mode(m1, "V")), inv),
+        ((mode(m0, "V"), mode(m1, "H")), inv),
+    ]
+
+    def create_pair(state: PhotonicState) -> PhotonicState:
+        grown: dict[Basis, complex] = {}
+        for (lab_a, lab_b), coeff in pair_ops:
+            for fbv, amp in apply_creation(apply_creation(state, lab_a), lab_b).items():
+                grown[fbv] = grown.get(fbv, 0.0) + coeff * amp
+        return PhotonicState(grown)
+
+    terms = {VACUUM: 1.0}
+    one_pair = create_pair(vacuum_state())
+    for fbv, amp in one_pair.items():
+        terms[fbv] = terms.get(fbv, 0.0) + root_gamma * amp
+    if include_double_pairs:
+        for fbv, amp in create_pair(one_pair).items():
+            terms[fbv] = terms.get(fbv, 0.0) + (gamma / 2.0) * amp
+    return PhotonicState(terms).normalized()
+
+
 def rotation(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """Jones matrix of a polarization rotation by ``angle``; pi/2 maps H to V."""
     c, s = math.cos(angle), math.sin(angle)
@@ -129,16 +222,22 @@ def heralded_single_photon(
     return tensor(number_state(herald_mode, "H", 1), number_state(signal_mode, "H", 1))
 
 
-def photonic_w_state(mode_ids: Sequence[int]) -> PhotonicState:
-    """W state embedded as one photon per listed spatial mode."""
+def photonic_single_excitation(amplitudes, mode_ids: Sequence[int]) -> PhotonicState:
+    """One photon per listed spatial mode, V on mode i with amplitude
+    ``amplitudes[i]`` and H on all the others."""
     ids = list(mode_ids)
-    amp = 1.0 / math.sqrt(len(ids))
     return PhotonicState(
         {
             basis_vector({mode(m, "V" if m == v_mode else "H"): 1 for m in ids}): amp
-            for v_mode in ids
+            for v_mode, amp in zip(ids, amplitudes)
         }
     )
+
+
+def photonic_w_state(mode_ids: Sequence[int]) -> PhotonicState:
+    """W state embedded as one photon per listed spatial mode."""
+    n = len(mode_ids)
+    return photonic_single_excitation([1.0 / math.sqrt(n)] * n, mode_ids)
 
 
 def untouched_mode_ids(n: int) -> list[int]:

@@ -16,7 +16,6 @@ from wexpand.fock import DensityMatrix, postselect_qubits, single_photon, tensor
 from wexpand.gates import (
     OUTPUT_MODES,
     success_probability_analytic,
-    through_gate,
     w_state_qubits,
 )
 from wexpand.optics import apply_circuit, beamsplitter
@@ -29,7 +28,7 @@ from wexpand.tomography import (
     sample_counts,
 )
 
-from helpers import density_from_pure, expanded_w, partial_trace
+from helpers import density_from_pure, expanded_w, partial_trace, through_gate
 
 
 def w_density(n):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wexpand
-from wexpand import gates, sources
+from wexpand import fock, gates, sources
 from wexpand.cli import (
     SCALING_SIZES,
     SCENARIO_FIELDS,
@@ -23,6 +23,7 @@ from wexpand.cli import (
     run_scenario,
 )
 from wexpand.entanglement import concurrence, fidelity, witness_value
+from wexpand.fock import mode
 from wexpand.gates import run_gate
 
 from helpers import expand_w_full_photonic, expanded_w, partial_trace
@@ -354,7 +355,8 @@ def test_w4_exact_scenario_quality():
 
 def test_fidelity_decreases_with_overlap_and_coherences_vanish():
     from wexpand.fock import postselect_qubits, single_photon
-    from wexpand.gates import MODE_INPUT, OUTPUT_MODES, through_gate, w_state_qubits
+    from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
+    from helpers import through_gate
     from wexpand.entanglement import fidelity
 
     photon = single_photon(MODE_INPUT, "V")
@@ -579,6 +581,29 @@ def test_degenerate_flux_is_named(tmp_path, capsys, flux, cause):
     assert not out.exists()
 
 
+def test_pair_source_without_pairs_is_named(tmp_path, capsys):
+    # At gamma 0 the pair source emits no pair, so w4 has nothing to expand.
+    cfg_path = write_config(tmp_path, scenario="w4", gamma=0.0, exact=True)
+    out = tmp_path / "report.json"
+    assert main(["w4", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_scenario_builds_a_fock_state(monkeypatch, tmp_path):
+    # Every scenario reads the gate's one-photon images; the Fock engine is
+    # the tests' oracle only.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a scenario built a Fock state")
+
+    monkeypatch.setattr(fock.PhotonicState, "__init__", refuse)
+    overlap = write_config(tmp_path, scenario="scaling", overlap=0.926)
+    runs = [[s, "--config", str(CONFIG_DIR / f"{s}.json")] for s in SCENARIOS]
+    runs += [["scaling", "--config", str(overlap)], ["w3", "--exact"], ["w4", "--exact"]]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"{i}.json")]) == 0
+
+
 def test_main_hom_writes_curve(tmp_path):
     cfg_path = write_config(
         tmp_path,
@@ -597,46 +622,49 @@ def test_main_hom_writes_curve(tmp_path):
 
 
 def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
-    # The dip is a photon-number mixture of terms affine in xi^2, and one
-    # photon through the gate from each input gives every term, so each
-    # scenario runs the gate twice on one photon; nothing is kept between
+    # The dip is a photon-number mixture of terms affine in xi^2, and the
+    # gate's images of one photon from each input give every term, so each
+    # scenario reads two one-photon images; nothing is kept between
     # scenarios.
-    photons = []
+    labels = []
 
-    def counted(state):
-        photons.append(max(len(fbv) for fbv in state.terms))
-        return run_gate(state)
+    def counted(label):
+        labels.append(label)
+        return run_gate(label)
 
     monkeypatch.setattr(sources, "run_gate", counted)
     config = load_config(CONFIG_DIR / "hom.json")
     results = run_scenario(config)["results"]
-    assert photons == [1, 1]
+    assert labels == [mode(1, "H"), mode(2, "H")]
     assert results["overlap_used"] == pytest.approx(0.9262800541764591, abs=1e-10)
     assert results["visibility"] == pytest.approx(0.85, abs=1e-12)
     config.nu = 0.05
     run_scenario(config)
-    assert photons == [1, 1, 1, 1]
+    assert labels == [mode(1, "H"), mode(2, "H")] * 2
 
 
-def count_gate_runs(monkeypatch) -> list[int]:
-    """Patch the gate to record the photon number of each run's input."""
-    photons = []
+def count_gate_runs(monkeypatch) -> list:
+    """Patch the gate to record the input label of each one-photon image."""
+    labels = []
 
-    def counted(state):
-        photons.append(max(len(fbv) for fbv in state.terms))
-        return run_gate(state)
+    def counted(label):
+        labels.append(label)
+        return run_gate(label)
 
     monkeypatch.setattr(gates, "run_gate", counted)
-    return photons
+    return labels
 
 
-def test_shipped_scaling_scenario_takes_two_gate_runs(monkeypatch):
-    # Every row expands W_N through the same two gate runs, an H and a V
-    # photon alone in mode 1 with the two-photon ancilla, so the scenario
-    # runs the gate twice in all.
-    photons = count_gate_runs(monkeypatch)
+# The delayed ancilla photon enters mode 2 in both temporal bins.
+ANCILLA_IMAGES = [mode(2, "H"), mode(2, "H", "o")]
+
+
+def test_shipped_scaling_scenario_reads_four_gate_images(monkeypatch):
+    # Every row expands W_N through the same images: the ancilla photon's,
+    # and an H and a V photon's in mode 1, so the scenario reads four in all.
+    labels = count_gate_runs(monkeypatch)
     rows = run_scenario(load_config(CONFIG_DIR / "scaling.json"))["results"]["rows"]
-    assert photons == [3, 3]
+    assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "H"), mode(1, "V")])
     for row in rows[:8]:
         rho, probability = expanded_w(row["n"])
         assert row["simulated"] == pytest.approx(probability, abs=1e-12)
@@ -646,13 +674,14 @@ def test_shipped_scaling_scenario_takes_two_gate_runs(monkeypatch):
 
 
 def test_w3_and_w4_expand_through_one_photon_runs(monkeypatch):
-    # w3 sends only its V photon through the gate; w4 adds an H photon for
-    # the untouched qubit of its pair.
-    photons = count_gate_runs(monkeypatch)
+    # Besides the ancilla photon, w3 reads only its V photon's image; w4
+    # adds an H photon's, for the untouched qubit of its pair.
+    labels = count_gate_runs(monkeypatch)
     run_scenario(ExperimentConfig(scenario="w3", exact=True))
-    assert photons == [3]
+    assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "V")])
+    labels.clear()
     run_scenario(ExperimentConfig(scenario="w4", exact=True))
-    assert photons == [3, 3, 3]
+    assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "H"), mode(1, "V")])
 
 
 @pytest.mark.parametrize(

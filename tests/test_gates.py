@@ -24,18 +24,20 @@ from wexpand.gates import (
     expand,
     run_gate,
     success_probability_analytic,
-    through_gate,
-    two_photon_ancilla,
     w_state_qubits,
 )
 from wexpand.optics import apply_circuit
-from wexpand.sources import spdc_pair
 
 from helpers import (
     expand_w_full_photonic,
     expanded_w,
+    fock_gate,
+    photonic_single_excitation,
     photonic_w_state,
     scaled,
+    spdc_pair,
+    through_gate,
+    two_photon_ancilla,
     untouched_mode_ids,
 )
 
@@ -158,7 +160,7 @@ def test_gate_conserves_the_v_photon_number(terms):
     for n_v in {v_count(fbv) for fbv in terms}:
         part = PhotonicState({f: a for f, a in terms.items() if v_count(f) == n_v})
         assume(part.norm_squared() > 1e-6)
-        out = run_gate(part)
+        out = fock_gate(part)
         assert {v_count(fbv) for fbv in out.terms} <= {n_v}
         assert out.norm_squared() == pytest.approx(part.norm_squared(), abs=1e-12)
 
@@ -228,6 +230,58 @@ def test_partial_overlap_matches_closed_form():
 
 def test_gate_rejects_dirty_internal_modes():
     with pytest.raises(GateInputError):
-        run_gate(single_photon(4, "H"))
+        run_gate(mode(4, "H"))
     with pytest.raises(GateInputError):
-        run_gate(single_photon(3, "V"))
+        run_gate(mode(3, "V"))
+
+
+def labels_in(spatial_modes):
+    return [
+        mode(m, pol, tbin)
+        for m in spatial_modes
+        for pol in "HV"
+        for tbin in TEMPORAL_BINS
+    ]
+
+
+def test_one_photon_images_are_unitary_and_match_the_fock_oracle():
+    # The gate is unitary, so its images of the eight input labels are
+    # orthonormal; each is the Fock oracle's run of that one photon.
+    inputs = labels_in((1, 2))
+    images = [run_gate(lab) for lab in inputs]
+    outputs = sorted(set().union(*images))
+    matrix = np.array([[image.get(out, 0) for out in outputs] for image in images])
+    assert np.abs(matrix.conj() @ matrix.T - np.eye(len(inputs))).max() <= 1e-12
+    for lab, image in zip(inputs, images):
+        oracle = fock_gate(single_photon(lab.spatial, lab.pol, lab.tbin))
+        assert {fbv[0]: amp for fbv, amp in oracle.items()} == image
+    for lab in labels_in(range(3, 8)):
+        with pytest.raises(GateInputError):
+            run_gate(lab)
+
+
+AMPLITUDES = st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=1.0, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), st.floats(0.0, 1.0))
+def test_expand_matches_the_fock_oracle_on_complex_states(data, overlap):
+    # A pure single-excitation state with complex amplitudes, accessed on a
+    # random qubit k: its coherences rho_ik and rho_ki differ, where a real
+    # symmetric input cannot tell them apart.
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, m - 1))
+    psi = np.array(data.draw(st.lists(AMPLITUDES, min_size=m, max_size=m)))
+    psi /= np.linalg.norm(psi)
+    expanded = expand(np.outer(psi, psi.conj()), k, overlap)
+    rest = untouched_mode_ids(m)
+    spatial = rest[:k] + [MODE_INPUT] + rest[k:]
+    oracle, oracle_prob = postselect_qubits(
+        through_gate(photonic_single_excitation(psi, spatial), overlap),
+        rest + list(OUTPUT_MODES),
+    )
+    assert np.trace(expanded).real == pytest.approx(oracle_prob, abs=1e-12)
+    rho = excitation_density(expanded, rest + list(OUTPUT_MODES))
+    assert np.abs(rho.matrix - oracle.matrix).max() <= 1e-12

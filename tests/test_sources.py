@@ -18,7 +18,7 @@ from wexpand.fock import (
     tensor,
     vacuum_state,
 )
-from wexpand.gates import OUTPUT_MODES, run_gate, two_photon_ancilla, w_state_qubits
+from wexpand.gates import OUTPUT_MODES, w_state_qubits
 from wexpand.optics import apply_circuit, apply_delay, wave_plate
 from wexpand.sources import (
     N_MAX,
@@ -27,15 +27,17 @@ from wexpand.sources import (
     dip_coefficients,
     hom_scan,
     hom_visibility,
-    spdc_pair,
-    weak_coherent_pulse,
 )
 
 from helpers import (
     dip_table_by_enumeration,
+    fock_gate,
     heralded_single_photon,
     inner_product,
     rotation,
+    spdc_pair,
+    two_photon_ancilla,
+    weak_coherent_pulse,
 )
 
 
@@ -69,7 +71,7 @@ def test_wcp_with_ideal_ancilla_reproduces_gate_success():
     pulse = weak_coherent_pulse(0.3)
     p2 = abs(inner_product(two_photon_ancilla(), pulse)) ** 2
     rho, prob = postselect_qubits(
-        run_gate(
+        fock_gate(
             tensor(
                 apply_circuit(
                     heralded_single_photon(),
@@ -172,7 +174,7 @@ def _simulated_dip(xi, nu, n_max, phase=0.0):
     # Reference: the whole circuit, independently of the closed form.
     pulse = weak_coherent_pulse(nu, n_max, phase=phase)
     state = tensor(heralded_single_photon(), pulse)
-    return coincidence_probability(run_gate(apply_delay(state, 2, xi)), (0, 4, 5))
+    return coincidence_probability(fock_gate(apply_delay(state, 2, xi)), (0, 4, 5))
 
 
 @pytest.mark.parametrize("n_max", [2, 4])
@@ -308,7 +310,7 @@ def test_coherent_phase_does_not_affect_postselection():
         pair = spdc_pair(0.05, (0, 1))
         pulse = weak_coherent_pulse(0.3, spatial_mode=2, phase=phase)
         rho, prob = postselect_qubits(
-            run_gate(tensor(pair, pulse)), (0,) + OUTPUT_MODES
+            fock_gate(tensor(pair, pulse)), (0,) + OUTPUT_MODES
         )
         if reference is None:
             reference = (rho.matrix, prob)
@@ -325,7 +327,7 @@ def test_double_pair_contamination_scales_as_gamma_squared():
     gammas = [1e-3, 2e-3]
     for gamma in gammas:
         pair = spdc_pair(gamma, (0, 1), include_double_pairs=True)
-        state = run_gate(tensor(pair, weak_coherent_pulse(1e-4, spatial_mode=2)))
+        state = fock_gate(tensor(pair, weak_coherent_pulse(1e-4, spatial_mode=2)))
         rates.append(coincidence_probability(state, (0,) + OUTPUT_MODES))
     slope = math.log(rates[1] / rates[0]) / math.log(gammas[1] / gammas[0])
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -333,7 +335,7 @@ def test_double_pair_contamination_scales_as_gamma_squared():
 
 def test_no_pulse_photons_kills_fourfold():
     pair = spdc_pair(0.01, (0, 1), include_double_pairs=True)
-    state = run_gate(tensor(pair, weak_coherent_pulse(0.0, spatial_mode=2)))
+    state = fock_gate(tensor(pair, weak_coherent_pulse(0.0, spatial_mode=2)))
     assert coincidence_probability(state, (0,) + OUTPUT_MODES) == 0.0
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from wexpand.cli import _child_seeds, load_config
 from wexpand.entanglement import fidelity
 from wexpand.fock import DensityMatrix, postselect_qubits, single_photon
-from wexpand.gates import MODE_INPUT, OUTPUT_MODES, through_gate, w_state_qubits
+from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
 from wexpand.tolerances import IMLM_CERTIFICATE_RTOL, PSD_ATOL, TRACE_ATOL
 from wexpand.tomography import (
     _project_density,
@@ -21,7 +21,7 @@ from wexpand.tomography import (
     setting_projector,
 )
 
-from helpers import density_from_pure, random_density
+from helpers import density_from_pure, random_density, through_gate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 W3 = w_state_qubits(3)
