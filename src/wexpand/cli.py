@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import types
 import typing
@@ -426,12 +427,36 @@ def run_scenario(config: ExperimentConfig) -> dict:
     }
 
 
+def _overwrite(path, payload: bytes) -> None:
+    """Leave exactly ``payload`` in the file at ``path``: write over its old
+    bytes in place, then cut off any tail they leave. Every output file
+    goes through here; ``emit_report`` says why there is no O_TRUNC."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(fd, view) :]
+        # A device such as /dev/null has size 0 and cannot be truncated.
+        if os.fstat(fd).st_size > len(payload):
+            os.ftruncate(fd, len(payload))
+    finally:
+        os.close(fd)
+
+
 def emit_report(report: dict, path) -> bytes:
-    """Write the report as canonical, strict JSON (a NaN or infinity raises
-    ValueError before anything is written); returns the bytes written."""
+    """Write the report as canonical, strict JSON; returns the bytes written.
+
+    The report is serialized before any file is opened, so a NaN or
+    infinity raises ValueError and leaves ``path`` as it was. The file is
+    overwritten in place, not truncated first: on ext4 a file truncated to
+    zero and written again is flushed to disk when it is closed, and on a
+    dip scan that flush cost more than the scenario. The final bytes,
+    inode, mode bits and symlink-following are those of
+    ``Path.write_bytes``; neither write is atomic.
+    """
     payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     payload = (payload + "\n").encode("utf-8")
-    Path(path).write_bytes(payload)
+    _overwrite(path, payload)
     return payload
 
 
@@ -440,15 +465,13 @@ def _write_side_outputs(report: dict, out_path: Path) -> list[Path]:
     results = report["results"]
     if report["scenario"] == "hom":
         csv_path = out_path.with_name(out_path.stem + "_curve.csv")
-        hom_scan_to_csv([tuple(p) for p in results["points"]], csv_path)
+        text = hom_scan_to_csv([tuple(p) for p in results["points"]])
+        _overwrite(csv_path, text.encode("utf-8"))
         written.append(csv_path)
     if report["scenario"] in ("w3", "w4"):
         rho_path = out_path.with_name(out_path.stem + "_rho.json")
-        rho_path.write_text(
-            json.dumps(results["tomography"]["density_matrix"], sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(results["tomography"]["density_matrix"], sort_keys=True)
+        _overwrite(rho_path, (text + "\n").encode("utf-8"))
         written.append(rho_path)
     return written
 

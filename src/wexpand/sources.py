@@ -10,6 +10,7 @@ Hong-Ou-Mandel dip.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from typing import Iterable, Sequence
 
@@ -147,10 +148,12 @@ def calibrate_overlap_for_visibility(
     return math.sqrt(target_visibility * a / -b)
 
 
-def hom_scan_to_csv(curve: Iterable[tuple[float, float]], path) -> None:
-    """Plot-ready dip curve: delay_um, coincidence_probability."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delay_um", "coincidence_probability"])
-        for delta, p in curve:
-            writer.writerow([f"{delta:.6f}", f"{p:.12e}"])
+def hom_scan_to_csv(curve: Iterable[tuple[float, float]]) -> str:
+    """Plot-ready dip curve as CSV text (``\\r\\n`` line ends):
+    delay_um, coincidence_probability."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["delay_um", "coincidence_probability"])
+    for delta, p in curve:
+        writer.writerow([f"{delta:.6f}", f"{p:.12e}"])
+    return buffer.getvalue()

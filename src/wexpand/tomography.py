@@ -234,7 +234,7 @@ def imlm_reconstruct(
         )
     if np.any(data < 0):
         raise ValueError("counts must be nonnegative")
-    total = data.sum()
+    total = float(data.sum())
     if total <= 0:
         raise ValueError("total counts must be positive")
 

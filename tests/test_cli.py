@@ -714,6 +714,90 @@ def test_report_with_non_finite_number_not_written(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_report_with_non_finite_number_leaves_files_as_they_were(tmp_path):
+    report = {"scenario": "scaling", "results": {"rows": [float("nan")]}}
+    old = tmp_path / "old.json"
+    old.write_bytes(b'{"kept": true}\n')
+    for path in (old, tmp_path / "new.json"):
+        with pytest.raises(ValueError):
+            emit_report(report, path)
+    assert old.read_bytes() == b'{"kept": true}\n'
+    assert not (tmp_path / "new.json").exists()
+
+
+def test_shorter_report_over_a_longer_file_leaves_only_its_bytes(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 100_000)
+    inode = path.stat().st_ino
+    payload = emit_report(run_scenario(ExperimentConfig("scaling")), path)
+    assert len(payload) < 100_000
+    assert path.read_bytes() == payload
+    assert path.stat().st_ino == inode
+
+
+def test_report_through_a_symlink_rewrites_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 100_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    payload = emit_report(run_scenario(ExperimentConfig("scaling")), link)
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert target.read_bytes() == payload
+
+
+def test_report_to_a_device_file():
+    # /dev/null is not a regular file; truncating it would fail.
+    payload = emit_report(run_scenario(ExperimentConfig("scaling")), os.devnull)
+    assert payload
+
+
+def test_new_report_gets_the_mode_bits_of_write_bytes(tmp_path):
+    before = os.umask(0o002)
+    try:
+        (tmp_path / "plain.json").write_bytes(b"{}\n")
+        emit_report({}, tmp_path / "report.json")
+    finally:
+        os.umask(before)
+    modes = [(tmp_path / name).stat().st_mode for name in ("plain.json", "report.json")]
+    assert modes[0] == modes[1]
+
+
+def test_outputs_over_longer_files_equal_fresh_ones(tmp_path):
+    # Every output file goes through one in-place writer, which must cut
+    # off what a longer earlier file leaves behind.
+    for argv, side in [(["hom"], "_curve.csv"), (["w3", "--exact"], "_rho.json")]:
+        fresh, reused = (tmp_path / f"{argv[0]}_{k}.json" for k in ("fresh", "reused"))
+        for suffix in (".json", side):
+            reused.with_name(reused.stem + suffix).write_bytes(b"x" * 100_000)
+        for out in (fresh, reused):
+            assert main(argv + ["--out", str(out)]) == 0
+        for suffix in (".json", side):
+            got, want = (p.with_name(p.stem + suffix) for p in (reused, fresh))
+            assert got.read_bytes() == want.read_bytes(), suffix
+
+
+def _non_plain_leaves(node, where=""):
+    """Paths of the leaves of a report dict that are not exactly a float,
+    int, str, bool or None (a numpy scalar is not)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_plain_leaves(value, f"{where}/{key}")
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _non_plain_leaves(value, f"{where}/{index}")
+    elif type(node) not in (float, int, str, bool, type(None)):
+        yield where, type(node).__name__
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_report_leaves_are_plain_python_values(path):
+    config = load_config(path)
+    if config.scenario in ("w3", "w4"):
+        config.n_resamples = 2
+    assert list(_non_plain_leaves(run_scenario(config))) == []
+
+
 def test_hom_visibility_is_the_model_dip_without_zero_delay():
     # The reported visibility is the calibrated dip's, -b xi0^2 / a, not a
     # read-off of a grid that may miss zero delay.

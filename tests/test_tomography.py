@@ -259,6 +259,12 @@ def test_imlm_certificate_bounds_the_remaining_gain(counts, cap):
     assert longer.log_likelihood - first.log_likelihood <= first.certificate + 1e-9
 
 
+def test_imlm_log_likelihoods_are_python_floats():
+    result = imlm_reconstruct([10, 20, 30, 40])
+    assert type(result.log_likelihood) is float
+    assert {type(value) for value in result.loglik_history} == {float}
+
+
 def test_bootstrap_builds_the_measurement_model_once():
     measurement_model.cache_clear()
     counts = sample_counts(RHO_W3, 300.0, seed=3)
