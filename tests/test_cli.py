@@ -706,23 +706,16 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys, text):
 
 
 def test_report_with_non_finite_number_not_written(tmp_path, monkeypatch):
-    # Strict JSON has no NaN or Infinity; the report must not pretend.
+    # Strict JSON has no NaN or Infinity; the report must not pretend, and
+    # an existing file keeps its bytes.
     report = {"scenario": "scaling", "results": {"rows": [float("nan")]}}
     monkeypatch.setattr("wexpand.cli.run_scenario", lambda config: report)
     out = tmp_path / "scaling.json"
     assert main(["scaling", "--out", str(out)]) == 1
     assert not out.exists()
-
-
-def test_report_with_non_finite_number_leaves_files_as_they_were(tmp_path):
-    report = {"scenario": "scaling", "results": {"rows": [float("nan")]}}
-    old = tmp_path / "old.json"
-    old.write_bytes(b'{"kept": true}\n')
-    for path in (old, tmp_path / "new.json"):
-        with pytest.raises(ValueError):
-            emit_report(report, path)
-    assert old.read_bytes() == b'{"kept": true}\n'
-    assert not (tmp_path / "new.json").exists()
+    out.write_bytes(b'{"kept": true}\n')
+    assert main(["scaling", "--out", str(out)]) == 1
+    assert out.read_bytes() == b'{"kept": true}\n'
 
 
 def test_shorter_report_over_a_longer_file_leaves_only_its_bytes(tmp_path):
