@@ -33,22 +33,20 @@ def witness_value(rho: DensityMatrix) -> float:
     return (n - 1) / n - fidelity(rho, w_state_qubits(n))
 
 
-def _ptrace_matrix(matrix: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:
+def _pair_marginal(matrix: np.ndarray, n_qubits: int, i: int, j: int) -> np.ndarray:
+    """The 4x4 marginal of qubits i < j of an n-qubit density matrix.
+
+    The other qubits are traced out in increasing order, so once ``done``
+    of them are gone, qubit k sits at row axis k - done.
+    """
     tensor = matrix.reshape([2] * (2 * n_qubits))
-    traced = [k for k in range(n_qubits) if k not in keep]
-    # Contract row and column axes of every traced qubit.
-    for offset, k in enumerate(traced):
-        ax = k - sum(1 for t in traced[:offset] if t < k)
-        remaining = n_qubits - offset
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + remaining)
-    # Axes now follow the kept qubits in their original order; permute to
-    # the requested order.
-    order = sorted(range(len(keep)), key=lambda i: keep[i])
-    inverse = [order.index(i) for i in range(len(keep))]
-    perm = inverse + [len(keep) + i for i in inverse]
-    tensor = tensor.transpose(perm)
-    dim = 2 ** len(keep)
-    return tensor.reshape(dim, dim)
+    done = 0
+    for k in range(n_qubits):
+        if k not in (i, j):
+            ax = k - done
+            tensor = np.trace(tensor, axis1=ax, axis2=ax + n_qubits - done)
+            done += 1
+    return tensor.reshape(4, 4)
 
 
 def _concurrences(stack: np.ndarray) -> np.ndarray:
@@ -98,7 +96,7 @@ def pairwise_eof_table(rho: DensityMatrix) -> dict[tuple[int, int], float]:
     if n < 2:
         raise ValueError("need at least two qubits")
     pairs = list(itertools.combinations(range(n), 2))
-    marginals = np.stack([_ptrace_matrix(rho.matrix, n, list(pair)) for pair in pairs])
+    marginals = np.stack([_pair_marginal(rho.matrix, n, i, j) for i, j in pairs])
     return {
         (rho.qubit_order[i], rho.qubit_order[j]): eof_from_concurrence(float(c))
         for (i, j), c in zip(pairs, _concurrences(marginals))

@@ -15,7 +15,7 @@ import math
 from typing import Iterable, Sequence
 
 from .fock import mode, H
-from .gates import MODE_ANCILLA, MODE_INPUT, run_gate
+from .gates import MODE_ANCILLA, MODE_INPUT, OUTPUT_MODES, run_gate
 
 
 # Photon-number truncation of the coherent pulse.
@@ -62,7 +62,9 @@ def _dip_table(
     """
     labels = sorted(u.keys() | v.keys())
     flat, slope = [0.0] * (n_max + 1), [0.0] * (n_max + 1)
-    for sign, dark in ((1, ()), (-1, (4,)), (-1, (5,)), (1, (4, 5))):
+    first, second = OUTPUT_MODES[:2]  # the detectors, modes 4 and 5
+    terms = ((1, ()), (-1, (first,)), (-1, (second,)), (1, (first, second)))
+    for sign, dark in terms:
         kept = [(u.get(k, 0j), v.get(k, 0j)) for k in labels if k.spatial not in dark]
         uu = sum(abs(a) ** 2 for a, _ in kept)
         vv = sum(abs(b) ** 2 for _, b in kept)

@@ -117,24 +117,24 @@ def _born_probabilities(rho: DensityMatrix) -> np.ndarray:
     return np.clip(rows @ m.reshape(-1).view(np.float64), 0.0, None)
 
 
-def sample_counts(rho: DensityMatrix, flux_per_setting: float, seed: int) -> np.ndarray:
-    """Poisson coincidence counts aligned with ``default_settings``,
-    deterministic in the seed."""
-    if flux_per_setting <= 0:
-        raise ValueError("flux per setting must be positive")
-    means = flux_per_setting * _born_probabilities(rho)
+def sample_counts(rho: DensityMatrix, multiplier: float, seed: int) -> np.ndarray:
+    """Poisson coincidence counts aligned with ``default_settings``, with
+    means ``multiplier`` x Tr(rho P_j), deterministic in the seed."""
+    if multiplier <= 0:
+        raise ValueError("count multiplier must be positive")
+    means = multiplier * _born_probabilities(rho)
     return np.random.default_rng(seed).poisson(means)
 
 
-def exact_counts(rho: DensityMatrix, flux_per_setting: float) -> np.ndarray:
-    """Noiseless expected coincidence numbers aligned with
-    ``default_settings``."""
-    return flux_per_setting * _born_probabilities(rho)
+def exact_counts(rho: DensityMatrix, multiplier: float) -> np.ndarray:
+    """Noiseless expected coincidence numbers ``multiplier`` x Tr(rho P_j),
+    aligned with ``default_settings``."""
+    return multiplier * _born_probabilities(rho)
 
 
 def flux_for_typical_count(rho: DensityMatrix, typical_count: float) -> float:
-    """Flux multiplier that makes the average setting expect ``typical_count``
-    events.
+    """Count multiplier that makes the average setting expect
+    ``typical_count`` events.
 
     Quoted experimental rates describe detected coincidences at a typical
     setting, so rate x acquisition time fixes flux x (mean Born probability),
@@ -344,29 +344,36 @@ def w_statistics(rho: DensityMatrix) -> dict:
     }
 
 
+def _spread(samples: list):
+    """The np.std of every number across a list of equally keyed nested
+    dicts, under the same keys."""
+    if isinstance(samples[0], dict):
+        return {key: _spread([s[key] for s in samples]) for key in samples[0]}
+    return float(np.std(samples))
+
+
 def bootstrap_errors(
     counts,
     n_resamples: int,
     seed: int,
     qubit_order: Sequence[int],
-    max_iter: int = IMLM_MAX_ITER,
     start=None,
 ) -> tuple[dict, dict]:
     """Parametric bootstrap error bars for the ``w_statistics`` of a fit.
 
     Each resample draws every count from Poisson(observed count), re-runs the
     reconstruction on the qubits ``qubit_order`` and evaluates
-    ``w_statistics``.  Returns the standard deviations of those statistics
-    over resamples, in the same nested keys, and a summary of the resample
-    fits: how many did not converge and the p50, p90 (nearest rank) and max
-    of their iteration counts.  Resample seeds derive from the master seed,
-    so results are reproducible and resamples could run in parallel; every
-    resample shares the cached measurement model.  Every resample drawn from
-    the data starts its fit at ``start``, normally the fit of the observed
-    counts: a resampled count is zero wherever the observed one is.  A
-    resample that draws no count at all is replaced by one count per
-    setting, which is not the data, so its fit starts from the maximally
-    mixed state.
+    ``w_statistics``.  Returns the standard deviation over resamples of
+    every statistic it gives, under the same nested keys, and a summary of
+    the resample fits: how many did not converge and the p50, p90 (nearest
+    rank) and max of their iteration counts.  Resample seeds derive from
+    the master seed, so results are reproducible and resamples could run in
+    parallel; every resample shares the cached measurement model.  Every
+    resample drawn from the data starts its fit at ``start``, normally the
+    fit of the observed counts: a resampled count is zero wherever the
+    observed one is.  A resample that draws no count at all is replaced by
+    one count per setting, which is not the data, so its fit starts from the
+    maximally mixed state.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
@@ -382,20 +389,11 @@ def bootstrap_errors(
         origin = start
         if resampled.sum() == 0:
             resampled, origin = np.ones_like(resampled), None
-        result = imlm_reconstruct(
-            resampled, max_iter=max_iter, qubit_order=qubit_order, start=origin
-        )
+        result = imlm_reconstruct(resampled, qubit_order=qubit_order, start=origin)
         iterations.append(result.iterations)
         unconverged += not result.converged
         samples.append(w_statistics(result.rho))
 
-    errors = {
-        key: float(np.std([s[key] for s in samples])) for key in ("fidelity", "witness")
-    }
-    errors["pairwise_eof"] = {
-        pair: float(np.std([s["pairwise_eof"][pair] for s in samples]))
-        for pair in samples[0]["pairwise_eof"]
-    }
     # Nearest-rank percentiles: np.percentile would import numpy.ma, about
     # 1 MB of resident memory, for two numbers.
     iterations.sort()
@@ -405,4 +403,4 @@ def bootstrap_errors(
         "iterations_p90": iterations[math.ceil(0.9 * n_resamples) - 1],
         "iterations_max": iterations[-1],
     }
-    return errors, fits
+    return _spread(samples), fits

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from wexpand.entanglement import (
-    _ptrace_matrix,
+    _pair_marginal,
     binary_entropy,
     concurrence,
     eof,
@@ -213,15 +213,16 @@ def test_concurrence_needs_two_qubits():
 def test_pair_marginals_are_density_matrices(n, data):
     # Random valid n-qubit states of random rank: each pair marginal the
     # EOF table reads meets the strict tolerances a DensityMatrix is built
-    # with.
+    # with, and equals the explicit-sum oracle's.
     rank = data.draw(st.integers(1, 2**n), label="rank")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     rho = DensityMatrix(random_density(rng, 2**n, rank), list(range(n)))
-    for pair in itertools.combinations(range(n), 2):
-        m = _ptrace_matrix(rho.matrix, n, list(pair))
+    for i, j in itertools.combinations(range(n), 2):
+        m = _pair_marginal(rho.matrix, n, i, j)
         assert np.max(np.abs(m - m.conj().T)) <= HERMITICITY_ATOL
         assert abs(np.trace(m).real - 1.0) <= TRACE_ATOL
         assert np.linalg.eigvalsh(m).min() >= -PSD_ATOL
+        assert np.max(np.abs(m - partial_trace(rho, [i, j]).matrix)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -8,6 +8,7 @@ from wexpand.cli import _child_seeds, load_config
 from wexpand.entanglement import fidelity
 from wexpand.fock import DensityMatrix, postselect_qubits, single_photon
 from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
+from wexpand import tomography
 from wexpand.tolerances import IMLM_CERTIFICATE_RTOL, PSD_ATOL, TRACE_ATOL
 from wexpand.tomography import (
     _project_density,
@@ -19,6 +20,7 @@ from wexpand.tomography import (
     measurement_model,
     sample_counts,
     setting_projector,
+    w_statistics,
 )
 
 from helpers import density_from_pure, random_density, through_gate
@@ -177,7 +179,7 @@ def test_flux_for_typical_count():
 def test_bootstrap_deterministic_and_small_at_high_flux():
     rho = density_from_pure(w_state_qubits(2), [0, 1])
     counts = exact_counts(rho, 1e7)
-    kwargs = dict(seed=5, qubit_order=[0, 1], max_iter=2000)
+    kwargs = dict(seed=5, qubit_order=[0, 1])
     errs_a, fits_a = bootstrap_errors(counts, 8, **kwargs)
     errs_b, fits_b = bootstrap_errors(counts, 8, **kwargs)
     assert errs_a == errs_b
@@ -185,6 +187,26 @@ def test_bootstrap_deterministic_and_small_at_high_flux():
     # relative Poisson noise ~ 1/sqrt(1e7 p): errors collapse toward zero
     assert errs_a["fidelity"] < 1e-3
     assert abs(errs_a["witness"]) < 1e-2
+
+
+def test_bootstrap_spreads_every_statistic_of_w_statistics(monkeypatch):
+    # A statistic added to w_statistics, nested or not, gets its bootstrap
+    # spread under its own keys, with no change to bootstrap_errors.
+    purities = []
+
+    def extended(rho):
+        purity = float(np.trace(rho.matrix @ rho.matrix).real)
+        purities.append(purity)
+        return {**w_statistics(rho), "extra": {"purity": purity}}
+
+    monkeypatch.setattr(tomography, "w_statistics", extended)
+    counts = sample_counts(RHO_W3, 300.0, seed=3)
+    errors, _ = bootstrap_errors(counts, 4, seed=2, qubit_order=[4, 5, 6])
+    assert list(errors) == ["fidelity", "witness", "pairwise_eof", "extra"]
+    assert list(errors["pairwise_eof"]) == ["45", "46", "56"]
+    assert len(purities) == 4
+    assert errors["extra"] == {"purity": float(np.std(purities))}
+    assert errors["extra"]["purity"] > 0.0
 
 
 def test_bootstrap_experiment_scale_error_order():
