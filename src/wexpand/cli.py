@@ -19,6 +19,7 @@ import sys
 import types
 import typing
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -438,23 +439,52 @@ def _overwrite(path, payload: bytes) -> None:
             fh.truncate()
 
 
+def _write_json(value, write, indent: str) -> None:
+    """Pass to ``write`` the chunks of ``json.dumps(value, indent=2,
+    sort_keys=True, allow_nan=False)`` for a tree of plain values."""
+    kind = type(value)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"report value {value!r} is not valid JSON")
+    if kind is float or kind is int:
+        write(repr(value))
+    elif kind is str:
+        write(encode_basestring_ascii(value))
+    elif kind is bool or value is None:
+        write("null" if value is None else "true" if value else "false")
+    elif kind is dict:
+        inner, sep = indent + "  ", "{"
+        for key in sorted(value):
+            write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], write, inner)
+            sep = ","
+        write(indent + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        inner, sep = indent + "  ", "["
+        for item in value:
+            write(sep + inner)
+            _write_json(item, write, inner)
+            sep = ","
+        write(indent + "]" if value else "[]")
+    else:
+        raise TypeError(f"report value of type {kind.__name__} is not plain JSON")
+
+
 def emit_report(report: dict, path) -> bytes:
     """Write the report as canonical, strict JSON; returns the bytes written.
 
-    The report is serialized before any file is opened, so a NaN or
-    infinity raises ValueError and leaves ``path`` as it was. The file is
-    overwritten in place, not truncated first: on ext4 a file truncated to
-    zero and written again is flushed to disk when it is closed, which
-    costs about 0.3 ms a file. That matters to a process that writes one
-    path many times, as ``perfbench`` does; a CLI run that writes over its
-    old outputs saves under 1 ms of about 225 ms. Once written, the bytes,
-    inode, mode bits and symlink-following are those of
-    ``Path.write_bytes``. Neither write is atomic, and they differ after a
-    crash during or just after the write: this one can leave a mix of old
-    and new bytes, where ``Path.write_bytes`` could leave an empty file.
+    The bytes are those of ``json.dumps(report, indent=2, sort_keys=True,
+    allow_nan=False)`` and a newline, but from ``_write_json``: CPython
+    3.10 and 3.11 encode indented JSON in pure Python. A leaf that is not
+    a plain str, int, float, bool or None (a numpy scalar, say), or a key
+    that is not a str, raises TypeError. The report is serialized before
+    any file is opened, so a NaN or infinity raises ValueError and leaves
+    ``path`` as it was. ``_overwrite`` writes over the old bytes in place,
+    which skips the flush ext4 starts when it closes a truncated file;
+    unlike ``Path.write_bytes``, a crash can leave old and new bytes mixed.
     """
-    payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    payload = (payload + "\n").encode("utf-8")
+    chunks: list[str] = []
+    _write_json(report, chunks.append, "\n")
+    payload = ("".join(chunks) + "\n").encode("utf-8")
     _overwrite(path, payload)
     return payload
 

@@ -303,6 +303,6 @@ class DensityMatrix:
         return {
             "dim": self.dim,
             "qubit_order": list(self.qubit_order),
-            "re": [float(x) for x in self.matrix.real.ravel()],
-            "im": [float(x) for x in self.matrix.imag.ravel()],
+            "re": self.matrix.real.ravel().tolist(),
+            "im": self.matrix.imag.ravel().tolist(),
         }

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wexpand
 from wexpand import fock, gates, sources
@@ -15,6 +16,7 @@ from wexpand.cli import (
     SCENARIO_FIELDS,
     SCENARIOS,
     ExperimentConfig,
+    _write_json,
     config_sha256,
     config_to_dict,
     emit_report,
@@ -789,6 +791,98 @@ def test_report_leaves_are_plain_python_values(path):
     if config.scenario in ("w3", "w4"):
         config.n_resamples = 2
     assert list(_non_plain_leaves(run_scenario(config))) == []
+
+
+def _stdlib_text(tree):
+    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _writer_text(tree):
+    chunks = []
+    _write_json(tree, chunks.append, "\n")
+    return "".join(chunks)
+
+
+JSON_STRINGS = st.text(
+    st.characters() | st.sampled_from('"\\/\b\n\t\x00\x1f\x7f\u2028'), max_size=6
+)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(10**40), 7**99]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]),
+    JSON_STRINGS,
+)
+
+
+def _json_trees(depth):
+    """Plain trees nested up to ``depth`` containers, empty ones included."""
+    if depth == 0:
+        return JSON_LEAVES
+    kids = _json_trees(depth - 1)
+    return st.one_of(
+        JSON_LEAVES,
+        st.lists(kids, max_size=3),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(JSON_STRINGS, kids, max_size=3),
+    )
+
+
+@st.composite
+def _trees_holding(draw, bad):
+    """A plain tree with one value drawn from ``bad`` at depth 0 to 4."""
+    node = draw(bad)
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = draw(st.lists(JSON_LEAVES, max_size=2))
+        if draw(st.booleans()):
+            keys = draw(st.lists(JSON_STRINGS, min_size=len(siblings) + 1, unique=True))
+            node = {**dict(zip(keys, siblings)), keys[-1]: node}
+        else:
+            node = [*siblings, node] if draw(st.booleans()) else (node, *siblings)
+    return node
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_json_trees(4))
+def test_report_writer_gives_the_stdlib_text(tree):
+    assert _writer_text(tree) == _stdlib_text(tree)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_trees_holding(st.sampled_from([float("nan"), float("inf"), float("-inf")])))
+def test_report_writer_rejects_non_finite_numbers(tree):
+    with pytest.raises(ValueError):
+        _writer_text(tree)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_trees_holding(st.sampled_from([np.float64(0.5), {1, 2}, {1: "a"}, {"a": 1, 2: "b"}])))
+def test_report_writer_rejects_values_that_are_not_plain(tree):
+    with pytest.raises(TypeError):
+        _writer_text(tree)
+
+
+def _config_for(name):
+    if name == "scaling-overlap":
+        return ExperimentConfig("scaling", overlap=0.926)
+    if name.endswith("-exact"):
+        return ExperimentConfig(name[:2], exact=True)
+    config = load_config(CONFIG_DIR / f"{name}.json")
+    if config.scenario in ("w3", "w4"):
+        config.n_resamples = 2
+    return config
+
+
+@pytest.mark.parametrize(
+    "name",
+    [p.stem for p in sorted(CONFIG_DIR.glob("*.json"))]
+    + ["w3-exact", "w4-exact", "scaling-overlap"],
+)
+def test_report_bytes_are_those_of_the_stdlib_encoder(name):
+    report = run_scenario(_config_for(name))
+    assert emit_report(report, os.devnull) == (_stdlib_text(report) + "\n").encode()
 
 
 def test_hom_visibility_is_the_model_dip_without_zero_delay():
