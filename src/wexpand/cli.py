@@ -278,6 +278,7 @@ def _tomography_block(
         "flux_per_setting": config.flux_per_setting,
         "flux_multiplier": multiplier,
         "iterations": result.iterations,
+        "newton_steps": result.newton_steps,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "certificate": result.certificate,
@@ -418,7 +419,7 @@ def run_scenario(config: ExperimentConfig) -> dict:
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {
-        "schema_version": 8,
+        "schema_version": 9,
         "tool": {"name": "wexpand", "version": __version__},
         "scenario": config.scenario,
         "config": config_to_dict(config),

@@ -25,6 +25,7 @@ POSTSELECT_NORM_ATOL = 1e-6          # input state must have |norm^2 - 1| below 
 IMLM_PROBABILITY_FLOOR = 1e-12   # floor on predicted probabilities inside the R operator
 IMLM_CERTIFICATE_RTOL = 1e-7     # stop when the relative optimality gap lambda_max(R) - 1 is below this
 IMLM_STEP_FLOOR = 1e-12          # a fit stalls when its backtracked gradient step is shorter than this
+IMLM_RANK_RTOL = 1e-9            # a Newton step keeps the eigenvectors of sigma above this times its largest eigenvalue
 IMLM_MAX_ITER = 100_000
 
 # Analytic cross-checks

@@ -6,8 +6,9 @@ projectors sum to an operator G that is not proportional to the identity,
 so the fit works in the frame where they form a proper POVM (conjugation by
 G^(-1/2)).  That frame, the ``MeasurementModel``, is built once per qubit
 count and shared by every fit.  In it the log-likelihood is maximized over
-density matrices by accelerated projected gradient, with a momentum restart
-that keeps the log-likelihood history nondecreasing, and the fit stops on an
+density matrices from the projected linear-inversion estimate: accelerated
+projected gradient finds the support of the optimum, Newton steps on that
+support finish, neither lowers the log-likelihood, and the fit stops on an
 optimality certificate rather than on a stalled log-likelihood.
 """
 
@@ -28,6 +29,7 @@ from .tolerances import (
     IMLM_CERTIFICATE_RTOL,
     IMLM_MAX_ITER,
     IMLM_PROBABILITY_FLOOR,
+    IMLM_RANK_RTOL,
     IMLM_STEP_FLOOR,
 )
 
@@ -45,11 +47,11 @@ PROJECTOR_KETS = {
 # shrinks by _STEP_SHRINK while a step fails the sufficient-increase test.
 _STEP_GROWTH = 1.1
 _STEP_SHRINK = 0.5
-# The certificate is next checked when the optimality gap, assumed to
-# shrink by _GAP_RATE per iteration, would reach the stop tolerance, and at
-# most _CHECK_WAIT_MAX iterations later.
-_GAP_RATE = 0.6
-_CHECK_WAIT_MAX = 10
+# The certificate is checked every _CHECK_INTERVAL iterations while the
+# optimality gap is above _NEWTON_GAP.  A check that finds it at most that
+# tries Newton steps, and the next check comes one iteration later.
+_CHECK_INTERVAL = 10
+_NEWTON_GAP = 3e-2
 
 
 def default_settings(n_qubits: int) -> list[tuple]:
@@ -81,13 +83,15 @@ class MeasurementModel:
     predicted probabilities Tr(E_j sigma) of a Hermitian sigma, and
     ``(w @ povm_rows).view(complex)`` the operator sum_j w_j E_j.
     ``g_inv_sqrt`` maps a fitted sigma back to rho, and ``g_sqrt`` a rho
-    into the fit's frame.
+    into the fit's frame.  ``(inversion @ f).view(complex)`` solves
+    Tr(E_j sigma) = f_j for a Hermitian sigma: linear inversion.
     """
 
     projector_rows: np.ndarray
     g_sqrt: np.ndarray
     g_inv_sqrt: np.ndarray
     povm_rows: np.ndarray
+    inversion: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -104,9 +108,13 @@ def measurement_model(n_qubits: int) -> MeasurementModel:
     povm = np.einsum("ab,jbc,cd->jad", g_inv_sqrt, projectors, g_inv_sqrt)
     povm_rows = np.ascontiguousarray(povm.reshape(len(settings), dim * dim))
     povm_rows = povm_rows.view(np.float64)
-    for array in (rows, g_sqrt, g_inv_sqrt, povm_rows):
+    # pinv(povm_rows), whose rows are independent, without np.linalg.pinv's
+    # SVD: its LAPACK code alone adds 1.2 MB of resident memory.
+    gram = povm_rows @ povm_rows.T
+    inversion = np.ascontiguousarray(np.linalg.solve(gram, povm_rows).T)
+    for array in (rows, g_sqrt, g_inv_sqrt, povm_rows, inversion):
         array.setflags(write=False)
-    return MeasurementModel(rows, g_sqrt, g_inv_sqrt, povm_rows)
+    return MeasurementModel(rows, g_sqrt, g_inv_sqrt, povm_rows, inversion)
 
 
 def _born_probabilities(rho: DensityMatrix) -> np.ndarray:
@@ -154,6 +162,7 @@ class ReconstructionResult:
     stop_reason: str  # "certificate", "stall" or "max_iter"
     certificate: float  # upper bound on L* - log_likelihood
     loglik_history: list[float]
+    newton_steps: int  # the accepted Newton steps among the iterations
 
     @property
     def converged(self) -> bool:
@@ -186,6 +195,55 @@ def _project_density(h: np.ndarray) -> np.ndarray:
     return (evecs * weights) @ evecs.conj().T
 
 
+@functools.lru_cache(maxsize=64)
+def _tangent_coordinates(dim: int, rank: int):
+    """The real coordinates of dA = A S + P C, S Hermitian and C complex, at
+    A = V_r sqrt(Lambda_r), P = V_(d-r): entry (m, v, c, z) of move m adds
+    z V[:, v] sqrt(lambda_v) (1 for v >= r) to dA[:, c]."""
+    upper = list(itertools.combinations(range(rank), 2))
+    below = list(itertools.product(range(rank, dim), range(rank)))
+    moves = [[(i, i, 1)] for i in range(rank)]
+    moves += [[(i, k, z), (k, i, z.conjugate())] for z in (1, 1j) for i, k in upper]
+    moves += [[(p, k, z)] for z in (1, 1j) for p, k in below]
+    entries = [(m, *entry) for m, move in enumerate(moves) for entry in move]
+    return len(moves), *(np.array(column) for column in zip(*entries))
+
+
+def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
+    """sigma, q and L / N after a Newton step in the factor A of sigma (V
+    its eigenvectors, support first) that raises L, backtracked at most 4
+    times, or None.  It maximizes F(A) = L / N - Tr(A A^dagger), maximal at
+    trace one.  Along moves B, J = 2 Re<E_j A, B>; the gradient is
+    (f / q - 1) J, as the E_j sum to one, and the negated Hessian, which
+    must be positive definite, J^T diag(f / q^2) J - 2 Re<B, (R - 1) B>."""
+    dim = len(sigma)
+    evals, evecs = (a[..., ::-1] for a in np.linalg.eigh(sigma))  # descending
+    rank = int(np.count_nonzero(evals > IMLM_RANK_RTOL * evals[0]))
+    n_moves, m, v, c, phase = _tangent_coordinates(dim, rank)
+    scale = np.sqrt(np.concatenate((evals[:rank], np.ones(dim - rank))))
+    columns = np.concatenate((evecs, r_op @ evecs - evecs)) * scale
+    moves = np.zeros((n_moves, 2 * dim, rank), dtype=complex)
+    moves[m, :, c] = phase[:, None] * columns.T[v]  # B over (R - 1) B
+    flat, curved = moves.reshape(n_moves, 2, -1).view(np.float64).transpose(1, 0, 2)
+    factor = columns[:dim, :rank]
+    probes = (rows.view(complex).reshape(-1, dim) @ factor).reshape(len(q), -1)
+    jacobian = 2.0 * (probes.view(np.float64) @ flat.T)
+    hessian = (jacobian.T * (freq / q**2)) @ jacobian - 2.0 * (flat @ curved.T)
+    try:
+        np.linalg.cholesky(hessian)
+    except np.linalg.LinAlgError:
+        return None
+    x = np.linalg.solve(hessian, (freq / q - 1.0) @ jacobian)
+    move = (x @ flat).view(complex).reshape(dim, rank)
+    for k in range(5):
+        a = factor + _STEP_SHRINK**k * move
+        trial = a @ a.conj().T / np.vdot(a, a).real
+        q_t, ll_t = evaluate(trial)
+        if ll_t > ll:
+            return trial, q_t, ll_t
+    return None
+
+
 def imlm_reconstruct(
     counts,
     max_iter: int = IMLM_MAX_ITER,
@@ -193,7 +251,7 @@ def imlm_reconstruct(
     start=None,
 ) -> ReconstructionResult:
     """Maximum-likelihood density-matrix reconstruction by monotone
-    accelerated projected gradient.
+    accelerated projected gradient with a Newton finish.
 
     Args:
         counts: 4^n coincidence numbers aligned with
@@ -202,28 +260,26 @@ def imlm_reconstruct(
         qubit_order: spatial-mode ids for the reconstructed qubits
             (defaults to 0..n-1).
         start: density matrix the fit starts from, in the frame of the
-            returned rho (defaults to the maximally mixed state).
+            returned rho (defaults to the projected linear inversion).
 
-    The fit maximizes L = sum_j n_j log q_j over density matrices sigma in
-    the frame where the settings resolve the identity, with q_j =
-    Tr(E_j sigma).  Each iteration takes a projected gradient step
-    z = P(y + t R(y)) from the momentum point y (FISTA; Shang, Zhang & Ng,
-    PRA 95, 062336, 2017), where R = sum_j (n_j / N q_j) E_j is the
-    gradient of L / N and P the projection onto density matrices.  The step
-    t backtracks until z passes the sufficient-increase test and grows
-    after each step; the fit stops with ``stop_reason == "stall"`` if t
-    falls below IMLM_STEP_FLOOR.  The iterate moves to z only if L does not
-    fall, otherwise the momentum restarts from it, so the log-likelihood
-    history is nondecreasing.  At any density matrix sigma,
-    L* - L(sigma) <= N (lambda_max(R(sigma)) - 1) with N the total count
-    (Glancy, Knill & Girard, NJP 14, 095017, 2012).  The fit stops on that
-    certificate once lambda_max - 1 <= IMLM_CERTIFICATE_RTOL, a test on the
-    frequencies alone, so the count scale does not decide when it stops.
-    After a check that finds the gap e too large, the next one comes after
-    ln(IMLM_CERTIFICATE_RTOL / e) / ln(_GAP_RATE) iterations, rounded up and
-    clamped to [1, _CHECK_WAIT_MAX]; the test runs once more at the returned
-    sigma, and whenever it holds there, ``stop_reason`` is
-    ``"certificate"``.
+    The fit maximizes L = sum_j n_j log q_j, q_j = Tr(E_j sigma), over
+    density matrices sigma in the frame where the settings resolve the
+    identity.  With no ``start`` it starts at P(sigma_LI), the projected
+    linear inversion q_j = n_j / N (Smolin, Gambetta & Smith), or at I/d if
+    that floors a q_j with n_j > 0.  A projected gradient iteration steps
+    to z = P(y + t R(y)) from the momentum point y (FISTA; Shang, Zhang &
+    Ng, PRA 95, 062336, 2017), R = sum_j (n_j / N q_j) E_j, P the
+    projection onto density matrices; t backtracks until z passes the
+    sufficient-increase test, and below IMLM_STEP_FLOOR the fit stops on
+    ``"stall"``.  sigma moves to z only if L does not fall, otherwise the
+    momentum restarts.  The fit stops on the certificate L* - L <=
+    N (lambda_max(R) - 1) (Glancy, Knill & Girard, NJP 14, 095017, 2012)
+    once lambda_max - 1 <= IMLM_CERTIFICATE_RTOL.  A check that finds that
+    gap e at most _NEWTON_GAP tries Newton steps on the support of sigma
+    (``_newton_step``) while each cuts e 10x; each accepted one is an
+    iteration, and the next check comes one iteration later; otherwise it
+    comes _CHECK_INTERVAL iterations later.  The returned sigma is checked
+    once more.  No iteration lowers L.
     """
     data = np.asarray(counts, dtype=float)
     n_qubits = (data.size.bit_length() - 1) // 2
@@ -254,7 +310,10 @@ def imlm_reconstruct(
         return ((freq / q) @ rows).view(complex).reshape(dim, dim)
 
     if start is None:
-        sigma = np.eye(dim, dtype=complex) / dim
+        inverted = (model.inversion @ freq).view(complex).reshape(dim, dim)
+        sigma = _project_density(inverted)
+        if np.any(evaluate(sigma)[0][freq > 0] <= IMLM_PROBABILITY_FLOOR):
+            sigma = np.eye(dim, dtype=complex) / dim
     else:
         start = np.asarray(start, dtype=complex)
         if start.shape != (dim, dim):
@@ -268,20 +327,34 @@ def imlm_reconstruct(
     theta = 1.0
     step = 1.0
     history = [total * ll]
-    iterations = next_check = 0
+    iterations = next_check = newton_steps = 0
+    limit = _NEWTON_GAP  # the gap at which a check tries a Newton step
     stop_reason = "max_iter"
 
     while True:
         checked = iterations == next_check
         if checked:
-            excess = _excess(gradient(q))
+            r_op = gradient(q)
+            excess = _excess(r_op)
             if excess <= IMLM_CERTIFICATE_RTOL:
                 stop_reason = "certificate"
                 break
-            wait = math.log(IMLM_CERTIFICATE_RTOL / excess) / math.log(_GAP_RATE)
-            next_check += min(max(math.ceil(wait), 1), _CHECK_WAIT_MAX)
+            next_check += _CHECK_INTERVAL
         if iterations == max_iter:
             break
+        if checked and excess <= _NEWTON_GAP:
+            next_check = iterations + 1
+            stepped = excess <= limit and _newton_step(
+                sigma, ll, r_op, freq, q, rows, evaluate
+            )
+            if stepped:  # the momentum restarts at the Newton iterate
+                sigma, q, ll = y, q_y, ll_y = stepped
+                theta, limit = 1.0, excess / 10.0
+                newton_steps += 1
+                history.append(total * ll)
+                iterations += 1
+                continue
+        limit = _NEWTON_GAP
 
         grad = gradient(q_y)
         while True:
@@ -328,6 +401,7 @@ def imlm_reconstruct(
         stop_reason=stop_reason,
         certificate=float(total * excess),
         loglik_history=history,
+        newton_steps=newton_steps,
     )
 
 
@@ -365,15 +439,15 @@ def bootstrap_errors(
     reconstruction on the qubits ``qubit_order`` and evaluates
     ``w_statistics``.  Returns the standard deviation over resamples of
     every statistic it gives, under the same nested keys, and a summary of
-    the resample fits: how many did not converge and the p50, p90 (nearest
-    rank) and max of their iteration counts.  Resample seeds derive from
-    the master seed, so results are reproducible and resamples could run in
-    parallel; every resample shares the cached measurement model.  Every
-    resample drawn from the data starts its fit at ``start``, normally the
-    fit of the observed counts: a resampled count is zero wherever the
-    observed one is.  A resample that draws no count at all is replaced by
-    one count per setting, which is not the data, so its fit starts from the
-    maximally mixed state.
+    the resample fits: how many did not converge, the p50, p90 (nearest
+    rank) and max of their iteration counts, and their most Newton steps.
+    Resample seeds derive from the master seed, so results are reproducible
+    and resamples could run in parallel; every resample shares the cached
+    measurement model.  Every resample drawn from the data starts its fit
+    at ``start``, normally the fit of the observed counts: a resampled
+    count is zero wherever the observed one is.  A resample that draws no
+    count at all is replaced by one count per setting, which is not the
+    data, so its fit takes the default start.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
@@ -382,7 +456,7 @@ def bootstrap_errors(
     child_seeds = np.random.SeedSequence(seed).spawn(n_resamples)
     samples = []
     iterations = []
-    unconverged = 0
+    unconverged = newton_steps_max = 0
     for child in child_seeds:
         rng = np.random.default_rng(child)
         resampled = rng.poisson(data)
@@ -392,6 +466,7 @@ def bootstrap_errors(
         result = imlm_reconstruct(resampled, qubit_order=qubit_order, start=origin)
         iterations.append(result.iterations)
         unconverged += not result.converged
+        newton_steps_max = max(newton_steps_max, result.newton_steps)
         samples.append(w_statistics(result.rho))
 
     # Nearest-rank percentiles: np.percentile would import numpy.ma, about
@@ -402,5 +477,6 @@ def bootstrap_errors(
         "iterations_p50": iterations[math.ceil(0.5 * n_resamples) - 1],
         "iterations_p90": iterations[math.ceil(0.9 * n_resamples) - 1],
         "iterations_max": iterations[-1],
+        "newton_steps_max": newton_steps_max,
     }
     return _spread(samples), fits

@@ -4,13 +4,15 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines on a green run.
 """
 
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wexpand.cli import ExperimentConfig, emit_report, run_scenario
+from wexpand.cli import ExperimentConfig, emit_report, load_config, run_scenario
 from wexpand.entanglement import concurrence, eof, fidelity, witness_value
 from wexpand.fock import DensityMatrix, postselect_qubits, single_photon, tensor
 from wexpand.gates import (
@@ -29,6 +31,8 @@ from wexpand.tomography import (
 )
 
 from helpers import density_from_pure, expanded_w, partial_trace, through_gate
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def w_density(n):
@@ -235,4 +239,36 @@ def test_criterion_8_determinism(tmp_path):
     print(
         "\nACCEPTANCE 8 PASS: identical config and seed produce byte-identical "
         "reports"
+    )
+
+
+def test_criterion_9_exact_fits_pin_their_state():
+    # Every fit of an exact-mode report stops on the certificate within 1e-6
+    # (Frobenius) of the state its counts come from: the W2 pair, W3 and W4,
+    # ideal and at the overlap the shipped hom config calibrates.
+    hom = load_config(CONFIG_DIR / "hom.json")
+    calibrated = calibrate_overlap_for_visibility(
+        hom.visibility_target, dip_coefficients(hom.nu)
+    )
+    assert calibrated == pytest.approx(0.926, abs=1e-3)
+    worst = 0.0
+    for overlap in (1.0, calibrated):
+        for scenario, n in (("w3", 1), ("w4", 2)):
+            config = load_config(CONFIG_DIR / f"{scenario}.json")
+            config = dataclasses.replace(config, exact=True, overlap=overlap)
+            results = run_scenario(config)["results"]
+            fits = [(results["tomography"], expanded_w(n, overlap)[0])]
+            if scenario == "w4":
+                fits.append((results["pair_source"]["tomography"], w_density(2)))
+            for block, rho in fits:
+                assert block["stop_reason"] == "certificate"
+                fit = block["density_matrix"]
+                matrix = np.array(fit["re"]) + 1j * np.array(fit["im"])
+                error = np.linalg.norm(matrix.reshape(rho.dim, rho.dim) - rho.matrix)
+                worst = max(worst, float(error))
+    assert worst <= 1e-6
+    print(
+        f"\nACCEPTANCE 9 PASS: every exact-mode fit of w3 and w4 (pair "
+        f"included) at overlap 1 and {calibrated:.4f} stops certified within "
+        f"{worst:.1e} of its state"
     )

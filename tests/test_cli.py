@@ -399,7 +399,7 @@ def test_report_embeds_hash_and_version():
     report = run_scenario(config)
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
-    assert report["schema_version"] == 8
+    assert report["schema_version"] == 9
     assert "reference_values" in report
     assert report["config"] == config_to_dict(config) == {"scenario": "scaling", "overlap": 1.0}
 
@@ -938,3 +938,5 @@ def test_sampled_report_summarizes_bootstrap_fits():
     fits = tomo["bootstrap_fits"]
     assert 0 <= fits["unconverged"] <= 3
     assert fits["iterations_p50"] <= fits["iterations_p90"] <= fits["iterations_max"]
+    assert 0 <= fits["newton_steps_max"] <= fits["iterations_max"]
+    assert 0 <= tomo["newton_steps"] <= tomo["iterations"]

@@ -235,11 +235,13 @@ def test_imlm_stop_is_count_scale_free():
     # The same exact W3 frequencies at typical counts 1.04, 104 and 1.04e6:
     # the certificate depends on the frequencies alone, so every fit stops
     # on it after about as many iterations, at about the same fidelity.
+    # Each starts from the maximally mixed state, since the default start of
+    # exact counts is their state.
     unit = flux_for_typical_count(RHO_W3, 1.0)
     iterations, fidelities = [], []
     for typical in (1.04, 104.0, 1.04e6):
         counts = exact_counts(RHO_W3, unit * typical)
-        fit = imlm_reconstruct(counts)
+        fit = imlm_reconstruct(counts, start=np.eye(8) / 8)
         assert fit.stop_reason == "certificate"
         assert fit.converged
         total = counts.sum()
@@ -252,8 +254,10 @@ def test_imlm_stop_is_count_scale_free():
 
 
 def test_imlm_iteration_cap_is_not_convergence():
+    # Exact counts start the fit at their state, certified at iteration 0,
+    # so the capped fit starts from the maximally mixed state.
     counts = exact_counts(RHO_W3, 104.0)
-    result = imlm_reconstruct(counts, max_iter=5)
+    result = imlm_reconstruct(counts, max_iter=5, start=np.eye(8) / 8)
     assert result.iterations == 5
     assert result.stop_reason == "max_iter"
     assert result.converged is False
@@ -262,23 +266,53 @@ def test_imlm_iteration_cap_is_not_convergence():
 
 @st.composite
 def count_sets(draw):
-    n_qubits = draw(st.sampled_from((1, 2)))
+    """Arbitrary counts, or Poisson counts of a random state of random rank
+    at 0.05 to 500 counts per typical setting, where low flux leaves most
+    counts zero."""
+    n_qubits = draw(st.sampled_from((1, 2, 3)))
     size = 4**n_qubits
-    counts = draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        dim = 2**n_qubits
+        rank = draw(st.integers(1, dim))
+        rho = DensityMatrix(random_density(rng, dim, rank), list(range(n_qubits)))
+        typical = draw(st.floats(0.05, 500.0))
+        multiplier = flux_for_typical_count(rho, typical)
+        counts = sample_counts(rho, multiplier, int(rng.integers(1 << 31))).tolist()
     assume(sum(counts) > 0)
     return counts
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(count_sets(), st.integers(1, 200))
 def test_imlm_certificate_bounds_the_remaining_gain(counts, cap):
+    # Newton steps count as iterations, so a cap can stop a fit between
+    # them; every fit, capped or not, keeps its history nondecreasing and
+    # returns a density matrix, and an uncapped fit stops certified.
     first = imlm_reconstruct(counts, max_iter=cap)
-    assert (np.diff(first.loglik_history) >= 0).all()
-    eigs = np.linalg.eigvalsh(first.rho.matrix)
-    assert eigs.min() >= -PSD_ATOL
-    assert np.trace(first.rho.matrix).real == pytest.approx(1.0, abs=TRACE_ATOL)
+    full = imlm_reconstruct(counts)
+    assert full.stop_reason == "certificate"
+    for fit in (first, full):
+        assert (np.diff(fit.loglik_history) >= 0).all()
+        assert len(fit.loglik_history) == fit.iterations + 1
+        assert 0 <= fit.newton_steps <= fit.iterations
+        eigs = np.linalg.eigvalsh(fit.rho.matrix)
+        assert eigs.min() >= -PSD_ATOL
+        assert np.trace(fit.rho.matrix).real == pytest.approx(1.0, abs=TRACE_ATOL)
     longer = imlm_reconstruct(counts, max_iter=50 * cap)
     assert longer.log_likelihood - first.log_likelihood <= first.certificate + 1e-9
+
+
+def test_sampled_fits_finish_with_newton_steps():
+    # On the experiment-scale sampled W3 counts, every fit finishes with
+    # Newton steps once the gap is small, and its history stays monotone.
+    for counts in w3_sampled_count_sets():
+        fit = imlm_reconstruct(counts)
+        assert fit.converged
+        assert fit.newton_steps >= 1
+        assert (np.diff(fit.loglik_history) >= 0).all()
 
 
 def test_imlm_log_likelihoods_are_python_floats():
@@ -294,7 +328,11 @@ def test_bootstrap_builds_the_measurement_model_once():
     errs, fits = bootstrap_errors(counts, 4, seed=5, qubit_order=[4, 5, 6])
     assert measurement_model.cache_info().misses == 1
     assert set(fits) == {
-        "unconverged", "iterations_p50", "iterations_p90", "iterations_max"
+        "unconverged",
+        "iterations_p50",
+        "iterations_p90",
+        "iterations_max",
+        "newton_steps_max",
     }
     assert fits["unconverged"] == 0
     assert fits["iterations_p50"] <= fits["iterations_p90"] <= fits["iterations_max"]
@@ -353,9 +391,10 @@ def test_warm_started_bootstrap_matches_the_cold_one():
 def test_resample_without_counts_starts_cold():
     # With one click in all, a resample draws no count at all about a third
     # of the time.  It is then replaced by one count per setting, which is
-    # not the data, so its fit starts from I/d rather than from the
-    # one-click fit (71 iterations against 125).  Every other resample is
-    # the one-click data scaled, whose fit is the start.
+    # not the data, so its fit starts from the linear inversion of those
+    # counts rather than from the one-click fit (0 iterations against 56).
+    # Every other resample is the one-click data scaled, whose fit is the
+    # start.
     one_click = [1] + [0] * 63
     start = imlm_reconstruct(one_click).rho.matrix
     cold = imlm_reconstruct(np.ones(64))
