@@ -210,12 +210,15 @@ def _tangent_coordinates(dim: int, rank: int):
 
 
 def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
-    """sigma, q and L / N after a Newton step in the factor A of sigma (V
-    its eigenvectors, support first) that raises L, backtracked at most 4
-    times, or None.  It maximizes F(A) = L / N - Tr(A A^dagger), maximal at
-    trace one.  Along moves B, J = 2 Re<E_j A, B>; the gradient is
-    (f / q - 1) J, as the E_j sum to one, and the negated Hessian, which
-    must be positive definite, J^T diag(f / q^2) J - 2 Re<B, (R - 1) B>."""
+    """One Newton step from sigma: its new value, q and L / N, or None.
+
+    The step moves A = V_r sqrt(Lambda_r), V the eigenvectors of sigma =
+    A A^dagger with its support first, to maximize F(A) = L / N -
+    Tr(A A^dagger), whose maximum has trace one.  Along moves B the rows
+    2 Re<E_j A, B> make J; the gradient is (f / q - 1) J, as the E_j sum to
+    one, and the negated Hessian J^T diag(f / q^2) J - 2 Re<B, (R - 1) B>.
+    None when that is not positive definite or when no length 1, 1/2, ...,
+    1/16 along the step raises L."""
     dim = len(sigma)
     evals, evecs = (a[..., ::-1] for a in np.linalg.eigh(sigma))  # descending
     rank = int(np.count_nonzero(evals > IMLM_RANK_RTOL * evals[0]))
