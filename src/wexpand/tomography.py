@@ -6,9 +6,9 @@ projectors sum to an operator G that is not proportional to the identity,
 so the fit works in the frame where they form a proper POVM (conjugation by
 G^(-1/2)).  That frame, the ``MeasurementModel``, is built once per qubit
 count and shared by every fit.  In it the log-likelihood is maximized over
-density matrices from the projected linear-inversion estimate: accelerated
-projected gradient finds the support of the optimum, Newton steps on that
-support finish, neither lowers the log-likelihood, and the fit stops on an
+density matrices from the projected linear-inversion estimate: projected
+gradient finds the support of the optimum, Newton steps on that support
+finish, neither lowers the log-likelihood, and the fit stops on an
 optimality certificate rather than on a stalled log-likelihood.
 """
 
@@ -30,7 +30,6 @@ from .tolerances import (
     IMLM_MAX_ITER,
     IMLM_PROBABILITY_FLOOR,
     IMLM_RANK_RTOL,
-    IMLM_STEP_FLOOR,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -159,7 +158,7 @@ class ReconstructionResult:
     rho: DensityMatrix
     iterations: int
     log_likelihood: float
-    stop_reason: str  # "certificate", "stall" or "max_iter"
+    stop_reason: str  # "certificate" or "max_iter"
     certificate: float  # upper bound on L* - log_likelihood
     loglik_history: list[float]
     newton_steps: int  # the accepted Newton steps among the iterations
@@ -254,7 +253,7 @@ def imlm_reconstruct(
     start=None,
 ) -> ReconstructionResult:
     """Maximum-likelihood density-matrix reconstruction by monotone
-    accelerated projected gradient with a Newton finish.
+    projected gradient with a Newton finish.
 
     Args:
         counts: 4^n coincidence numbers aligned with
@@ -268,14 +267,16 @@ def imlm_reconstruct(
     The fit maximizes L = sum_j n_j log q_j, q_j = Tr(E_j sigma), over
     density matrices sigma in the frame where the settings resolve the
     identity.  With no ``start`` it starts at P(sigma_LI), the projected
-    linear inversion q_j = n_j / N (Smolin, Gambetta & Smith), or at I/d if
-    that floors a q_j with n_j > 0.  A projected gradient iteration steps
-    to z = P(y + t R(y)) from the momentum point y (FISTA; Shang, Zhang &
-    Ng, PRA 95, 062336, 2017), R = sum_j (n_j / N q_j) E_j, P the
-    projection onto density matrices; t backtracks until z passes the
-    sufficient-increase test, and below IMLM_STEP_FLOOR the fit stops on
-    ``"stall"``.  sigma moves to z only if L does not fall, otherwise the
-    momentum restarts.  The fit stops on the certificate L* - L <=
+    linear inversion q_j = n_j / N (Smolin, Gambetta & Smith).  Either
+    start is replaced by I/d if it floors a q_j with n_j > 0.  A projected
+    gradient iteration steps to z = P(sigma + t R(sigma)), R = sum_j
+    (n_j / N q_j) E_j, P the projection onto density matrices; t halves
+    until z passes the sufficient-increase test at sigma, L(z) / N >=
+    L(sigma) / N + <R, z - sigma> - |z - sigma|^2 / 2t, and grows by
+    _STEP_GROWTH after each step.  That needs no floor on t: as t -> 0 the
+    last term outweighs any rounding in z, and a z equal to sigma bit for
+    bit gains 0 at an equal L, so the test passes.  sigma moves to z only
+    if L does not fall.  The fit stops on the certificate L* - L <=
     N (lambda_max(R) - 1) (Glancy, Knill & Girard, NJP 14, 095017, 2012)
     once lambda_max - 1 <= IMLM_CERTIFICATE_RTOL.  A check that finds that
     gap e at most _NEWTON_GAP tries Newton steps on the support of sigma
@@ -315,8 +316,6 @@ def imlm_reconstruct(
     if start is None:
         inverted = (model.inversion @ freq).view(complex).reshape(dim, dim)
         sigma = _project_density(inverted)
-        if np.any(evaluate(sigma)[0][freq > 0] <= IMLM_PROBABILITY_FLOOR):
-            sigma = np.eye(dim, dtype=complex) / dim
     else:
         start = np.asarray(start, dtype=complex)
         if start.shape != (dim, dim):
@@ -326,8 +325,9 @@ def imlm_reconstruct(
         sigma = model.g_sqrt @ start @ model.g_sqrt
         sigma /= np.trace(sigma).real
     q, ll = evaluate(sigma)
-    y, q_y, ll_y = sigma, q, ll  # the momentum point
-    theta = 1.0
+    if np.any(q[freq > 0] <= IMLM_PROBABILITY_FLOOR):
+        sigma = np.eye(dim, dtype=complex) / dim
+        q, ll = evaluate(sigma)
     step = 1.0
     history = [total * ll]
     iterations = next_check = newton_steps = 0
@@ -335,10 +335,10 @@ def imlm_reconstruct(
     stop_reason = "max_iter"
 
     while True:
+        grad = gradient(q)
         checked = iterations == next_check
         if checked:
-            r_op = gradient(q)
-            excess = _excess(r_op)
+            excess = _excess(grad)
             if excess <= IMLM_CERTIFICATE_RTOL:
                 stop_reason = "certificate"
                 break
@@ -348,48 +348,34 @@ def imlm_reconstruct(
         if checked and excess <= _NEWTON_GAP:
             next_check = iterations + 1
             stepped = excess <= limit and _newton_step(
-                sigma, ll, r_op, freq, q, rows, evaluate
+                sigma, ll, grad, freq, q, rows, evaluate
             )
-            if stepped:  # the momentum restarts at the Newton iterate
-                sigma, q, ll = y, q_y, ll_y = stepped
-                theta, limit = 1.0, excess / 10.0
+            if stepped:
+                sigma, q, ll = stepped
+                limit = excess / 10.0
                 newton_steps += 1
                 history.append(total * ll)
                 iterations += 1
                 continue
         limit = _NEWTON_GAP
 
-        grad = gradient(q_y)
         while True:
-            z = _project_density(y + step * grad)
+            z = _project_density(sigma + step * grad)
             q_z, ll_z = evaluate(z)
             # The increase the quadratic model with curvature 1/step promises.
-            move = z - y
+            move = z - sigma
             gain = np.vdot(grad, move).real - np.vdot(move, move).real / (2.0 * step)
-            if ll_z >= ll_y + gain:
+            if ll_z >= ll + gain:
                 break
             step *= _STEP_SHRINK
-            if step < IMLM_STEP_FLOOR:
-                stop_reason = "stall"
-                break
-        if stop_reason == "stall":
-            break
-
         if ll_z >= ll:
-            # Momentum: the next step starts past z, along the last move.
-            theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-            y = z + ((theta - 1.0) / theta_next) * (z - sigma)
-            q_y, ll_y = evaluate(y)
-            theta = theta_next
             sigma, q, ll = z, q_z, ll_z
-        else:  # z would lower L: restart the momentum from sigma
-            y, q_y, ll_y, theta = sigma, q, ll, 1.0
         step *= _STEP_GROWTH
         history.append(total * ll)
         iterations += 1
 
     if not checked:
-        excess = _excess(gradient(q))
+        excess = _excess(grad)
         if excess <= IMLM_CERTIFICATE_RTOL:
             stop_reason = "certificate"
     g_inv_sqrt = model.g_inv_sqrt

@@ -932,7 +932,7 @@ def test_sampled_report_summarizes_bootstrap_fits():
         ExperimentConfig(scenario="w3", seed=42, flux_per_setting=104.0, n_resamples=3)
     )
     tomo = report["results"]["tomography"]
-    assert tomo["stop_reason"] in ("certificate", "stall", "max_iter")
+    assert tomo["stop_reason"] in ("certificate", "max_iter")
     assert tomo["converged"] == (tomo["stop_reason"] == "certificate")
     assert tomo["certificate"] >= 0.0
     fits = tomo["bootstrap_fits"]

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wexpand.cli import _child_seeds, load_config
 from wexpand.entanglement import fidelity
@@ -268,31 +268,46 @@ def test_imlm_iteration_cap_is_not_convergence():
 def count_sets(draw):
     """Arbitrary counts, or Poisson counts of a random state of random rank
     at 0.05 to 500 counts per typical setting, where low flux leaves most
-    counts zero."""
+    counts zero; and no start, or a random pure start whose amplitudes are
+    zero or 1e-6 off a drawn support, so that it may predict a zero or
+    near-zero probability where a count was seen."""
     n_qubits = draw(st.sampled_from((1, 2, 3)))
     size = 4**n_qubits
+    dim = 2**n_qubits
     if draw(st.booleans()):
         counts = draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size))
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        dim = 2**n_qubits
         rank = draw(st.integers(1, dim))
         rho = DensityMatrix(random_density(rng, dim, rank), list(range(n_qubits)))
         typical = draw(st.floats(0.05, 500.0))
         multiplier = flux_for_typical_count(rho, typical)
         counts = sample_counts(rho, multiplier, int(rng.integers(1 << 31))).tolist()
     assume(sum(counts) > 0)
-    return counts
+    start = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scales = draw(
+            st.lists(st.sampled_from((0.0, 1e-6, 1.0)), min_size=dim, max_size=dim)
+        )
+        assume(any(scales))
+        ket = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * scales
+        start = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+    return counts, start
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(count_sets(), st.integers(1, 200))
-def test_imlm_certificate_bounds_the_remaining_gain(counts, cap):
+@example(([100, 1, 50, 50], np.diag([1.0, 0.0])), 1)
+def test_imlm_certificate_bounds_the_remaining_gain(case, cap):
     # Newton steps count as iterations, so a cap can stop a fit between
     # them; every fit, capped or not, keeps its history nondecreasing and
-    # returns a density matrix, and an uncapped fit stops certified.
-    first = imlm_reconstruct(counts, max_iter=cap)
-    full = imlm_reconstruct(counts)
+    # returns a density matrix, and an uncapped fit stops certified.  The
+    # explicit example starts at |H><H|, which predicts no V click where
+    # one was seen: that fit starts at I/d instead, not stopping at |H><H|.
+    counts, start = case
+    first = imlm_reconstruct(counts, max_iter=cap, start=start)
+    full = imlm_reconstruct(counts, start=start)
     assert full.stop_reason == "certificate"
     for fit in (first, full):
         assert (np.diff(fit.loglik_history) >= 0).all()
@@ -301,7 +316,7 @@ def test_imlm_certificate_bounds_the_remaining_gain(counts, cap):
         eigs = np.linalg.eigvalsh(fit.rho.matrix)
         assert eigs.min() >= -PSD_ATOL
         assert np.trace(fit.rho.matrix).real == pytest.approx(1.0, abs=TRACE_ATOL)
-    longer = imlm_reconstruct(counts, max_iter=50 * cap)
+    longer = imlm_reconstruct(counts, max_iter=50 * cap, start=start)
     assert longer.log_likelihood - first.log_likelihood <= first.certificate + 1e-9
 
 
@@ -367,7 +382,8 @@ def test_certificate_is_checked_soon_after_it_first_holds():
 
 def test_warm_started_bootstrap_matches_the_cold_one():
     # The shipped w3 counts: resamples started from the fit of the observed
-    # counts give the same error bars as resamples started from I/d.
+    # counts give the same error bars as resamples that each start at the
+    # projected linear inversion of their own counts.
     config = load_config(CONFIG_DIR / "w3.json")
     count_seed, bootstrap_seed = _child_seeds(config.seed, 2)
     rho, _ = postselect_qubits(
