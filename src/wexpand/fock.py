@@ -274,6 +274,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = self.matrix = np.asarray(self.matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         dim = 2 ** len(self.qubit_order)
         if m.shape != (dim, dim):
             raise ValueError(

@@ -169,9 +169,14 @@ class ReconstructionResult:
         return self.stop_reason == "certificate"
 
 
-def _excess(r_op: np.ndarray) -> float:
-    """lambda_max(R) - 1, clipped at zero: the relative optimality gap."""
-    return max(float(np.linalg.eigvalsh(r_op)[-1]) - 1.0, 0.0)
+def _count_total(data: np.ndarray) -> float:
+    """The total of nonnegative counts, checked to be positive and finite."""
+    if np.any(data < 0):
+        raise ValueError("counts must be nonnegative")
+    total = float(data.sum())
+    if not 0 < total < math.inf:
+        raise ValueError(f"total counts must be positive and finite; got {total}")
+    return total
 
 
 def _project_density(h: np.ndarray) -> np.ndarray:
@@ -216,8 +221,9 @@ def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
     Tr(A A^dagger), whose maximum has trace one.  Along moves B the rows
     2 Re<E_j A, B> make J; the gradient is (f / q - 1) J, as the E_j sum to
     one, and the negated Hessian J^T diag(f / q^2) J - 2 Re<B, (R - 1) B>.
-    None when that is not positive definite or when no length 1, 1/2, ...,
-    1/16 along the step raises L."""
+    That may be indefinite: the step is taken at the first length 1, 1/2,
+    ..., 1/16 along it that raises L.  None when the Hessian is singular or
+    no length raises L."""
     dim = len(sigma)
     evals, evecs = (a[..., ::-1] for a in np.linalg.eigh(sigma))  # descending
     rank = int(np.count_nonzero(evals > IMLM_RANK_RTOL * evals[0]))
@@ -232,10 +238,9 @@ def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
     jacobian = 2.0 * (probes.view(np.float64) @ flat.T)
     hessian = (jacobian.T * (freq / q**2)) @ jacobian - 2.0 * (flat @ curved.T)
     try:
-        np.linalg.cholesky(hessian)
+        x = np.linalg.solve(hessian, (freq / q - 1.0) @ jacobian)
     except np.linalg.LinAlgError:
         return None
-    x = np.linalg.solve(hessian, (freq / q - 1.0) @ jacobian)
     move = (x @ flat).view(complex).reshape(dim, rank)
     for k in range(5):
         a = factor + _STEP_SHRINK**k * move
@@ -282,8 +287,8 @@ def imlm_reconstruct(
     gap e at most _NEWTON_GAP tries Newton steps on the support of sigma
     (``_newton_step``) while each cuts e 10x; each accepted one is an
     iteration, and the next check comes one iteration later; otherwise it
-    comes _CHECK_INTERVAL iterations later.  The returned sigma is checked
-    once more.  No iteration lowers L.
+    comes _CHECK_INTERVAL iterations later.  Iteration max_iter is checked
+    too.  No iteration lowers L.
     """
     data = np.asarray(counts, dtype=float)
     n_qubits = (data.size.bit_length() - 1) // 2
@@ -292,11 +297,7 @@ def imlm_reconstruct(
             f"need 4^n counts, one per setting of default_settings(n); "
             f"got shape {data.shape}"
         )
-    if np.any(data < 0):
-        raise ValueError("counts must be nonnegative")
-    total = float(data.sum())
-    if total <= 0:
-        raise ValueError("total counts must be positive")
+    total = _count_total(data)
 
     model = measurement_model(n_qubits)
     dim = 2**n_qubits
@@ -322,6 +323,8 @@ def imlm_reconstruct(
             raise ValueError(
                 f"start must be a {dim}x{dim} density matrix; got shape {start.shape}"
             )
+        if not (np.isfinite(start).all() and np.trace(start).real > 0):
+            raise ValueError("start must be finite with a positive trace")
         sigma = model.g_sqrt @ start @ model.g_sqrt
         sigma /= np.trace(sigma).real
     q, ll = evaluate(sigma)
@@ -332,21 +335,15 @@ def imlm_reconstruct(
     history = [total * ll]
     iterations = next_check = newton_steps = 0
     limit = _NEWTON_GAP  # the gap at which a check tries a Newton step
-    stop_reason = "max_iter"
 
     while True:
         grad = gradient(q)
-        checked = iterations == next_check
-        if checked:
-            excess = _excess(grad)
-            if excess <= IMLM_CERTIFICATE_RTOL:
-                stop_reason = "certificate"
+        if iterations in (next_check, max_iter):
+            # lambda_max(R) - 1, clipped at zero: the relative optimality gap.
+            excess = max(float(np.linalg.eigvalsh(grad)[-1]) - 1.0, 0.0)
+            if excess <= IMLM_CERTIFICATE_RTOL or iterations == max_iter:
                 break
-            next_check += _CHECK_INTERVAL
-        if iterations == max_iter:
-            break
-        if checked and excess <= _NEWTON_GAP:
-            next_check = iterations + 1
+            next_check += 1 if excess <= _NEWTON_GAP else _CHECK_INTERVAL
             stepped = excess <= limit and _newton_step(
                 sigma, ll, grad, freq, q, rows, evaluate
             )
@@ -374,10 +371,6 @@ def imlm_reconstruct(
         history.append(total * ll)
         iterations += 1
 
-    if not checked:
-        excess = _excess(grad)
-        if excess <= IMLM_CERTIFICATE_RTOL:
-            stop_reason = "certificate"
     g_inv_sqrt = model.g_inv_sqrt
     rho = g_inv_sqrt @ sigma @ g_inv_sqrt
     rho = (rho + rho.conj().T) / 2.0
@@ -387,7 +380,7 @@ def imlm_reconstruct(
         rho=DensityMatrix(rho, order),
         iterations=iterations,
         log_likelihood=history[-1],
-        stop_reason=stop_reason,
+        stop_reason="certificate" if excess <= IMLM_CERTIFICATE_RTOL else "max_iter",
         certificate=float(total * excess),
         loglik_history=history,
         newton_steps=newton_steps,
@@ -441,6 +434,7 @@ def bootstrap_errors(
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
     data = np.asarray(counts, dtype=float)
+    _count_total(data)
 
     child_seeds = np.random.SeedSequence(seed).spawn(n_resamples)
     samples = []

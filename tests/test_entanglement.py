@@ -203,6 +203,15 @@ def test_invalid_density_matrix_rejected():
         DensityMatrix(not_psd, [0, 1])
 
 
+def test_non_finite_density_matrix_rejected():
+    # Every other check compares false on a NaN, so it would pass them all.
+    nan_coherence = np.eye(2, dtype=complex) / 2
+    nan_coherence[0, 1] = nan_coherence[1, 0] = np.nan
+    for bad in (np.full((2, 2), np.nan), nan_coherence, np.diag([np.inf, 0.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(bad, [0])
+
+
 def test_concurrence_needs_two_qubits():
     with pytest.raises(ValueError, match="two-qubit"):
         concurrence(w_density(3))

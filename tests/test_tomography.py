@@ -142,9 +142,22 @@ def test_imlm_rejects_empty_data():
         imlm_reconstruct([0] * 64)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
 def test_imlm_rejects_negative_count():
-    with pytest.raises(ValueError, match="nonnegative"):
-        imlm_reconstruct([-1] + [1] * 63)
+    # So is a total that is NaN or infinite, as a sum of huge counts can be
+    # (numpy warns of that overflow).  No comparison with a NaN is true, so
+    # the fit's backtracking would halve its step forever, and a bootstrap
+    # would fail inside numpy's Poisson draw.
+    for counts, message in (
+        ([-1, 1, 1, 1], "nonnegative"),
+        ([np.nan, 1, 1, 1], "finite; got nan"),
+        ([np.inf, 1, 1, 1], "finite; got inf"),
+        ([1e308, 1e308, 1, 1], "finite; got inf"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            imlm_reconstruct(counts)
+        with pytest.raises(ValueError, match=message):
+            bootstrap_errors(counts, 2, seed=1, qubit_order=[0])
 
 
 def test_fidelity_reference_values():
@@ -380,10 +393,9 @@ def test_certificate_is_checked_soon_after_it_first_holds():
     assert np.mean(overshoot) <= 3
 
 
-def test_warm_started_bootstrap_matches_the_cold_one():
-    # The shipped w3 counts: resamples started from the fit of the observed
-    # counts give the same error bars as resamples that each start at the
-    # projected linear inversion of their own counts.
+def shipped_w3_fit():
+    """The sampled counts of configs/w3.json, their fit and the seed of their
+    bootstrap."""
     config = load_config(CONFIG_DIR / "w3.json")
     count_seed, bootstrap_seed = _child_seeds(config.seed, 2)
     rho, _ = postselect_qubits(
@@ -391,10 +403,18 @@ def test_warm_started_bootstrap_matches_the_cold_one():
     )
     flux = flux_for_typical_count(rho, config.flux_per_setting)
     counts = sample_counts(rho, flux, count_seed)
-    fit = imlm_reconstruct(counts, qubit_order=rho.qubit_order)
-    cold, cold_fits = bootstrap_errors(counts, 20, bootstrap_seed, rho.qubit_order)
+    return counts, imlm_reconstruct(counts, qubit_order=rho.qubit_order), bootstrap_seed
+
+
+def test_warm_started_bootstrap_matches_the_cold_one():
+    # The shipped w3 counts: resamples started from the fit of the observed
+    # counts give the same error bars as resamples that each start at the
+    # projected linear inversion of their own counts.
+    counts, fit, bootstrap_seed = shipped_w3_fit()
+    order = fit.rho.qubit_order
+    cold, cold_fits = bootstrap_errors(counts, 20, bootstrap_seed, order)
     warm, warm_fits = bootstrap_errors(
-        counts, 20, bootstrap_seed, rho.qubit_order, start=fit.rho.matrix
+        counts, 20, bootstrap_seed, order, start=fit.rho.matrix
     )
     assert cold_fits["unconverged"] == warm_fits["unconverged"] == 0
     for key in ("fidelity", "witness"):
@@ -402,6 +422,29 @@ def test_warm_started_bootstrap_matches_the_cold_one():
     assert warm["pairwise_eof"].keys() == cold["pairwise_eof"].keys()
     for pair, value in cold["pairwise_eof"].items():
         assert warm["pairwise_eof"][pair] == pytest.approx(value, abs=1e-5)
+
+
+def test_few_newton_attempts_take_no_step(monkeypatch):
+    # The warm-started bootstrap of the shipped w3 counts.  An attempt that
+    # takes no step still pays for an eigh, the tangent build and the
+    # Hessian.  A positive-definiteness test on the Hessian turned 64 of 150
+    # attempts here away; with the rise in L as the only gate, 28 of 145
+    # take no step.
+    counts, fit, bootstrap_seed = shipped_w3_fit()
+    newton_step = tomography._newton_step
+    stepped = []
+
+    def counted(*args):
+        result = newton_step(*args)
+        stepped.append(result is not None)
+        return result
+
+    monkeypatch.setattr(tomography, "_newton_step", counted)
+    bootstrap_errors(
+        counts, 20, bootstrap_seed, fit.rho.qubit_order, start=fit.rho.matrix
+    )
+    assert len(stepped) >= 100
+    assert stepped.count(False) <= len(stepped) / 4
 
 
 def test_resample_without_counts_starts_cold():
@@ -426,6 +469,17 @@ def test_start_of_the_wrong_shape_rejected():
         with pytest.raises(ValueError, match="8x8"):
             imlm_reconstruct(one_click, start=start)
         with pytest.raises(ValueError, match="8x8"):
+            bootstrap_errors(one_click, 2, seed=1, qubit_order=[0, 1, 2], start=start)
+    # Nor may a start have a trace the fit cannot divide by.
+    for start in (
+        np.zeros((8, 8)),
+        -np.eye(8),
+        np.full((8, 8), np.nan),
+        np.diag([np.inf] + [0.0] * 7),
+    ):
+        with pytest.raises(ValueError, match="finite with a positive trace"):
+            imlm_reconstruct(one_click, start=start)
+        with pytest.raises(ValueError, match="finite with a positive trace"):
             bootstrap_errors(one_click, 2, seed=1, qubit_order=[0, 1, 2], start=start)
 
 
