@@ -169,14 +169,36 @@ class ReconstructionResult:
         return self.stop_reason == "certificate"
 
 
-def _count_total(data: np.ndarray) -> float:
-    """The total of nonnegative counts, checked to be positive and finite."""
+def _checked_counts(counts) -> tuple[np.ndarray, int, float]:
+    """The counts as floats, their qubit count and their positive, finite
+    total, checked to be one nonnegative count per default setting."""
+    data = np.asarray(counts, dtype=float)
+    n_qubits = (data.size.bit_length() - 1) // 2
+    if n_qubits < 1 or data.shape != (4**n_qubits,):
+        raise ValueError(
+            f"need 4^n counts, one per setting of default_settings(n); "
+            f"got shape {data.shape}"
+        )
     if np.any(data < 0):
         raise ValueError("counts must be nonnegative")
     total = float(data.sum())
     if not 0 < total < math.inf:
         raise ValueError(f"total counts must be positive and finite; got {total}")
-    return total
+    return data, n_qubits, total
+
+
+def _start_sigma(start, model: MeasurementModel) -> np.ndarray:
+    """A caller's start, a matrix in the frame of rho, checked and moved to
+    the fit's frame at trace one."""
+    start, dim = np.asarray(start, dtype=complex), len(model.g_sqrt)
+    if start.shape != (dim, dim):
+        raise ValueError(
+            f"start must be a {dim}x{dim} density matrix; got shape {start.shape}"
+        )
+    if not (np.isfinite(start).all() and np.trace(start).real > 0):
+        raise ValueError("start must be finite with a positive trace")
+    sigma = model.g_sqrt @ start @ model.g_sqrt
+    return sigma / np.trace(sigma).real
 
 
 def _project_density(h: np.ndarray) -> np.ndarray:
@@ -213,17 +235,14 @@ def _tangent_coordinates(dim: int, rank: int):
     return len(moves), *(np.array(column) for column in zip(*entries))
 
 
-def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
-    """One Newton step from sigma: its new value, q and L / N, or None.
-
-    The step moves A = V_r sqrt(Lambda_r), V the eigenvectors of sigma =
-    A A^dagger with its support first, to maximize F(A) = L / N -
-    Tr(A A^dagger), whose maximum has trace one.  Along moves B the rows
-    2 Re<E_j A, B> make J; the gradient is (f / q - 1) J, as the E_j sum to
-    one, and the negated Hessian J^T diag(f / q^2) J - 2 Re<B, (R - 1) B>.
-    That may be indefinite: the step is taken at the first length 1, 1/2,
-    ..., 1/16 along it that raises L.  None when the Hessian is singular or
-    no length raises L."""
+def _newton_system(sigma, r_op, freq, q, rows):
+    """The Newton system at sigma: A, the moves B as real rows, J and the
+    negated Hessian.  A Newton step moves A = V_r sqrt(Lambda_r), V the
+    eigenvectors of sigma = A A^dagger with its support first, to maximize
+    F(A) = L / N - Tr(A A^dagger), whose maximum has trace one.  Along moves
+    B the rows 2 Re<E_j A, B> make J; the gradient is (f / q - 1) J, as the
+    E_j sum to one, and the negated Hessian J^T diag(f / q^2) J -
+    2 Re<B, (R - 1) B>, which may be indefinite."""
     dim = len(sigma)
     evals, evecs = (a[..., ::-1] for a in np.linalg.eigh(sigma))  # descending
     rank = int(np.count_nonzero(evals > IMLM_RANK_RTOL * evals[0]))
@@ -237,11 +256,19 @@ def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
     probes = (rows.view(complex).reshape(-1, dim) @ factor).reshape(len(q), -1)
     jacobian = 2.0 * (probes.view(np.float64) @ flat.T)
     hessian = (jacobian.T * (freq / q**2)) @ jacobian - 2.0 * (flat @ curved.T)
+    return factor, flat, jacobian, hessian
+
+
+def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
+    """One Newton step from sigma (``_newton_system``), taken at the first
+    length 1, 1/2, ..., 1/16 along it that raises L: its new value, q and
+    L / N.  None when the Hessian is singular or no length raises L."""
+    factor, flat, jacobian, hessian = _newton_system(sigma, r_op, freq, q, rows)
     try:
         x = np.linalg.solve(hessian, (freq / q - 1.0) @ jacobian)
     except np.linalg.LinAlgError:
         return None
-    move = (x @ flat).view(complex).reshape(dim, rank)
+    move = (x @ flat).view(complex).reshape(factor.shape)
     for k in range(5):
         a = factor + _STEP_SHRINK**k * move
         trial = a @ a.conj().T / np.vdot(a, a).real
@@ -263,7 +290,7 @@ def imlm_reconstruct(
     Args:
         counts: 4^n coincidence numbers aligned with
             ``default_settings(n)`` (exact expected values are fine).
-        max_iter: iteration cap.
+        max_iter: iteration cap, nonnegative.
         qubit_order: spatial-mode ids for the reconstructed qubits
             (defaults to 0..n-1).
         start: density matrix the fit starts from, in the frame of the
@@ -272,33 +299,27 @@ def imlm_reconstruct(
     The fit maximizes L = sum_j n_j log q_j, q_j = Tr(E_j sigma), over
     density matrices sigma in the frame where the settings resolve the
     identity.  With no ``start`` it starts at P(sigma_LI), the projected
-    linear inversion q_j = n_j / N (Smolin, Gambetta & Smith).  Either
-    start is replaced by I/d if it floors a q_j with n_j > 0.  A projected
-    gradient iteration steps to z = P(sigma + t R(sigma)), R = sum_j
-    (n_j / N q_j) E_j, P the projection onto density matrices; t halves
-    until z passes the sufficient-increase test at sigma, L(z) / N >=
+    linear inversion q_j = n_j / N (Smolin, Gambetta & Smith).  A start that
+    floors a q_j with n_j > 0 gives way to P(sigma_LI), and P(sigma_LI) to
+    I/d.  A projected gradient iteration steps to z = P(sigma + t R(sigma)),
+    R = sum_j (n_j / N q_j) E_j, P the projection onto density matrices; t
+    halves until z passes the sufficient-increase test at sigma, L(z) / N >=
     L(sigma) / N + <R, z - sigma> - |z - sigma|^2 / 2t, and grows by
     _STEP_GROWTH after each step.  That needs no floor on t: as t -> 0 the
     last term outweighs any rounding in z, and a z equal to sigma bit for
-    bit gains 0 at an equal L, so the test passes.  sigma moves to z only
-    if L does not fall.  The fit stops on the certificate L* - L <=
-    N (lambda_max(R) - 1) (Glancy, Knill & Girard, NJP 14, 095017, 2012)
-    once lambda_max - 1 <= IMLM_CERTIFICATE_RTOL.  A check that finds that
-    gap e at most _NEWTON_GAP tries Newton steps on the support of sigma
+    bit gains 0 at an equal L, so the test passes.  sigma moves to z only if
+    L does not fall.  The fit stops on the certificate L* - L <= N
+    (lambda_max(R) - 1) (Glancy, Knill & Girard, NJP 14, 095017, 2012) once
+    lambda_max - 1 <= IMLM_CERTIFICATE_RTOL.  A check that finds that gap e
+    at most _NEWTON_GAP tries Newton steps on the support of sigma
     (``_newton_step``) while each cuts e 10x; each accepted one is an
     iteration, and the next check comes one iteration later; otherwise it
     comes _CHECK_INTERVAL iterations later.  Iteration max_iter is checked
     too.  No iteration lowers L.
     """
-    data = np.asarray(counts, dtype=float)
-    n_qubits = (data.size.bit_length() - 1) // 2
-    if n_qubits < 1 or data.shape != (4**n_qubits,):
-        raise ValueError(
-            f"need 4^n counts, one per setting of default_settings(n); "
-            f"got shape {data.shape}"
-        )
-    total = _count_total(data)
-
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative; got {max_iter}")
+    data, n_qubits, total = _checked_counts(counts)
     model = measurement_model(n_qubits)
     dim = 2**n_qubits
     rows = model.povm_rows
@@ -311,23 +332,13 @@ def imlm_reconstruct(
         q = np.maximum(raw, IMLM_PROBABILITY_FLOOR)
         return q, float(freq @ np.log(q))
 
-    def gradient(q: np.ndarray) -> np.ndarray:
-        return ((freq / q) @ rows).view(complex).reshape(dim, dim)
-
-    if start is None:
+    if start is not None:
+        sigma = _start_sigma(start, model)
+        q, ll = evaluate(sigma)
+    if start is None or np.any(q[freq > 0] <= IMLM_PROBABILITY_FLOOR):
         inverted = (model.inversion @ freq).view(complex).reshape(dim, dim)
         sigma = _project_density(inverted)
-    else:
-        start = np.asarray(start, dtype=complex)
-        if start.shape != (dim, dim):
-            raise ValueError(
-                f"start must be a {dim}x{dim} density matrix; got shape {start.shape}"
-            )
-        if not (np.isfinite(start).all() and np.trace(start).real > 0):
-            raise ValueError("start must be finite with a positive trace")
-        sigma = model.g_sqrt @ start @ model.g_sqrt
-        sigma /= np.trace(sigma).real
-    q, ll = evaluate(sigma)
+        q, ll = evaluate(sigma)
     if np.any(q[freq > 0] <= IMLM_PROBABILITY_FLOOR):
         sigma = np.eye(dim, dtype=complex) / dim
         q, ll = evaluate(sigma)
@@ -337,7 +348,7 @@ def imlm_reconstruct(
     limit = _NEWTON_GAP  # the gap at which a check tries a Newton step
 
     while True:
-        grad = gradient(q)
+        grad = ((freq / q) @ rows).view(complex).reshape(dim, dim)
         if iterations in (next_check, max_iter):
             # lambda_max(R) - 1, clipped at zero: the relative optimality gap.
             excess = max(float(np.linalg.eigvalsh(grad)[-1]) - 1.0, 0.0)
@@ -371,8 +382,7 @@ def imlm_reconstruct(
         history.append(total * ll)
         iterations += 1
 
-    g_inv_sqrt = model.g_inv_sqrt
-    rho = g_inv_sqrt @ sigma @ g_inv_sqrt
+    rho = model.g_inv_sqrt @ sigma @ model.g_inv_sqrt
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
     order = list(qubit_order) if qubit_order is not None else list(range(n_qubits))
@@ -408,6 +418,32 @@ def _spread(samples: list):
     return float(np.std(samples))
 
 
+def _newton_starts(start, freq, counts, model: MeasurementModel) -> list:
+    """Each row's start: one Newton step from ``start``, the fit sigma of
+    ``freq``, in the frame of rho, kept where it raises the row's L above
+    sigma's.  The row gradients differ only as (f_b / q - 1) J, so one solve
+    with the fit's system gives every step (none if it is singular)."""
+    if start is None:
+        return [None] * len(counts)
+    sigma, rows = _start_sigma(start, model), model.povm_rows
+    freqs = counts / counts.sum(axis=1, keepdims=True)
+    q = np.maximum(rows @ sigma.reshape(-1).view(np.float64), IMLM_PROBABILITY_FLOOR)
+    r_op = ((freq / q) @ rows).view(complex).reshape(sigma.shape)
+    factor, flat, jacobian, hessian = _newton_system(sigma, r_op, freq, q, rows)
+    try:
+        x = np.linalg.solve(hessian, ((freqs / q - 1.0) @ jacobian).T)
+    except np.linalg.LinAlgError:
+        return [start] * len(freqs)
+    a = factor + (x.T @ flat).view(complex).reshape(len(freqs), *factor.shape)
+    trials = a @ a.conj().transpose(0, 2, 1)
+    trials /= np.trace(trials, axis1=1, axis2=2).real[:, None, None]
+    raw = trials.reshape(len(freqs), -1).view(np.float64) @ rows.T
+    q_t = np.maximum(raw, IMLM_PROBABILITY_FLOOR)
+    rises = (freqs * np.log(q_t)).sum(axis=1) > freqs @ np.log(q)
+    trials = model.g_inv_sqrt @ trials @ model.g_inv_sqrt
+    return [trial if rise else start for trial, rise in zip(trials, rises)]
+
+
 def bootstrap_errors(
     counts,
     n_resamples: int,
@@ -425,28 +461,32 @@ def bootstrap_errors(
     rank) and max of their iteration counts, and their most Newton steps.
     Resample seeds derive from the master seed, so results are reproducible
     and resamples could run in parallel; every resample shares the cached
-    measurement model.  Every resample drawn from the data starts its fit
-    at ``start``, normally the fit of the observed counts: a resampled
-    count is zero wherever the observed one is.  A resample that draws no
-    count at all is replaced by one count per setting, which is not the
-    data, so its fit takes the default start.
+    measurement model.  ``start`` is normally the fit of the observed
+    counts, where a resampled count is zero wherever the observed one is.
+    Each resample drawn from the data starts one shared-system Newton step
+    from it (``_newton_starts``), or at it where that step does not raise
+    the resample's L.  A resample that draws no count at all is replaced by
+    one count per setting, which is not the data: its fit starts cold.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
-    data = np.asarray(counts, dtype=float)
-    _count_total(data)
+    data, n_qubits, total = _checked_counts(counts)
+    model = measurement_model(n_qubits)
+    children = np.random.SeedSequence(seed).spawn(n_resamples)
+    try:
+        resamples = np.array([np.random.default_rng(c).poisson(data) for c in children])
+    except ValueError:  # numpy: "lam value too large"
+        raise ValueError(f"count {data.max():g} is too large to resample") from None
+    empty = ~resamples.any(axis=1)
+    resamples[empty] = 1
+    starts = _newton_starts(start, data / total, resamples, model)
 
-    child_seeds = np.random.SeedSequence(seed).spawn(n_resamples)
-    samples = []
-    iterations = []
+    samples, iterations = [], []
     unconverged = newton_steps_max = 0
-    for child in child_seeds:
-        rng = np.random.default_rng(child)
-        resampled = rng.poisson(data)
-        origin = start
-        if resampled.sum() == 0:
-            resampled, origin = np.ones_like(resampled), None
-        result = imlm_reconstruct(resampled, qubit_order=qubit_order, start=origin)
+    for resampled, origin, cold in zip(resamples, starts, empty):
+        result = imlm_reconstruct(
+            resampled, qubit_order=qubit_order, start=None if cold else origin
+        )
         iterations.append(result.iterations)
         unconverged += not result.converged
         newton_steps_max = max(newton_steps_max, result.newton_steps)

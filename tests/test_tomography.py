@@ -277,6 +277,33 @@ def test_imlm_iteration_cap_is_not_convergence():
     assert result.certificate > 0.0
 
 
+def test_imlm_rejects_a_negative_iteration_cap():
+    # A cap below zero is never met, so a fit that never certifies would
+    # run without bound; a cap of zero returns the start.
+    with pytest.raises(ValueError, match="max_iter must be nonnegative; got -1"):
+        imlm_reconstruct([10, 20, 30, 40], max_iter=-1)
+    assert imlm_reconstruct([10, 20, 30, 40], max_iter=0).iterations == 0
+
+
+def test_bootstrap_names_a_count_too_large_to_resample():
+    # The fit certifies these counts, but numpy draws no Poisson count
+    # above about 9.2e18.
+    assert imlm_reconstruct([1e19, 1, 1, 1]).converged
+    with pytest.raises(ValueError, match="count 1e\\+19 is too large to resample"):
+        bootstrap_errors([1e19, 1, 1, 1], 2, seed=1, qubit_order=[0])
+
+
+def test_start_that_floors_an_observed_count_gives_way_to_the_inversion():
+    # |H><H| predicts no V click where one was seen.  The fit starts at the
+    # projected linear inversion instead, as with no start, which these
+    # counts certify at iteration 0.  Started at I/d, the fit took 27.
+    counts = [100, 1, 50, 50]
+    default = imlm_reconstruct(counts)
+    fit = imlm_reconstruct(counts, start=np.diag([1.0, 0.0]))
+    assert default.iterations == fit.iterations == 0
+    np.testing.assert_array_equal(fit.rho.matrix, default.rho.matrix)
+
+
 @st.composite
 def count_sets(draw):
     """Arbitrary counts, or Poisson counts of a random state of random rank
@@ -317,7 +344,8 @@ def test_imlm_certificate_bounds_the_remaining_gain(case, cap):
     # them; every fit, capped or not, keeps its history nondecreasing and
     # returns a density matrix, and an uncapped fit stops certified.  The
     # explicit example starts at |H><H|, which predicts no V click where
-    # one was seen: that fit starts at I/d instead, not stopping at |H><H|.
+    # one was seen: that fit starts at the projected linear inversion
+    # instead, not stopping at |H><H|.
     counts, start = case
     first = imlm_reconstruct(counts, max_iter=cap, start=start)
     full = imlm_reconstruct(counts, start=start)
@@ -427,9 +455,11 @@ def test_warm_started_bootstrap_matches_the_cold_one():
 def test_few_newton_attempts_take_no_step(monkeypatch):
     # The warm-started bootstrap of the shipped w3 counts.  An attempt that
     # takes no step still pays for an eigh, the tangent build and the
-    # Hessian.  A positive-definiteness test on the Hessian turned 64 of 150
-    # attempts here away; with the rise in L as the only gate, 28 of 145
-    # take no step.
+    # Hessian.  Over 20 resamples started at the fit, a positive-definiteness
+    # test on the Hessian turned 64 of 150 attempts away; with the rise in L
+    # as the only gate, 28 of 145 took no step.  Started one shared Newton
+    # step from the fit, 20 resamples make only 83 attempts, so this draws
+    # 30: 124 attempts, 14 of which take no step.
     counts, fit, bootstrap_seed = shipped_w3_fit()
     newton_step = tomography._newton_step
     stepped = []
@@ -441,10 +471,75 @@ def test_few_newton_attempts_take_no_step(monkeypatch):
 
     monkeypatch.setattr(tomography, "_newton_step", counted)
     bootstrap_errors(
-        counts, 20, bootstrap_seed, fit.rho.qubit_order, start=fit.rho.matrix
+        counts, 30, bootstrap_seed, fit.rho.qubit_order, start=fit.rho.matrix
     )
     assert len(stepped) >= 100
     assert stepped.count(False) <= len(stepped) / 4
+
+
+def recorded_resample_fits(monkeypatch, case, n_resamples):
+    """The counts, start and result of each resample fit in the
+    warm-started bootstrap of ``case``: W3 counts, their fit and a bootstrap
+    seed."""
+    counts, fit, bootstrap_seed = case
+    reconstruct = tomography.imlm_reconstruct
+    fits = []
+
+    def recorded(resampled, **kwargs):
+        result = reconstruct(resampled, **kwargs)
+        fits.append((resampled, kwargs["start"], result))
+        return result
+
+    monkeypatch.setattr(tomography, "imlm_reconstruct", recorded)
+    bootstrap_errors(
+        counts, n_resamples, bootstrap_seed, fit.rho.qubit_order, start=fit.rho.matrix
+    )
+    return fits
+
+
+def test_shared_newton_start_cuts_resample_iterations(monkeypatch):
+    # Started at the fit, the 20 resample fits of the shipped w3 counts take
+    # 11.5 iterations each on average; one shared Newton step from it gives
+    # 5.9.
+    fits = recorded_resample_fits(monkeypatch, shipped_w3_fit(), 20)
+    assert len(fits) == 20
+    assert all(result.converged for _, _, result in fits)
+    assert np.mean([result.iterations for _, _, result in fits]) <= 8
+
+
+def test_kept_newton_starts_raise_the_resample_likelihood(monkeypatch):
+    # Sampled W3 counts at 5 per typical setting.  A resample keeps its
+    # Newton start only where the start's L of the resampled counts is above
+    # the fit's, and 15 of these 20 do; max_iter=0 gives L at a start.
+    counts = sample_counts(RHO_W3, flux_for_typical_count(RHO_W3, 5.0), seed=2)
+    fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6])
+    fits = recorded_resample_fits(monkeypatch, (counts, fit, 2), 20)
+    kept = [(c, start) for c, start, _ in fits if start is not fit.rho.matrix]
+    assert 10 <= len(kept) < 20
+    for resampled, start in kept:
+        at_start = imlm_reconstruct(resampled, max_iter=0, start=start)
+        at_fit = imlm_reconstruct(resampled, max_iter=0, start=fit.rho.matrix)
+        assert at_start.log_likelihood > at_fit.log_likelihood
+
+
+def test_singular_shared_system_starts_every_resample_at_the_fit(monkeypatch):
+    # The bootstrap builds the shared Newton system before any resample
+    # fit; made singular, it gives no step, and every resample starts at
+    # the fit.
+    shipped = shipped_w3_fit()
+    system = tomography._newton_system
+    calls = []
+
+    def singular_first(*args):
+        factor, flat, jacobian, hessian = system(*args)
+        calls.append(args)
+        return factor, flat, jacobian, 0.0 * hessian if len(calls) == 1 else hessian
+
+    monkeypatch.setattr(tomography, "_newton_system", singular_first)
+    fits = recorded_resample_fits(monkeypatch, shipped, 4)
+    assert len(fits) == 4
+    assert all(start is shipped[1].rho.matrix for _, start, _ in fits)
+    assert all(result.converged for _, _, result in fits)
 
 
 def test_resample_without_counts_starts_cold():
