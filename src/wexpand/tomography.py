@@ -259,11 +259,19 @@ def _newton_system(sigma, r_op, freq, q, rows):
     return factor, flat, jacobian, hessian
 
 
-def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
-    """One Newton step from sigma (``_newton_system``), taken at the first
-    length 1, 1/2, ..., 1/16 along it that raises L: its new value, q and
-    L / N.  None when the Hessian is singular or no length raises L."""
-    factor, flat, jacobian, hessian = _newton_system(sigma, r_op, freq, q, rows)
+def _likelihood(sigma, freq, rows):
+    """The floored q_j = Tr(E_j sigma) of a trace-one sigma and its L / N,
+    sum_j f_j log q_j.  The E_j resolve the identity, so the q_j sum to one."""
+    q = np.maximum(rows @ sigma.reshape(-1).view(np.float64), IMLM_PROBABILITY_FLOOR)
+    return q, float(freq @ np.log(q))
+
+
+def _newton_step(system, freq, q, ll, rows):
+    """One Newton step for frequencies freq along a ``_newton_system`` built
+    at sigma, where their q are q and their L / N is ll: the first of the
+    lengths 1, 1/2, ..., 1/16 that raises L / N, as its sigma, q and L / N.
+    None when the Hessian is singular or no length raises L."""
+    factor, flat, jacobian, hessian = system
     try:
         x = np.linalg.solve(hessian, (freq / q - 1.0) @ jacobian)
     except np.linalg.LinAlgError:
@@ -272,7 +280,7 @@ def _newton_step(sigma, ll, r_op, freq, q, rows, evaluate):
     for k in range(5):
         a = factor + _STEP_SHRINK**k * move
         trial = a @ a.conj().T / np.vdot(a, a).real
-        q_t, ll_t = evaluate(trial)
+        q_t, ll_t = _likelihood(trial, freq, rows)
         if ll_t > ll:
             return trial, q_t, ll_t
     return None
@@ -312,10 +320,10 @@ def imlm_reconstruct(
     (lambda_max(R) - 1) (Glancy, Knill & Girard, NJP 14, 095017, 2012) once
     lambda_max - 1 <= IMLM_CERTIFICATE_RTOL.  A check that finds that gap e
     at most _NEWTON_GAP tries Newton steps on the support of sigma
-    (``_newton_step``) while each cuts e 10x; each accepted one is an
-    iteration, and the next check comes one iteration later; otherwise it
-    comes _CHECK_INTERVAL iterations later.  Iteration max_iter is checked
-    too.  No iteration lowers L.
+    (``_newton_step`` along the ``_newton_system`` there) while each cuts e
+    10x; each accepted one is an iteration, and the next check comes one
+    iteration later; otherwise it comes _CHECK_INTERVAL iterations later.
+    Iteration max_iter is checked too.  No iteration lowers L.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative; got {max_iter}")
@@ -325,23 +333,16 @@ def imlm_reconstruct(
     rows = model.povm_rows
     freq = data / total
 
-    def evaluate(sigma: np.ndarray):
-        """The floored q_j of a trace-one sigma and its L / N.  The E_j
-        resolve the identity, so the q_j sum to one."""
-        raw = rows @ sigma.reshape(-1).view(np.float64)
-        q = np.maximum(raw, IMLM_PROBABILITY_FLOOR)
-        return q, float(freq @ np.log(q))
-
     if start is not None:
         sigma = _start_sigma(start, model)
-        q, ll = evaluate(sigma)
+        q, ll = _likelihood(sigma, freq, rows)
     if start is None or np.any(q[freq > 0] <= IMLM_PROBABILITY_FLOOR):
         inverted = (model.inversion @ freq).view(complex).reshape(dim, dim)
         sigma = _project_density(inverted)
-        q, ll = evaluate(sigma)
+        q, ll = _likelihood(sigma, freq, rows)
     if np.any(q[freq > 0] <= IMLM_PROBABILITY_FLOOR):
         sigma = np.eye(dim, dtype=complex) / dim
-        q, ll = evaluate(sigma)
+        q, ll = _likelihood(sigma, freq, rows)
     step = 1.0
     history = [total * ll]
     iterations = next_check = newton_steps = 0
@@ -356,7 +357,7 @@ def imlm_reconstruct(
                 break
             next_check += 1 if excess <= _NEWTON_GAP else _CHECK_INTERVAL
             stepped = excess <= limit and _newton_step(
-                sigma, ll, grad, freq, q, rows, evaluate
+                _newton_system(sigma, grad, freq, q, rows), freq, q, ll, rows
             )
             if stepped:
                 sigma, q, ll = stepped
@@ -369,7 +370,7 @@ def imlm_reconstruct(
 
         while True:
             z = _project_density(sigma + step * grad)
-            q_z, ll_z = evaluate(z)
+            q_z, ll_z = _likelihood(z, freq, rows)
             # The increase the quadratic model with curvature 1/step promises.
             move = z - sigma
             gain = np.vdot(grad, move).real - np.vdot(move, move).real / (2.0 * step)
@@ -418,32 +419,6 @@ def _spread(samples: list):
     return float(np.std(samples))
 
 
-def _newton_starts(start, freq, counts, model: MeasurementModel) -> list:
-    """Each row's start: one Newton step from ``start``, the fit sigma of
-    ``freq``, in the frame of rho, kept where it raises the row's L above
-    sigma's.  The row gradients differ only as (f_b / q - 1) J, so one solve
-    with the fit's system gives every step (none if it is singular)."""
-    if start is None:
-        return [None] * len(counts)
-    sigma, rows = _start_sigma(start, model), model.povm_rows
-    freqs = counts / counts.sum(axis=1, keepdims=True)
-    q = np.maximum(rows @ sigma.reshape(-1).view(np.float64), IMLM_PROBABILITY_FLOOR)
-    r_op = ((freq / q) @ rows).view(complex).reshape(sigma.shape)
-    factor, flat, jacobian, hessian = _newton_system(sigma, r_op, freq, q, rows)
-    try:
-        x = np.linalg.solve(hessian, ((freqs / q - 1.0) @ jacobian).T)
-    except np.linalg.LinAlgError:
-        return [start] * len(freqs)
-    a = factor + (x.T @ flat).view(complex).reshape(len(freqs), *factor.shape)
-    trials = a @ a.conj().transpose(0, 2, 1)
-    trials /= np.trace(trials, axis1=1, axis2=2).real[:, None, None]
-    raw = trials.reshape(len(freqs), -1).view(np.float64) @ rows.T
-    q_t = np.maximum(raw, IMLM_PROBABILITY_FLOOR)
-    rises = (freqs * np.log(q_t)).sum(axis=1) > freqs @ np.log(q)
-    trials = model.g_inv_sqrt @ trials @ model.g_inv_sqrt
-    return [trial if rise else start for trial, rise in zip(trials, rises)]
-
-
 def bootstrap_errors(
     counts,
     n_resamples: int,
@@ -463,10 +438,11 @@ def bootstrap_errors(
     and resamples could run in parallel; every resample shares the cached
     measurement model.  ``start`` is normally the fit of the observed
     counts, where a resampled count is zero wherever the observed one is.
-    Each resample drawn from the data starts one shared-system Newton step
-    from it (``_newton_starts``), or at it where that step does not raise
-    the resample's L.  A resample that draws no count at all is replaced by
-    one count per setting, which is not the data: its fit starts cold.
+    Each resample drawn from the data starts one ``_newton_step`` from
+    ``start``, along the fit's ``_newton_system``, which is built once;
+    where that takes no step, it starts at ``start``.  A resample that draws
+    no count at all is replaced by one count per setting, which is not the
+    data: its fit starts cold.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
@@ -479,14 +455,22 @@ def bootstrap_errors(
         raise ValueError(f"count {data.max():g} is too large to resample") from None
     empty = ~resamples.any(axis=1)
     resamples[empty] = 1
-    starts = _newton_starts(start, data / total, resamples, model)
+    starts = [None if cold else start for cold in empty]
+    if start is not None:
+        sigma, rows, freq = _start_sigma(start, model), model.povm_rows, data / total
+        q, _ = _likelihood(sigma, freq, rows)
+        grad = ((freq / q) @ rows).view(complex).reshape(sigma.shape)
+        system = _newton_system(sigma, grad, freq, q, rows)
+        freqs = resamples / resamples.sum(axis=1, keepdims=True)
+        for b in np.flatnonzero(~empty):
+            stepped = _newton_step(system, freqs[b], q, freqs[b] @ np.log(q), rows)
+            if stepped:
+                starts[b] = model.g_inv_sqrt @ stepped[0] @ model.g_inv_sqrt
 
     samples, iterations = [], []
     unconverged = newton_steps_max = 0
-    for resampled, origin, cold in zip(resamples, starts, empty):
-        result = imlm_reconstruct(
-            resampled, qubit_order=qubit_order, start=None if cold else origin
-        )
+    for resampled, origin in zip(resamples, starts):
+        result = imlm_reconstruct(resampled, qubit_order=qubit_order, start=origin)
         iterations.append(result.iterations)
         unconverged += not result.converged
         newton_steps_max = max(newton_steps_max, result.newton_steps)

@@ -9,7 +9,12 @@ from wexpand.entanglement import fidelity
 from wexpand.fock import DensityMatrix, postselect_qubits, single_photon
 from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
 from wexpand import tomography
-from wexpand.tolerances import IMLM_CERTIFICATE_RTOL, PSD_ATOL, TRACE_ATOL
+from wexpand.tolerances import (
+    IMLM_CERTIFICATE_RTOL,
+    IMLM_PROBABILITY_FLOOR,
+    PSD_ATOL,
+    TRACE_ATOL,
+)
 from wexpand.tomography import (
     _project_density,
     bootstrap_errors,
@@ -304,6 +309,31 @@ def test_start_that_floors_an_observed_count_gives_way_to_the_inversion():
     np.testing.assert_array_equal(fit.rho.matrix, default.rho.matrix)
 
 
+def test_inversion_that_floors_an_observed_count_gives_way_to_the_mixed_state():
+    # Take u along E_j of setting (V, V), and v1, n1, n2 orthonormal and
+    # orthogonal to it.  sigma_LI = (1 + s)|v1><v1| + l2|u><u| - a(|n1><n1|
+    # + |n2><n2|), with s = 1e-3, l2 = 5e-4 < s and a = (s + l2) / 2,
+    # predicts a positive frequency at every setting, but its projection is
+    # |v1><v1|, which predicts none where (V, V) was seen.  The fit then
+    # starts at I/d and certifies in 144 iterations; started at the
+    # projection it ran to the cap, so the cap here makes that fail fast.
+    model = measurement_model(2)
+    vv = default_settings(2).index(("V", "V"))
+    along_e = np.linalg.eigh(model.povm_rows[vv].view(complex).reshape(4, 4))[1][:, -1]
+    others = [[1, 1, 1, 0], [1, -1j, 0, 1], [0, 1, -1, 1j]]
+    u, v1, n1, n2 = np.linalg.qr(np.column_stack([along_e, *others]))[0].T
+    s, l2 = 1e-3, 5e-4
+    sigma_li = (1 + s) * np.outer(v1, v1.conj()) + l2 * np.outer(u, u.conj())
+    sigma_li -= (s + l2) / 2 * (np.outer(n1, n1.conj()) + np.outer(n2, n2.conj()))
+    freq = model.povm_rows @ sigma_li.reshape(-1).view(np.float64)
+    assert freq.min() > 0
+    counts = np.round(1e9 * freq)
+    inverted = (model.inversion @ (counts / counts.sum())).view(complex).reshape(4, 4)
+    projected = _project_density(inverted).reshape(-1).view(np.float64)
+    assert model.povm_rows[vv] @ projected <= IMLM_PROBABILITY_FLOOR
+    assert imlm_reconstruct(counts, max_iter=1000).converged
+
+
 @st.composite
 def count_sets(draw):
     """Arbitrary counts, or Poisson counts of a random state of random rank
@@ -459,7 +489,8 @@ def test_few_newton_attempts_take_no_step(monkeypatch):
     # test on the Hessian turned 64 of 150 attempts away; with the rise in L
     # as the only gate, 28 of 145 took no step.  Started one shared Newton
     # step from the fit, 20 resamples make only 83 attempts, so this draws
-    # 30: 124 attempts, 14 of which take no step.
+    # 30.  Their fits make 122 attempts, 13 of which take no step, and the
+    # 30 start steps on the fit's system all take one: 152 in all.
     counts, fit, bootstrap_seed = shipped_w3_fit()
     newton_step = tomography._newton_step
     stepped = []
@@ -507,15 +538,22 @@ def test_shared_newton_start_cuts_resample_iterations(monkeypatch):
     assert np.mean([result.iterations for _, _, result in fits]) <= 8
 
 
-def test_kept_newton_starts_raise_the_resample_likelihood(monkeypatch):
-    # Sampled W3 counts at 5 per typical setting.  A resample keeps its
-    # Newton start only where the start's L of the resampled counts is above
-    # the fit's, and 15 of these 20 do; max_iter=0 gives L at a start.
+def sparse_w3_fit():
+    """Sampled W3 counts at 5 per typical setting, their fit and the seed of
+    their bootstrap."""
     counts = sample_counts(RHO_W3, flux_for_typical_count(RHO_W3, 5.0), seed=2)
-    fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6])
-    fits = recorded_resample_fits(monkeypatch, (counts, fit, 2), 20)
+    return counts, imlm_reconstruct(counts, qubit_order=[4, 5, 6]), 2
+
+
+def test_kept_newton_starts_raise_the_resample_likelihood(monkeypatch):
+    # A resample starts where the fit's Newton step, backtracking included,
+    # raises its L above the fit's.  All 20 of these resamples do, 5 of them
+    # at half length.  max_iter=0 gives L at a start.
+    case = sparse_w3_fit()
+    fit = case[1]
+    fits = recorded_resample_fits(monkeypatch, case, 20)
     kept = [(c, start) for c, start, _ in fits if start is not fit.rho.matrix]
-    assert 10 <= len(kept) < 20
+    assert len(kept) == 20
     for resampled, start in kept:
         at_start = imlm_reconstruct(resampled, max_iter=0, start=start)
         at_fit = imlm_reconstruct(resampled, max_iter=0, start=fit.rho.matrix)
@@ -540,6 +578,24 @@ def test_singular_shared_system_starts_every_resample_at_the_fit(monkeypatch):
     assert len(fits) == 4
     assert all(start is shipped[1].rho.matrix for _, start, _ in fits)
     assert all(result.converged for _, _, result in fits)
+
+
+def test_resample_whose_newton_step_takes_none_starts_at_the_fit(monkeypatch):
+    # The bootstrap takes every resample's start step before any resample
+    # fit.  Made to take none on its second call, the second resample starts
+    # at the fit and the others where their steps go.
+    case = sparse_w3_fit()
+    fit = case[1]
+    newton_step = tomography._newton_step
+    calls = []
+
+    def none_second(*args):
+        calls.append(args)
+        return None if len(calls) == 2 else newton_step(*args)
+
+    monkeypatch.setattr(tomography, "_newton_step", none_second)
+    starts = [start for _, start, _ in recorded_resample_fits(monkeypatch, case, 4)]
+    assert [start is fit.rho.matrix for start in starts] == [False, True, False, False]
 
 
 def test_resample_without_counts_starts_cold():
