@@ -258,20 +258,29 @@ def _tomography_block(
 
     ``flux_per_setting`` is the detected-count scale (rate x acquisition
     time) at a typical setting, so the Born-rule multiplier handed to the
-    samplers is flux / mean setting probability.
+    samplers is flux / mean setting probability.  A flux so large that the
+    counts, their sum or the fit's log-likelihood overflows is named in a
+    ValueError: numpy raises on the overflow here instead of warning.
     """
+    flux = f"flux_per_setting {config.flux_per_setting!r}"
+    overflow = f"{flux} is too large: the counts or their fit overflow"
     multiplier = flux_for_typical_count(rho, config.flux_per_setting)
-    if config.exact:
-        counts = exact_counts(rho, multiplier)
-    else:
-        flux = f"flux_per_setting {config.flux_per_setting!r}"
+    with np.errstate(over="raise", invalid="raise"):
         try:
-            counts = sample_counts(rho, multiplier, seeds[0])
-        except ValueError as exc:  # numpy: "lam value too large"
-            raise ValueError(f"cannot sample counts at {flux}: {exc}") from None
-        if not counts.any():
-            raise ValueError(f"{flux} drew no count in any setting")
-    result = imlm_reconstruct(counts, qubit_order=rho.qubit_order)
+            if config.exact:
+                counts = exact_counts(rho, multiplier)
+            else:
+                try:
+                    counts = sample_counts(rho, multiplier, seeds[0])
+                except ValueError as exc:  # numpy: "lam value too large"
+                    raise ValueError(f"cannot sample counts at {flux}: {exc}") from None
+                if not counts.any():
+                    raise ValueError(f"{flux} drew no count in any setting")
+            result = imlm_reconstruct(counts, qubit_order=rho.qubit_order)
+        except FloatingPointError:
+            raise ValueError(overflow) from None
+    if not math.isfinite(result.log_likelihood):
+        raise ValueError(overflow)
     block = {
         "mode": "exact" if config.exact else "sampled",
         "settings": len(counts),
@@ -288,11 +297,7 @@ def _tomography_block(
     }
     if not config.exact and config.n_resamples:
         block["bootstrap"], block["bootstrap_fits"] = bootstrap_errors(
-            counts,
-            config.n_resamples,
-            seeds[1],
-            rho.qubit_order,
-            start=result.rho.matrix,
+            counts, config.n_resamples, seeds[1], result.rho
         )
     else:
         block["bootstrap"] = block["bootstrap_fits"] = None
@@ -320,7 +325,7 @@ def _run_hom(config: ExperimentConfig) -> dict:
 
 def _run_w3(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(None if config.exact else config.seed, 2)
-    expanded = expand(np.ones((1, 1)), 0, config.overlap)
+    expanded = expand(np.ones((1, 1)), config.overlap)
     rho = excitation_density(expanded, OUTPUT_MODES)
     return {
         "postselection": {
@@ -343,10 +348,10 @@ def _run_w4(config: ExperimentConfig) -> dict:
 
     pair_block = _tomography_block(sigma_pair, config, seeds[:2])
 
-    # The pair holds one V on modes 0 and 1; its photon in mode 1 enters
-    # the gate.
+    # The pair holds one V on modes 0 and 1; its photon in mode 1, the
+    # last qubit, enters the gate.
     single = np.ix_(excitation_indices(2), excitation_indices(2))
-    expanded = expand(pair_probability * sigma_pair.matrix[single], 1, config.overlap)
+    expanded = expand(pair_probability * sigma_pair.matrix[single], config.overlap)
     rho = excitation_density(expanded, (0,) + OUTPUT_MODES)
     raw_probability = float(np.trace(expanded).real)
 
@@ -382,7 +387,7 @@ def _run_scaling(config: ExperimentConfig) -> dict:
     # So one expansion of the largest J, which accesses its last qubit,
     # gives every row: its last N+2 rows and columns, divided by N.
     largest = max(SCALING_SIZES)
-    expanded = expand(np.ones((largest, largest)), largest - 1, config.overlap)
+    expanded = expand(np.ones((largest, largest)), config.overlap)
     rows = []
     for n in SCALING_SIZES:
         block = expanded[-(n + 2) :, -(n + 2) :] / n

@@ -109,8 +109,8 @@ def _by_bins(image: dict[ModeLabel, complex], pol: str) -> np.ndarray:
     return grid[np.arange(3), _BIN_PATTERNS]
 
 
-def expand(rho, k: int, overlap: float = 1.0) -> np.ndarray:
-    """Send qubit ``k`` of a single-excitation state through the gate.
+def expand(rho, overlap: float = 1.0) -> np.ndarray:
+    """Send the last qubit of a single-excitation state through the gate.
 
     ``rho`` is an unnormalized M x M matrix whose entry (i, j) belongs to V
     on qubit i and V on qubit j.  The result is the same kind of matrix for
@@ -128,13 +128,13 @@ def expand(rho, k: int, overlap: float = 1.0) -> np.ndarray:
     input.  With s = sum_b |h_b|^2, c = sum_b h_b v_b^* and
     G = sum_b v_b v_b^dagger, the output holds s rho_ij between untouched
     qubits, rho_ik c_a between untouched qubit i and output qubit a, and
-    rho_kk G on the outputs.  The H image fills only untouched rows, so a
-    one-qubit input does without it.
+    rho_kk G on the outputs, with k the sent qubit.  The H image fills only
+    untouched rows, so a one-qubit input does without it.
     """
     rho = np.asarray(rho, dtype=complex)
     m = len(rho)
-    if rho.shape != (m, m) or not 0 <= k < m:
-        raise ValueError(f"need a square matrix and a qubit index below {m}")
+    if m == 0 or rho.shape != (m, m):
+        raise ValueError(f"need a non-empty square matrix; got shape {rho.shape}")
 
     delayed = delay(MODE_ANCILLA, overlap).image(mode(MODE_ANCILLA, H))
     a = sum(c * _by_bins(run_gate(label), H) for label, c in delayed)
@@ -142,13 +142,12 @@ def expand(rho, k: int, overlap: float = 1.0) -> np.ndarray:
     others = math.sqrt(2) * a[:, [1, 0, 0]] * a[:, [2, 2, 1]]
     v = _by_bins(run_gate(mode(MODE_INPUT, V)), V) * others
     out = np.zeros((m + 2, m + 2), dtype=complex)
-    out[m - 1 :, m - 1 :] = rho[k, k] * (v.T @ v.conj())
+    out[m - 1 :, m - 1 :] = rho[-1, -1] * (v.T @ v.conj())
     if m > 1:
         h = (_by_bins(run_gate(mode(MODE_INPUT, H)), H) * others).sum(axis=1)
         s = np.vdot(h, h).real
         c = h @ v.conj()
-        rest = [i for i in range(m) if i != k]
-        out[: m - 1, : m - 1] = s * rho[np.ix_(rest, rest)]
-        out[: m - 1, m - 1 :] = np.outer(rho[rest, k], c)
-        out[m - 1 :, : m - 1] = np.outer(c.conj(), rho[k, rest])
+        out[: m - 1, : m - 1] = s * rho[:-1, :-1]
+        out[: m - 1, m - 1 :] = np.outer(rho[:-1, -1], c)
+        out[m - 1 :, : m - 1] = np.outer(c.conj(), rho[-1, :-1])
     return out

@@ -70,22 +70,14 @@ class Element:
 
 
 def beamsplitter(
-    in_a: int,
-    in_b: int,
-    out_a: int,
-    out_b: int,
-    transmissivity: float = 0.5,
-    minus_on_out_a: bool = False,
+    in_a: int, in_b: int, out_a: int, out_b: int, minus_on_out_a: bool = False
 ) -> Element:
-    """Beamsplitter between spatial ports, keeping polarization and temporal
-    bin.  Transmission (in_a to out_a, in_b to out_b) has amplitude sqrt(T),
-    reflection sqrt(1 - T) with a minus sign on the reflection into out_b,
-    or into out_a if ``minus_on_out_a``."""
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity {transmissivity} outside [0, 1]")
-    t = math.sqrt(transmissivity)
-    r = math.sqrt(1.0 - transmissivity)
-    matrix = ((t, -r), (r, t)) if minus_on_out_a else ((t, r), (-r, t))
+    """Balanced (50:50) beamsplitter between spatial ports, keeping
+    polarization and temporal bin.  Transmission (in_a to out_a, in_b to
+    out_b) and reflection both have amplitude 1/sqrt(2), with a minus sign
+    on the reflection into out_b, or into out_a if ``minus_on_out_a``."""
+    r = math.sqrt(0.5)
+    matrix = ((r, -r), (r, r)) if minus_on_out_a else ((r, r), (-r, r))
     return Element("spatial", (in_a, in_b), (out_a, out_b), matrix)
 
 

@@ -75,28 +75,22 @@ def _dip_table(
     return tuple(flat), tuple(slope)
 
 
-def _number_coincidences(n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``_dip_table`` of the gate's images of the input photon and a pulse
-    photon: with n pulse photons, the threefold coincidence (herald, mode 4,
-    mode 5) is A_n + B_n xi^2, since the herald always clicks."""
-    u, v = (run_gate(mode(m, H)) for m in (MODE_INPUT, MODE_ANCILLA))
-    return _dip_table(u, v, n_max)
-
-
-def dip_coefficients(nu: float, n_max: int = N_MAX) -> tuple[float, float]:
+def dip_coefficients(nu: float) -> tuple[float, float]:
     """(a, b) with C(xi) = a + b xi^2 for the threefold coincidence.
 
     The pulse holds n photons with the truncated Poisson weight
-    p_n = (nu^n / n!) / sum_{k <= n_max} nu^k / k!, and C is the p_n-weighted
+    p_n = (nu^n / n!) / sum_{k <= N_MAX} nu^k / k!, and C is the p_n-weighted
     sum of the per-photon-number coincidences A_n + B_n xi^2, each exactly
     affine in xi^2 because threshold detection adds the temporal bins of the
-    delayed pulse in probability.  The table depends on ``n_max`` alone and
-    comes from the gate's images of two photons; neither coefficient depends on
-    the overlap or the pulse phase.  ``a`` is the level far outside
-    the dip, where the photons are fully distinguishable.
+    delayed pulse in probability.  With n pulse photons the coincidence of
+    the herald, which always clicks, and modes 4 and 5 is the ``_dip_table``
+    of the gate's images of the input photon and a pulse photon, so neither
+    coefficient depends on the overlap or the pulse phase.  ``a`` is the
+    level far outside the dip, where the photons are fully distinguishable.
     """
-    flat, slope = _number_coincidences(n_max)
-    weights = _poisson_weights(nu, n_max)
+    u, v = (run_gate(mode(m, H)) for m in (MODE_INPUT, MODE_ANCILLA))
+    flat, slope = _dip_table(u, v, N_MAX)
+    weights = _poisson_weights(nu, N_MAX)
     total = sum(weights)
     a = sum(w * c for w, c in zip(weights, flat)) / total
     if a <= 0.0:

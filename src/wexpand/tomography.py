@@ -420,29 +420,24 @@ def _spread(samples: list):
 
 
 def bootstrap_errors(
-    counts,
-    n_resamples: int,
-    seed: int,
-    qubit_order: Sequence[int],
-    start=None,
+    counts, n_resamples: int, seed: int, fit: DensityMatrix
 ) -> tuple[dict, dict]:
-    """Parametric bootstrap error bars for the ``w_statistics`` of a fit.
+    """Parametric bootstrap error bars for the ``w_statistics`` of ``fit``,
+    the reconstruction of ``counts``.
 
     Each resample draws every count from Poisson(observed count), re-runs the
-    reconstruction on the qubits ``qubit_order`` and evaluates
-    ``w_statistics``.  Returns the standard deviation over resamples of
-    every statistic it gives, under the same nested keys, and a summary of
-    the resample fits: how many did not converge, the p50, p90 (nearest
-    rank) and max of their iteration counts, and their most Newton steps.
-    Resample seeds derive from the master seed, so results are reproducible
-    and resamples could run in parallel; every resample shares the cached
-    measurement model.  ``start`` is normally the fit of the observed
-    counts, where a resampled count is zero wherever the observed one is.
-    Each resample drawn from the data starts one ``_newton_step`` from
-    ``start``, along the fit's ``_newton_system``, which is built once;
-    where that takes no step, it starts at ``start``.  A resample that draws
-    no count at all is replaced by one count per setting, which is not the
-    data: its fit starts cold.
+    reconstruction on the qubits of ``fit`` and evaluates ``w_statistics``.
+    Returns the standard deviation over resamples of every statistic it
+    gives, under the same nested keys, and a summary of the resample fits:
+    how many did not converge, the p50, p90 (nearest rank) and max of their
+    iteration counts, and their most Newton steps.  Resample seeds derive
+    from the master seed, so results are reproducible and resamples could
+    run in parallel; every resample shares the cached measurement model.  A
+    resampled count is zero wherever the observed one is, so each resample
+    drawn from the data starts one ``_newton_step`` from ``fit``, along the
+    fit's ``_newton_system``, which is built once; where that takes no step,
+    it starts at ``fit``.  A resample that draws no count at all is replaced
+    by one count per setting, which is not the data: its fit starts cold.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
@@ -455,22 +450,21 @@ def bootstrap_errors(
         raise ValueError(f"count {data.max():g} is too large to resample") from None
     empty = ~resamples.any(axis=1)
     resamples[empty] = 1
-    starts = [None if cold else start for cold in empty]
-    if start is not None:
-        sigma, rows, freq = _start_sigma(start, model), model.povm_rows, data / total
-        q, _ = _likelihood(sigma, freq, rows)
-        grad = ((freq / q) @ rows).view(complex).reshape(sigma.shape)
-        system = _newton_system(sigma, grad, freq, q, rows)
-        freqs = resamples / resamples.sum(axis=1, keepdims=True)
-        for b in np.flatnonzero(~empty):
-            stepped = _newton_step(system, freqs[b], q, freqs[b] @ np.log(q), rows)
-            if stepped:
-                starts[b] = model.g_inv_sqrt @ stepped[0] @ model.g_inv_sqrt
+    starts = [None if cold else fit.matrix for cold in empty]
+    sigma, rows, freq = _start_sigma(fit.matrix, model), model.povm_rows, data / total
+    q, _ = _likelihood(sigma, freq, rows)
+    grad = ((freq / q) @ rows).view(complex).reshape(sigma.shape)
+    system = _newton_system(sigma, grad, freq, q, rows)
+    freqs = resamples / resamples.sum(axis=1, keepdims=True)
+    for b in np.flatnonzero(~empty):
+        stepped = _newton_step(system, freqs[b], q, freqs[b] @ np.log(q), rows)
+        if stepped:
+            starts[b] = model.g_inv_sqrt @ stepped[0] @ model.g_inv_sqrt
 
     samples, iterations = [], []
     unconverged = newton_steps_max = 0
     for resampled, origin in zip(resamples, starts):
-        result = imlm_reconstruct(resampled, qubit_order=qubit_order, start=origin)
+        result = imlm_reconstruct(resampled, qubit_order=fit.qubit_order, start=origin)
         iterations.append(result.iterations)
         unconverged += not result.converged
         newton_steps_max = max(newton_steps_max, result.newton_steps)

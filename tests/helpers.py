@@ -36,6 +36,7 @@ from wexpand.gates import (
 )
 from wexpand.optics import apply_circuit, apply_delay
 from wexpand.sources import N_MAX, _poisson_weights
+from wexpand.tomography import imlm_reconstruct, w_statistics
 from wexpand.tolerances import ZERO_NORM
 
 
@@ -149,18 +150,15 @@ def through_gate(w_input: PhotonicState, overlap: float = 1.0) -> PhotonicState:
 
 
 def weak_coherent_pulse(
-    nu: float,
-    n_max: int = N_MAX,
-    spatial_mode: int = MODE_ANCILLA,
-    phase: float = 0.0,
+    nu: float, spatial_mode: int = MODE_ANCILLA, phase: float = 0.0
 ) -> PhotonicState:
     """H-polarized coherent state of mean photon number ``nu``, truncated at
-    ``n_max`` photons.
+    ``N_MAX`` photons.
 
     Number-state amplitudes are sqrt(p_n) e^(i n phase), with p_n the Poisson
-    weight renormalized over n <= n_max; a bright pulse gives |n_max>.
+    weight renormalized over n <= N_MAX; a bright pulse gives |N_MAX>.
     """
-    weights = _poisson_weights(nu, n_max)
+    weights = _poisson_weights(nu, N_MAX)
     total = sum(weights)
     label = mode(spatial_mode, "H")
     return PhotonicState(
@@ -259,6 +257,34 @@ def expand_w_full_photonic(n: int, overlap: float = 1.0):
 def expanded_w(n: int, overlap: float = 1.0) -> tuple[DensityMatrix, float]:
     """W_N expanded by ``gates.expand`` on its last qubit, as the dense
     state and the success probability, in the oracle's qubit order."""
-    expanded = expand(np.ones((n, n)) / n, n - 1, overlap)
+    expanded = expand(np.ones((n, n)) / n, overlap)
     order = untouched_mode_ids(n) + list(OUTPUT_MODES)
     return excitation_density(expanded, order), float(np.trace(expanded).real)
+
+
+def cold_bootstrap(counts, n_resamples: int, seed: int, qubit_order) -> tuple[dict, int]:
+    """Reference for ``tomography.bootstrap_errors``: the same Poisson
+    resamples, each fitted by one ``imlm_reconstruct`` from its own default
+    start.  Returns the spread of their ``w_statistics``, under the same
+    keys, and how many of the fits did not converge."""
+    data = np.asarray(counts, dtype=float)
+    fits = []
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        resampled = np.random.default_rng(child).poisson(data)
+        if not resampled.any():
+            resampled[:] = 1
+        fits.append(imlm_reconstruct(resampled, qubit_order=qubit_order))
+    stats = [w_statistics(fit.rho) for fit in fits]
+
+    def spread(values):
+        return float(np.std(list(values)))
+
+    errors = {
+        "fidelity": spread(s["fidelity"] for s in stats),
+        "witness": spread(s["witness"] for s in stats),
+        "pairwise_eof": {
+            pair: spread(s["pairwise_eof"][pair] for s in stats)
+            for pair in stats[0]["pairwise_eof"]
+        },
+    }
+    return errors, sum(not fit.converged for fit in fits)

@@ -162,9 +162,9 @@ def test_criterion_6_imlm_soundness():
     mean_fid = float(np.mean(fidelities))
     assert mean_fid >= 0.95
 
-    errors, _ = bootstrap_errors(
-        sample_counts(rho_w3, flux, 7), 30, seed=11, qubit_order=[4, 5, 6]
-    )
+    counts = sample_counts(rho_w3, flux, 7)
+    fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6])
+    errors, _ = bootstrap_errors(counts, 30, seed=11, fit=fit.rho)
     assert 0.0042 <= errors["fidelity"] <= 0.42
 
     elapsed = time.monotonic() - start

@@ -566,14 +566,27 @@ def test_exact_run_skips_the_domains_of_what_it_does_not_read(
         assert not out.exists()
 
 
+OVERFLOW = "counts or their fit overflow"
+
+
 @pytest.mark.parametrize(
-    "flux, cause", [(0.001, "drew no count"), (1e25, "lam value too large")]
+    "flux, exact, cause",
+    [
+        pytest.param(0.001, False, "drew no count", id="0.001-drew no count"),
+        pytest.param(1e25, False, "lam value too large", id="1e+25-lam value too large"),
+        pytest.param(1e308, False, OVERFLOW, id="1e+308-overflow"),
+        pytest.param(1e306, True, OVERFLOW, id="1e+306-exact-overflow"),
+        pytest.param(1e307, True, OVERFLOW, id="1e+307-exact-overflow"),
+        pytest.param(1e308, True, OVERFLOW, id="1e+308-exact-overflow"),
+    ],
 )
-def test_degenerate_flux_is_named(tmp_path, capsys, flux, cause):
+def test_degenerate_flux_is_named(tmp_path, capsys, flux, exact, cause):
     # Counts from a flux too small to draw any, or too large for the Poisson
-    # sampler, fail naming the config field and its value.
+    # sampler, fail naming the config field and its value.  So do counts
+    # whose multiplier, sum or fitted log-likelihood overflows a float, with
+    # no RuntimeWarning on the way (a warning is an error here).
     cfg_path = write_config(
-        tmp_path, scenario="w3", seed=1, n_resamples=2, flux_per_setting=flux
+        tmp_path, scenario="w3", seed=1, n_resamples=2, flux_per_setting=flux, exact=exact
     )
     out = tmp_path / "report.json"
     assert main(["w3", "--config", str(cfg_path), "--out", str(out)]) == 1

@@ -117,7 +117,7 @@ def test_expand_matches_the_fock_oracle_on_the_pair(overlap, gamma):
     pair = spdc_pair(gamma, modes=(0, MODE_INPUT))
     sigma, pair_prob = postselect_qubits(pair, (0, MODE_INPUT))
     single = np.ix_(excitation_indices(2), excitation_indices(2))
-    expanded = expand(pair_prob * sigma.matrix[single], 1, overlap)
+    expanded = expand(pair_prob * sigma.matrix[single], overlap)
     rho = excitation_density(expanded, (0,) + OUTPUT_MODES)
     oracle, oracle_prob = postselect_qubits(
         through_gate(pair, overlap), (0,) + OUTPUT_MODES
@@ -127,10 +127,10 @@ def test_expand_matches_the_fock_oracle_on_the_pair(overlap, gamma):
 
 
 def test_expand_rejects_a_bad_shape_or_qubit():
-    with pytest.raises(ValueError):
-        expand(np.ones((2, 3)), 0)
-    with pytest.raises(ValueError):
-        expand(np.ones((2, 2)), 2)
+    # A 0 x 0 matrix has no last qubit to send.
+    for rho in (np.ones((2, 3)), np.ones(3), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            expand(rho)
     with pytest.raises(ValueError, match="vanished"):
         excitation_density(np.zeros((3, 3)), OUTPUT_MODES)
 
@@ -268,18 +268,16 @@ AMPLITUDES = st.complex_numbers(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data(), st.floats(0.0, 1.0))
 def test_expand_matches_the_fock_oracle_on_complex_states(data, overlap):
-    # A pure single-excitation state with complex amplitudes, accessed on a
-    # random qubit k: its coherences rho_ik and rho_ki differ, where a real
+    # A pure single-excitation state with complex amplitudes, accessed on
+    # its last qubit: its coherences rho_ik and rho_ki differ, where a real
     # symmetric input cannot tell them apart.
     m = data.draw(st.integers(1, 4))
-    k = data.draw(st.integers(0, m - 1))
     psi = np.array(data.draw(st.lists(AMPLITUDES, min_size=m, max_size=m)))
     psi /= np.linalg.norm(psi)
-    expanded = expand(np.outer(psi, psi.conj()), k, overlap)
+    expanded = expand(np.outer(psi, psi.conj()), overlap)
     rest = untouched_mode_ids(m)
-    spatial = rest[:k] + [MODE_INPUT] + rest[k:]
     oracle, oracle_prob = postselect_qubits(
-        through_gate(photonic_single_excitation(psi, spatial), overlap),
+        through_gate(photonic_single_excitation(psi, rest + [MODE_INPUT]), overlap),
         rest + list(OUTPUT_MODES),
     )
     assert np.trace(expanded).real == pytest.approx(oracle_prob, abs=1e-12)

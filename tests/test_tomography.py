@@ -28,7 +28,7 @@ from wexpand.tomography import (
     w_statistics,
 )
 
-from helpers import density_from_pure, random_density, through_gate
+from helpers import cold_bootstrap, density_from_pure, random_density, through_gate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 W3 = w_state_qubits(3)
@@ -162,7 +162,7 @@ def test_imlm_rejects_negative_count():
         with pytest.raises(ValueError, match=message):
             imlm_reconstruct(counts)
         with pytest.raises(ValueError, match=message):
-            bootstrap_errors(counts, 2, seed=1, qubit_order=[0])
+            bootstrap_errors(counts, 2, seed=1, fit=DensityMatrix(np.eye(2) / 2, [0]))
 
 
 def test_fidelity_reference_values():
@@ -197,7 +197,7 @@ def test_flux_for_typical_count():
 def test_bootstrap_deterministic_and_small_at_high_flux():
     rho = density_from_pure(w_state_qubits(2), [0, 1])
     counts = exact_counts(rho, 1e7)
-    kwargs = dict(seed=5, qubit_order=[0, 1])
+    kwargs = dict(seed=5, fit=imlm_reconstruct(counts, qubit_order=[0, 1]).rho)
     errs_a, fits_a = bootstrap_errors(counts, 8, **kwargs)
     errs_b, fits_b = bootstrap_errors(counts, 8, **kwargs)
     assert errs_a == errs_b
@@ -219,7 +219,8 @@ def test_bootstrap_spreads_every_statistic_of_w_statistics(monkeypatch):
 
     monkeypatch.setattr(tomography, "w_statistics", extended)
     counts = sample_counts(RHO_W3, 300.0, seed=3)
-    errors, _ = bootstrap_errors(counts, 4, seed=2, qubit_order=[4, 5, 6])
+    fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6]).rho
+    errors, _ = bootstrap_errors(counts, 4, seed=2, fit=fit)
     assert list(errors) == ["fidelity", "witness", "pairwise_eof", "extra"]
     assert list(errors["pairwise_eof"]) == ["45", "46", "56"]
     assert len(purities) == 4
@@ -227,10 +228,20 @@ def test_bootstrap_spreads_every_statistic_of_w_statistics(monkeypatch):
     assert errors["extra"]["purity"] > 0.0
 
 
+def test_bootstrap_keys_pairs_by_the_qubits_of_its_fit():
+    # Every resample fit takes the qubit order of the fit it starts from.
+    rho = density_from_pure(w_state_qubits(2), [0, 1])
+    counts = sample_counts(rho, 300.0, seed=4)
+    fit = imlm_reconstruct(counts, qubit_order=[0, 4]).rho
+    errors, _ = bootstrap_errors(counts, 3, seed=6, fit=fit)
+    assert list(errors["pairwise_eof"]) == ["04"]
+
+
 def test_bootstrap_experiment_scale_error_order():
     flux = flux_for_typical_count(RHO_W3, 104.0)
     counts = sample_counts(RHO_W3, flux, seed=7)
-    errs, _ = bootstrap_errors(counts, 25, seed=11, qubit_order=[4, 5, 6])
+    fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6]).rho
+    errs, _ = bootstrap_errors(counts, 25, seed=11, fit=fit)
     # order-of-magnitude agreement with the quoted +/- 0.042
     assert 0.0042 <= errs["fidelity"] <= 0.42
 
@@ -293,9 +304,10 @@ def test_imlm_rejects_a_negative_iteration_cap():
 def test_bootstrap_names_a_count_too_large_to_resample():
     # The fit certifies these counts, but numpy draws no Poisson count
     # above about 9.2e18.
-    assert imlm_reconstruct([1e19, 1, 1, 1]).converged
+    fit = imlm_reconstruct([1e19, 1, 1, 1])
+    assert fit.converged
     with pytest.raises(ValueError, match="count 1e\\+19 is too large to resample"):
-        bootstrap_errors([1e19, 1, 1, 1], 2, seed=1, qubit_order=[0])
+        bootstrap_errors([1e19, 1, 1, 1], 2, seed=1, fit=fit.rho)
 
 
 def test_start_that_floors_an_observed_count_gives_way_to_the_inversion():
@@ -410,8 +422,8 @@ def test_imlm_log_likelihoods_are_python_floats():
 def test_bootstrap_builds_the_measurement_model_once():
     measurement_model.cache_clear()
     counts = sample_counts(RHO_W3, 300.0, seed=3)
-    imlm_reconstruct(counts)
-    errs, fits = bootstrap_errors(counts, 4, seed=5, qubit_order=[4, 5, 6])
+    fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6])
+    errs, fits = bootstrap_errors(counts, 4, seed=5, fit=fit.rho)
     assert measurement_model.cache_info().misses == 1
     assert set(fits) == {
         "unconverged",
@@ -466,15 +478,14 @@ def shipped_w3_fit():
 
 def test_warm_started_bootstrap_matches_the_cold_one():
     # The shipped w3 counts: resamples started from the fit of the observed
-    # counts give the same error bars as resamples that each start at the
-    # projected linear inversion of their own counts.
+    # counts give the same error bars as the same resamples each fitted
+    # from the projected linear inversion of their own counts.
     counts, fit, bootstrap_seed = shipped_w3_fit()
-    order = fit.rho.qubit_order
-    cold, cold_fits = bootstrap_errors(counts, 20, bootstrap_seed, order)
-    warm, warm_fits = bootstrap_errors(
-        counts, 20, bootstrap_seed, order, start=fit.rho.matrix
+    cold, cold_unconverged = cold_bootstrap(
+        counts, 20, bootstrap_seed, fit.rho.qubit_order
     )
-    assert cold_fits["unconverged"] == warm_fits["unconverged"] == 0
+    warm, warm_fits = bootstrap_errors(counts, 20, bootstrap_seed, fit.rho)
+    assert cold_unconverged == warm_fits["unconverged"] == 0
     for key in ("fidelity", "witness"):
         assert warm[key] == pytest.approx(cold[key], abs=1e-5)
     assert warm["pairwise_eof"].keys() == cold["pairwise_eof"].keys()
@@ -501,9 +512,7 @@ def test_few_newton_attempts_take_no_step(monkeypatch):
         return result
 
     monkeypatch.setattr(tomography, "_newton_step", counted)
-    bootstrap_errors(
-        counts, 30, bootstrap_seed, fit.rho.qubit_order, start=fit.rho.matrix
-    )
+    bootstrap_errors(counts, 30, bootstrap_seed, fit.rho)
     assert len(stepped) >= 100
     assert stepped.count(False) <= len(stepped) / 4
 
@@ -522,9 +531,7 @@ def recorded_resample_fits(monkeypatch, case, n_resamples):
         return result
 
     monkeypatch.setattr(tomography, "imlm_reconstruct", recorded)
-    bootstrap_errors(
-        counts, n_resamples, bootstrap_seed, fit.rho.qubit_order, start=fit.rho.matrix
-    )
+    bootstrap_errors(counts, n_resamples, bootstrap_seed, fit.rho)
     return fits
 
 
@@ -606,10 +613,10 @@ def test_resample_without_counts_starts_cold():
     # Every other resample is the one-click data scaled, whose fit is the
     # start.
     one_click = [1] + [0] * 63
-    start = imlm_reconstruct(one_click).rho.matrix
+    fit = imlm_reconstruct(one_click).rho
     cold = imlm_reconstruct(np.ones(64))
-    assert imlm_reconstruct(np.ones(64), start=start).iterations > cold.iterations
-    _, fits = bootstrap_errors(one_click, 8, seed=1, qubit_order=[0, 1, 2], start=start)
+    assert imlm_reconstruct(np.ones(64), start=fit.matrix).iterations > cold.iterations
+    _, fits = bootstrap_errors(one_click, 8, seed=1, fit=fit)
     assert fits["unconverged"] == 0
     assert fits["iterations_max"] == cold.iterations
 
@@ -619,8 +626,11 @@ def test_start_of_the_wrong_shape_rejected():
     for start in (np.eye(4) / 4, np.ones(8) / 8, np.eye(16) / 16):
         with pytest.raises(ValueError, match="8x8"):
             imlm_reconstruct(one_click, start=start)
+    # Nor may the bootstrap's fit have other than the counts' qubit count.
+    for n_qubits in (2, 4):
+        fit = DensityMatrix(np.eye(2**n_qubits) / 2**n_qubits, list(range(n_qubits)))
         with pytest.raises(ValueError, match="8x8"):
-            bootstrap_errors(one_click, 2, seed=1, qubit_order=[0, 1, 2], start=start)
+            bootstrap_errors(one_click, 2, seed=1, fit=fit)
     # Nor may a start have a trace the fit cannot divide by.
     for start in (
         np.zeros((8, 8)),
@@ -630,8 +640,6 @@ def test_start_of_the_wrong_shape_rejected():
     ):
         with pytest.raises(ValueError, match="finite with a positive trace"):
             imlm_reconstruct(one_click, start=start)
-        with pytest.raises(ValueError, match="finite with a positive trace"):
-            bootstrap_errors(one_click, 2, seed=1, qubit_order=[0, 1, 2], start=start)
 
 
 def test_sampled_w3_fits_have_no_heavy_tail():
