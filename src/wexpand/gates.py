@@ -10,22 +10,24 @@ W state whose accessed qubit enters mode 1 onto the (N+2)-qubit W state
 with probability (N+2)/(16N).
 
 The gate is linear optics, so one photon's image through it, ``run_gate``,
-fixes every output.  It conserves the number of V photons, so a W-class
-input, one V among its qubits, stays in the single-excitation subspace at
-any overlap.  ``expand`` maps such a state, held as an (M x M) matrix, to
-its (M+2 x M+2) post-selected output from the images of the input photon
-and of an ancilla photon.
+fixes every output.  Each input label's image is composed once per process,
+on first use, and every call gets a fresh dict of it.  The gate conserves
+the number of V photons, so a W-class input, one V among its qubits, stays
+in the single-excitation subspace at any overlap.  ``expand`` maps such a
+state, held as an (M x M) matrix, to its (M+2 x M+2) post-selected output
+from the images of the input photon and of an ancilla photon.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .fock import DensityMatrix, ModeLabel, TEMPORAL_BINS, mode, H, V
+from .fock import DensityMatrix, ModeLabel, POLARIZATIONS, TEMPORAL_BINS, mode, H, V
 from .optics import _compose, beamsplitter, delay, wave_plate
 from .tolerances import POSTSELECT_MIN_PROBABILITY
 
@@ -37,7 +39,7 @@ OUTPUT_MODES = (4, 5, 6)
 
 
 class GateInputError(ValueError):
-    """A photon was sent into the gate through a mode other than 1 or 2."""
+    """A photon was sent into the gate on a label that is not a gate input."""
 
 
 # The gate wiring, in propagation order.
@@ -50,14 +52,21 @@ GATE_ELEMENTS = (
 )
 
 
+@functools.cache
+def _image(label: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
+    return tuple(_compose(label, GATE_ELEMENTS))
+
+
 def run_gate(label: ModeLabel) -> dict[ModeLabel, complex]:
     """The gate's image of one photon entering on ``label``: its amplitude
     on each output label.  Only modes 1 and 2 are gate inputs."""
-    if label.spatial not in (MODE_INPUT, MODE_ANCILLA):
+    known = label.pol in POLARIZATIONS and label.tbin in TEMPORAL_BINS
+    if label.spatial not in (MODE_INPUT, MODE_ANCILLA) or not known:
         raise GateInputError(
-            f"gate inputs are modes {MODE_INPUT} and {MODE_ANCILLA}, got {label}"
+            f"gate inputs are modes {MODE_INPUT} and {MODE_ANCILLA}, polarization "
+            f"{POLARIZATIONS} and bin {TEMPORAL_BINS}; got {label!r}"
         )
-    return dict(_compose(label, GATE_ELEMENTS))
+    return dict(_image(label))
 
 
 def w_state_qubits(n: int) -> np.ndarray:

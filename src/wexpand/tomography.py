@@ -442,6 +442,8 @@ def bootstrap_errors(
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
     data, n_qubits, total = _checked_counts(counts)
+    if fit.n_qubits != n_qubits:
+        raise ValueError(f"fit has {fit.n_qubits} qubits; the counts have {n_qubits}")
     model = measurement_model(n_qubits)
     children = np.random.SeedSequence(seed).spawn(n_resamples)
     try:

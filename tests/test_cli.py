@@ -489,6 +489,22 @@ def test_hom_report_does_not_depend_on_the_hash_seed(tmp_path):
         assert first.read_bytes() == second.read_bytes(), suffix
 
 
+def test_hom_after_other_scenarios_in_one_process_matches_a_fresh_process(tmp_path):
+    # The gate's images, the measurement model and the tangent coordinates
+    # are kept for the life of the process; whatever w3 and scaling leave
+    # there, hom writes the bytes a process of its own writes.
+    hom = ["hom", "--config", str(CONFIG_DIR / "hom.json")]
+    assert main(["w3", "--config", str(CONFIG_DIR / "w3.json"),
+                 "--out", str(tmp_path / "w3.json")]) == 0
+    assert main(["scaling", "--out", str(tmp_path / "scaling.json")]) == 0
+    assert main([*hom, "--out", str(tmp_path / "shared.json")]) == 0
+    done = run_module("-m", "wexpand.cli", *hom, "--out", str(tmp_path / "fresh.json"))
+    assert done.returncode == 0, done.stderr
+    for suffix in (".json", "_curve.csv"):
+        shared, fresh = (tmp_path / f"{name}{suffix}" for name in ("shared", "fresh"))
+        assert shared.read_bytes() == fresh.read_bytes(), suffix
+
+
 def test_main_w3_exact_writes_density_matrix(tmp_path):
     out = tmp_path / "w3.json"
     assert main(["w3", "--exact", "--out", str(out)]) == 0
@@ -639,8 +655,8 @@ def test_main_hom_writes_curve(tmp_path):
 def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
     # The dip is a photon-number mixture of terms affine in xi^2, and the
     # gate's images of one photon from each input give every term, so each
-    # scenario reads two one-photon images; nothing is kept between
-    # scenarios.
+    # scenario still asks run_gate for two images; the gate composes each
+    # image once per process.
     labels = []
 
     def counted(label):

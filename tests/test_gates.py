@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wexpand.entanglement import fidelity
 from wexpand.fock import (
+    ModeLabel,
     PhotonicState,
     _qubit_vectors,
     mode,
@@ -19,6 +21,7 @@ from wexpand.gates import (
     GateInputError,
     MODE_INPUT,
     OUTPUT_MODES,
+    _image,
     excitation_density,
     excitation_indices,
     expand,
@@ -26,7 +29,7 @@ from wexpand.gates import (
     success_probability_analytic,
     w_state_qubits,
 )
-from wexpand.optics import apply_circuit
+from wexpand.optics import _compose, apply_circuit
 
 from helpers import (
     expand_w_full_photonic,
@@ -258,6 +261,30 @@ def test_one_photon_images_are_unitary_and_match_the_fock_oracle():
     for lab in labels_in(range(3, 8)):
         with pytest.raises(GateInputError):
             run_gate(lab)
+
+
+def test_each_call_gets_a_fresh_copy_of_the_composed_image():
+    # The images are composed once per process; a caller that edits its
+    # dict changes no later call's.
+    for lab in labels_in((1, 2)):
+        assert run_gate(lab) == dict(_compose(lab, GATE_ELEMENTS))
+        run_gate(lab).clear()
+        image = run_gate(lab)
+        image[mode(9, "H")] = 1.0
+        assert run_gate(lab) == dict(_compose(lab, GATE_ELEMENTS))
+    assert _image.cache_info().currsize <= 8
+
+
+@pytest.mark.parametrize(
+    "label", [ModeLabel(1, "X"), ModeLabel(2, "H", "q"), ModeLabel(1, "V", None)]
+)
+def test_label_no_input_has_is_rejected_on_every_call(label):
+    # A polarization or temporal bin outside the labels' would pass the
+    # mode check and give a junk image; it raises, and is never kept.
+    for _ in range(2):
+        with pytest.raises(GateInputError, match=re.escape(repr(label))):
+            run_gate(label)
+    assert _image.cache_info().currsize <= 8
 
 
 AMPLITUDES = st.complex_numbers(

@@ -629,7 +629,7 @@ def test_start_of_the_wrong_shape_rejected():
     # Nor may the bootstrap's fit have other than the counts' qubit count.
     for n_qubits in (2, 4):
         fit = DensityMatrix(np.eye(2**n_qubits) / 2**n_qubits, list(range(n_qubits)))
-        with pytest.raises(ValueError, match="8x8"):
+        with pytest.raises(ValueError, match=f"fit has {n_qubits} qubits; the counts have 3"):
             bootstrap_errors(one_click, 2, seed=1, fit=fit)
     # Nor may a start have a trace the fit cannot divide by.
     for start in (
