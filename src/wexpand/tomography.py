@@ -42,14 +42,10 @@ PROJECTOR_KETS = {
     "R": np.array([1.0, -1.0j], dtype=complex) / _SQRT2,
 }
 
-# The gradient step length grows by _STEP_GROWTH after each step and
-# shrinks by _STEP_SHRINK while a step fails the sufficient-increase test.
-_STEP_GROWTH = 1.1
+# Each gradient step starts at length 1 and shrinks by _STEP_SHRINK while it
+# fails the sufficient-increase test.  An iteration whose optimality gap is
+# at most _NEWTON_GAP tries a Newton step first.
 _STEP_SHRINK = 0.5
-# The certificate is checked every _CHECK_INTERVAL iterations while the
-# optimality gap is above _NEWTON_GAP.  A check that finds it at most that
-# tries Newton steps, and the next check comes one iteration later.
-_CHECK_INTERVAL = 10
 _NEWTON_GAP = 3e-2
 
 
@@ -311,19 +307,17 @@ def imlm_reconstruct(
     floors a q_j with n_j > 0 gives way to P(sigma_LI), and P(sigma_LI) to
     I/d.  A projected gradient iteration steps to z = P(sigma + t R(sigma)),
     R = sum_j (n_j / N q_j) E_j, P the projection onto density matrices; t
-    halves until z passes the sufficient-increase test at sigma, L(z) / N >=
-    L(sigma) / N + <R, z - sigma> - |z - sigma|^2 / 2t, and grows by
-    _STEP_GROWTH after each step.  That needs no floor on t: as t -> 0 the
-    last term outweighs any rounding in z, and a z equal to sigma bit for
-    bit gains 0 at an equal L, so the test passes.  sigma moves to z only if
-    L does not fall.  The fit stops on the certificate L* - L <= N
-    (lambda_max(R) - 1) (Glancy, Knill & Girard, NJP 14, 095017, 2012) once
-    lambda_max - 1 <= IMLM_CERTIFICATE_RTOL.  A check that finds that gap e
-    at most _NEWTON_GAP tries Newton steps on the support of sigma
-    (``_newton_step`` along the ``_newton_system`` there) while each cuts e
-    10x; each accepted one is an iteration, and the next check comes one
-    iteration later; otherwise it comes _CHECK_INTERVAL iterations later.
-    Iteration max_iter is checked too.  No iteration lowers L.
+    starts at 1 and halves until z passes the sufficient-increase test at
+    sigma, L(z) / N >= L(sigma) / N + <R, z - sigma> - |z - sigma|^2 / 2t.
+    That needs no floor on t: as t -> 0 the last term outweighs any rounding
+    in z, and a z equal to sigma bit for bit gains 0 at an equal L, so the
+    test passes.  sigma moves to z only if L does not fall.  Every iteration
+    first checks the certificate L* - L <= N (lambda_max(R) - 1) (Glancy,
+    Knill & Girard, NJP 14, 095017, 2012) and stops once lambda_max - 1 <=
+    IMLM_CERTIFICATE_RTOL, or at iteration max_iter.  While that gap e is at
+    most _NEWTON_GAP, Newton steps on the support of sigma (``_newton_step``
+    along the ``_newton_system`` there) take the place of gradient steps as
+    long as each cuts e 10x.  No iteration lowers L.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative; got {max_iter}")
@@ -343,43 +337,36 @@ def imlm_reconstruct(
     if np.any(q[freq > 0] <= IMLM_PROBABILITY_FLOOR):
         sigma = np.eye(dim, dtype=complex) / dim
         q, ll = _likelihood(sigma, freq, rows)
-    step = 1.0
     history = [total * ll]
-    iterations = next_check = newton_steps = 0
-    limit = _NEWTON_GAP  # the gap at which a check tries a Newton step
+    iterations = newton_steps = 0
+    limit = _NEWTON_GAP  # the gap at which an iteration tries a Newton step
 
     while True:
         grad = ((freq / q) @ rows).view(complex).reshape(dim, dim)
-        if iterations in (next_check, max_iter):
-            # lambda_max(R) - 1, clipped at zero: the relative optimality gap.
-            excess = max(float(np.linalg.eigvalsh(grad)[-1]) - 1.0, 0.0)
-            if excess <= IMLM_CERTIFICATE_RTOL or iterations == max_iter:
-                break
-            next_check += 1 if excess <= _NEWTON_GAP else _CHECK_INTERVAL
-            stepped = excess <= limit and _newton_step(
-                _newton_system(sigma, grad, freq, q, rows), freq, q, ll, rows
-            )
-            if stepped:
-                sigma, q, ll = stepped
-                limit = excess / 10.0
-                newton_steps += 1
-                history.append(total * ll)
-                iterations += 1
-                continue
-        limit = _NEWTON_GAP
-
-        while True:
-            z = _project_density(sigma + step * grad)
-            q_z, ll_z = _likelihood(z, freq, rows)
-            # The increase the quadratic model with curvature 1/step promises.
-            move = z - sigma
-            gain = np.vdot(grad, move).real - np.vdot(move, move).real / (2.0 * step)
-            if ll_z >= ll + gain:
-                break
-            step *= _STEP_SHRINK
-        if ll_z >= ll:
-            sigma, q, ll = z, q_z, ll_z
-        step *= _STEP_GROWTH
+        # lambda_max(R) - 1, clipped at zero: the relative optimality gap.
+        excess = max(float(np.linalg.eigvalsh(grad)[-1]) - 1.0, 0.0)
+        if excess <= IMLM_CERTIFICATE_RTOL or iterations == max_iter:
+            break
+        stepped = excess <= limit and _newton_step(
+            _newton_system(sigma, grad, freq, q, rows), freq, q, ll, rows
+        )
+        if stepped:
+            sigma, q, ll = stepped
+            limit = excess / 10.0
+            newton_steps += 1
+        else:
+            limit, step = _NEWTON_GAP, 1.0
+            while True:
+                z = _project_density(sigma + step * grad)
+                q_z, ll_z = _likelihood(z, freq, rows)
+                # The rise the quadratic model with curvature 1/step promises.
+                move = z - sigma
+                gain = np.vdot(grad, move).real - np.vdot(move, move).real / (2.0 * step)
+                if ll_z >= ll + gain:
+                    break
+                step *= _STEP_SHRINK
+            if ll_z >= ll:
+                sigma, q, ll = z, q_z, ll_z
         history.append(total * ll)
         iterations += 1
 

@@ -448,19 +448,36 @@ def w3_sampled_count_sets():
 def test_certificate_is_checked_soon_after_it_first_holds():
     # Refitting with max_iter = k stops at iterate k and checks the
     # certificate there, so the first k whose fit converges is the first
-    # certified iterate.  A fit stops on average at most 3 iterations past
-    # it; a check every 10 iterations would stop about 5 past it.
-    overshoot = []
-    for counts in w3_sampled_count_sets():
+    # certified iterate.  Every iteration checks the certificate before it
+    # steps, so a fit stops exactly there.  The one-qubit count sets certify
+    # while the gap is above the Newton range, where a check that skipped
+    # iterations would stop 3 to 5 past it.
+    count_sets = [[11, 0, 3, 4], [0, 10, 7, 27], [1, 12, 23, 11]]
+    for counts in count_sets + w3_sampled_count_sets():
         fit = imlm_reconstruct(counts)
         assert fit.converged
         first = next(
             k for k in range(fit.iterations + 1)
             if imlm_reconstruct(counts, max_iter=k).converged
         )
-        overshoot.append(fit.iterations - first)
-    assert min(overshoot) >= 0
-    assert np.mean(overshoot) <= 3
+        assert fit.iterations == first
+
+
+def test_start_after_a_deep_backtrack_certifies_in_few_iterations():
+    # A start near |H><H| predicts the V clicks that were seen with a
+    # probability just above the floor, so its first gradient step halves
+    # 55 times.  Each later step starts again at length 1 and needs about 3
+    # halvings fewer than the one before, so the fit certifies in about 20
+    # iterations.  A step carried between iterations and regrown by 1.1x
+    # each would need about 400.
+    counts = [0, 12, 41, 47]
+    fit = imlm_reconstruct(counts, start=np.diag([1.0, 0.0]) + 1e-9 * np.eye(2))
+    default = imlm_reconstruct(counts)
+    assert fit.stop_reason == "certificate"
+    assert fit.iterations <= 40
+    assert (np.diff(fit.loglik_history) >= 0).all()
+    gap = abs(fit.log_likelihood - default.log_likelihood)
+    assert gap <= fit.certificate + default.certificate
 
 
 def shipped_w3_fit():
@@ -500,8 +517,8 @@ def test_few_newton_attempts_take_no_step(monkeypatch):
     # test on the Hessian turned 64 of 150 attempts away; with the rise in L
     # as the only gate, 28 of 145 took no step.  Started one shared Newton
     # step from the fit, 20 resamples make only 83 attempts, so this draws
-    # 30.  Their fits make 122 attempts, 13 of which take no step, and the
-    # 30 start steps on the fit's system all take one: 152 in all.
+    # 30.  Their fits make 127 attempts, 12 of which take no step, and the
+    # 30 start steps on the fit's system all take one: 157 in all.
     counts, fit, bootstrap_seed = shipped_w3_fit()
     newton_step = tomography._newton_step
     stepped = []
@@ -537,8 +554,8 @@ def recorded_resample_fits(monkeypatch, case, n_resamples):
 
 def test_shared_newton_start_cuts_resample_iterations(monkeypatch):
     # Started at the fit, the 20 resample fits of the shipped w3 counts take
-    # 11.5 iterations each on average; one shared Newton step from it gives
-    # 5.9.
+    # 10.5 iterations each on average; one shared Newton step from it gives
+    # 5.8.
     fits = recorded_resample_fits(monkeypatch, shipped_w3_fit(), 20)
     assert len(fits) == 20
     assert all(result.converged for _, _, result in fits)
@@ -609,7 +626,7 @@ def test_resample_without_counts_starts_cold():
     # With one click in all, a resample draws no count at all about a third
     # of the time.  It is then replaced by one count per setting, which is
     # not the data, so its fit starts from the linear inversion of those
-    # counts rather than from the one-click fit (0 iterations against 56).
+    # counts rather than from the one-click fit (0 iterations against 17).
     # Every other resample is the one-click data scaled, whose fit is the
     # start.
     one_click = [1] + [0] * 63
