@@ -5,11 +5,11 @@ the {H, V, D, R}^n family, in ``default_settings`` order.  The setting
 projectors sum to an operator G that is not proportional to the identity,
 so the fit works in the frame where they form a proper POVM (conjugation by
 G^(-1/2)).  That frame, the ``MeasurementModel``, is built once per qubit
-count and shared by every fit.  In it the log-likelihood is maximized over
-density matrices from the projected linear-inversion estimate: projected
-gradient finds the support of the optimum, Newton steps on that support
-finish, neither lowers the log-likelihood, and the fit stops on an
-optimality certificate rather than on a stalled log-likelihood.
+count, from one-qubit factors, and shared by every fit.  In it the fit
+maximizes the log-likelihood over density matrices from the projected
+linear-inversion estimate: projected gradient finds the support of the
+optimum, Newton steps on that support finish, neither lowers the
+log-likelihood, and it stops on an optimality certificate, not a stall.
 """
 
 from __future__ import annotations
@@ -32,14 +32,12 @@ from .tolerances import (
     IMLM_RANK_RTOL,
 )
 
-_SQRT2 = math.sqrt(2.0)
-
 # The key order is the label order of default_settings.
 PROJECTOR_KETS = {
     "H": np.array([1.0, 0.0], dtype=complex),
     "V": np.array([0.0, 1.0], dtype=complex),
-    "D": np.array([1.0, 1.0], dtype=complex) / _SQRT2,
-    "R": np.array([1.0, -1.0j], dtype=complex) / _SQRT2,
+    "D": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+    "R": np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
 }
 
 # Each gradient step starts at length 1 and shrinks by _STEP_SHRINK while it
@@ -56,14 +54,6 @@ def default_settings(n_qubits: int) -> list[tuple]:
     return list(itertools.product(PROJECTOR_KETS, repeat=n_qubits))
 
 
-def setting_projector(setting: Sequence[str]) -> np.ndarray:
-    """Rank-one projector onto the tensor product of the labeled kets."""
-    ket = np.array([1.0], dtype=complex)
-    for label in setting:
-        ket = np.kron(ket, PROJECTOR_KETS[label])
-    return np.outer(ket, ket.conj())
-
-
 @dataclass(frozen=True)
 class MeasurementModel:
     """The {H, V, D, R}^n settings of one qubit count, as a fit and the
@@ -78,7 +68,8 @@ class MeasurementModel:
     predicted probabilities Tr(E_j sigma) of a Hermitian sigma, and
     ``(w @ povm_rows).view(complex)`` the operator sum_j w_j E_j.
     ``g_inv_sqrt`` maps a fitted sigma back to rho, and ``g_sqrt`` a rho
-    into the fit's frame.  ``(inversion @ f).view(complex)`` solves
+    into the fit's frame.  ``inversion`` holds the dual basis D_j of the
+    E_j as columns, so ``(inversion @ f).view(complex)`` solves
     Tr(E_j sigma) = f_j for a Hermitian sigma: linear inversion.
     """
 
@@ -92,21 +83,29 @@ class MeasurementModel:
 @functools.lru_cache(maxsize=8)
 def measurement_model(n_qubits: int) -> MeasurementModel:
     """The model of ``default_settings(n_qubits)``, built on first use,
-    then shared read-only from the cache."""
-    settings = default_settings(n_qubits)
-    dim = 2**n_qubits
-    rows = np.stack([setting_projector(s).ravel() for s in settings]).view(np.float64)
-    projectors = rows.view(complex).reshape(len(settings), dim, dim)
+    then shared read-only from the cache.  G is the Kronecker power of the
+    one-qubit G_1, so G^(+-1/2) and every P_j, E_j and D_j are Kronecker
+    products of one-qubit factors (James et al., PRA 64, 052312, 2001)."""
+    default_settings(n_qubits)  # rejects n_qubits < 1
+    kets = np.array(list(PROJECTOR_KETS.values()))
+    projectors = kets[:, :, None] * kets[:, None, :].conj()
     evals, evecs = np.linalg.eigh(projectors.sum(axis=0))
-    g_sqrt = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    g_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    povm = np.einsum("ab,jbc,cd->jad", g_inv_sqrt, projectors, g_inv_sqrt)
-    povm_rows = np.ascontiguousarray(povm.reshape(len(settings), dim * dim))
-    povm_rows = povm_rows.view(np.float64)
-    # pinv(povm_rows), whose rows are independent, without np.linalg.pinv's
-    # SVD: its LAPACK code alone adds 1.2 MB of resident memory.
-    gram = povm_rows @ povm_rows.T
-    inversion = np.ascontiguousarray(np.linalg.solve(gram, povm_rows).T)
+    g_sqrt, g_inv_sqrt = ((evecs * evals**p) @ evecs.conj().T for p in (0.5, -0.5))
+    povm = (g_inv_sqrt @ projectors @ g_inv_sqrt).reshape(4, 4)
+    # The dual basis, Tr(E_j D_k) = delta_jk: D = Gram^-1 E, Gram_jk = Tr(E_j E_k).
+    dual = np.linalg.solve((povm.conj() @ povm.T).real, povm)
+    one = [a.reshape(-1, 2, 2) for a in (projectors, g_sqrt, g_inv_sqrt, povm, dual)]
+    tables = one
+    for dim in (2**k for k in range(2, n_qubits + 1)):
+        tables = [
+            np.einsum("jac,kbd->jkabcd", t, u).reshape(-1, dim, dim)
+            for t, u in zip(tables, one)
+        ]
+    projectors, (g_sqrt,), (g_inv_sqrt,), povm, dual = tables
+    rows, povm_rows, dual_rows = (
+        t.reshape(len(t), -1).view(np.float64) for t in (projectors, povm, dual)
+    )
+    inversion = np.ascontiguousarray(dual_rows.T)
     for array in (rows, g_sqrt, g_inv_sqrt, povm_rows, inversion):
         array.setflags(write=False)
     return MeasurementModel(rows, g_sqrt, g_inv_sqrt, povm_rows, inversion)

@@ -36,7 +36,7 @@ from wexpand.gates import (
 )
 from wexpand.optics import apply_circuit, apply_delay
 from wexpand.sources import N_MAX, _poisson_weights
-from wexpand.tomography import imlm_reconstruct, w_statistics
+from wexpand.tomography import PROJECTOR_KETS, imlm_reconstruct, w_statistics
 from wexpand.tolerances import ZERO_NORM
 
 
@@ -69,6 +69,15 @@ def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
     x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def setting_projector(setting: Sequence[str]) -> np.ndarray:
+    """Oracle for one setting of the measurement model: the rank-one
+    projector onto the tensor product of the labeled kets."""
+    ket = np.array([1.0], dtype=complex)
+    for label in setting:
+        ket = np.kron(ket, PROJECTOR_KETS[label])
+    return np.outer(ket, ket.conj())
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

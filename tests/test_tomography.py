@@ -24,11 +24,16 @@ from wexpand.tomography import (
     imlm_reconstruct,
     measurement_model,
     sample_counts,
-    setting_projector,
     w_statistics,
 )
 
-from helpers import cold_bootstrap, density_from_pure, random_density, through_gate
+from helpers import (
+    cold_bootstrap,
+    density_from_pure,
+    random_density,
+    setting_projector,
+    through_gate,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 W3 = w_state_qubits(3)
@@ -53,6 +58,47 @@ def test_projector_identities():
     assert np.allclose(d, 0.5 * np.array([[1, 1], [1, 1]]))
     r = setting_projector(("R",))
     assert np.allclose(r, 0.5 * np.array([[1, 1j], [-1j, 1]]))
+
+
+def test_no_qubits_is_rejected():
+    for build in (default_settings, measurement_model):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            build(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_measurement_model_matches_the_n_qubit_oracle(n):
+    # The oracle does the model's linear algebra at full size: G from the
+    # sum of the setting projectors, its eigh, and every E_j = g P_j g.
+    projectors = np.array([setting_projector(s) for s in default_settings(n)])
+    evals, evecs = np.linalg.eigh(projectors.sum(axis=0))
+    g_sqrt = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    g_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    povm = g_inv_sqrt @ projectors @ g_inv_sqrt
+    model = measurement_model(n)
+    rows = model.projector_rows.view(complex).reshape(projectors.shape)
+    np.testing.assert_allclose(rows, projectors, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        model.povm_rows.view(complex).reshape(povm.shape), povm, rtol=0, atol=1e-15
+    )
+    np.testing.assert_allclose(model.g_sqrt, g_sqrt, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(model.g_inv_sqrt, g_inv_sqrt, rtol=0, atol=1e-13)
+    identity = model.povm_rows @ model.inversion
+    np.testing.assert_allclose(identity, np.eye(4**n), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_zero_probability_settings_count_exactly_zero(n):
+    # A Poisson draw at mean 0 takes no random number, and at mean 1e-17 it
+    # does: a zero that rounding turns positive shifts every later count.
+    rho = density_from_pure(w_state_qubits(n), list(range(n)))
+    probabilities = exact_counts(rho, 1.0)
+    oracle = np.array(
+        [np.trace(setting_projector(s) @ rho.matrix).real for s in default_settings(n)]
+    )
+    zero = np.abs(oracle) < 1e-15
+    assert zero.any()
+    assert (probabilities[zero] == 0.0).all()
 
 
 def test_expected_probabilities_for_w3():
