@@ -10,6 +10,7 @@ Hong-Ou-Mandel dip.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from typing import Iterable, Sequence
@@ -46,12 +47,14 @@ def delay_overlap(delay_um: float, coherence_length_um: float) -> float:
     return math.exp(-0.5 * x * x)
 
 
+@functools.lru_cache(maxsize=8)
 def _dip_table(
-    u: dict, v: dict, n_max: int
+    u: tuple, v: tuple, n_max: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(A_n, B_n), n <= n_max: with one photon of output amplitudes ``u`` and
-    n of amplitudes ``v``, at overlap xi, modes 4 and 5 both hold a photon
-    with probability A_n + B_n xi^2.
+    """(A_n, B_n), n <= n_max, memoized on the two images: with one photon of
+    output amplitudes ``u`` and n of amplitudes ``v``, each a tuple of
+    (label, amplitude) items as ``gates._image`` holds them, at overlap xi,
+    modes 4 and 5 both hold a photon with probability A_n + B_n xi^2.
 
     Restricted to the labels outside a set S of spatial modes, u_S and v_S
     leave S dark with probability ||a_u+ (a_v+)^n |0>||^2 / n! =
@@ -60,6 +63,7 @@ def _dip_table(
     photon cannot fire two detectors, so the n = 0 row is exactly zero.
     Labels are summed in sorted order, not in the order of a set.
     """
+    u, v = dict(u), dict(v)
     labels = sorted(u.keys() | v.keys())
     flat, slope = [0.0] * (n_max + 1), [0.0] * (n_max + 1)
     first, second = OUTPUT_MODES[:2]  # the detectors, modes 4 and 5
@@ -85,11 +89,12 @@ def dip_coefficients(nu: float) -> tuple[float, float]:
     delayed pulse in probability.  With n pulse photons the coincidence of
     the herald, which always clicks, and modes 4 and 5 is the ``_dip_table``
     of the gate's images of the input photon and a pulse photon, so neither
-    coefficient depends on the overlap or the pulse phase.  ``a`` is the
+    coefficient depends on the overlap or the pulse phase; memoized on the
+    images, the table leaves only the weighting per ``nu``.  ``a`` is the
     level far outside the dip, where the photons are fully distinguishable.
     """
     u, v = (run_gate(mode(m, H)) for m in (MODE_INPUT, MODE_ANCILLA))
-    flat, slope = _dip_table(u, v, N_MAX)
+    flat, slope = _dip_table(tuple(u.items()), tuple(v.items()), N_MAX)
     weights = _poisson_weights(nu, N_MAX)
     total = sum(weights)
     a = sum(w * c for w, c in zip(weights, flat)) / total

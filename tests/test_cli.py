@@ -544,7 +544,8 @@ def test_dip_table_does_not_depend_on_the_hash_seed():
         "rng = np.random.default_rng(3)\n"
         "labels = [mode(m, p, b) for m in range(8) for p in POLARIZATIONS\n"
         "          for b in TEMPORAL_BINS]\n"
-        "u, v = ({lab: complex(*rng.normal(size=2)) for lab in labels} for _ in 'uv')\n"
+        "u, v = (tuple((lab, complex(*rng.normal(size=2))) for lab in labels)\n"
+        "        for _ in 'uv')\n"
         "print(repr(_dip_table(u, v, 4)))\n"
     )
     tables = [run_module("-c", script, PYTHONHASHSEED=k) for k in ("1", "2")]

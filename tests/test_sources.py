@@ -262,7 +262,7 @@ def test_dip_table_matches_the_enumeration(amplitudes, n_max):
     # The dark-set formula against every photon arrangement, on amplitude
     # maps that need not come from the gate.
     u, v = amplitudes
-    table = sources._dip_table(u, v, n_max)
+    table = sources._dip_table(tuple(u.items()), tuple(v.items()), n_max)
     oracle = dip_table_by_enumeration(u, v, n_max)
     for row, expected in zip(table, oracle):
         assert len(row) == n_max + 1
@@ -273,11 +273,43 @@ def test_dip_table_matches_the_enumeration(amplitudes, n_max):
 def test_dip_of_a_bright_pulse_is_the_top_photon_number():
     # Far above N_MAX, the truncated pulse is |N_MAX>; no power of nu may
     # overflow on the way.
-    images = (run_gate(mode(m, "H")) for m in (MODE_INPUT, MODE_ANCILLA))
-    top = sources._dip_table(*images, N_MAX)
+    images = (run_gate(mode(m, "H")).items() for m in (MODE_INPUT, MODE_ANCILLA))
+    top = sources._dip_table(*map(tuple, images), N_MAX)
     for nu in (1e100, 1e300):
         dip = dip_coefficients(nu)
         assert dip == pytest.approx((top[0][N_MAX], top[1][N_MAX]), rel=1e-12)
+
+
+def _bits(dip):
+    return [x.hex() for x in dip]
+
+
+def test_dip_table_is_built_once_for_every_nu(monkeypatch):
+    # The table is memoized on the two gate images, so three values of nu
+    # build it once, and each dip keeps the bits of a freshly built table.
+    nus = (0.03, 0.3, 2.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(sources, "_dip_table", sources._dip_table.__wrapped__)
+        fresh = [_bits(dip_coefficients(nu)) for nu in nus]
+    sources._dip_table.cache_clear()
+    assert [_bits(dip_coefficients(nu)) for nu in nus] == fresh
+    assert sources._dip_table.cache_info().misses == 1
+    assert sources._dip_table.cache_info().hits == len(nus) - 1
+
+
+def test_dip_table_is_shared_read_only_and_ignores_item_order():
+    # The rows are tuples, so no caller can change the shared table, and
+    # the labels are summed in sorted order, not in the order of the items.
+    rng = np.random.default_rng(3)
+    labels = [
+        mode(m, p, b) for m in range(8) for p in POLARIZATIONS for b in TEMPORAL_BINS
+    ]
+    draws = (rng.normal(size=(len(labels), 2)) for _ in "uv")
+    u, v = (tuple((lab, complex(*x)) for lab, x in zip(labels, d)) for d in draws)
+    table = sources._dip_table(u, v, N_MAX)
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    reversed_table = sources._dip_table(u[::-1], v[::-1], N_MAX)
+    assert [_bits(row) for row in reversed_table] == [_bits(row) for row in table]
 
 
 @pytest.mark.parametrize("nu", [1e3, 1e200])
