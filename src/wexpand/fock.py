@@ -4,12 +4,12 @@ bosonic Fock engine.
 A mode is labeled by (spatial path, polarization, temporal bin).  The
 scenarios use the labels and ``DensityMatrix`` only: every number they
 report follows from one photon's image through the gate.  The Fock engine
-is the reference the tests check them against.  A state is a sparse complex
-amplitude map over Fock basis vectors, each stored as the sorted tuple of
-its photons' mode labels.  All circuit evolution stays pure; mixedness
-enters only in ``postselect_qubits``, which keeps one photon per listed
-spatial mode and traces the temporal bins out of the surviving polarization
-qubits.
+is the reference the tests check them against; the tests build its states
+themselves.  A state is a sparse complex amplitude map over Fock basis
+vectors, each stored as the sorted tuple of its photons' mode labels.  All
+circuit evolution stays pure; mixedness enters only in
+``postselect_qubits``, which keeps one photon per listed spatial mode and
+traces the temporal bins out of the surviving polarization qubits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .tolerances import (
     POSTSELECT_NORM_ATOL,
     PSD_ATOL,
     TRACE_ATOL,
-    ZERO_NORM,
 )
 
 H = "H"
@@ -54,10 +53,6 @@ class ModeLabel(NamedTuple):
     pol: str
     tbin: str = PRINCIPAL
 
-    def __str__(self) -> str:
-        suffix = "" if self.tbin == PRINCIPAL else "'"
-        return f"{self.pol}{suffix}@{self.spatial}"
-
 
 def mode(spatial: int, pol: str, tbin: str = PRINCIPAL) -> ModeLabel:
     """Validated ``ModeLabel`` constructor."""
@@ -73,17 +68,6 @@ def mode(spatial: int, pol: str, tbin: str = PRINCIPAL) -> ModeLabel:
 # A Fock basis vector is the sorted tuple of its photons' mode labels, one
 # entry per photon, so equal occupations compare equal; the vacuum is ().
 Basis = tuple[ModeLabel, ...]
-VACUUM: Basis = ()
-
-
-def basis_vector(occupations: Mapping[ModeLabel, int]) -> Basis:
-    """The basis vector with the given photon count per mode."""
-    photons: list[ModeLabel] = []
-    for label, count in occupations.items():
-        if count < 0:
-            raise ValueError(f"negative occupation {count} at {label}")
-        photons.extend([label] * int(count))
-    return tuple(sorted(photons))
 
 
 def bosonic_norm(fbv: Basis) -> int:
@@ -103,13 +87,11 @@ class PhotonicState:
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[Basis, complex],
-        prune: float = AMPLITUDE_PRUNE,
-    ):
+    def __init__(self, terms: Mapping[Basis, complex]):
         self._terms = {
-            fbv: complex(amp) for fbv, amp in terms.items() if abs(amp) > prune
+            fbv: complex(amp)
+            for fbv, amp in terms.items()
+            if abs(amp) > AMPLITUDE_PRUNE
         }
 
     @property
@@ -125,42 +107,8 @@ class PhotonicState:
     def norm_squared(self) -> float:
         return sum(abs(a) ** 2 for a in self._terms.values())
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def normalized(self) -> "PhotonicState":
-        n = self.norm()
-        if n < ZERO_NORM:
-            raise ValueError("cannot normalize a zero state")
-        return PhotonicState({f: a / n for f, a in self._terms.items()}, prune=0.0)
-
     def spatial_modes(self) -> frozenset[int]:
         return frozenset(lab.spatial for fbv in self._terms for lab in fbv)
-
-
-
-def vacuum_state() -> PhotonicState:
-    return PhotonicState({VACUUM: 1.0})
-
-
-def single_photon(spatial: int, pol: str, tbin: str = PRINCIPAL) -> PhotonicState:
-    return number_state(spatial, pol, 1, tbin)
-
-
-def number_state(spatial: int, pol: str, n: int, tbin: str = PRINCIPAL) -> PhotonicState:
-    """Normalized n-photon state in a single mode."""
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    return PhotonicState({basis_vector({mode(spatial, pol, tbin): n}): 1.0})
-
-
-def apply_creation(state: PhotonicState, label: ModeLabel) -> PhotonicState:
-    """Creation operator on one mode; output is generally unnormalized."""
-    out: dict[Basis, complex] = {}
-    for fbv, amp in state.items():
-        new = tuple(sorted(fbv + (label,)))
-        out[new] = out.get(new, 0.0) + amp * math.sqrt(new.count(label))
-    return PhotonicState(out)
 
 
 def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:

@@ -11,7 +11,7 @@ with probability (N+2)/(16N).
 
 The gate is linear optics, so one photon's image through it, ``run_gate``,
 fixes every output.  Each input label's image is composed once per process,
-on first use, and every call gets a fresh dict of it.  The gate conserves
+on first use, and every call gets that same tuple.  The gate conserves
 the number of V photons, so a W-class input, one V among its qubits, stays
 in the single-excitation subspace at any overlap.  ``expand`` maps such a
 state, held as an (M x M) matrix, to its (M+2 x M+2) post-selected output
@@ -57,16 +57,16 @@ def _image(label: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
     return tuple(_compose(label, GATE_ELEMENTS))
 
 
-def run_gate(label: ModeLabel) -> dict[ModeLabel, complex]:
-    """The gate's image of one photon entering on ``label``: its amplitude
-    on each output label.  Only modes 1 and 2 are gate inputs."""
+def run_gate(label: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
+    """The gate's image of one photon entering on ``label``, as (output
+    label, amplitude) items.  Only modes 1 and 2 are gate inputs."""
     known = label.pol in POLARIZATIONS and label.tbin in TEMPORAL_BINS
     if label.spatial not in (MODE_INPUT, MODE_ANCILLA) or not known:
         raise GateInputError(
             f"gate inputs are modes {MODE_INPUT} and {MODE_ANCILLA}, polarization "
             f"{POLARIZATIONS} and bin {TEMPORAL_BINS}; got {label!r}"
         )
-    return dict(_image(label))
+    return _image(label)
 
 
 def w_state_qubits(n: int) -> np.ndarray:
@@ -108,9 +108,10 @@ def excitation_density(matrix, qubit_order: Sequence[int]) -> DensityMatrix:
 _BIN_PATTERNS = np.array(list(itertools.product((0, 1), repeat=3)))
 
 
-def _by_bins(image: dict[ModeLabel, complex], pol: str) -> np.ndarray:
-    """(8, 3) array of a one-photon image: entry (b, i) is its amplitude on
-    polarization ``pol`` in output mode i and temporal bin b_i."""
+def _by_bins(image: tuple, pol: str) -> np.ndarray:
+    """(8, 3) array of a one-photon image's items: entry (b, i) is its
+    amplitude on polarization ``pol`` in output mode i and temporal bin b_i."""
+    image = dict(image)
     grid = np.array(
         [[image.get(mode(m, pol, t), 0) for t in TEMPORAL_BINS] for m in OUTPUT_MODES],
         dtype=complex,

@@ -53,7 +53,7 @@ def _dip_table(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(A_n, B_n), n <= n_max, memoized on the two images: with one photon of
     output amplitudes ``u`` and n of amplitudes ``v``, each a tuple of
-    (label, amplitude) items as ``gates._image`` holds them, at overlap xi,
+    (label, amplitude) items as ``gates.run_gate`` returns them, at overlap xi,
     modes 4 and 5 both hold a photon with probability A_n + B_n xi^2.
 
     Restricted to the labels outside a set S of spatial modes, u_S and v_S
@@ -94,7 +94,7 @@ def dip_coefficients(nu: float) -> tuple[float, float]:
     level far outside the dip, where the photons are fully distinguishable.
     """
     u, v = (run_gate(mode(m, H)) for m in (MODE_INPUT, MODE_ANCILLA))
-    flat, slope = _dip_table(tuple(u.items()), tuple(v.items()), N_MAX)
+    flat, slope = _dip_table(u, v, N_MAX)
     weights = _poisson_weights(nu, N_MAX)
     total = sum(weights)
     a = sum(w * c for w, c in zip(weights, flat)) / total

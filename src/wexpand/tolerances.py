@@ -6,7 +6,6 @@ exactly once and tests can reference the same constants.
 
 # Sparse-state bookkeeping
 AMPLITUDE_PRUNE = 1e-14        # amplitudes below this are dropped after each operation
-ZERO_NORM = 1e-300             # a state or vector of smaller norm cannot be normalized
 
 # Unitarity / linear-algebra validation
 UNITARY_ATOL = 1e-12           # 2x2 mode matrices and Jones matrices

@@ -2,28 +2,27 @@
 
 The Fock-space oracle sends whole photonic states through the gate's
 elements with ``optics.apply_circuit``, where the program reads only the
-gate's one-photon images.
+gate's one-photon images.  The states it starts from, number states and the
+creation operator that builds the sources, live here too: no scenario
+builds a Fock state.
 """
 
 import cmath
 import itertools
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from wexpand.fock import (
-    VACUUM,
+    PRINCIPAL,
     Basis,
     DensityMatrix,
+    ModeLabel,
     PhotonicState,
-    apply_creation,
-    basis_vector,
     mode,
-    number_state,
     postselect_qubits,
     tensor,
-    vacuum_state,
 )
 from wexpand.gates import (
     GATE_ELEMENTS,
@@ -37,7 +36,55 @@ from wexpand.gates import (
 from wexpand.optics import apply_circuit, apply_delay
 from wexpand.sources import N_MAX, _poisson_weights
 from wexpand.tomography import PROJECTOR_KETS, imlm_reconstruct, w_statistics
-from wexpand.tolerances import ZERO_NORM
+
+ZERO_NORM = 1e-300  # a state or vector of smaller norm cannot be normalized
+
+VACUUM: Basis = ()
+
+
+def basis_vector(occupations: Mapping[ModeLabel, int]) -> Basis:
+    """The basis vector with the given photon count per mode."""
+    photons: list[ModeLabel] = []
+    for label, count in occupations.items():
+        if count < 0:
+            raise ValueError(f"negative occupation {count} at {label!r}")
+        photons.extend([label] * int(count))
+    return tuple(sorted(photons))
+
+
+def vacuum_state() -> PhotonicState:
+    return PhotonicState({VACUUM: 1.0})
+
+
+def number_state(spatial: int, pol: str, n: int, tbin: str = PRINCIPAL) -> PhotonicState:
+    """Normalized n-photon state in a single mode."""
+    if n < 0:
+        raise ValueError("photon number must be nonnegative")
+    return PhotonicState({basis_vector({mode(spatial, pol, tbin): n}): 1.0})
+
+
+def single_photon(spatial: int, pol: str, tbin: str = PRINCIPAL) -> PhotonicState:
+    return number_state(spatial, pol, 1, tbin)
+
+
+def apply_creation(state: PhotonicState, label: ModeLabel) -> PhotonicState:
+    """Creation operator on one mode; output is generally unnormalized."""
+    out: dict[Basis, complex] = {}
+    for fbv, amp in state.items():
+        new = tuple(sorted(fbv + (label,)))
+        out[new] = out.get(new, 0.0) + amp * math.sqrt(new.count(label))
+    return PhotonicState(out)
+
+
+def norm(state: PhotonicState) -> float:
+    return math.sqrt(state.norm_squared())
+
+
+def normalized(state: PhotonicState) -> PhotonicState:
+    n = norm(state)
+    if n < ZERO_NORM:
+        raise ValueError("cannot normalize a zero state")
+    return scaled(state, 1.0 / n)
 
 
 def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
@@ -213,7 +260,7 @@ def spdc_pair(
     if include_double_pairs:
         for fbv, amp in create_pair(one_pair).items():
             terms[fbv] = terms.get(fbv, 0.0) + (gamma / 2.0) * amp
-    return PhotonicState(terms).normalized()
+    return normalized(PhotonicState(terms))
 
 
 def rotation(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:

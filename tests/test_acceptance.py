@@ -14,7 +14,7 @@ import pytest
 
 from wexpand.cli import ExperimentConfig, emit_report, load_config, run_scenario
 from wexpand.entanglement import concurrence, eof, fidelity, witness_value
-from wexpand.fock import DensityMatrix, postselect_qubits, single_photon, tensor
+from wexpand.fock import DensityMatrix, postselect_qubits, tensor
 from wexpand.gates import (
     OUTPUT_MODES,
     success_probability_analytic,
@@ -30,7 +30,13 @@ from wexpand.tomography import (
     sample_counts,
 )
 
-from helpers import density_from_pure, expanded_w, partial_trace, through_gate
+from helpers import (
+    density_from_pure,
+    expanded_w,
+    partial_trace,
+    single_photon,
+    through_gate,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

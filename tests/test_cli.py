@@ -356,9 +356,9 @@ def test_w4_exact_scenario_quality():
 
 
 def test_fidelity_decreases_with_overlap_and_coherences_vanish():
-    from wexpand.fock import postselect_qubits, single_photon
+    from wexpand.fock import postselect_qubits
     from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
-    from helpers import through_gate
+    from helpers import single_photon, through_gate
     from wexpand.entanglement import fidelity
 
     photon = single_photon(MODE_INPUT, "V")

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,20 +9,26 @@ import pytest
 from wexpand.fock import (
     PhotonicState,
     WiringError,
-    apply_creation,
-    basis_vector,
     coincidence_probability,
     mode,
-    number_state,
     _qubit_vectors,
     postselect_qubits,
-    single_photon,
     tensor,
-    vacuum_state,
     ORTHOGONAL,
     PRINCIPAL,
 )
-from helpers import inner_product, photonic_w_state, scaled
+from helpers import (
+    apply_creation,
+    basis_vector,
+    inner_product,
+    norm,
+    normalized,
+    number_state,
+    photonic_w_state,
+    scaled,
+    single_photon,
+    vacuum_state,
+)
 
 
 def random_state(rng, modes, max_photons=2):
@@ -34,7 +42,7 @@ def random_state(rng, modes, max_photons=2):
                 occ[lab] = int(n)
         fbv = basis_vector(occ)
         terms[fbv] = complex(rng.normal(), rng.normal())
-    return PhotonicState(terms).normalized()
+    return normalized(PhotonicState(terms))
 
 
 def test_creation_on_vacuum():
@@ -55,10 +63,9 @@ def test_double_creation_matches_factorial_normalization():
     # Oracle: |n> = (a^dag)^n / sqrt(n!) |vac>, so two creations on vacuum
     # give sqrt(2!) |2> and normalizing recovers the basis vector exactly.
     state = apply_creation(apply_creation(vacuum_state(), mode(2, "H")), mode(2, "H"))
-    assert state.norm() == pytest.approx(math.sqrt(math.factorial(2)))
-    normalized = state.normalized()
+    assert norm(state) == pytest.approx(math.sqrt(math.factorial(2)))
     expected = number_state(2, "H", 2)
-    overlap = inner_product(expected, normalized)
+    overlap = inner_product(expected, normalized(state))
     assert overlap.real == pytest.approx(1.0)
 
 
@@ -98,7 +105,7 @@ def test_tensor_norm_multiplicative():
     rng = np.random.default_rng(5)
     a = scaled(random_state(rng, [mode(0, "H"), mode(0, "V")]), 0.7)
     b = scaled(random_state(rng, [mode(1, "H"), mode(1, "V")]), 0.4)
-    assert tensor(a, b).norm() == pytest.approx(a.norm() * b.norm())
+    assert norm(tensor(a, b)) == pytest.approx(norm(a) * norm(b))
 
 
 def test_tensor_overlapping_modes_rejected():
@@ -261,3 +268,53 @@ def test_mode_label_validation():
 def test_amplitude_pruning():
     state = PhotonicState({(): 1e-16})
     assert len(state) == 0
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def layer_keys() -> set[str]:
+    """The "<module>.<function>" keys of the benchmark's LAYER_STATS table,
+    read from its source."""
+    for node in ast.parse((REPO / "perfbench" / "spans.py").read_text()).body:
+        targets = [ast.unparse(target) for target in getattr(node, "targets", ())]
+        if targets == ["LAYER_STATS"]:
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/spans.py defines no LAYER_STATS")
+
+
+def names_in(node) -> set[str]:
+    """Every name and attribute that the node reads."""
+    return {
+        ref.id if isinstance(ref, ast.Name) else ref.attr
+        for ref in ast.walk(node)
+        if isinstance(ref, (ast.Name, ast.Attribute))
+    }
+
+
+def test_no_program_name_is_reached_only_from_the_tests():
+    # A module-level function or class of the package stays only if other
+    # package code refers to it or the benchmark wraps it as a layer; one
+    # that only the tests reach belongs in helpers.py.  A dropped name's own
+    # references stop counting, so a chain of such names drops out in turn.
+    spans = layer_keys()
+    refs, top_level = {}, set()
+    for path in sorted((REPO / "src" / "wexpand").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                refs[path.stem, node.name] = names_in(node)
+            else:
+                top_level |= names_in(node)
+    kept = set(refs)
+    while True:
+        dropped = {
+            (module, name)
+            for module, name in kept
+            if f"{module}.{name}" not in spans
+            and name not in top_level
+            and not any(name in refs[k] for k in kept - {(module, name)})
+        }
+        if not dropped:
+            break
+        kept -= dropped
+    assert sorted(f"{module}.{name}" for module, name in set(refs) - kept) == []

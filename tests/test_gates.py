@@ -12,7 +12,6 @@ from wexpand.fock import (
     _qubit_vectors,
     mode,
     postselect_qubits,
-    single_photon,
     tensor,
     TEMPORAL_BINS,
 )
@@ -38,6 +37,7 @@ from helpers import (
     photonic_single_excitation,
     photonic_w_state,
     scaled,
+    single_photon,
     spdc_pair,
     through_gate,
     two_photon_ancilla,
@@ -251,7 +251,7 @@ def test_one_photon_images_are_unitary_and_match_the_fock_oracle():
     # The gate is unitary, so its images of the eight input labels are
     # orthonormal; each is the Fock oracle's run of that one photon.
     inputs = labels_in((1, 2))
-    images = [run_gate(lab) for lab in inputs]
+    images = [dict(run_gate(lab)) for lab in inputs]
     outputs = sorted(set().union(*images))
     matrix = np.array([[image.get(out, 0) for out in outputs] for image in images])
     assert np.abs(matrix.conj() @ matrix.T - np.eye(len(inputs))).max() <= 1e-12
@@ -263,15 +263,14 @@ def test_one_photon_images_are_unitary_and_match_the_fock_oracle():
             run_gate(lab)
 
 
-def test_each_call_gets_a_fresh_copy_of_the_composed_image():
-    # The images are composed once per process; a caller that edits its
-    # dict changes no later call's.
+def test_every_call_returns_the_one_composed_image():
+    # The images are composed once per process, and every call hands out
+    # that same tuple, which no caller can change.
     for lab in labels_in((1, 2)):
-        assert run_gate(lab) == dict(_compose(lab, GATE_ELEMENTS))
-        run_gate(lab).clear()
         image = run_gate(lab)
-        image[mode(9, "H")] = 1.0
-        assert run_gate(lab) == dict(_compose(lab, GATE_ELEMENTS))
+        assert type(image) is tuple
+        assert image == tuple(_compose(lab, GATE_ELEMENTS))
+        assert run_gate(lab) is image
     assert _image.cache_info().currsize <= 8
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from wexpand.cli import _child_seeds, load_config
 from wexpand.entanglement import fidelity
-from wexpand.fock import DensityMatrix, postselect_qubits, single_photon
+from wexpand.fock import DensityMatrix, postselect_qubits
 from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
 from wexpand import tomography
 from wexpand.tolerances import (
@@ -32,6 +32,7 @@ from helpers import (
     density_from_pure,
     random_density,
     setting_projector,
+    single_photon,
     through_gate,
 )
 
