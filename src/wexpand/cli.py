@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entanglement import eof, fidelity
+from .entanglement import fidelity, pairwise_eof_table
 from .fock import DensityMatrix
 from .gates import (
     MODE_INPUT,
@@ -40,7 +40,6 @@ from .sources import (
     calibrate_overlap_for_visibility,
     dip_coefficients,
     hom_scan,
-    hom_scan_to_csv,
     hom_visibility,
 )
 from .tomography import (
@@ -105,15 +104,18 @@ REFERENCE_EXPERIMENT = {
 # Domain of each config field: (what it must do, membership test).  A
 # scenario checks the fields it reads.
 _DOMAINS = {
-    "nu": ("be nonnegative", lambda x: x >= 0),
-    "gamma": ("be positive", lambda x: x > 0),
+    "nu": ("be finite and nonnegative", lambda x: 0 <= x < math.inf),
+    "gamma": ("be finite and positive", lambda x: 0 < x < math.inf),
     "overlap": ("lie in [0, 1]", lambda x: 0 <= x <= 1),
-    "flux_per_setting": ("be positive", lambda x: x > 0),
-    "n_resamples": ("be 0 or at least 2", lambda x: x == 0 or x >= 2),
-    "coherence_length_um": ("be positive", lambda x: x > 0),
-    "delays_um": ("be non-empty", lambda x: x is None or len(x) > 0),
+    "flux_per_setting": ("be finite and positive", lambda x: 0 < x < math.inf),
+    "n_resamples": ("be 0 or at least 2 and finite", lambda x: x == 0 or 2 <= x < math.inf),
+    "coherence_length_um": ("be finite and positive", lambda x: 0 < x < math.inf),
+    "delays_um": (
+        "be non-empty and finite",
+        lambda x: x is None or (len(x) > 0 and all(map(math.isfinite, x))),
+    ),
     "visibility_target": ("lie in [0, 1)", lambda x: x is None or 0 <= x < 1),
-    "seed": ("be null or nonnegative", lambda x: x is None or x >= 0),
+    "seed": ("be null or nonnegative and finite", lambda x: x is None or 0 <= x < math.inf),
 }
 
 # The fields each scenario reads.  A config file or flag may set only these,
@@ -151,8 +153,8 @@ class ExperimentConfig:
         return tuple(f for f in SCENARIO_FIELDS[self.scenario] if f not in unread)
 
     def validate(self) -> None:
-        """The one check of the values of the fields the run reads.  A
-        NaN fails every domain, since it compares false."""
+        """The one check of the values of the fields the run reads.  Every
+        domain is finite, and a NaN fails each one, since it compares false."""
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         fields = self.read_fields()
@@ -260,11 +262,15 @@ def _tomography_block(
     time) at a typical setting, so the Born-rule multiplier handed to the
     samplers is flux / mean setting probability.  A flux so large that the
     counts, their sum or the fit's log-likelihood overflows is named in a
-    ValueError: numpy raises on the overflow here instead of warning.
+    ValueError: numpy raises on the overflow here instead of warning.  So
+    is one so small that the multiplier, and with it every count, falls
+    below a float's normal range, where the counts lose bits.
     """
     flux = f"flux_per_setting {config.flux_per_setting!r}"
     overflow = f"{flux} is too large: the counts or their fit overflow"
     multiplier = flux_for_typical_count(rho, config.flux_per_setting)
+    if multiplier < np.finfo(float).tiny:
+        raise ValueError(f"{flux} is too small: the counts underflow")
     with np.errstate(over="raise", invalid="raise"):
         try:
             if config.exact:
@@ -346,21 +352,22 @@ def _run_w4(config: ExperimentConfig) -> dict:
     sigma_pair = DensityMatrix(np.outer(w2, w2.conj()), [0, MODE_INPUT])
     pair_probability = config.gamma / (1 + config.gamma)
 
-    pair_block = _tomography_block(sigma_pair, config, seeds[:2])
-
     # The pair holds one V on modes 0 and 1; its photon in mode 1, the
     # last qubit, enters the gate.
     single = np.ix_(excitation_indices(2), excitation_indices(2))
     expanded = expand(pair_probability * sigma_pair.matrix[single], config.overlap)
-    rho = excitation_density(expanded, (0,) + OUTPUT_MODES)
+    try:
+        rho = excitation_density(expanded, (0,) + OUTPUT_MODES)
+    except ValueError as exc:
+        raise ValueError(f"gamma {config.gamma!r} is too small: {exc}") from None
     raw_probability = float(np.trace(expanded).real)
 
     return {
         "pair_source": {
             "fidelity_w2": fidelity(sigma_pair, w2),
-            "eof": eof(sigma_pair),
+            "eof": pairwise_eof_table(sigma_pair)[(0, MODE_INPUT)],
             "coincidence_probability": pair_probability,
-            "tomography": pair_block,
+            "tomography": _tomography_block(sigma_pair, config, seeds[:2]),
         },
         "postselection": {
             "probability": raw_probability,
@@ -499,8 +506,10 @@ def _write_side_outputs(report: dict, out_path: Path) -> list[Path]:
     written = []
     results = report["results"]
     if report["scenario"] == "hom":
+        # The plot-ready dip curve as CSV, with \r\n line ends.
         csv_path = out_path.with_name(out_path.stem + "_curve.csv")
-        text = hom_scan_to_csv([tuple(p) for p in results["points"]])
+        rows = [f"{d:.6f},{p:.12e}\r\n" for d, p in results["points"]]
+        text = "delay_um,coincidence_probability\r\n" + "".join(rows)
         _overwrite(csv_path, text.encode("utf-8"))
         written.append(csv_path)
     if report["scenario"] in ("w3", "w4"):

@@ -1,6 +1,5 @@
 """Analysis of a ``DensityMatrix``: fidelity to a pure state, the W-state
-witness, and the concurrence and entanglement of formation of two-qubit
-marginals."""
+witness, and the entanglement of formation of every two-qubit marginal."""
 
 from __future__ import annotations
 
@@ -62,13 +61,6 @@ def _concurrences(stack: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence from the spin-flipped spectrum."""
-    if rho.dim != 4:
-        raise ValueError("expected a two-qubit (4x4) density matrix")
-    return float(_concurrences(rho.matrix[None])[0])
-
-
 def binary_entropy(x: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -80,11 +72,6 @@ def eof_from_concurrence(c: float) -> float:
         raise ValueError(f"concurrence {c} outside [0, 1]")
     c = min(c, 1.0)
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
-
-
-def eof(rho: DensityMatrix) -> float:
-    """Two-qubit entanglement of formation via the concurrence."""
-    return eof_from_concurrence(concurrence(rho))
 
 
 def pairwise_eof_table(rho: DensityMatrix) -> dict[tuple[int, int], float]:

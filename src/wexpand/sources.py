@@ -9,11 +9,9 @@ Hong-Ou-Mandel dip.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fock import mode, H
 from .gates import MODE_ANCILLA, MODE_INPUT, OUTPUT_MODES, run_gate
@@ -47,7 +45,7 @@ def delay_overlap(delay_um: float, coherence_length_um: float) -> float:
     return math.exp(-0.5 * x * x)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _dip_table(
     u: tuple, v: tuple, n_max: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -147,14 +145,3 @@ def calibrate_overlap_for_visibility(
             f"{cap:.4f}"
         )
     return math.sqrt(target_visibility * a / -b)
-
-
-def hom_scan_to_csv(curve: Iterable[tuple[float, float]]) -> str:
-    """Plot-ready dip curve as CSV text (``\\r\\n`` line ends):
-    delay_um, coincidence_probability."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(["delay_um", "coincidence_probability"])
-    for delta, p in curve:
-        writer.writerow([f"{delta:.6f}", f"{p:.12e}"])
-    return buffer.getvalue()

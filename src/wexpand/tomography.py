@@ -80,7 +80,7 @@ class MeasurementModel:
     inversion: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def measurement_model(n_qubits: int) -> MeasurementModel:
     """The model of ``default_settings(n_qubits)``, built on first use,
     then shared read-only from the cache.  G is the Kronecker power of the
@@ -216,7 +216,7 @@ def _project_density(h: np.ndarray) -> np.ndarray:
     return (evecs * weights) @ evecs.conj().T
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _tangent_coordinates(dim: int, rank: int):
     """The real coordinates of dA = A S + P C, S Hermitian and C complex, at
     A = V_r sqrt(Lambda_r), P = V_(d-r): entry (m, v, c, z) of move m adds

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from wexpand.entanglement import _concurrences, eof_from_concurrence
 from wexpand.fock import (
     PRINCIPAL,
     Basis,
@@ -125,6 +126,19 @@ def setting_projector(setting: Sequence[str]) -> np.ndarray:
     for label in setting:
         ket = np.kron(ket, PROJECTOR_KETS[label])
     return np.outer(ket, ket.conj())
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence from the spin-flipped spectrum: the kernel of
+    ``pairwise_eof_table`` on one 4x4 matrix."""
+    if rho.dim != 4:
+        raise ValueError("expected a two-qubit (4x4) density matrix")
+    return float(_concurrences(rho.matrix[None])[0])
+
+
+def eof(rho: DensityMatrix) -> float:
+    """Two-qubit entanglement of formation via the concurrence."""
+    return eof_from_concurrence(concurrence(rho))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wexpand.cli import ExperimentConfig, emit_report, load_config, run_scenario
-from wexpand.entanglement import concurrence, eof, fidelity, witness_value
+from wexpand.entanglement import fidelity, witness_value
 from wexpand.fock import DensityMatrix, postselect_qubits, tensor
 from wexpand.gates import (
     OUTPUT_MODES,
@@ -31,6 +31,7 @@ from wexpand.tomography import (
 )
 
 from helpers import (
+    concurrence,
     density_from_pure,
     expanded_w,
     partial_trace,

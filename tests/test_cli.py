@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wexpand
-from wexpand import fock, gates, sources
+from wexpand import cli, fock, gates, sources
 from wexpand.cli import (
     SCALING_SIZES,
     SCENARIO_FIELDS,
@@ -24,11 +25,11 @@ from wexpand.cli import (
     main,
     run_scenario,
 )
-from wexpand.entanglement import concurrence, fidelity, witness_value
+from wexpand.entanglement import fidelity, witness_value
 from wexpand.fock import mode
 from wexpand.gates import run_gate
 
-from helpers import expand_w_full_photonic, expanded_w, partial_trace
+from helpers import concurrence, expand_w_full_photonic, expanded_w, partial_trace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -161,6 +162,18 @@ OUT_OF_DOMAIN = [
     ("seed", -3),
 ]
 
+# Each field that holds a float, or a list of floats, and a scenario that
+# reads it.
+FLOAT_FIELDS = {
+    "nu": "hom",
+    "gamma": "w4",
+    "overlap": "w3",
+    "flux_per_setting": "w3",
+    "coherence_length_um": "hom",
+    "visibility_target": "hom",
+    "delays_um": "hom",
+}
+
 
 def test_every_value_field_has_a_domain():
     from wexpand.cli import _DOMAINS
@@ -168,6 +181,9 @@ def test_every_value_field_has_a_domain():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(_DOMAINS) == fields - {"scenario", "exact"}
     assert {name for name, _ in OUT_OF_DOMAIN} == set(_DOMAINS)
+    floats = {name for name, hint in cli._FIELD_HINTS.items() if "float" in str(hint)}
+    assert set(FLOAT_FIELDS) == floats
+    assert all(name in SCENARIO_FIELDS[s] for name, s in FLOAT_FIELDS.items())
     # Some scenario reads every field.
     assert set(IN_DOMAIN) == set().union(*SCENARIO_FIELDS.values())
     assert set(IN_DOMAIN) == fields - {"scenario"}
@@ -192,6 +208,17 @@ def test_out_of_domain_field_rejected(tmp_path, capsys, scenario, name, value):
     else:
         assert f"does not read: ['{name}']" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("name", sorted(FLOAT_FIELDS))
+def test_non_finite_float_field_rejected(name, value):
+    # JSON cannot carry an infinity, but a config built in code can; each
+    # one, and a NaN, fails the domain of the field it is put in.
+    config = ExperimentConfig(FLOAT_FIELDS[name], seed=1)
+    setattr(config, name, [0.0, value] if name == "delays_um" else value)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        config.validate()
 
 
 def _results(config: ExperimentConfig) -> str:
@@ -584,6 +611,7 @@ def test_exact_run_skips_the_domains_of_what_it_does_not_read(
 
 
 OVERFLOW = "counts or their fit overflow"
+UNDERFLOW = "is too small: the counts underflow"
 
 
 @pytest.mark.parametrize(
@@ -595,13 +623,18 @@ OVERFLOW = "counts or their fit overflow"
         pytest.param(1e306, True, OVERFLOW, id="1e+306-exact-overflow"),
         pytest.param(1e307, True, OVERFLOW, id="1e+307-exact-overflow"),
         pytest.param(1e308, True, OVERFLOW, id="1e+308-exact-overflow"),
+        pytest.param(1e-315, True, UNDERFLOW, id="1e-315-exact-underflow"),
+        pytest.param(5e-324, True, UNDERFLOW, id="5e-324-exact-underflow"),
+        pytest.param(5e-324, False, UNDERFLOW, id="5e-324-underflow"),
     ],
 )
 def test_degenerate_flux_is_named(tmp_path, capsys, flux, exact, cause):
     # Counts from a flux too small to draw any, or too large for the Poisson
     # sampler, fail naming the config field and its value.  So do counts
     # whose multiplier, sum or fitted log-likelihood overflows a float, with
-    # no RuntimeWarning on the way (a warning is an error here).
+    # no RuntimeWarning on the way (a warning is an error here), and counts
+    # whose multiplier lies below a float's normal range, where they would
+    # lose bits.
     cfg_path = write_config(
         tmp_path, scenario="w3", seed=1, n_resamples=2, flux_per_setting=flux, exact=exact
     )
@@ -610,6 +643,31 @@ def test_degenerate_flux_is_named(tmp_path, capsys, flux, exact, cause):
     err = capsys.readouterr().err
     assert f"flux_per_setting {flux!r}" in err
     assert cause in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["w3", "w4"])
+def test_flux_at_the_normal_floor_still_fits(scenario):
+    # At 1e-308 the multiplier is still a normal float, so the exact counts
+    # give the W state back.
+    config = ExperimentConfig(scenario, exact=True, flux_per_setting=1e-308)
+    tomography = run_scenario(config)["results"]["tomography"]
+    assert tomography["flux_multiplier"] >= np.finfo(float).tiny
+    assert tomography["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [6e-12, 1e-13])
+def test_gamma_too_small_to_postselect_is_named_first(monkeypatch, tmp_path, capsys, gamma):
+    # The expansion is built before any tomography, so a pair probability
+    # too small to post-select fails at once, naming gamma and its value.
+    def refuse(*args, **kwargs):
+        raise AssertionError("tomography ran before the expansion")
+
+    monkeypatch.setattr(cli, "imlm_reconstruct", refuse)
+    cfg_path = write_config(tmp_path, scenario="w4", gamma=gamma, seed=1)
+    out = tmp_path / "report.json"
+    assert main(["w4", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"gamma {gamma!r} is too small" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -646,11 +704,15 @@ def test_main_hom_writes_curve(tmp_path):
     )
     out = tmp_path / "hom_report.json"
     assert main(["hom", "--config", str(cfg_path), "--out", str(out)]) == 0
-    csv_lines = (tmp_path / "hom_report_curve.csv").read_text().splitlines()
-    assert csv_lines[0] == "delay_um,coincidence_probability"
-    assert len(csv_lines) == 4
     report = json.loads(out.read_text())
     assert report["results"]["visibility"] == pytest.approx(0.85, abs=1e-6)
+    # One row per report point, each with \r\n line ends, as a csv writer
+    # gives them.
+    points = report["results"]["points"]
+    assert [d for d, _ in points] == [-100.0, 0.0, 100.0]
+    rows = "".join(f"{d:.6f},{p:.12e}\r\n" for d, p in points)
+    expected = "delay_um,coincidence_probability\r\n" + rows
+    assert (tmp_path / "hom_report_curve.csv").read_bytes() == expected.encode()
 
 
 def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):

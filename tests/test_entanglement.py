@@ -10,8 +10,6 @@ from scipy.optimize import minimize
 from wexpand.entanglement import (
     _pair_marginal,
     binary_entropy,
-    concurrence,
-    eof,
     eof_from_concurrence,
     pairwise_eof_table,
     witness_value,
@@ -20,7 +18,7 @@ from wexpand.fock import DensityMatrix
 from wexpand.gates import excitation_indices, w_state_qubits
 from wexpand.tolerances import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL
 
-from helpers import density_from_pure, partial_trace, random_density
+from helpers import concurrence, density_from_pure, eof, partial_trace, random_density
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 YY = np.kron(PAULI_Y, PAULI_Y)

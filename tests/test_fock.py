@@ -283,38 +283,71 @@ def layer_keys() -> set[str]:
     raise AssertionError("perfbench/spans.py defines no LAYER_STATS")
 
 
-def names_in(node) -> set[str]:
-    """Every name and attribute that the node reads."""
-    return {
-        ref.id if isinstance(ref, ast.Name) else ref.attr
-        for ref in ast.walk(node)
-        if isinstance(ref, (ast.Name, ast.Attribute))
-    }
+def bindings(module: str, tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Each module-level name of a package module, with the (module, name)
+    it is bound to: the module's own definitions and assignments, and the
+    names it imports from the package."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                bound |= {a.asname or a.name: (node.module, a.name) for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = (module, node.name)
+        else:
+            stored = (n for n in ast.walk(node) if isinstance(n, ast.Name))
+            bound |= {n.id: (module, n.id) for n in stored if isinstance(n.ctx, ast.Store)}
+    return bound
+
+
+def reads(node, bound: dict[str, tuple[str, str]]) -> set[tuple[str, str]]:
+    """The bindings of ``bound`` that the node reads: each name it loads,
+    unless a function around the load binds that name itself."""
+    found = set()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            inner = list(ast.walk(node))
+            local = local | {n.arg for n in inner if isinstance(n, ast.arg)}
+            stored = (n for n in inner if isinstance(n, ast.Name))
+            local |= {n.id for n in stored if isinstance(n.ctx, ast.Store)}
+        loaded = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        if loaded and node.id in bound and node.id not in local:
+            found.add(bound[node.id])
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(node, frozenset())
+    return found
 
 
 def test_no_program_name_is_reached_only_from_the_tests():
     # A module-level function or class of the package stays only if other
     # package code refers to it or the benchmark wraps it as a layer; one
-    # that only the tests reach belongs in helpers.py.  A dropped name's own
+    # that only the tests reach belongs in helpers.py.  A reference is a
+    # load of the name that the module defines or imports, so a local
+    # variable of the same spelling keeps nothing.  A dropped name's own
     # references stop counting, so a chain of such names drops out in turn.
     spans = layer_keys()
     refs, top_level = {}, set()
     for path in sorted((REPO / "src" / "wexpand").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        bound = bindings(path.stem, tree)
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                refs[path.stem, node.name] = names_in(node)
+                refs[path.stem, node.name] = reads(node, bound)
             else:
-                top_level |= names_in(node)
+                top_level |= reads(node, bound)
     kept = set(refs)
     while True:
         dropped = {
-            (module, name)
-            for module, name in kept
-            if f"{module}.{name}" not in spans
-            and name not in top_level
-            and not any(name in refs[k] for k in kept - {(module, name)})
+            key
+            for key in kept
+            if ".".join(key) not in spans
+            and key not in top_level
+            and not any(key in refs[k] for k in kept - {key})
         }
         if not dropped:
             break
         kept -= dropped
-    assert sorted(f"{module}.{name}" for module, name in set(refs) - kept) == []
+    assert sorted(".".join(key) for key in set(refs) - kept) == []
