@@ -153,14 +153,18 @@ class ExperimentConfig:
         return tuple(f for f in SCENARIO_FIELDS[self.scenario] if f not in unread)
 
     def validate(self) -> None:
-        """The one check of the values of the fields the run reads.  Every
-        domain is finite, and a NaN fails each one, since it compares false."""
+        """The one check of the fields the run reads: each value's type, as
+        ``load_config`` checks a file's, then its domain.  Every domain is
+        finite, and a NaN fails each one, since it compares false."""
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         fields = self.read_fields()
-        for name, (domain, ok) in _DOMAINS.items():
+        for name in fields:
             value = getattr(self, name)
-            if name in fields and not ok(value):
+            if not _matches(value, _FIELD_KINDS[name]):
+                raise ValueError(f"{name} has invalid type, got {value!r}")
+            domain, ok = _DOMAINS.get(name, (None, None))
+            if ok and not ok(value):
                 raise ValueError(f"{name} must {domain}, got {value!r}")
         calibrated = "visibility_target" in fields and self.visibility_target is not None
         if calibrated and self.overlap != 1:
@@ -174,24 +178,28 @@ class ExperimentConfig:
             )
 
 
-# Field annotations drive the type check of config files.
+def _kinds(hint) -> dict:
+    """The exact types a field annotation admits, as JSON gives them and the
+    report writer takes them, each mapped to the kinds of its items or None:
+    ``float`` admits ints, ``X | None`` None and ``list[X]`` a list of X."""
+    if type(hint) is types.UnionType:
+        return {k: v for arg in hint.__args__ for k, v in _kinds(arg).items()}
+    if type(hint) is types.GenericAlias:  # list[X]
+        return {list: _kinds(hint.__args__[0])}
+    return dict.fromkeys((int, float) if hint is float else (hint,))
+
+
+# Field annotations drive the type check of config files and of every run.
 _FIELD_HINTS = typing.get_type_hints(ExperimentConfig)
+_FIELD_KINDS = {name: _kinds(hint) for name, hint in _FIELD_HINTS.items()}
 
 
-def _matches(value, hint) -> bool:
-    """JSON value check against a field annotation: ``float`` accepts ints,
-    only ``bool`` accepts booleans, only ``X | None`` accepts null, and a
-    ``list[X]`` checks its items."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_matches(value, arg) for arg in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_matches(v, item) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
+def _matches(value, kinds: dict) -> bool:
+    """Whether a value is of a kind ``_kinds`` admits, and so is each item of a list."""
+    if type(value) not in kinds:
+        return False
+    items = kinds[type(value)]
+    return items is None or all(_matches(v, items) for v in value)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -237,7 +245,7 @@ def load_config(path) -> ExperimentConfig:
     if unread:
         raise ValueError(f"{path}: fields scenario {scenario!r} does not read: {unread}")
     for key, value in raw.items():
-        if not _matches(value, _FIELD_HINTS[key]):
+        if not _matches(value, _FIELD_KINDS[key]):
             raise ValueError(f"{path}: field {key!r} has invalid type")
     return ExperimentConfig(**raw)
 
@@ -298,7 +306,7 @@ def _tomography_block(
         "stop_reason": result.stop_reason,
         "certificate": result.certificate,
         "log_likelihood": result.log_likelihood,
-        **w_statistics(result.rho),
+        **w_statistics([result.rho])[0],
         "density_matrix": result.rho.to_json(),
     }
     if not config.exact and config.n_resamples:
@@ -365,7 +373,7 @@ def _run_w4(config: ExperimentConfig) -> dict:
     return {
         "pair_source": {
             "fidelity_w2": fidelity(sigma_pair, w2),
-            "eof": pairwise_eof_table(sigma_pair)[(0, MODE_INPUT)],
+            "eof": pairwise_eof_table([sigma_pair])[0][(0, MODE_INPUT)],
             "coincidence_probability": pair_probability,
             "tomography": _tomography_block(sigma_pair, config, seeds[:2]),
         },

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -32,20 +33,21 @@ def witness_value(rho: DensityMatrix) -> float:
     return (n - 1) / n - fidelity(rho, w_state_qubits(n))
 
 
-def _pair_marginal(matrix: np.ndarray, n_qubits: int, i: int, j: int) -> np.ndarray:
-    """The 4x4 marginal of qubits i < j of an n-qubit density matrix.
+def _pair_marginal(stack: np.ndarray, n_qubits: int, i: int, j: int) -> np.ndarray:
+    """The (B, 4, 4) marginals of qubits i < j of a (B, d, d) stack of
+    n-qubit density matrices, one trace per traced qubit for the stack.
 
     The other qubits are traced out in increasing order, so once ``done``
-    of them are gone, qubit k sits at row axis k - done.
+    of them are gone, qubit k sits at row axis 1 + k - done.
     """
-    tensor = matrix.reshape([2] * (2 * n_qubits))
+    tensor = stack.reshape([len(stack)] + [2] * (2 * n_qubits))
     done = 0
     for k in range(n_qubits):
         if k not in (i, j):
-            ax = k - done
+            ax = 1 + k - done
             tensor = np.trace(tensor, axis1=ax, axis2=ax + n_qubits - done)
             done += 1
-    return tensor.reshape(4, 4)
+    return tensor.reshape(-1, 4, 4)
 
 
 def _concurrences(stack: np.ndarray) -> np.ndarray:
@@ -74,17 +76,19 @@ def eof_from_concurrence(c: float) -> float:
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
 
 
-def pairwise_eof_table(rho: DensityMatrix) -> dict[tuple[int, int], float]:
-    """Entanglement of formation of every two-qubit marginal.
-
-    Keys are (mode id, mode id) pairs taken from the qubit order.
-    """
-    n = rho.n_qubits
-    if n < 2:
-        raise ValueError("need at least two qubits")
+def pairwise_eof_table(rhos: Sequence[DensityMatrix]) -> list[dict]:
+    """Entanglement of formation of every two-qubit marginal of each matrix
+    in a non-empty sequence of one qubit count, from one stack: one table
+    per matrix, keyed by (mode id, mode id) pairs from its qubit order."""
+    sizes = {rho.n_qubits for rho in rhos}
+    if len(sizes) != 1 or min(sizes) < 2:
+        raise ValueError(f"need matrices of one qubit count >= 2; got {sorted(sizes)}")
+    (n,) = sizes
     pairs = list(itertools.combinations(range(n), 2))
-    marginals = np.stack([_pair_marginal(rho.matrix, n, i, j) for i, j in pairs])
-    return {
-        (rho.qubit_order[i], rho.qubit_order[j]): eof_from_concurrence(float(c))
-        for (i, j), c in zip(pairs, _concurrences(marginals))
-    }
+    stack = np.stack([rho.matrix for rho in rhos])
+    marginals = np.stack([_pair_marginal(stack, n, i, j) for i, j in pairs], 1)
+    values = _concurrences(marginals.reshape(-1, 4, 4)).reshape(len(rhos), -1)
+    return [
+        {(o[i], o[j]): eof_from_concurrence(float(c)) for (i, j), c in zip(pairs, row)}
+        for o, row in zip([rho.qubit_order for rho in rhos], values)
+    ]

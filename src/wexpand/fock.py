@@ -143,17 +143,6 @@ def coincidence_probability(
     return total
 
 
-def basis_index(pols: Sequence[str]) -> int:
-    """Computational-basis index for a polarization pattern (H=0, V=1).
-
-    The first qubit is the most significant bit.
-    """
-    idx = 0
-    for p in pols:
-        idx = (idx << 1) | _POL_INDEX[p]
-    return idx
-
-
 def _qubit_vectors(
     state: PhotonicState, spatial_modes: Sequence[int]
 ) -> tuple[dict[tuple[str, ...], np.ndarray], float]:
@@ -182,7 +171,8 @@ def _qubit_vectors(
         vec = by_bins.get(bins)
         if vec is None:
             vec = by_bins[bins] = np.zeros(2 ** len(modes), dtype=complex)
-        vec[basis_index([lab.pol for lab in labels])] += amp
+        # The first qubit is the most significant bit of the index, and V is 1.
+        vec[sum(_POL_INDEX[lab.pol] << k for k, lab in enumerate(labels[::-1]))] += amp
         probability += abs(amp) ** 2
     return by_bins, probability
 

@@ -384,17 +384,19 @@ def imlm_reconstruct(
     )
 
 
-def w_statistics(rho: DensityMatrix) -> dict:
-    """The report's statistics of a fitted N-qubit state: fidelity to W_N,
-    the W-witness value and the entanglement of formation of every qubit
-    pair, keyed by the pair's mode ids ("45" for modes 4 and 5)."""
-    return {
-        "fidelity": fidelity(rho, w_state_qubits(rho.n_qubits)),
-        "witness": witness_value(rho),
-        "pairwise_eof": {
-            f"{i}{j}": value for (i, j), value in pairwise_eof_table(rho).items()
-        },
-    }
+def w_statistics(rhos: Sequence[DensityMatrix]) -> list[dict]:
+    """The report's statistics of each fitted N-qubit state in a sequence
+    of one qubit count: fidelity to W_N, the W-witness value and the
+    entanglement of formation of every qubit pair, keyed by the pair's mode
+    ids ("45" for modes 4 and 5), with one ``pairwise_eof_table`` pass."""
+    return [
+        {
+            "fidelity": fidelity(rho, w_state_qubits(rho.n_qubits)),
+            "witness": witness_value(rho),
+            "pairwise_eof": {f"{i}{j}": value for (i, j), value in table.items()},
+        }
+        for rho, table in zip(rhos, pairwise_eof_table(rhos))
+    ]
 
 
 def _spread(samples: list):
@@ -411,19 +413,20 @@ def bootstrap_errors(
     """Parametric bootstrap error bars for the ``w_statistics`` of ``fit``,
     the reconstruction of ``counts``.
 
-    Each resample draws every count from Poisson(observed count), re-runs the
-    reconstruction on the qubits of ``fit`` and evaluates ``w_statistics``.
-    Returns the standard deviation over resamples of every statistic it
-    gives, under the same nested keys, and a summary of the resample fits:
-    how many did not converge, the p50, p90 (nearest rank) and max of their
-    iteration counts, and their most Newton steps.  Resample seeds derive
-    from the master seed, so results are reproducible and resamples could
-    run in parallel; every resample shares the cached measurement model.  A
-    resampled count is zero wherever the observed one is, so each resample
-    drawn from the data starts one ``_newton_step`` from ``fit``, along the
-    fit's ``_newton_system``, which is built once; where that takes no step,
-    it starts at ``fit``.  A resample that draws no count at all is replaced
-    by one count per setting, which is not the data: its fit starts cold.
+    Each resample draws every count from Poisson(observed count) and re-runs
+    the reconstruction on the qubits of ``fit``; one ``w_statistics`` call
+    takes all the resample fits.  Returns the standard deviation over
+    resamples of every statistic it gives, under the same nested keys, and a
+    summary of the resample fits: how many did not converge, the p50, p90
+    (nearest rank) and max of their iteration counts, and their most Newton
+    steps.  Resample seeds derive from the master seed, so results are
+    reproducible and resamples could run in parallel; every resample shares
+    the cached measurement model.  A resampled count is zero wherever the
+    observed one is, so each resample drawn from the data starts one
+    ``_newton_step`` from ``fit``, along the fit's ``_newton_system``, which
+    is built once; where that takes no step, it starts at ``fit``.  A
+    resample that draws no count at all is replaced by one count per
+    setting, which is not the data: its fit starts cold.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
@@ -449,23 +452,18 @@ def bootstrap_errors(
         if stepped:
             starts[b] = model.g_inv_sqrt @ stepped[0] @ model.g_inv_sqrt
 
-    samples, iterations = [], []
-    unconverged = newton_steps_max = 0
-    for resampled, origin in zip(resamples, starts):
-        result = imlm_reconstruct(resampled, qubit_order=fit.qubit_order, start=origin)
-        iterations.append(result.iterations)
-        unconverged += not result.converged
-        newton_steps_max = max(newton_steps_max, result.newton_steps)
-        samples.append(w_statistics(result.rho))
-
+    results = [
+        imlm_reconstruct(resampled, qubit_order=fit.qubit_order, start=origin)
+        for resampled, origin in zip(resamples, starts)
+    ]
     # Nearest-rank percentiles: np.percentile would import numpy.ma, about
     # 1 MB of resident memory, for two numbers.
-    iterations.sort()
+    iterations = sorted(result.iterations for result in results)
     fits = {
-        "unconverged": unconverged,
+        "unconverged": sum(not result.converged for result in results),
         "iterations_p50": iterations[math.ceil(0.5 * n_resamples) - 1],
         "iterations_p90": iterations[math.ceil(0.9 * n_resamples) - 1],
         "iterations_max": iterations[-1],
-        "newton_steps_max": newton_steps_max,
+        "newton_steps_max": max(result.newton_steps for result in results),
     }
-    return _spread(samples), fits
+    return _spread(w_statistics([result.rho for result in results])), fits

@@ -344,7 +344,7 @@ def cold_bootstrap(counts, n_resamples: int, seed: int, qubit_order) -> tuple[di
         if not resampled.any():
             resampled[:] = 1
         fits.append(imlm_reconstruct(resampled, qubit_order=qubit_order))
-    stats = [w_statistics(fit.rho) for fit in fits]
+    stats = w_statistics([fit.rho for fit in fits])
 
     def spread(values):
         return float(np.std(list(values)))

@@ -120,7 +120,7 @@ def test_criterion_5_pairwise_entanglement():
         for pair in itertools.combinations(range(n), 2):
             marginal = partial_trace(rho, list(pair))
             assert concurrence(marginal) == pytest.approx(2 / n, abs=1e-10)
-    for value in pairwise_eof_table(w_density(4)).values():
+    for value in pairwise_eof_table([w_density(4)])[0].values():
         assert value == pytest.approx(0.3546, abs=5e-4)
     print(
         "\nACCEPTANCE 5 PASS: every pair marginal of the N-qubit W state has "

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,31 @@ def test_non_finite_float_field_rejected(name, value):
     setattr(config, name, [0.0, value] if name == "delays_um" else value)
     with pytest.raises(ValueError, match=f"^{name} must"):
         config.validate()
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("seed", 1.5),
+        ("n_resamples", 2.5),
+        ("overlap", "0.9"),
+        ("seed", True),
+        ("exact", 1),
+        ("overlap", np.float64(0.9)),
+    ],
+    ids=["seed-float", "n_resamples-float", "overlap-str", "seed-bool", "exact-int",
+         "overlap-numpy"],
+)
+def test_config_built_in_code_with_a_wrong_type_rejected(name, value):
+    # load_config checks a file's types; a config built in code gets the
+    # same check from validate, before numpy or a comparison can raise a
+    # TypeError and before a bool or int reaches the report.  Types are
+    # exact, as JSON gives them: the report writer takes no numpy float.
+    config = ExperimentConfig("w3", seed=1, n_resamples=2)
+    setattr(config, name, value)
+    message = f"{name} has invalid type, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        run_scenario(config)
 
 
 def _results(config: ExperimentConfig) -> str:

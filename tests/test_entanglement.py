@@ -152,19 +152,19 @@ def test_witness_value_is_the_operator_expectation():
 
 
 def test_pairwise_eof_tables():
-    table3 = pairwise_eof_table(w_density(3))
+    (table3,) = pairwise_eof_table([w_density(3)])
     assert set(table3) == {(0, 1), (0, 2), (1, 2)}
     for value in table3.values():
         assert value == pytest.approx(EOF_AT_TWO_THIRDS, abs=1e-10)
 
-    table4 = pairwise_eof_table(w_density(4))
+    (table4,) = pairwise_eof_table([w_density(4)])
     assert len(table4) == 6
     for value in table4.values():
         assert value == pytest.approx(EOF_AT_HALF, abs=1e-10)
 
     ghz = np.zeros(8)
     ghz[0] = ghz[7] = 1 / math.sqrt(2)
-    table_ghz = pairwise_eof_table(density_from_pure(ghz, [0, 1, 2]))
+    (table_ghz,) = pairwise_eof_table([density_from_pure(ghz, [0, 1, 2])])
     for value in table_ghz.values():
         assert value == pytest.approx(0.0, abs=1e-10)
 
@@ -172,7 +172,7 @@ def test_pairwise_eof_tables():
 def test_pairwise_eof_symmetry_and_size_monotonicity():
     values = {}
     for n in (3, 4, 5, 6):
-        table = pairwise_eof_table(w_density(n))
+        (table,) = pairwise_eof_table([w_density(n)])
         spread = max(table.values()) - min(table.values())
         assert spread < 1e-12
         values[n] = next(iter(table.values()))
@@ -183,7 +183,7 @@ def test_pairwise_eof_symmetry_and_size_monotonicity():
 def test_pairwise_table_uses_mode_ids():
     w4 = w_state_qubits(4)
     rho = density_from_pure(w4, [0, 4, 5, 6])
-    assert set(pairwise_eof_table(rho)) == {
+    assert set(pairwise_eof_table([rho])[0]) == {
         (0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)
     }
 
@@ -225,7 +225,7 @@ def test_pair_marginals_are_density_matrices(n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     rho = DensityMatrix(random_density(rng, 2**n, rank), list(range(n)))
     for i, j in itertools.combinations(range(n), 2):
-        m = _pair_marginal(rho.matrix, n, i, j)
+        (m,) = _pair_marginal(rho.matrix[None], n, i, j)
         assert np.max(np.abs(m - m.conj().T)) <= HERMITICITY_ATOL
         assert abs(np.trace(m).real - 1.0) <= TRACE_ATOL
         assert np.linalg.eigvalsh(m).min() >= -PSD_ATOL
@@ -244,11 +244,47 @@ def test_pairwise_eof_table_matches_the_oracle_marginals(n, noise, seed):
     psi /= np.linalg.norm(psi)
     mixture = (1 - noise) * np.outer(psi, psi.conj()) + noise * random_density(rng, dim)
     rho = DensityMatrix(mixture, [10 + q for q in range(n)])
-    table = pairwise_eof_table(rho)
+    (table,) = pairwise_eof_table([rho])
     assert len(table) == n * (n - 1) // 2
     for i, j in itertools.combinations(range(n), 2):
         expected = eof(partial_trace(rho, [i, j]))
         assert table[(10 + i, 10 + j)] == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stacked_tables_equal_the_tables_of_each_matrix_alone(n, size, seed):
+    # Random states of random rank, each with its own random qubit order:
+    # the stacked pass gives each matrix the very table it gets alone.
+    rng = np.random.default_rng(seed)
+    rhos = [
+        DensityMatrix(
+            random_density(rng, 2**n, int(rng.integers(1, 2**n + 1))),
+            [int(q) for q in rng.choice(10, size=n, replace=False)],
+        )
+        for _ in range(size)
+    ]
+    tables = pairwise_eof_table(rhos)
+    assert len(tables) == size
+    for rho, table in zip(rhos, tables):
+        (alone,) = pairwise_eof_table([rho])
+        assert list(table) == list(alone)
+        assert table == alone
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((), r"one qubit count >= 2; got \[\]$"),
+        ((3, 2, 3), r"one qubit count >= 2; got \[2, 3\]$"),
+        ((1, 1), r"one qubit count >= 2; got \[1\]$"),
+    ],
+    ids=["empty", "mixed", "one-qubit"],
+)
+def test_pairwise_eof_table_needs_one_qubit_count_of_at_least_two(sizes, message):
+    rhos = [DensityMatrix(np.eye(2**n) / 2**n, list(range(n))) for n in sizes]
+    with pytest.raises(ValueError, match=message):
+        pairwise_eof_table(rhos)
 
 
 def missing_tolerance(kind, factor, rng, dim):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from wexpand.cli import _child_seeds, load_config
-from wexpand.entanglement import fidelity
+from wexpand.entanglement import fidelity, pairwise_eof_table, witness_value
 from wexpand.fock import DensityMatrix, postselect_qubits
 from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
 from wexpand import tomography
@@ -259,10 +259,11 @@ def test_bootstrap_spreads_every_statistic_of_w_statistics(monkeypatch):
     # spread under its own keys, with no change to bootstrap_errors.
     purities = []
 
-    def extended(rho):
-        purity = float(np.trace(rho.matrix @ rho.matrix).real)
-        purities.append(purity)
-        return {**w_statistics(rho), "extra": {"purity": purity}}
+    def extended(rhos):
+        batch = [float(np.trace(rho.matrix @ rho.matrix).real) for rho in rhos]
+        purities.extend(batch)
+        stats = w_statistics(rhos)
+        return [{**s, "extra": {"purity": p}} for s, p in zip(stats, batch)]
 
     monkeypatch.setattr(tomography, "w_statistics", extended)
     counts = sample_counts(RHO_W3, 300.0, seed=3)
@@ -273,6 +274,27 @@ def test_bootstrap_spreads_every_statistic_of_w_statistics(monkeypatch):
     assert len(purities) == 4
     assert errors["extra"] == {"purity": float(np.std(purities))}
     assert errors["extra"]["purity"] > 0.0
+
+
+def test_bootstrap_analyses_all_resample_fits_in_one_pass(monkeypatch):
+    # One stacked pairwise_eof_table pass covers every resample fit; the
+    # witness is still evaluated once per fit.
+    calls = {"pairwise_eof_table": [], "witness_value": 0}
+
+    def tables(rhos):
+        calls["pairwise_eof_table"].append(len(rhos))
+        return pairwise_eof_table(rhos)
+
+    def witness(rho):
+        calls["witness_value"] += 1
+        return witness_value(rho)
+
+    monkeypatch.setattr(tomography, "pairwise_eof_table", tables)
+    monkeypatch.setattr(tomography, "witness_value", witness)
+    counts = sample_counts(RHO_W3, 300.0, seed=3)
+    fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6]).rho
+    bootstrap_errors(counts, 4, seed=2, fit=fit)
+    assert calls == {"pairwise_eof_table": [4], "witness_value": 4}
 
 
 def test_bootstrap_keys_pairs_by_the_qubits_of_its_fit():
