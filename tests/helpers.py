@@ -33,6 +33,7 @@ from wexpand.gates import (
     OUTPUT_MODES,
     excitation_density,
     expand,
+    w_state_qubits,
 )
 from wexpand.optics import apply_circuit, apply_delay
 from wexpand.sources import N_MAX, _poisson_weights
@@ -109,6 +110,10 @@ def density_from_pure(vector, qubit_order: Sequence[int]) -> DensityMatrix:
         raise ValueError("cannot build a density matrix from a zero vector")
     vec = vec / norm
     return DensityMatrix(np.outer(vec, vec.conj()), list(qubit_order))
+
+
+def w_density(n) -> DensityMatrix:
+    return density_from_pure(w_state_qubits(n), list(range(n)))
 
 
 def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:

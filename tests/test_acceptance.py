@@ -37,13 +37,10 @@ from helpers import (
     partial_trace,
     single_photon,
     through_gate,
+    w_density,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-
-def w_density(n):
-    return density_from_pure(w_state_qubits(n), list(range(n)))
 
 
 def test_criterion_1_success_probability_table():

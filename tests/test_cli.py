@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -504,12 +505,13 @@ def test_main_scaling_and_outputs(tmp_path):
 
 
 def run_module(*args, **env) -> subprocess.CompletedProcess:
-    """``python -m wexpand.cli`` with ``args`` in a new process, with this
-    checkout's sources first on the path and ``env`` added."""
+    """``python -W error::RuntimeWarning`` with ``args`` in a new process,
+    with this checkout's sources first on the path and ``env`` added.  (runpy
+    warns when the package has already imported the module it runs.)"""
     src = str(Path(wexpand.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
@@ -517,45 +519,96 @@ def run_module(*args, **env) -> subprocess.CompletedProcess:
     )
 
 
-def test_module_entry_point_runs_without_runtime_warning(tmp_path):
-    # runpy warns when the package __init__ has already imported the module
-    # it is asked to run as __main__.
-    done = run_module(
-        "-W", "error::RuntimeWarning", "-m", "wexpand.cli",
-        "scaling", "--out", str(tmp_path / "scaling.json"),
-    )
-    assert done.returncode == 0, done.stderr
+# Every shipped run, as the arguments of ``wexpand`` before ``--out``, in the
+# order one interpreter makes them; the fixture writes EXTRA_CONFIGS' files.
+SHIPPED_RUNS = {
+    "hom": ["hom", "--config", str(CONFIG_DIR / "hom.json")],
+    "hom_nu": ["hom", "--config", "hom_nu.json"],
+    "w3": ["w3", "--config", str(CONFIG_DIR / "w3.json")],
+    "w4": ["w4", "--config", str(CONFIG_DIR / "w4.json")],
+    "scaling": ["scaling", "--config", str(CONFIG_DIR / "scaling.json")],
+    "scaling_overlap": ["scaling", "--config", "scaling_overlap.json"],
+    "w3_exact": ["w3", "--exact"],
+    "w4_exact": ["w4", "--exact"],
+}
+EXTRA_CONFIGS = {
+    "hom_nu.json": {"scenario": "hom", "nu": 0.05, "visibility_target": 0.8},
+    "scaling_overlap.json": {"scenario": "scaling", "overlap": 0.926},
+}
+# The environments of the fresh processes; the first gives the reference.
+FRESH_PROCESSES = {
+    "hash_seed_1": {"PYTHONHASHSEED": "1", "OPENBLAS_NUM_THREADS": "1"},
+    "hash_seed_2": {"PYTHONHASHSEED": "2", "OPENBLAS_NUM_THREADS": "1"},
+    "blas_threads_2": {"PYTHONHASHSEED": "1", "OPENBLAS_NUM_THREADS": "2"},
+}
+MAIN_IN_TURN = ("import json, sys, wexpand.cli as c\n"
+                "assert all(c.main(a) == 0 for a in json.loads(sys.argv[1]))")
 
 
-def test_hom_report_does_not_depend_on_the_hash_seed(tmp_path):
-    # Sets of mode labels iterate in an order that PYTHONHASHSEED picks; the
-    # dip sums its labels in sorted order, so no byte may depend on it.
-    for hash_seed in ("1", "2"):
-        done = run_module(
-            "-m", "wexpand.cli", "hom", "--config", str(CONFIG_DIR / "hom.json"),
-            "--out", str(tmp_path / f"hom_{hash_seed}.json"),
-            PYTHONHASHSEED=hash_seed,
-        )
-        assert done.returncode == 0, done.stderr
-    for suffix in (".json", "_curve.csv"):
-        first, second = (tmp_path / f"hom_{k}{suffix}" for k in "12")
-        assert first.read_bytes() == second.read_bytes(), suffix
+@pytest.fixture(scope="module")
+def shipped_outputs(tmp_path_factory) -> Path:
+    """Every shipped run's outputs under ``root/way/run/``: from a fresh
+    process each FRESH_PROCESSES way, and from one interpreter that makes all
+    runs in turn twice, so each also follows every other one there."""
+    root = tmp_path_factory.mktemp("shipped")
+    for name, fields in EXTRA_CONFIGS.items():
+        (root / name).write_text(json.dumps(fields), encoding="utf-8")
+
+    def argv(way, name):
+        (root / way / name).mkdir(parents=True)
+        args = [str(root / a) if a in EXTRA_CONFIGS else a for a in SHIPPED_RUNS[name]]
+        return [*args, "--out", str(root / way / name / "report.json")]
+
+    in_turn = [argv(way, name) for way in ("one_interpreter", "one_interpreter_again")
+               for name in SHIPPED_RUNS]
+    jobs = [(("-c", MAIN_IN_TURN, json.dumps(in_turn)), FRESH_PROCESSES["hash_seed_1"])]
+    jobs += [(("-m", "wexpand.cli", *argv(way, name)), env)
+             for way, env in FRESH_PROCESSES.items() for name in SHIPPED_RUNS]
+    # Two processes at a time: the runs share no file.
+    with ThreadPoolExecutor(2) as pool:
+        for done in pool.map(lambda job: run_module(*job[0], **job[1]), jobs):
+            assert done.returncode == 0, (done.args, done.stderr)
+    return root
 
 
-def test_hom_after_other_scenarios_in_one_process_matches_a_fresh_process(tmp_path):
-    # The gate's images, the measurement model and the tangent coordinates
-    # are kept for the life of the process; whatever w3 and scaling leave
-    # there, hom writes the bytes a process of its own writes.
-    hom = ["hom", "--config", str(CONFIG_DIR / "hom.json")]
-    assert main(["w3", "--config", str(CONFIG_DIR / "w3.json"),
-                 "--out", str(tmp_path / "w3.json")]) == 0
-    assert main(["scaling", "--out", str(tmp_path / "scaling.json")]) == 0
-    assert main([*hom, "--out", str(tmp_path / "shared.json")]) == 0
-    done = run_module("-m", "wexpand.cli", *hom, "--out", str(tmp_path / "fresh.json"))
-    assert done.returncode == 0, done.stderr
-    for suffix in (".json", "_curve.csv"):
-        shared, fresh = (tmp_path / f"{name}{suffix}" for name in ("shared", "fresh"))
-        assert shared.read_bytes() == fresh.read_bytes(), suffix
+@pytest.mark.parametrize("name", SHIPPED_RUNS)
+@pytest.mark.parametrize(
+    "way", ["hash_seed_2", "one_interpreter", "one_interpreter_again", "blas_threads_2"]
+)
+def test_shipped_outputs_are_byte_identical(shipped_outputs, way, name):
+    # No byte may follow PYTHONHASHSEED's set order or what an earlier run
+    # left in the process (images, dip table, measurement model, tangent
+    # coordinates).  On two BLAS threads sampled w4's Newton Hessian sums in
+    # another order, so its floats may move in their last bits.
+    want, got = ({p.name: p.read_bytes() for p in (shipped_outputs / w / name).iterdir()}
+                 for w in ("hash_seed_1", way))
+    assert got.keys() == want.keys()
+    for file, text in want.items():
+        if way == "blas_threads_2" and name == "w4":
+            other, leaves = (dict(_leaves(json.loads(t))) for t in (got[file], text))
+            assert other.keys() == leaves.keys(), file
+            for where, value in leaves.items():
+                assert type(other[where]) is type(value), (file, where)
+                assert other[where] == value or type(value) is float and math.isclose(
+                    other[where], value, rel_tol=1e-9, abs_tol=1e-12), (file, where, value)
+        else:
+            assert got[file] == text, file
+
+
+@pytest.mark.parametrize("name", ["w3", "w4", "w3_exact", "w4_exact"])
+def test_shipped_fits_converge(shipped_outputs, name):
+    # Resamples start one shared Newton step from the fit.  Exact counts
+    # certify at the start, which for the pair fit is the W2 pair it was given.
+    results = json.loads((shipped_outputs / "hash_seed_1" / name / "report.json").read_bytes())
+    pair = results["results"].get("pair_source", {}).get("tomography")
+    for tomo in filter(None, [results["results"]["tomography"], pair]):
+        assert tomo["converged"] is True, tomo["stop_reason"]
+        if name.endswith("exact"):
+            assert tomo["iterations"] == 0
+            assert tomo is not pair or pair["fidelity"] >= 1 - 1e-9
+        else:
+            fits = tomo["bootstrap_fits"]
+            assert fits["unconverged"] == 0 and fits["iterations_p50"] <= 5, fits
 
 
 def test_main_w3_exact_writes_density_matrix(tmp_path):
@@ -682,15 +735,20 @@ def test_flux_at_the_normal_floor_still_fits(scenario):
     assert tomography["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("gamma", [6e-12, 1e-13])
-def test_gamma_too_small_to_postselect_is_named_first(monkeypatch, tmp_path, capsys, gamma):
+@pytest.mark.parametrize(
+    "gamma, exact", [(6e-12, False), (1e-13, False), (1e-13, True)],
+    ids=["6e-12", "1e-13", "1e-13-exact"],
+)
+def test_gamma_too_small_to_postselect_is_named_first(
+    monkeypatch, tmp_path, capsys, gamma, exact
+):
     # The expansion is built before any tomography, so a pair probability
     # too small to post-select fails at once, naming gamma and its value.
     def refuse(*args, **kwargs):
         raise AssertionError("tomography ran before the expansion")
 
     monkeypatch.setattr(cli, "imlm_reconstruct", refuse)
-    cfg_path = write_config(tmp_path, scenario="w4", gamma=gamma, seed=1)
+    cfg_path = write_config(tmp_path, scenario="w4", gamma=gamma, seed=1, exact=exact)
     out = tmp_path / "report.json"
     assert main(["w4", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"gamma {gamma!r} is too small" in capsys.readouterr().err
@@ -741,18 +799,25 @@ def test_main_hom_writes_curve(tmp_path):
     assert (tmp_path / "hom_report_curve.csv").read_bytes() == expected.encode()
 
 
-def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
-    # The dip is a photon-number mixture of terms affine in xi^2, and the
-    # gate's images of one photon from each input give every term, so each
-    # scenario still asks run_gate for two images; the gate composes each
-    # image once per process.
+def count_gate_runs(monkeypatch, module=gates) -> list:
+    """Patch ``module``'s gate to record the input label of each one-photon
+    image."""
     labels = []
 
     def counted(label):
         labels.append(label)
         return run_gate(label)
 
-    monkeypatch.setattr(sources, "run_gate", counted)
+    monkeypatch.setattr(module, "run_gate", counted)
+    return labels
+
+
+def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
+    # The dip is a photon-number mixture of terms affine in xi^2, and the
+    # gate's images of one photon from each input give every term, so each
+    # scenario still asks run_gate for two images; the gate composes each
+    # image once per process.
+    labels = count_gate_runs(monkeypatch, sources)
     config = load_config(CONFIG_DIR / "hom.json")
     results = run_scenario(config)["results"]
     assert labels == [mode(1, "H"), mode(2, "H")]
@@ -761,18 +826,6 @@ def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
     config.nu = 0.05
     run_scenario(config)
     assert labels == [mode(1, "H"), mode(2, "H")] * 2
-
-
-def count_gate_runs(monkeypatch) -> list:
-    """Patch the gate to record the input label of each one-photon image."""
-    labels = []
-
-    def counted(label):
-        labels.append(label)
-        return run_gate(label)
-
-    monkeypatch.setattr(gates, "run_gate", counted)
-    return labels
 
 
 # The delayed ancilla photon enters mode 2 in both temporal bins.
@@ -846,6 +899,19 @@ def test_shorter_report_over_a_longer_file_leaves_only_its_bytes(tmp_path):
     assert len(payload) < 100_000
     assert path.read_bytes() == payload
     assert path.stat().st_ino == inode
+    # So do a hom report and curve: they hold the bytes of a fresh run, here
+    # one from a config file that names only the scenario.
+    reused = [tmp_path / "hom.json", tmp_path / "hom_curve.csv"]
+    for path in reused:
+        path.write_bytes(b"x" * 100_000)
+    inodes = [path.stat().st_ino for path in reused]
+    assert main(["hom", "--out", str(reused[0])]) == 0
+    scenario_only = write_config(tmp_path, scenario="hom")
+    fresh = ["hom", "--config", str(scenario_only), "--out", str(tmp_path / "fresh.json")]
+    assert main(fresh) == 0
+    for path, name in zip(reused, ["fresh.json", "fresh_curve.csv"]):
+        assert path.read_bytes() == (tmp_path / name).read_bytes(), name
+    assert [path.stat().st_ino for path in reused] == inodes
 
 
 def test_report_through_a_symlink_rewrites_its_target(tmp_path):
@@ -890,17 +956,13 @@ def test_outputs_over_longer_files_equal_fresh_ones(tmp_path):
             assert got.read_bytes() == want.read_bytes(), suffix
 
 
-def _non_plain_leaves(node, where=""):
-    """Paths of the leaves of a report dict that are not exactly a float,
-    int, str, bool or None (a numpy scalar is not)."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _non_plain_leaves(value, f"{where}/{key}")
-    elif isinstance(node, list):
-        for index, value in enumerate(node):
-            yield from _non_plain_leaves(value, f"{where}/{index}")
-    elif type(node) not in (float, int, str, bool, type(None)):
-        yield where, type(node).__name__
+def _leaves(node, where=""):
+    """(path, value) of every leaf of a tree of dicts and lists."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(value, f"{where}/{key}")
+    else:
+        yield where, node
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
@@ -908,7 +970,10 @@ def test_report_leaves_are_plain_python_values(path):
     config = load_config(path)
     if config.scenario in ("w3", "w4"):
         config.n_resamples = 2
-    assert list(_non_plain_leaves(run_scenario(config))) == []
+    # A numpy scalar is not plain.
+    plain = (float, int, str, bool, type(None))
+    leaves = _leaves(run_scenario(config))
+    assert [(w, type(v).__name__) for w, v in leaves if type(v) not in plain] == []
 
 
 def _stdlib_text(tree):
