@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Sequence
 
 from .fock import mode, H
@@ -96,8 +97,13 @@ def dip_coefficients(nu: float) -> tuple[float, float]:
     weights = _poisson_weights(nu, N_MAX)
     total = sum(weights)
     a = sum(w * c for w, c in zip(weights, flat)) / total
-    if a <= 0.0:
-        raise ValueError("no threefold coincidences to form a dip (nu = 0?)")
+    if a < sys.float_info.min:
+        # Below a float's normal range the coefficients lose bits, and the
+        # calibrated dip would miss its target without an error.
+        raise ValueError(
+            f"nu {nu!r} is too small to form a dip: its threefold "
+            "coincidences lie below a float's normal range"
+        )
     return a, sum(w * c for w, c in zip(weights, slope)) / total
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -34,6 +35,80 @@ from wexpand.gates import run_gate
 from helpers import concurrence, expand_w_full_photonic, expanded_w, partial_trace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def run_module(*args, **env) -> subprocess.CompletedProcess:
+    """``python -W error::RuntimeWarning`` with ``args`` in a new process,
+    with this checkout's sources first on the path and ``env`` added.  (runpy
+    warns when the package has already imported the module it runs.)"""
+    src = str(Path(wexpand.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+# Every shipped run, as the arguments of ``wexpand`` before ``--out``, in the
+# order one interpreter makes them: each config file under the scenario it
+# names, then four more; the fixture writes EXTRA_CONFIGS' files.
+SHIPPED_RUNS = {
+    path.stem: [json.loads(path.read_bytes())["scenario"], "--config", str(path)]
+    for path in sorted(CONFIG_DIR.glob("*.json"))
+}
+SHIPPED_RUNS.update(
+    hom_nu=["hom", "--config", "hom_nu.json"],
+    scaling_overlap=["scaling", "--config", "scaling_overlap.json"],
+    w3_exact=["w3", "--exact"],
+    w4_exact=["w4", "--exact"],
+)
+EXTRA_CONFIGS = {
+    "hom_nu.json": {"scenario": "hom", "nu": 0.05, "visibility_target": 0.8},
+    "scaling_overlap.json": {"scenario": "scaling", "overlap": 0.926},
+}
+# The environments of the fresh processes; the first gives the reference.
+FRESH_PROCESSES = {
+    "hash_seed_1": {"PYTHONHASHSEED": "1", "OPENBLAS_NUM_THREADS": "1"},
+    "hash_seed_2": {"PYTHONHASHSEED": "2", "OPENBLAS_NUM_THREADS": "1"},
+    "hash_seed_3": {"PYTHONHASHSEED": "3", "OPENBLAS_NUM_THREADS": "1"},
+    "blas_threads_2": {"PYTHONHASHSEED": "1", "OPENBLAS_NUM_THREADS": "2"},
+}
+MAIN_IN_TURN = ("import json, sys, wexpand.cli as c\n"
+                "assert all(c.main(a) == 0 for a in json.loads(sys.argv[1]))")
+
+
+@pytest.fixture(scope="module")
+def shipped_outputs(tmp_path_factory) -> Path:
+    """Every shipped run's outputs under ``root/way/run/``: from a fresh
+    process each FRESH_PROCESSES way, and from one interpreter that makes all
+    runs in turn twice, so each also follows every other one there."""
+    root = tmp_path_factory.mktemp("shipped")
+    for name, fields in EXTRA_CONFIGS.items():
+        (root / name).write_text(json.dumps(fields), encoding="utf-8")
+
+    def argv(way, name):
+        (root / way / name).mkdir(parents=True)
+        args = [str(root / a) if a in EXTRA_CONFIGS else a for a in SHIPPED_RUNS[name]]
+        return [*args, "--out", str(root / way / name / "report.json")]
+
+    in_turn = [argv(way, name) for way in ("one_interpreter", "one_interpreter_again")
+               for name in SHIPPED_RUNS]
+    jobs = [(("-c", MAIN_IN_TURN, json.dumps(in_turn)), FRESH_PROCESSES["hash_seed_1"])]
+    jobs += [(("-m", "wexpand.cli", *argv(way, name)), env)
+             for way, env in FRESH_PROCESSES.items() for name in SHIPPED_RUNS]
+    # Two processes at a time: the runs share no file.
+    with ThreadPoolExecutor(2) as pool:
+        for done in pool.map(lambda job: run_module(*job[0], **job[1]), jobs):
+            assert done.returncode == 0, (done.args, done.stderr)
+    return root
+
+
+def shipped(outputs: Path, name: str, file: str = "report.json") -> bytes:
+    """One output file of shipped run ``name``, from the reference process."""
+    return (outputs / "hash_seed_1" / name / file).read_bytes()
 
 
 def write_config(tmp_path, **fields):
@@ -121,12 +196,14 @@ def test_duplicate_key_rejected(tmp_path):
         load_config(path)
 
 
-def test_missing_seed_on_sampling_scenario_rejected(tmp_path):
+def test_missing_seed_on_sampling_scenario_rejected(tmp_path, capsys):
     # The file may leave the seed to --seed, so the check is made when the
     # scenario runs.
     seedless = load_config(write_config(tmp_path, scenario="w3", n_resamples=0))
     with pytest.raises(ValueError, match="seed"):
         run_scenario(seedless)
+    assert main(["w3", "--out", str(tmp_path / "x.json")]) == 1
+    assert "seed" in capsys.readouterr().err
     # exact mode needs no seed
     exact = load_config(write_config(tmp_path, scenario="w3", exact=True))
     assert exact.seed is None
@@ -320,20 +397,8 @@ def test_bad_types_and_scenarios_rejected(tmp_path):
         load_config(bad_json)
 
 
-def test_repo_fixture_configs_load():
-    w3 = load_config(CONFIG_DIR / "w3.json")
-    assert w3.flux_per_setting == 104.0
-    assert w3.seed is not None
-    hom = load_config(CONFIG_DIR / "hom.json")
-    assert hom.nu == 0.03
-    assert hom.visibility_target == 0.85
-    load_config(CONFIG_DIR / "w4.json")
-    load_config(CONFIG_DIR / "scaling.json")
-
-
-def test_scaling_report_rows():
-    report = run_scenario(ExperimentConfig(scenario="scaling"))
-    rows = report["results"]["rows"]
+def test_scaling_report_rows(shipped_outputs):
+    rows = json.loads(shipped(shipped_outputs, "scaling"))["results"]["rows"]
     assert [row["n"] for row in rows] == list(SCALING_SIZES)
     assert rows[0]["analytic"] == pytest.approx(0.1875)
     assert rows[1]["analytic"] == pytest.approx(0.125)
@@ -349,10 +414,8 @@ def test_scaling_report_rows():
             assert value is None or value == pytest.approx(2 / (n + 2), abs=1e-10)
 
 
-def test_scaling_rows_at_partial_overlap_match_the_fock_engine():
-    rows = run_scenario(ExperimentConfig(scenario="scaling", overlap=0.926))[
-        "results"
-    ]["rows"]
+def test_scaling_rows_at_partial_overlap_match_the_fock_engine(shipped_outputs):
+    rows = json.loads(shipped(shipped_outputs, "scaling_overlap"))["results"]["rows"]
     assert rows[0]["fidelity"] == pytest.approx(0.90498, abs=1e-5)
     assert rows[1]["simulated"] == pytest.approx(0.133908, abs=1e-5)
     assert rows[1]["fidelity"] == pytest.approx(0.86696, abs=1e-5)
@@ -378,67 +441,6 @@ def test_scaling_rows_at_partial_overlap_match_the_fock_engine():
                 assert value == pytest.approx(smallest[name], abs=1e-10)
 
 
-def test_w3_exact_scenario_quality():
-    report = run_scenario(ExperimentConfig(scenario="w3", exact=True))
-    tomo = report["results"]["tomography"]
-    assert tomo["mode"] == "exact"
-    assert tomo["settings"] == 64
-    assert tomo["fidelity"] >= 0.999
-    assert tomo["stop_reason"] == "certificate"
-    assert tomo["converged"] is True
-    assert tomo["bootstrap"] is None and tomo["bootstrap_fits"] is None
-    assert tomo["witness"] <= -0.33
-    assert report["results"]["postselection"]["probability"] == pytest.approx(
-        3 / 16, abs=1e-10
-    )
-    assert set(tomo["pairwise_eof"]) == {"45", "46", "56"}
-
-
-def test_w4_exact_scenario_quality():
-    report = run_scenario(ExperimentConfig(scenario="w4", exact=True, gamma=0.05))
-    pair = report["results"]["pair_source"]
-    assert pair["fidelity_w2"] == pytest.approx(1.0, abs=1e-9)
-    assert pair["eof"] == pytest.approx(1.0, abs=1e-9)
-    tomo = report["results"]["tomography"]
-    assert tomo["fidelity"] >= 0.999
-    assert tomo["witness"] <= -0.24
-    assert tomo["stop_reason"] == "certificate"
-    assert pair["tomography"]["stop_reason"] == "certificate"
-    assert set(tomo["pairwise_eof"]) == {"04", "05", "06", "45", "46", "56"}
-    post = report["results"]["postselection"]
-    assert post["probability_given_pair"] == pytest.approx(1 / 8, abs=1e-10)
-
-
-def test_fidelity_decreases_with_overlap_and_coherences_vanish():
-    from wexpand.fock import postselect_qubits
-    from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
-    from helpers import single_photon, through_gate
-    from wexpand.entanglement import fidelity
-
-    photon = single_photon(MODE_INPUT, "V")
-    fidelities = []
-    for overlap in (1.0, 0.9, 0.8):
-        rho, _ = postselect_qubits(through_gate(photon, overlap), OUTPUT_MODES)
-        fidelities.append(fidelity(rho, w_state_qubits(3)))
-    assert fidelities[0] > fidelities[1] > fidelities[2]
-
-    rho, _ = postselect_qubits(through_gate(photon, 0.0), OUTPUT_MODES)
-    off_diagonal = rho.matrix - np.diag(np.diag(rho.matrix))
-    assert np.max(np.abs(off_diagonal)) < 1e-12
-
-
-def test_sampled_report_deterministic(tmp_path):
-    config = ExperimentConfig(
-        scenario="w3", seed=42, flux_per_setting=104.0, n_resamples=0
-    )
-    report_a = run_scenario(config)
-    report_b = run_scenario(config)
-    path_a = tmp_path / "a.json"
-    path_b = tmp_path / "b.json"
-    assert emit_report(report_a, path_a) == emit_report(report_b, path_b)
-    assert path_a.read_bytes() == path_b.read_bytes()
-
-
 def test_report_does_not_depend_on_the_output_path(tmp_path):
     cfg_path = write_config(tmp_path, scenario="w3", seed=7, n_resamples=2)
     paths = [tmp_path / "first.json", tmp_path / "sub" / "second.json"]
@@ -448,9 +450,9 @@ def test_report_does_not_depend_on_the_output_path(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_report_embeds_hash_and_version():
-    config = ExperimentConfig(scenario="scaling")
-    report = run_scenario(config)
+def test_report_embeds_hash_and_version(shipped_outputs):
+    config = load_config(CONFIG_DIR / "scaling.json")
+    report = json.loads(shipped(shipped_outputs, "scaling"))
     assert report["config_sha256"] == config_sha256(config)
     assert report["tool"]["name"] == "wexpand"
     assert report["schema_version"] == 9
@@ -458,7 +460,7 @@ def test_report_embeds_hash_and_version():
     assert report["config"] == config_to_dict(config) == {"scenario": "scaling", "overlap": 1.0}
 
 
-def test_reference_values_are_annotations():
+def test_reference_values_are_annotations(shipped_outputs):
     from wexpand.cli import REFERENCE_EXPERIMENT
 
     refs = REFERENCE_EXPERIMENT["w3"]
@@ -466,7 +468,7 @@ def test_reference_values_are_annotations():
     assert refs["witness"]["error"] == 0.042
     assert REFERENCE_EXPERIMENT["w4"]["fidelity"]["value"] == 0.784
     assert REFERENCE_EXPERIMENT["w4"]["pair_eof_alternate"]["value"] == 0.95
-    report = run_scenario(ExperimentConfig(scenario="scaling"))
+    report = json.loads(shipped(shipped_outputs, "scaling"))
     # annotations ride along; simulated values are not forced to match them
     assert report["reference_values"]["success_probability_n1"] == 0.1875
     assert report["results"]["rows"][0]["simulated"] == pytest.approx(0.1875)
@@ -497,83 +499,18 @@ def test_shipped_configs_are_the_defaults(path):
     )
 
 
-def test_main_scaling_and_outputs(tmp_path):
-    out = tmp_path / "scaling.json"
-    assert main(["scaling", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert len(report["results"]["rows"]) == len(SCALING_SIZES)
-
-
-def run_module(*args, **env) -> subprocess.CompletedProcess:
-    """``python -W error::RuntimeWarning`` with ``args`` in a new process,
-    with this checkout's sources first on the path and ``env`` added.  (runpy
-    warns when the package has already imported the module it runs.)"""
-    src = str(Path(wexpand.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *args],
-        env={**os.environ, "PYTHONPATH": path, **env},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
-# Every shipped run, as the arguments of ``wexpand`` before ``--out``, in the
-# order one interpreter makes them; the fixture writes EXTRA_CONFIGS' files.
-SHIPPED_RUNS = {
-    "hom": ["hom", "--config", str(CONFIG_DIR / "hom.json")],
-    "hom_nu": ["hom", "--config", "hom_nu.json"],
-    "w3": ["w3", "--config", str(CONFIG_DIR / "w3.json")],
-    "w4": ["w4", "--config", str(CONFIG_DIR / "w4.json")],
-    "scaling": ["scaling", "--config", str(CONFIG_DIR / "scaling.json")],
-    "scaling_overlap": ["scaling", "--config", "scaling_overlap.json"],
-    "w3_exact": ["w3", "--exact"],
-    "w4_exact": ["w4", "--exact"],
-}
-EXTRA_CONFIGS = {
-    "hom_nu.json": {"scenario": "hom", "nu": 0.05, "visibility_target": 0.8},
-    "scaling_overlap.json": {"scenario": "scaling", "overlap": 0.926},
-}
-# The environments of the fresh processes; the first gives the reference.
-FRESH_PROCESSES = {
-    "hash_seed_1": {"PYTHONHASHSEED": "1", "OPENBLAS_NUM_THREADS": "1"},
-    "hash_seed_2": {"PYTHONHASHSEED": "2", "OPENBLAS_NUM_THREADS": "1"},
-    "blas_threads_2": {"PYTHONHASHSEED": "1", "OPENBLAS_NUM_THREADS": "2"},
-}
-MAIN_IN_TURN = ("import json, sys, wexpand.cli as c\n"
-                "assert all(c.main(a) == 0 for a in json.loads(sys.argv[1]))")
-
-
-@pytest.fixture(scope="module")
-def shipped_outputs(tmp_path_factory) -> Path:
-    """Every shipped run's outputs under ``root/way/run/``: from a fresh
-    process each FRESH_PROCESSES way, and from one interpreter that makes all
-    runs in turn twice, so each also follows every other one there."""
-    root = tmp_path_factory.mktemp("shipped")
-    for name, fields in EXTRA_CONFIGS.items():
-        (root / name).write_text(json.dumps(fields), encoding="utf-8")
-
-    def argv(way, name):
-        (root / way / name).mkdir(parents=True)
-        args = [str(root / a) if a in EXTRA_CONFIGS else a for a in SHIPPED_RUNS[name]]
-        return [*args, "--out", str(root / way / name / "report.json")]
-
-    in_turn = [argv(way, name) for way in ("one_interpreter", "one_interpreter_again")
-               for name in SHIPPED_RUNS]
-    jobs = [(("-c", MAIN_IN_TURN, json.dumps(in_turn)), FRESH_PROCESSES["hash_seed_1"])]
-    jobs += [(("-m", "wexpand.cli", *argv(way, name)), env)
-             for way, env in FRESH_PROCESSES.items() for name in SHIPPED_RUNS]
-    # Two processes at a time: the runs share no file.
-    with ThreadPoolExecutor(2) as pool:
-        for done in pool.map(lambda job: run_module(*job[0], **job[1]), jobs):
-            assert done.returncode == 0, (done.args, done.stderr)
-    return root
+def _leaves(node, where=""):
+    """(path, value) of every leaf of a tree of dicts and lists."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(value, f"{where}/{key}")
+    else:
+        yield where, node
 
 
 @pytest.mark.parametrize("name", SHIPPED_RUNS)
 @pytest.mark.parametrize(
-    "way", ["hash_seed_2", "one_interpreter", "one_interpreter_again", "blas_threads_2"]
+    "way", [*list(FRESH_PROCESSES)[1:], "one_interpreter", "one_interpreter_again"]
 )
 def test_shipped_outputs_are_byte_identical(shipped_outputs, way, name):
     # No byte may follow PYTHONHASHSEED's set order or what an earlier run
@@ -595,42 +532,72 @@ def test_shipped_outputs_are_byte_identical(shipped_outputs, way, name):
             assert got[file] == text, file
 
 
-@pytest.mark.parametrize("name", ["w3", "w4", "w3_exact", "w4_exact"])
+@pytest.mark.parametrize("name", SHIPPED_RUNS)
+def test_report_bytes_are_those_of_the_stdlib_encoder(shipped_outputs, name):
+    text = shipped(shipped_outputs, name)
+    assert (_stdlib_text(json.loads(text)) + "\n").encode() == text
+
+
+# The qubit order, post-selection rate and witness bound of each exact fit.
+EXACT_FITS = {"w3": ([4, 5, 6], 3 / 16, -0.33), "w4": ([0, 4, 5, 6], 1 / 8, -0.24)}
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, argv in SHIPPED_RUNS.items() if argv[0] in EXACT_FITS]
+)
 def test_shipped_fits_converge(shipped_outputs, name):
     # Resamples start one shared Newton step from the fit.  Exact counts
-    # certify at the start, which for the pair fit is the W2 pair it was given.
-    results = json.loads((shipped_outputs / "hash_seed_1" / name / "report.json").read_bytes())
-    pair = results["results"].get("pair_source", {}).get("tomography")
-    for tomo in filter(None, [results["results"]["tomography"], pair]):
-        assert tomo["converged"] is True, tomo["stop_reason"]
-        if name.endswith("exact"):
-            assert tomo["iterations"] == 0
-            assert tomo is not pair or pair["fidelity"] >= 1 - 1e-9
+    # certify at the start, which for the pair fit is the W2 pair it was
+    # given, and give the W state back at the paper's rate.  The *_rho.json
+    # file holds the fitted matrix of the report.
+    scenario, exact = SHIPPED_RUNS[name][0], "--exact" in SHIPPED_RUNS[name]
+    results = json.loads(shipped(shipped_outputs, name))["results"]
+    tomo = results["tomography"]
+    assert json.loads(shipped(shipped_outputs, name, "report_rho.json")) == tomo[
+        "density_matrix"
+    ]
+    pair = results.get("pair_source", {}).get("tomography")
+    for fit in filter(None, [tomo, pair]):
+        assert fit["converged"] is True, fit["stop_reason"]
+        if exact:
+            assert fit["stop_reason"] == "certificate" and fit["iterations"] == 0
+            assert fit["bootstrap"] is None and fit["bootstrap_fits"] is None
         else:
-            fits = tomo["bootstrap_fits"]
+            fits = fit["bootstrap_fits"]
             assert fits["unconverged"] == 0 and fits["iterations_p50"] <= 5, fits
-
-
-def test_main_w3_exact_writes_density_matrix(tmp_path):
-    out = tmp_path / "w3.json"
-    assert main(["w3", "--exact", "--out", str(out)]) == 0
-    rho_doc = json.loads((tmp_path / "w3_rho.json").read_text())
-    assert rho_doc["dim"] == 8
-    assert rho_doc["qubit_order"] == [4, 5, 6]
+    if not exact:
+        return
+    order, rate, witness = EXACT_FITS[scenario]
+    assert tomo["density_matrix"]["qubit_order"] == order
+    assert tomo["density_matrix"]["dim"] == 2 ** len(order)
+    assert tomo["mode"] == "exact" and tomo["settings"] == 4 ** len(order)
+    assert tomo["fidelity"] >= 0.999 and tomo["witness"] <= witness
+    pairs = {f"{i}{j}" for i, j in itertools.combinations(order, 2)}
+    assert tomo["pairwise_eof"].keys() == pairs
+    post = results["postselection"]
+    assert post.get("probability_given_pair", post["probability"]) == pytest.approx(
+        rate, abs=1e-10
+    )
+    if pair:
+        assert pair["fidelity"] >= 1 - 1e-9
+        source = results["pair_source"]
+        assert source["fidelity_w2"] == pytest.approx(1.0, abs=1e-9)
+        assert source["eof"] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("scenario", ["w3", "w4"])
-def test_exact_report_does_not_depend_on_seed_or_resamples(tmp_path, scenario):
+def test_exact_report_does_not_depend_on_seed_or_resamples(
+    shipped_outputs, tmp_path, scenario
+):
     # An exact run samples nothing, so its config block and hash leave out
     # seed and n_resamples, and setting them changes no byte.
-    outs = [tmp_path / "plain.json", tmp_path / "seeded.json"]
-    assert main([scenario, "--exact", "--out", str(outs[0])]) == 0
-    assert main([scenario, "--exact", "--seed", "5", "--out", str(outs[1])]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert (tmp_path / "plain_rho.json").read_bytes() == (
-        tmp_path / "seeded_rho.json"
-    ).read_bytes()
-    config = json.loads(outs[0].read_text())["config"]
+    plain = f"{scenario}_exact"
+    out = tmp_path / "seeded.json"
+    assert main([scenario, "--exact", "--seed", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == shipped(shipped_outputs, plain)
+    rho = (tmp_path / "seeded_rho.json").read_bytes()
+    assert rho == shipped(shipped_outputs, plain, "report_rho.json")
+    config = json.loads(out.read_bytes())["config"]
     assert set(config) == {"scenario", *SCENARIO_FIELDS[scenario]} - {
         "seed",
         "n_resamples",
@@ -661,22 +628,20 @@ def test_dip_table_does_not_depend_on_the_hash_seed():
 
 @pytest.mark.parametrize("scenario", ["w3", "w4"])
 def test_exact_run_skips_the_domains_of_what_it_does_not_read(
-    tmp_path, capsys, scenario
+    shipped_outputs, tmp_path, capsys, scenario
 ):
     # A seed of -1 and a single resample lie outside their domains.  An
     # exact run reads neither, so it runs and writes the plain exact bytes;
     # a sampled run reads both, so it rejects each.
     resampled = write_config(tmp_path, scenario=scenario, exact=True, n_resamples=1)
     runs = {
-        "plain": [scenario, "--exact"],
         "negative_seed": [scenario, "--exact", "--seed", "-1"],
         "one_resample": [scenario, "--config", str(resampled)],
     }
     for name, argv in runs.items():
         assert main([*argv, "--out", str(tmp_path / f"{name}.json")]) == 0, name
-    for suffix in (".json", "_rho.json"):
-        plain = (tmp_path / f"plain{suffix}").read_bytes()
-        for name in ("negative_seed", "one_resample"):
+        for suffix in (".json", "_rho.json"):
+            plain = shipped(shipped_outputs, f"{scenario}_exact", f"report{suffix}")
             assert (tmp_path / f"{name}{suffix}").read_bytes() == plain, name
     sampled = write_config(tmp_path, scenario=scenario, seed=1, n_resamples=1)
     for argv, message in [
@@ -891,7 +856,9 @@ def test_report_with_non_finite_number_not_written(tmp_path, monkeypatch):
     assert out.read_bytes() == b'{"kept": true}\n'
 
 
-def test_shorter_report_over_a_longer_file_leaves_only_its_bytes(tmp_path):
+def test_shorter_report_over_a_longer_file_leaves_only_its_bytes(
+    shipped_outputs, tmp_path
+):
     path = tmp_path / "report.json"
     path.write_bytes(b"x" * 100_000)
     inode = path.stat().st_ino
@@ -899,19 +866,19 @@ def test_shorter_report_over_a_longer_file_leaves_only_its_bytes(tmp_path):
     assert len(payload) < 100_000
     assert path.read_bytes() == payload
     assert path.stat().st_ino == inode
-    # So do a hom report and curve: they hold the bytes of a fresh run, here
-    # one from a config file that names only the scenario.
-    reused = [tmp_path / "hom.json", tmp_path / "hom_curve.csv"]
-    for path in reused:
-        path.write_bytes(b"x" * 100_000)
-    inodes = [path.stat().st_ino for path in reused]
-    assert main(["hom", "--out", str(reused[0])]) == 0
-    scenario_only = write_config(tmp_path, scenario="hom")
-    fresh = ["hom", "--config", str(scenario_only), "--out", str(tmp_path / "fresh.json")]
-    assert main(fresh) == 0
-    for path, name in zip(reused, ["fresh.json", "fresh_curve.csv"]):
-        assert path.read_bytes() == (tmp_path / name).read_bytes(), name
-    assert [path.stat().st_ino for path in reused] == inodes
+    # So do a report and its side output: they hold the bytes of the
+    # shipped run, here made with no config file, as the shipped ones hold
+    # the defaults.
+    runs = [(["hom"], "hom", "_curve.csv"), (["w3", "--exact"], "w3_exact", "_rho.json")]
+    for argv, name, side in runs:
+        reused = [tmp_path / f"{name}.json", tmp_path / f"{name}{side}"]
+        for path in reused:
+            path.write_bytes(b"x" * 100_000)
+        inodes = [path.stat().st_ino for path in reused]
+        assert main([*argv, "--out", str(reused[0])]) == 0
+        for path, file in zip(reused, ["report.json", f"report{side}"]):
+            assert path.read_bytes() == shipped(shipped_outputs, name, file), file
+        assert [path.stat().st_ino for path in reused] == inodes
 
 
 def test_report_through_a_symlink_rewrites_its_target(tmp_path):
@@ -940,40 +907,6 @@ def test_new_report_gets_the_mode_bits_of_write_bytes(tmp_path):
         os.umask(before)
     modes = [(tmp_path / name).stat().st_mode for name in ("plain.json", "report.json")]
     assert modes[0] == modes[1]
-
-
-def test_outputs_over_longer_files_equal_fresh_ones(tmp_path):
-    # Every output file goes through one in-place writer, which must cut
-    # off what a longer earlier file leaves behind.
-    for argv, side in [(["hom"], "_curve.csv"), (["w3", "--exact"], "_rho.json")]:
-        fresh, reused = (tmp_path / f"{argv[0]}_{k}.json" for k in ("fresh", "reused"))
-        for suffix in (".json", side):
-            reused.with_name(reused.stem + suffix).write_bytes(b"x" * 100_000)
-        for out in (fresh, reused):
-            assert main(argv + ["--out", str(out)]) == 0
-        for suffix in (".json", side):
-            got, want = (p.with_name(p.stem + suffix) for p in (reused, fresh))
-            assert got.read_bytes() == want.read_bytes(), suffix
-
-
-def _leaves(node, where=""):
-    """(path, value) of every leaf of a tree of dicts and lists."""
-    if isinstance(node, (dict, list)):
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _leaves(value, f"{where}/{key}")
-    else:
-        yield where, node
-
-
-@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_report_leaves_are_plain_python_values(path):
-    config = load_config(path)
-    if config.scenario in ("w3", "w4"):
-        config.n_resamples = 2
-    # A numpy scalar is not plain.
-    plain = (float, int, str, bool, type(None))
-    leaves = _leaves(run_scenario(config))
-    assert [(w, type(v).__name__) for w, v in leaves if type(v) not in plain] == []
 
 
 def _stdlib_text(tree):
@@ -1047,27 +980,6 @@ def test_report_writer_rejects_values_that_are_not_plain(tree):
         _writer_text(tree)
 
 
-def _config_for(name):
-    if name == "scaling-overlap":
-        return ExperimentConfig("scaling", overlap=0.926)
-    if name.endswith("-exact"):
-        return ExperimentConfig(name[:2], exact=True)
-    config = load_config(CONFIG_DIR / f"{name}.json")
-    if config.scenario in ("w3", "w4"):
-        config.n_resamples = 2
-    return config
-
-
-@pytest.mark.parametrize(
-    "name",
-    [p.stem for p in sorted(CONFIG_DIR.glob("*.json"))]
-    + ["w3-exact", "w4-exact", "scaling-overlap"],
-)
-def test_report_bytes_are_those_of_the_stdlib_encoder(name):
-    report = run_scenario(_config_for(name))
-    assert emit_report(report, os.devnull) == (_stdlib_text(report) + "\n").encode()
-
-
 def test_hom_visibility_is_the_model_dip_without_zero_delay():
     # The reported visibility is the calibrated dip's, -b xi0^2 / a, not a
     # read-off of a grid that may miss zero delay.
@@ -1088,22 +1000,25 @@ def test_main_rejects_mismatched_scenario(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
-def test_main_missing_seed_fails(tmp_path, capsys):
-    assert main(["w3", "--out", str(tmp_path / "x.json")]) == 1
-    assert "seed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("scenario", ["w3", "w4"])
-def test_bootstrap_keys_mirror_the_statistics(scenario):
+@pytest.mark.parametrize(
+    "config",
+    [ExperimentConfig("w3", seed=5, n_resamples=2),
+     ExperimentConfig("w4", seed=5, n_resamples=2),
+     ExperimentConfig("w3", seed=42, n_resamples=0)],
+    ids=["w3", "w4", "w3-no-resamples"],
+)
+def test_bootstrap_keys_mirror_the_statistics(config):
     # Each error bar sits at the key of the value it belongs to, pairs
-    # keyed by mode id, in the pair-source block of w4 too.
-    results = run_scenario(
-        ExperimentConfig(scenario=scenario, seed=5, n_resamples=2)
-    )["results"]
+    # keyed by mode id, in the pair-source block of w4 too; a run without
+    # resamples has neither error bars nor their fits.
+    results = run_scenario(config)["results"]
     blocks = [results["tomography"]]
-    if scenario == "w4":
+    if config.scenario == "w4":
         blocks.append(results["pair_source"]["tomography"])
     for tomo in blocks:
+        if config.n_resamples == 0:
+            assert tomo["bootstrap"] is None and tomo["bootstrap_fits"] is None
+            continue
         errors = tomo["bootstrap"]
         assert errors.keys() == {"fidelity", "witness", "pairwise_eof"}
         assert errors["pairwise_eof"].keys() == tomo["pairwise_eof"].keys()

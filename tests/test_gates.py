@@ -45,10 +45,6 @@ from helpers import (
 )
 
 
-def gate_output(pol):
-    return through_gate(single_photon(1, pol))
-
-
 def test_w_state_small_sizes():
     assert np.allclose(w_state_qubits(1), [0, 1])
     w2 = w_state_qubits(2)
@@ -72,20 +68,9 @@ def test_w3_density_matrix_has_nine_real_entries():
 
 
 def test_v_input_expands_to_w3():
-    rho, prob = postselect_qubits(gate_output("V"), OUTPUT_MODES)
+    rho, prob = postselect_qubits(through_gate(single_photon(1, "V")), OUTPUT_MODES)
     assert prob == pytest.approx(3 / 16, abs=1e-10)
     assert fidelity(rho, w_state_qubits(3)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_h_input_suppressed_by_interference():
-    rho_h, prob_h = postselect_qubits(gate_output("H"), OUTPUT_MODES)
-    assert prob_h == pytest.approx(1 / 16, abs=1e-12)
-    hhh = np.zeros(8)
-    hhh[0] = 1.0
-    assert fidelity(rho_h, hhh) == pytest.approx(1.0, abs=1e-12)
-
-    _, prob_v = postselect_qubits(gate_output("V"), OUTPUT_MODES)
-    assert prob_v / prob_h == pytest.approx(3.0, abs=1e-12)
 
 
 def test_w2_input_expands_to_w4_full_photonic():

@@ -149,16 +149,6 @@ def test_imlm_single_qubit_pure_state():
     assert fidelity(result.rho, np.array([1.0, 0.0])) >= 0.999
 
 
-def test_imlm_loglik_nondecreasing_on_random_counts():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        rho = DensityMatrix(random_density(rng, 4), [0, 1])
-        counts = sample_counts(rho, 80.0, seed=int(rng.integers(1 << 31)))
-        result = imlm_reconstruct(counts, max_iter=3000)
-        diffs = np.diff(result.loglik_history)
-        assert (diffs >= 0).all()
-
-
 def test_imlm_fixed_point_on_full_rank_states():
     # Exact probabilities of a full-rank state: the generating state is the
     # fixed point the iteration must reach.
