@@ -143,40 +143,6 @@ def coincidence_probability(
     return total
 
 
-def _qubit_vectors(
-    state: PhotonicState, spatial_modes: Sequence[int]
-) -> tuple[dict[tuple[str, ...], np.ndarray], float]:
-    """Project onto one photon per listed mode and none anywhere else.
-
-    Returns the unnormalized polarization-qubit amplitude vector of each
-    surviving temporal-bin pattern, with qubits ordered as in
-    ``spatial_modes``, and the projection's probability.
-    """
-    modes = list(spatial_modes)
-    if not modes:
-        raise ValueError("empty mode list")
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate spatial modes in post-selection list")
-    wanted = set(modes)
-    by_bins: dict[tuple[str, ...], np.ndarray] = {}
-    probability = 0.0
-    for fbv, amp in state.items():
-        if len(fbv) != len(modes):
-            continue
-        by_spatial = {lab.spatial: lab for lab in fbv}
-        if by_spatial.keys() != wanted:
-            continue
-        labels = [by_spatial[m] for m in modes]
-        bins = tuple(lab.tbin for lab in labels)
-        vec = by_bins.get(bins)
-        if vec is None:
-            vec = by_bins[bins] = np.zeros(2 ** len(modes), dtype=complex)
-        # The first qubit is the most significant bit of the index, and V is 1.
-        vec[sum(_POL_INDEX[lab.pol] << k for k, lab in enumerate(labels[::-1]))] += amp
-        probability += abs(amp) ** 2
-    return by_bins, probability
-
-
 def postselect_qubits(
     state: PhotonicState, spatial_modes: Sequence[int]
 ) -> tuple["DensityMatrix | None", float]:
@@ -189,11 +155,31 @@ def postselect_qubits(
     """
     if abs(state.norm_squared() - 1.0) > POSTSELECT_NORM_ATOL:
         raise ValueError("postselect_qubits expects a normalized state")
-    by_bins, probability = _qubit_vectors(state, spatial_modes)
+    modes = list(spatial_modes)
+    wanted = set(modes)
+    if not modes:
+        raise ValueError("empty mode list")
+    if len(wanted) != len(modes):
+        raise ValueError("duplicate spatial modes in post-selection list")
+    # Each temporal-bin pattern of the survivors is orthogonal to the others,
+    # so it gets its own qubit amplitude vector, and tracing the bins out
+    # sums their projectors.
+    by_bins: dict[tuple[str, ...], np.ndarray] = {}
+    probability = 0.0
+    for fbv, amp in state.items():
+        by_spatial = {lab.spatial: lab for lab in fbv}
+        if len(fbv) != len(modes) or by_spatial.keys() != wanted:
+            continue
+        labels = [by_spatial[m] for m in modes]
+        bins = tuple(lab.tbin for lab in labels)
+        vec = by_bins.setdefault(bins, np.zeros(2 ** len(modes), dtype=complex))
+        # The first qubit is the most significant bit of the index, and V is 1.
+        vec[sum(_POL_INDEX[lab.pol] << k for k, lab in enumerate(labels[::-1]))] += amp
+        probability += abs(amp) ** 2
     if probability <= POSTSELECT_MIN_PROBABILITY:
         return None, 0.0
     rho = sum(np.outer(vec, vec.conj()) for vec in by_bins.values()) / probability
-    return DensityMatrix(rho, list(spatial_modes)), probability
+    return DensityMatrix(rho, modes), probability
 
 
 @dataclass

@@ -28,9 +28,8 @@ from .fock import (
 )
 from .tolerances import UNITARY_ATOL
 
-# The one-photon image of a mode label: (output label, coefficient) pairs,
-# or None for a label the element or circuit leaves alone.
-Image = Optional[list[tuple[ModeLabel, complex]]]
+# The one-photon image of a mode label: (output label, coefficient) pairs.
+Image = list[tuple[ModeLabel, complex]]
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,8 @@ class Element:
         if np.max(np.abs(m.conj().T @ m - np.eye(2))) > UNITARY_ATOL:
             raise ValueError("element matrix is not unitary")
 
-    def image(self, lab: ModeLabel) -> Image:
+    def image(self, lab: ModeLabel) -> Optional[Image]:
+        """The image of ``lab``, or None if this element leaves it alone."""
         if self.spatial is not None and lab.spatial != self.spatial:
             return None
         value = getattr(lab, self.field)
@@ -105,22 +105,17 @@ def delay(spatial: int, overlap: float) -> Element:
 
 
 def _compose(label: ModeLabel, elements: Sequence) -> Image:
-    """One-photon image of ``label`` through the whole element list."""
+    """One-photon image of ``label`` through the whole element list; a label
+    no element touches is its own image, ``[(label, 1.0)]``."""
     current = {label: 1.0}
-    touched = False
     for element in elements:
         step: dict[ModeLabel, complex] = {}
         for lab, c in current.items():
-            image = element.image(lab)
-            if image is None:
-                step[lab] = step.get(lab, 0.0) + c
-                continue
-            touched = True
-            for target, d in image:
+            for target, d in element.image(lab) or [(lab, 1.0)]:
                 if d:
                     step[target] = step.get(target, 0.0) + c * d
         current = step
-    return [(lab, c) for lab, c in current.items() if c] if touched else None
+    return [(lab, c) for lab, c in current.items() if c]
 
 
 def _transform(state: PhotonicState, images: dict[ModeLabel, Image]) -> PhotonicState:
@@ -129,19 +124,15 @@ def _transform(state: PhotonicState, images: dict[ModeLabel, Image]) -> Photonic
     A basis vector with occupations n is prod_k (a_k^dag)^(n_k) |vac> /
     sqrt(prod n_k!); substituting each creation operator by its image and
     expanding gives, for every output occupation m, the sum over photon
-    routings times sqrt(prod m_j! / prod n_k!).  Photons on labels the map
-    leaves alone (image None) stay where they are.
+    routings times sqrt(prod m_j! / prod n_k!).
     """
     out: dict[Basis, complex] = {}
     for fbv, amp in state.items():
         work: dict[Basis, complex] = {(): amp}
         for lab in fbv:
-            image = images[lab]
-            if image is None:
-                image = [(lab, 1.0)]
             grown: dict[Basis, complex] = {}
             for base, a in work.items():
-                for target, c in image:
+                for target, c in images[lab]:
                     key = tuple(sorted(base + (target,)))
                     grown[key] = grown.get(key, 0.0) + a * c
             work = grown

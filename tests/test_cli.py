@@ -54,7 +54,7 @@ def run_module(*args, **env) -> subprocess.CompletedProcess:
 
 # Every shipped run, as the arguments of ``wexpand`` before ``--out``, in the
 # order one interpreter makes them: each config file under the scenario it
-# names, then four more; the fixture writes EXTRA_CONFIGS' files.
+# names, then four more; ``shipped_argvs`` writes EXTRA_CONFIGS' files.
 SHIPPED_RUNS = {
     path.stem: [json.loads(path.read_bytes())["scenario"], "--config", str(path)]
     for path in sorted(CONFIG_DIR.glob("*.json"))
@@ -80,19 +80,26 @@ MAIN_IN_TURN = ("import json, sys, wexpand.cli as c\n"
                 "assert all(c.main(a) == 0 for a in json.loads(sys.argv[1]))")
 
 
+def shipped_argvs(root: Path) -> dict[str, list[str]]:
+    """Each shipped run's arguments of ``wexpand`` before ``--out``, with
+    EXTRA_CONFIGS' files written under ``root``."""
+    for name, fields in EXTRA_CONFIGS.items():
+        (root / name).write_text(json.dumps(fields), encoding="utf-8")
+    return {name: [str(root / a) if a in EXTRA_CONFIGS else a for a in argv]
+            for name, argv in SHIPPED_RUNS.items()}
+
+
 @pytest.fixture(scope="module")
 def shipped_outputs(tmp_path_factory) -> Path:
     """Every shipped run's outputs under ``root/way/run/``: from a fresh
     process each FRESH_PROCESSES way, and from one interpreter that makes all
     runs in turn twice, so each also follows every other one there."""
     root = tmp_path_factory.mktemp("shipped")
-    for name, fields in EXTRA_CONFIGS.items():
-        (root / name).write_text(json.dumps(fields), encoding="utf-8")
+    runs = shipped_argvs(root)
 
     def argv(way, name):
         (root / way / name).mkdir(parents=True)
-        args = [str(root / a) if a in EXTRA_CONFIGS else a for a in SHIPPED_RUNS[name]]
-        return [*args, "--out", str(root / way / name / "report.json")]
+        return [*runs[name], "--out", str(root / way / name / "report.json")]
 
     in_turn = [argv(way, name) for way in ("one_interpreter", "one_interpreter_again")
                for name in SHIPPED_RUNS]
@@ -441,15 +448,6 @@ def test_scaling_rows_at_partial_overlap_match_the_fock_engine(shipped_outputs):
                 assert value == pytest.approx(smallest[name], abs=1e-10)
 
 
-def test_report_does_not_depend_on_the_output_path(tmp_path):
-    cfg_path = write_config(tmp_path, scenario="w3", seed=7, n_resamples=2)
-    paths = [tmp_path / "first.json", tmp_path / "sub" / "second.json"]
-    paths[1].parent.mkdir()
-    for path in paths:
-        assert main(["w3", "--config", str(cfg_path), "--out", str(path)]) == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
 def test_report_embeds_hash_and_version(shipped_outputs):
     config = load_config(CONFIG_DIR / "scaling.json")
     report = json.loads(shipped(shipped_outputs, "scaling"))
@@ -538,6 +536,18 @@ def test_report_bytes_are_those_of_the_stdlib_encoder(shipped_outputs, name):
     assert (_stdlib_text(json.loads(text)) + "\n").encode() == text
 
 
+@pytest.mark.parametrize(
+    "name", [name for name, argv in SHIPPED_RUNS.items() if argv[0] == "hom"]
+)
+def test_shipped_curve_holds_the_report_points(shipped_outputs, name):
+    # One row per report point, each with \r\n line ends, as a csv writer
+    # gives them.
+    points = json.loads(shipped(shipped_outputs, name))["results"]["points"]
+    rows = "".join(f"{d:.6f},{p:.12e}\r\n" for d, p in points)
+    expected = "delay_um,coincidence_probability\r\n" + rows
+    assert shipped(shipped_outputs, name, "report_curve.csv") == expected.encode()
+
+
 # The qubit order, post-selection rate and witness bound of each exact fit.
 EXACT_FITS = {"w3": ([4, 5, 6], 3 / 16, -0.33), "w4": ([0, 4, 5, 6], 1 / 8, -0.24)}
 
@@ -546,10 +556,11 @@ EXACT_FITS = {"w3": ([4, 5, 6], 3 / 16, -0.33), "w4": ([0, 4, 5, 6], 1 / 8, -0.2
     "name", [name for name, argv in SHIPPED_RUNS.items() if argv[0] in EXACT_FITS]
 )
 def test_shipped_fits_converge(shipped_outputs, name):
-    # Resamples start one shared Newton step from the fit.  Exact counts
-    # certify at the start, which for the pair fit is the W2 pair it was
-    # given, and give the W state back at the paper's rate.  The *_rho.json
-    # file holds the fitted matrix of the report.
+    # Every fit stops on its certificate.  Resamples start one shared Newton
+    # step from the fit.  Exact counts certify at the start, which for the
+    # pair fit is the W2 pair it was given, and give the W state back at the
+    # paper's rate.  The *_rho.json file holds the fitted matrix of the
+    # report.
     scenario, exact = SHIPPED_RUNS[name][0], "--exact" in SHIPPED_RUNS[name]
     results = json.loads(shipped(shipped_outputs, name))["results"]
     tomo = results["tomography"]
@@ -559,12 +570,17 @@ def test_shipped_fits_converge(shipped_outputs, name):
     pair = results.get("pair_source", {}).get("tomography")
     for fit in filter(None, [tomo, pair]):
         assert fit["converged"] is True, fit["stop_reason"]
+        assert fit["stop_reason"] == "certificate" and fit["certificate"] >= 0
+        assert 0 <= fit["newton_steps"] <= fit["iterations"]
         if exact:
-            assert fit["stop_reason"] == "certificate" and fit["iterations"] == 0
+            assert fit["iterations"] == 0
             assert fit["bootstrap"] is None and fit["bootstrap_fits"] is None
         else:
             fits = fit["bootstrap_fits"]
-            assert fits["unconverged"] == 0 and fits["iterations_p50"] <= 5, fits
+            assert fits["unconverged"] == 0, fits
+            assert fits["iterations_p50"] <= min(5, fits["iterations_p90"]), fits
+            assert fits["iterations_p90"] <= fits["iterations_max"], fits
+            assert 0 <= fits["newton_steps_max"] <= fits["iterations_max"], fits
     if not exact:
         return
     order, rate, witness = EXACT_FITS[scenario]
@@ -730,38 +746,14 @@ def test_pair_source_without_pairs_is_named(tmp_path, capsys):
 
 
 def test_no_scenario_builds_a_fock_state(monkeypatch, tmp_path):
-    # Every scenario reads the gate's one-photon images; the Fock engine is
-    # the tests' oracle only.
+    # Every shipped run reads the gate's one-photon images; the Fock engine
+    # is the tests' oracle only.
     def refuse(self, *args, **kwargs):
         raise AssertionError("a scenario built a Fock state")
 
     monkeypatch.setattr(fock.PhotonicState, "__init__", refuse)
-    overlap = write_config(tmp_path, scenario="scaling", overlap=0.926)
-    runs = [[s, "--config", str(CONFIG_DIR / f"{s}.json")] for s in SCENARIOS]
-    runs += [["scaling", "--config", str(overlap)], ["w3", "--exact"], ["w4", "--exact"]]
-    for i, argv in enumerate(runs):
-        assert main(argv + ["--out", str(tmp_path / f"{i}.json")]) == 0
-
-
-def test_main_hom_writes_curve(tmp_path):
-    cfg_path = write_config(
-        tmp_path,
-        scenario="hom",
-        nu=0.03,
-        delays_um=[-100.0, 0.0, 100.0],
-        visibility_target=0.85,
-    )
-    out = tmp_path / "hom_report.json"
-    assert main(["hom", "--config", str(cfg_path), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["results"]["visibility"] == pytest.approx(0.85, abs=1e-6)
-    # One row per report point, each with \r\n line ends, as a csv writer
-    # gives them.
-    points = report["results"]["points"]
-    assert [d for d, _ in points] == [-100.0, 0.0, 100.0]
-    rows = "".join(f"{d:.6f},{p:.12e}\r\n" for d, p in points)
-    expected = "delay_um,coincidence_probability\r\n" + rows
-    assert (tmp_path / "hom_report_curve.csv").read_bytes() == expected.encode()
+    for name, argv in shipped_argvs(tmp_path).items():
+        assert main([*argv, "--out", str(tmp_path / f"{name}_report.json")]) == 0, name
 
 
 def count_gate_runs(monkeypatch, module=gates) -> list:
@@ -805,6 +797,7 @@ def test_shipped_scaling_scenario_reads_four_gate_images(monkeypatch):
     assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "H"), mode(1, "V")])
     for row in rows[:8]:
         rho, probability = expanded_w(row["n"])
+        assert probability == pytest.approx(row["analytic"], abs=1e-10)
         assert row["simulated"] == pytest.approx(probability, abs=1e-12)
         assert row["fidelity"] == pytest.approx(
             fidelity(rho, gates.w_state_qubits(row["n"] + 2)), abs=1e-12
@@ -837,9 +830,10 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys, text):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text, encoding="utf-8")
     out = tmp_path / "report.json"
-    scenario = json.loads(text)["scenario"]
-    assert main([scenario, "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert "non-finite" in capsys.readouterr().err
+    fields = json.loads(text)
+    (name,) = [k for k, v in fields.items() if k != "scenario" and not np.isfinite(v).all()]
+    assert main([fields["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"field '{name}' holds a non-finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -990,6 +984,7 @@ def test_hom_visibility_is_the_model_dip_without_zero_delay():
         delays_um=[-100.0, 100.0],
     )
     results = run_scenario(config)["results"]
+    assert [d for d, _ in results["points"]] == config.delays_um
     assert results["visibility"] == pytest.approx(0.85, abs=1e-10)
     assert results["dip_minimum"] == min(p for _, p in results["points"])
 
@@ -1023,18 +1018,3 @@ def test_bootstrap_keys_mirror_the_statistics(config):
         assert errors.keys() == {"fidelity", "witness", "pairwise_eof"}
         assert errors["pairwise_eof"].keys() == tomo["pairwise_eof"].keys()
         assert all(value >= 0 for value in errors["pairwise_eof"].values())
-
-
-def test_sampled_report_summarizes_bootstrap_fits():
-    report = run_scenario(
-        ExperimentConfig(scenario="w3", seed=42, flux_per_setting=104.0, n_resamples=3)
-    )
-    tomo = report["results"]["tomography"]
-    assert tomo["stop_reason"] in ("certificate", "max_iter")
-    assert tomo["converged"] == (tomo["stop_reason"] == "certificate")
-    assert tomo["certificate"] >= 0.0
-    fits = tomo["bootstrap_fits"]
-    assert 0 <= fits["unconverged"] <= 3
-    assert fits["iterations_p50"] <= fits["iterations_p90"] <= fits["iterations_max"]
-    assert 0 <= fits["newton_steps_max"] <= fits["iterations_max"]
-    assert 0 <= tomo["newton_steps"] <= tomo["iterations"]

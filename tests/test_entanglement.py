@@ -66,12 +66,6 @@ def test_concurrence_reference_states():
     assert concurrence(product) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_concurrence_of_w_state_pairs_is_two_over_n():
-    for n in range(3, 7):
-        marginal = partial_trace(w_density(n), [0, 1])
-        assert concurrence(marginal) == pytest.approx(2 / n, abs=1e-10)
-
-
 def test_concurrence_matches_convex_roof_minimization():
     # Oracle: brute-force convex-roof minimization over four-term
     # decompositions of rank-2 states.  Any decomposition is Psi @ V with
@@ -115,37 +109,21 @@ def test_eof_frozen_values():
     assert binary_entropy(0.5) == pytest.approx(1.0)
 
 
-def test_eof_of_w4_pair_near_quoted_maximum():
-    marginal = partial_trace(w_density(4), [1, 2])
-    value = eof(marginal)
-    assert value == pytest.approx(EOF_AT_HALF, abs=1e-10)
-    assert value == pytest.approx(0.35, abs=5e-3)
-
-
-def test_witness_values():
-    assert witness_value(w_density(3)) == pytest.approx(-1 / 3, abs=1e-12)
-    assert witness_value(w_density(4)) == pytest.approx(-1 / 4, abs=1e-12)
-    mixed = DensityMatrix(np.eye(8) / 8, [0, 1, 2])
-    assert witness_value(mixed) == pytest.approx(2 / 3 - 1 / 8, abs=1e-12)
-    for n in range(3, 7):
-        assert witness_value(w_density(n)) == pytest.approx(-1 / n, abs=1e-12)
-
-
 def test_witness_value_is_the_operator_expectation():
-    # Oracle: Tr(W rho) with W = ((N-1)/N) 1 - |W_N><W_N| built here, on
-    # random mixed states.
+    # Oracle: Tr(W rho) with W = ((N-1)/N) 1 - |W_N><W_N| built here, on a
+    # random mixed state and the maximally mixed one.
     rng = np.random.default_rng(53)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         dim = 2**n
         w = w_state_qubits(n)
         operator = ((n - 1) / n) * np.eye(dim) - np.outer(w, w.conj())
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = x @ x.conj().T / np.trace(x @ x.conj().T).real
-        expected = np.trace(operator @ rho).real
-        assert witness_value(DensityMatrix(rho, list(range(n)))) == pytest.approx(
-            expected, abs=1e-12
-        )
-        assert witness_value(w_density(n)) == pytest.approx(-1 / n)
+        for rho in (x @ x.conj().T / np.trace(x @ x.conj().T).real, np.eye(dim) / dim):
+            expected = np.trace(operator @ rho).real
+            assert witness_value(DensityMatrix(rho, list(range(n)))) == pytest.approx(
+                expected, abs=1e-12
+            )
+        assert witness_value(w_density(n)) == pytest.approx(-1 / n, abs=1e-12)
 
 
 def test_pairwise_eof_tables():

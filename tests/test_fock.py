@@ -11,7 +11,6 @@ from wexpand.fock import (
     WiringError,
     coincidence_probability,
     mode,
-    _qubit_vectors,
     postselect_qubits,
     tensor,
     ORTHOGONAL,
@@ -139,10 +138,13 @@ def test_postselect_w3_projector():
 
 
 def test_postselect_missing_photon_flags_empty():
-    state = tensor(single_photon(4, "H"), single_photon(6, "V"))
-    rho, prob = postselect_qubits(state, [4, 5, 6])
-    assert rho is None
-    assert prob == 0.0
+    # Mode 5 is empty, then mode 4 holds both photons: no term has one
+    # photon per listed mode.
+    for state, modes in [
+        (tensor(single_photon(4, "H"), single_photon(6, "V")), [4, 5, 6]),
+        (number_state(4, "H", 2), [4, 5]),
+    ]:
+        assert postselect_qubits(state, modes) == (None, 0.0)
 
 
 def test_postselect_empty_mode_list_rejected():
@@ -199,38 +201,6 @@ def test_postselect_probability_matches_term_filter():
             if spatial.count(4) == 1 and spatial.count(5) == 1 and len(fbv) == 2:
                 expected += abs(amp) ** 2
         assert prob == pytest.approx(expected, abs=1e-12)
-
-
-def test_qubit_amplitudes_pure_projection():
-    w3 = photonic_w_state([4, 5, 6])
-    by_bins, prob = _qubit_vectors(w3, [4, 5, 6])
-    assert prob == pytest.approx(1.0)
-    (amps,) = by_bins.values()
-    assert amps[4] == pytest.approx(1 / math.sqrt(3))  # VHH
-    assert amps[2] == pytest.approx(1 / math.sqrt(3))  # HVH
-    assert amps[1] == pytest.approx(1 / math.sqrt(3))  # HHV
-
-
-def test_qubit_amplitudes_zero_when_nothing_survives():
-    # Two photons in mode 4 and none in mode 5: no term has one photon per
-    # listed mode.
-    state = number_state(4, "H", 2)
-    assert _qubit_vectors(state, [4, 5]) == ({}, 0.0)
-
-
-def test_qubit_vectors_keep_bin_patterns_apart():
-    f1 = basis_vector(
-        {mode(4, "H", PRINCIPAL): 1, mode(5, "V", ORTHOGONAL): 1}
-    )
-    f2 = basis_vector(
-        {mode(4, "V", ORTHOGONAL): 1, mode(5, "H", PRINCIPAL): 1}
-    )
-    state = PhotonicState({f1: 0.6, f2: 0.8})
-    by_bins, prob = _qubit_vectors(state, [4, 5])
-    assert prob == pytest.approx(1.0)
-    assert set(by_bins) == {(PRINCIPAL, ORTHOGONAL), (ORTHOGONAL, PRINCIPAL)}
-    assert np.array_equal(by_bins[PRINCIPAL, ORTHOGONAL], [0, 0.6, 0, 0])  # HV
-    assert np.array_equal(by_bins[ORTHOGONAL, PRINCIPAL], [0, 0, 0.8, 0])  # VH
 
 
 def test_coincidence_probability_threshold():

@@ -9,7 +9,6 @@ from wexpand.entanglement import fidelity
 from wexpand.fock import (
     ModeLabel,
     PhotonicState,
-    _qubit_vectors,
     mode,
     postselect_qubits,
     tensor,
@@ -35,7 +34,6 @@ from helpers import (
     expanded_w,
     fock_gate,
     photonic_single_excitation,
-    photonic_w_state,
     scaled,
     single_photon,
     spdc_pair,
@@ -53,39 +51,6 @@ def test_w_state_small_sizes():
     assert w2[0] == w2[3] == 0
     with pytest.raises(ValueError):
         w_state_qubits(0)
-
-
-def test_w3_density_matrix_has_nine_real_entries():
-    w3 = w_state_qubits(3)
-    rho = np.outer(w3, w3.conj())
-    nonzero = np.argwhere(np.abs(rho) > 1e-12)
-    assert len(nonzero) == 9
-    assert np.allclose(rho.imag, 0.0)
-    support = {1, 2, 4}  # HHV, HVH, VHH
-    assert {(i, j) for i, j in map(tuple, nonzero)} == {
-        (i, j) for i in support for j in support
-    }
-
-
-def test_v_input_expands_to_w3():
-    rho, prob = postselect_qubits(through_gate(single_photon(1, "V")), OUTPUT_MODES)
-    assert prob == pytest.approx(3 / 16, abs=1e-10)
-    assert fidelity(rho, w_state_qubits(3)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_w2_input_expands_to_w4_full_photonic():
-    state = through_gate(photonic_w_state([0, 1]))
-    rho, prob = postselect_qubits(state, (0,) + OUTPUT_MODES)
-    assert prob == pytest.approx(1 / 8, abs=1e-10)
-    assert fidelity(rho, w_state_qubits(4)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_expand_w_matches_analytic_scaling():
-    for n in range(1, 9):
-        rho, prob = expanded_w(n)
-        assert prob == pytest.approx(success_probability_analytic(n), abs=1e-10)
-        assert fidelity(rho, w_state_qubits(n + 2)) >= 1 - 1e-10
-        assert rho.qubit_order == untouched_mode_ids(n) + list(OUTPUT_MODES)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -154,9 +119,12 @@ def test_gate_conserves_the_v_photon_number(terms):
 
 
 def test_full_simulation_probability_at_n6():
-    # Oracle for the analytic formula: the full Fock-space run at N=6.
-    _, prob = expand_w_full_photonic(6)
-    assert prob == pytest.approx(1 / 12, abs=1e-10)
+    # Oracle for the analytic formula: the full Fock-space run at N=2 and 6
+    # gives W_{N+2} at (N+2)/(16N).
+    for n in (2, 6):
+        rho, prob = expand_w_full_photonic(n)
+        assert prob == pytest.approx((n + 2) / (16 * n), abs=1e-10)
+        assert fidelity(rho, w_state_qubits(n + 2)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_analytic_probability_values_and_limit():
@@ -177,22 +145,17 @@ def test_output_invariant_under_input_global_phase():
 
 
 def test_sign_plate_required_for_w3():
+    # Without the plate the V-input output is the pure state (-1, 1, 1)/sqrt(3)
+    # on VHH, HVH and HHV, at fidelity 1/9 with W3.
     without_plate = [e for e in GATE_ELEMENTS if e.field != "pol"]
     state = apply_circuit(
         tensor(single_photon(1, "V"), two_photon_ancilla()), without_plate
     )
-    (amps,) = _qubit_vectors(state, OUTPUT_MODES)[0].values()
-    # amplitude pattern (-1, 1, 1)/sqrt(3) after normalization
-    scaled = amps / np.linalg.norm(amps)
-    assert scaled[4] == pytest.approx(-1 / math.sqrt(3))
-    assert scaled[2] == pytest.approx(1 / math.sqrt(3))
-    assert scaled[1] == pytest.approx(1 / math.sqrt(3))
-
-    w3 = w_state_qubits(3)
-    overlap = np.vdot(w3, scaled)
-    assert overlap.real == pytest.approx(1 / 3, abs=1e-12)
     rho, _ = postselect_qubits(state, OUTPUT_MODES)
-    assert fidelity(rho, w3) == pytest.approx(1 / 9, abs=1e-12)
+    psi = np.zeros(8)
+    psi[[4, 2, 1]] = np.array([-1, 1, 1]) / math.sqrt(3)
+    assert np.abs(rho.matrix - np.outer(psi, psi)).max() <= 1e-12
+    assert fidelity(rho, w_state_qubits(3)) == pytest.approx(1 / 9, abs=1e-12)
 
 
 def test_partial_overlap_matches_closed_form():

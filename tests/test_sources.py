@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wexpand import sources
-from wexpand.cli import ExperimentConfig, load_config
+from wexpand.cli import ExperimentConfig
 from wexpand.entanglement import fidelity
 from wexpand.fock import (
     POLARIZATIONS,
@@ -48,23 +47,12 @@ from helpers import (
 )
 
 
-def test_two_photon_ancilla_normalized():
-    anc = two_photon_ancilla()
-    assert norm(anc) == pytest.approx(1.0)
-    assert [lab.spatial for lab in next(iter(anc.terms))].count(2) == 2
-
-
 def test_wcp_two_photon_amplitude_matches_series():
     # Oracle: coherent-state series amplitude exp(-nu/2) nu / sqrt(2);
     # truncation at n_max=4 shifts the norm by < 1e-5 at nu = 0.3.
     overlap = inner_product(two_photon_ancilla(), weak_coherent_pulse(0.3))
     expected = math.exp(-0.15) * 0.3 / math.sqrt(2)
-    assert overlap.real == pytest.approx(expected, rel=1e-5)
-
-
-def test_wcp_two_photon_probability():
-    overlap = inner_product(two_photon_ancilla(), weak_coherent_pulse(0.3))
-    assert abs(overlap) ** 2 == pytest.approx(math.exp(-0.3) * 0.3**2 / 2, rel=1e-4)
+    assert overlap == pytest.approx(expected, rel=1e-5)
 
 
 def test_wcp_zero_mean_is_vacuum():
@@ -122,33 +110,14 @@ def test_spdc_double_pair_amplitude_order_gamma():
         assert abs(amp) == pytest.approx(gamma / 2, rel=1e-2)
 
 
-def test_params_validation():
-    # The config checks each source setting once, in the scenarios that read
-    # it; the pulse weights guard nu themselves, since a negative nu would
-    # give wrong numbers without an error.
-    for scenario, bad in [
-        ("hom", {"nu": -0.1}),
-        ("hom", {"overlap": 1.1}),
-        ("w4", {"gamma": -0.1}),
-        ("w4", {"overlap": 1.1}),
-    ]:
-        with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
-            ExperimentConfig(scenario, exact=True, **bad).validate()
-    with pytest.raises(ValueError, match="nu"):
-        sources._poisson_weights(-0.1, N_MAX)
-
-
-@pytest.mark.parametrize("field", ["nu", "gamma", "coherence_length_um"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_params_reject_non_finite(tmp_path, field, value):
-    # A NaN nu would otherwise weight the dip table into NaN coefficients.
-    scenario = "w4" if field == "gamma" else "hom"
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"scenario": scenario, field: value}), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"'{field}' holds a non-finite number"):
-        load_config(path)
-    with pytest.raises(ValueError, match="nu must be finite"):
-        sources._poisson_weights(value, N_MAX)
+@pytest.mark.parametrize("nu", [-0.1, math.nan, math.inf])
+def test_pulse_weights_reject_a_bad_nu(nu):
+    # The config checks nu in the scenarios that read it; the pulse weights
+    # guard it themselves, since a negative or NaN nu would give wrong
+    # numbers without an error.
+    message = f"^nu must be finite and nonnegative, got {nu!r}$"
+    with pytest.raises(ValueError, match=message):
+        sources._poisson_weights(nu, N_MAX)
 
 
 def test_hom_curve_even_and_monotone():

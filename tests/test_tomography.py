@@ -111,13 +111,6 @@ def test_expected_probabilities_for_w3():
     assert exact_counts(mixed, 1.0) == pytest.approx([1 / 8] * 64)
 
 
-def test_sample_counts_deterministic_and_zero_prob():
-    a = sample_counts(RHO_W3, 104.0, seed=9)
-    b = sample_counts(RHO_W3, 104.0, seed=9)
-    assert a.tolist() == b.tolist()
-    assert a[SETTINGS_3.index(("V", "V", "V"))] == 0
-
-
 def test_sample_counts_poisson_mean():
     # Oracle: Poisson statistics; the empirical mean over many draws stays
     # within 3 sigma of flux * probability.
@@ -127,13 +120,6 @@ def test_sample_counts_poisson_mean():
     mean = np.mean(draws)
     sigma = np.sqrt(flux * p / len(draws))
     assert abs(mean - flux * p) < 3 * sigma
-
-
-def test_imlm_exact_w3_counts():
-    counts = exact_counts(RHO_W3, 104.0)
-    result = imlm_reconstruct(counts)
-    assert fidelity(result.rho, W3) >= 0.999
-    assert result.converged
 
 
 def test_imlm_recovers_maximally_mixed():
@@ -294,15 +280,6 @@ def test_bootstrap_keys_pairs_by_the_qubits_of_its_fit():
     fit = imlm_reconstruct(counts, qubit_order=[0, 4]).rho
     errors, _ = bootstrap_errors(counts, 3, seed=6, fit=fit)
     assert list(errors["pairwise_eof"]) == ["04"]
-
-
-def test_bootstrap_experiment_scale_error_order():
-    flux = flux_for_typical_count(RHO_W3, 104.0)
-    counts = sample_counts(RHO_W3, flux, seed=7)
-    fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6]).rho
-    errs, _ = bootstrap_errors(counts, 25, seed=11, fit=fit)
-    # order-of-magnitude agreement with the quoted +/- 0.042
-    assert 0.0042 <= errs["fidelity"] <= 0.42
 
 
 def test_born_probabilities_match_per_setting_traces():
