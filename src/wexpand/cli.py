@@ -30,7 +30,6 @@ from .fock import DensityMatrix
 from .gates import (
     MODE_INPUT,
     OUTPUT_MODES,
-    excitation_density,
     excitation_indices,
     expand,
     success_probability_analytic,
@@ -45,6 +44,7 @@ from .sources import (
 from .tomography import (
     bootstrap_errors,
     exact_counts,
+    excitation_probabilities,
     flux_for_typical_count,
     imlm_reconstruct,
     sample_counts,
@@ -262,13 +262,14 @@ def _child_seeds(seed: int | None, count: int) -> list[int]:
 
 
 def _tomography_block(
-    rho: DensityMatrix, config: ExperimentConfig, seeds: list[int]
+    probabilities, qubit_order: tuple, config: ExperimentConfig, seeds: list[int]
 ) -> dict:
-    """Shared tomography pipeline: counts, reconstruction, statistics.
+    """Shared tomography pipeline: counts from each setting's probability,
+    in ``default_settings`` order, their fit on ``qubit_order``, statistics.
 
     ``flux_per_setting`` is the detected-count scale (rate x acquisition
-    time) at a typical setting, so the Born-rule multiplier handed to the
-    samplers is flux / mean setting probability.  A flux so large that the
+    time) at a typical setting, so the multiplier that turns probabilities
+    into counts is flux / mean setting probability.  A flux so large that the
     counts, their sum or the fit's log-likelihood overflows is named in a
     ValueError: numpy raises on the overflow here instead of warning.  So
     is one so small that the multiplier, and with it every count, falls
@@ -276,21 +277,21 @@ def _tomography_block(
     """
     flux = f"flux_per_setting {config.flux_per_setting!r}"
     overflow = f"{flux} is too large: the counts or their fit overflow"
-    multiplier = flux_for_typical_count(rho, config.flux_per_setting)
+    multiplier = flux_for_typical_count(probabilities, config.flux_per_setting)
     if multiplier < np.finfo(float).tiny:
         raise ValueError(f"{flux} is too small: the counts underflow")
     with np.errstate(over="raise", invalid="raise"):
         try:
             if config.exact:
-                counts = exact_counts(rho, multiplier)
+                counts = exact_counts(probabilities, multiplier)
             else:
                 try:
-                    counts = sample_counts(rho, multiplier, seeds[0])
+                    counts = sample_counts(probabilities, multiplier, seeds[0])
                 except ValueError as exc:  # numpy: "lam value too large"
                     raise ValueError(f"cannot sample counts at {flux}: {exc}") from None
                 if not counts.any():
                     raise ValueError(f"{flux} drew no count in any setting")
-            result = imlm_reconstruct(counts, qubit_order=rho.qubit_order)
+            result = imlm_reconstruct(counts, qubit_order=qubit_order)
         except FloatingPointError:
             raise ValueError(overflow) from None
     if not math.isfinite(result.log_likelihood):
@@ -340,14 +341,14 @@ def _run_hom(config: ExperimentConfig) -> dict:
 def _run_w3(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(None if config.exact else config.seed, 2)
     expanded = expand(np.ones((1, 1)), config.overlap)
-    rho = excitation_density(expanded, OUTPUT_MODES)
+    probabilities = excitation_probabilities(expanded)
     return {
         "postselection": {
             "probability": float(np.trace(expanded).real),
             "analytic_ideal": success_probability_analytic(1),
             "overlap": config.overlap,
         },
-        "tomography": _tomography_block(rho, config, seeds),
+        "tomography": _tomography_block(probabilities, OUTPUT_MODES, config, seeds),
     }
 
 
@@ -362,10 +363,10 @@ def _run_w4(config: ExperimentConfig) -> dict:
 
     # The pair holds one V on modes 0 and 1; its photon in mode 1, the
     # last qubit, enters the gate.
-    single = np.ix_(excitation_indices(2), excitation_indices(2))
-    expanded = expand(pair_probability * sigma_pair.matrix[single], config.overlap)
+    pair = sigma_pair.matrix[np.ix_(excitation_indices(2), excitation_indices(2))]
+    expanded = expand(pair_probability * pair, config.overlap)
     try:
-        rho = excitation_density(expanded, (0,) + OUTPUT_MODES)
+        probabilities = excitation_probabilities(expanded)
     except ValueError as exc:
         raise ValueError(f"gamma {config.gamma!r} is too small: {exc}") from None
     raw_probability = float(np.trace(expanded).real)
@@ -375,7 +376,9 @@ def _run_w4(config: ExperimentConfig) -> dict:
             "fidelity_w2": fidelity(sigma_pair, w2),
             "eof": pairwise_eof_table([sigma_pair])[0][(0, MODE_INPUT)],
             "coincidence_probability": pair_probability,
-            "tomography": _tomography_block(sigma_pair, config, seeds[:2]),
+            "tomography": _tomography_block(
+                excitation_probabilities(pair), (0, MODE_INPUT), config, seeds[:2]
+            ),
         },
         "postselection": {
             "probability": raw_probability,
@@ -383,7 +386,9 @@ def _run_w4(config: ExperimentConfig) -> dict:
             "analytic_ideal_given_pair": success_probability_analytic(2),
             "overlap": config.overlap,
         },
-        "tomography": _tomography_block(rho, config, seeds[2:]),
+        "tomography": _tomography_block(
+            probabilities, (0,) + OUTPUT_MODES, config, seeds[2:]
+        ),
     }
 
 

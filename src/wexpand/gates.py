@@ -23,13 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .fock import DensityMatrix, ModeLabel, POLARIZATIONS, TEMPORAL_BINS, mode, H, V
+from .fock import ModeLabel, POLARIZATIONS, TEMPORAL_BINS, mode, H, V
 from .optics import _compose, beamsplitter, delay, wave_plate
-from .tolerances import POSTSELECT_MIN_PROBABILITY
 
 MODE_INPUT = 1
 MODE_ANCILLA = 2
@@ -88,19 +86,6 @@ def success_probability_analytic(n: int) -> float:
 def excitation_indices(n: int) -> list[int]:
     """Basis index of the n-qubit state with V on qubit i, for each i."""
     return [1 << (n - 1 - i) for i in range(n)]
-
-
-def excitation_density(matrix, qubit_order: Sequence[int]) -> DensityMatrix:
-    """The 2^n density matrix of an unnormalized single-excitation matrix
-    over the qubits of ``qubit_order``, normalized by its trace."""
-    matrix = np.asarray(matrix, dtype=complex)
-    probability = np.trace(matrix).real
-    if probability <= POSTSELECT_MIN_PROBABILITY:
-        raise ValueError("post-selection probability vanished")
-    n = len(qubit_order)
-    dense = np.zeros((2**n, 2**n), dtype=complex)
-    dense[np.ix_(excitation_indices(n), excitation_indices(n))] = matrix / probability
-    return DensityMatrix(dense, list(qubit_order))
 
 
 # Every temporal-bin pattern (b_4, b_5, b_6) of the three output photons,

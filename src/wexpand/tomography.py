@@ -30,6 +30,7 @@ from .tolerances import (
     IMLM_MAX_ITER,
     IMLM_PROBABILITY_FLOOR,
     IMLM_RANK_RTOL,
+    POSTSELECT_MIN_PROBABILITY,
 )
 
 # The key order is the label order of default_settings.
@@ -56,24 +57,20 @@ def default_settings(n_qubits: int) -> list[tuple]:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """The {H, V, D, R}^n settings of one qubit count, as a fit and the
-    count samplers need them.
+    """The {H, V, D, R}^n settings of one qubit count, as a fit needs them.
 
     Each row array holds one setting per row, in ``default_settings``
-    order, as interleaved (re, im) doubles.  ``projector_rows`` holds the
-    plain projectors P_j: ``projector_rows @ m.ravel().view(float)`` is
-    Re Tr(m P_j) for every setting at once.  ``povm_rows`` holds them in
-    the frame where they resolve the identity, E_j = G^(-1/2) P_j G^(-1/2)
-    with G = sum_j P_j: ``povm_rows @ sigma.ravel().view(float)`` gives the
-    predicted probabilities Tr(E_j sigma) of a Hermitian sigma, and
-    ``(w @ povm_rows).view(complex)`` the operator sum_j w_j E_j.
-    ``g_inv_sqrt`` maps a fitted sigma back to rho, and ``g_sqrt`` a rho
-    into the fit's frame.  ``inversion`` holds the dual basis D_j of the
-    E_j as columns, so ``(inversion @ f).view(complex)`` solves
-    Tr(E_j sigma) = f_j for a Hermitian sigma: linear inversion.
+    order, as interleaved (re, im) doubles.  ``povm_rows`` holds the setting
+    projectors P_j in the frame where they resolve the identity, E_j =
+    G^(-1/2) P_j G^(-1/2) with G = sum_j P_j: ``povm_rows @
+    sigma.ravel().view(float)`` gives the predicted probabilities Tr(E_j
+    sigma) of a Hermitian sigma, and ``(w @ povm_rows).view(complex)`` the
+    operator sum_j w_j E_j.  ``g_inv_sqrt`` maps a fitted sigma back to rho,
+    and ``g_sqrt`` a rho into the fit's frame.  ``inversion`` holds the dual
+    basis D_j of the E_j as columns, so ``(inversion @ f).view(complex)``
+    solves Tr(E_j sigma) = f_j for a Hermitian sigma: linear inversion.
     """
 
-    projector_rows: np.ndarray
     g_sqrt: np.ndarray
     g_inv_sqrt: np.ndarray
     povm_rows: np.ndarray
@@ -94,47 +91,59 @@ def measurement_model(n_qubits: int) -> MeasurementModel:
     povm = (g_inv_sqrt @ projectors @ g_inv_sqrt).reshape(4, 4)
     # The dual basis, Tr(E_j D_k) = delta_jk: D = Gram^-1 E, Gram_jk = Tr(E_j E_k).
     dual = np.linalg.solve((povm.conj() @ povm.T).real, povm)
-    one = [a.reshape(-1, 2, 2) for a in (projectors, g_sqrt, g_inv_sqrt, povm, dual)]
+    one = [a.reshape(-1, 2, 2) for a in (g_sqrt, g_inv_sqrt, povm, dual)]
     tables = one
     for dim in (2**k for k in range(2, n_qubits + 1)):
         tables = [
             np.einsum("jac,kbd->jkabcd", t, u).reshape(-1, dim, dim)
             for t, u in zip(tables, one)
         ]
-    projectors, (g_sqrt,), (g_inv_sqrt,), povm, dual = tables
-    rows, povm_rows, dual_rows = (
-        t.reshape(len(t), -1).view(np.float64) for t in (projectors, povm, dual)
-    )
+    (g_sqrt,), (g_inv_sqrt,), povm, dual = tables
+    povm_rows, dual_rows = (t.reshape(len(t), -1).view(np.float64) for t in (povm, dual))
     inversion = np.ascontiguousarray(dual_rows.T)
-    for array in (rows, g_sqrt, g_inv_sqrt, povm_rows, inversion):
+    for array in (g_sqrt, g_inv_sqrt, povm_rows, inversion):
         array.setflags(write=False)
-    return MeasurementModel(rows, g_sqrt, g_inv_sqrt, povm_rows, inversion)
+    return MeasurementModel(g_sqrt, g_inv_sqrt, povm_rows, inversion)
 
 
-def _born_probabilities(rho: DensityMatrix) -> np.ndarray:
-    """Tr(rho P_j) for every setting in one product; rounding can leave a
-    zero probability slightly negative, so the result is clipped at zero."""
-    m = np.ascontiguousarray(rho.matrix, dtype=complex)
-    rows = measurement_model(rho.n_qubits).projector_rows
-    return np.clip(rows @ m.reshape(-1).view(np.float64), 0.0, None)
+def excitation_probabilities(matrix) -> np.ndarray:
+    """Tr(rho P_j) for every setting, in ``default_settings`` order, of an
+    unnormalized n x n single-excitation matrix M as ``gates.expand`` gives
+    it, rho = M / Tr M: a_j^dagger rho a_j, where a_j[i] = k_i(V)
+    prod_{l != i} k_l(H) is the amplitude of the setting's kets k_l on V at
+    qubit i and H elsewhere, built in n Kronecker steps.  Rounding can leave
+    a zero slightly negative, so the result is clipped at zero."""
+    matrix = np.asarray(matrix, dtype=complex)
+    probability = np.trace(matrix).real
+    if probability <= POSTSELECT_MIN_PROBABILITY:
+        raise ValueError("post-selection probability vanished")
+    h, v = np.array(list(PROJECTOR_KETS.values())).T[:, :, None]
+    a = np.ones((1, 1))  # column 0 on all H, column i + 1 on V at qubit i
+    for _ in matrix:
+        a = np.concatenate((a[:, None] * h, a[:, None, :1] * v), axis=2)
+        a = a.reshape(-1, a.shape[2])
+    a = a[:, 1:]
+    born = np.einsum("ji,ji->j", a.conj() @ (matrix / probability), a).real
+    return np.clip(born, 0.0, None)
 
 
-def sample_counts(rho: DensityMatrix, multiplier: float, seed: int) -> np.ndarray:
+def sample_counts(probabilities, multiplier: float, seed: int) -> np.ndarray:
     """Poisson coincidence counts aligned with ``default_settings``, with
-    means ``multiplier`` x Tr(rho P_j), deterministic in the seed."""
+    means ``multiplier`` x the setting probabilities, deterministic in the
+    seed."""
     if multiplier <= 0:
         raise ValueError("count multiplier must be positive")
-    means = multiplier * _born_probabilities(rho)
+    means = multiplier * np.asarray(probabilities, dtype=float)
     return np.random.default_rng(seed).poisson(means)
 
 
-def exact_counts(rho: DensityMatrix, multiplier: float) -> np.ndarray:
-    """Noiseless expected coincidence numbers ``multiplier`` x Tr(rho P_j),
-    aligned with ``default_settings``."""
-    return multiplier * _born_probabilities(rho)
+def exact_counts(probabilities, multiplier: float) -> np.ndarray:
+    """Noiseless expected coincidence numbers ``multiplier`` x the setting
+    probabilities, aligned with ``default_settings``."""
+    return multiplier * np.asarray(probabilities, dtype=float)
 
 
-def flux_for_typical_count(rho: DensityMatrix, typical_count: float) -> float:
+def flux_for_typical_count(probabilities, typical_count: float) -> float:
     """Count multiplier that makes the average setting expect
     ``typical_count`` events.
 
@@ -142,7 +151,7 @@ def flux_for_typical_count(rho: DensityMatrix, typical_count: float) -> float:
     setting, so rate x acquisition time fixes flux x (mean Born probability),
     not flux itself.
     """
-    mean_p = float(np.mean(_born_probabilities(rho)))
+    mean_p = float(np.mean(np.asarray(probabilities, dtype=float)))
     if mean_p <= 0:
         raise ValueError("state assigns zero probability to every setting")
     return typical_count / mean_p

@@ -31,13 +31,18 @@ from wexpand.gates import (
     MODE_AUX,
     MODE_INPUT,
     OUTPUT_MODES,
-    excitation_density,
+    excitation_indices,
     expand,
     w_state_qubits,
 )
 from wexpand.optics import apply_circuit, apply_delay
 from wexpand.sources import N_MAX, _poisson_weights
-from wexpand.tomography import PROJECTOR_KETS, imlm_reconstruct, w_statistics
+from wexpand.tomography import (
+    PROJECTOR_KETS,
+    default_settings,
+    imlm_reconstruct,
+    w_statistics,
+)
 
 ZERO_NORM = 1e-300  # a state or vector of smaller norm cannot be normalized
 
@@ -131,6 +136,15 @@ def setting_projector(setting: Sequence[str]) -> np.ndarray:
     for label in setting:
         ket = np.kron(ket, PROJECTOR_KETS[label])
     return np.outer(ket, ket.conj())
+
+
+def born_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """Oracle for ``tomography.excitation_probabilities`` that takes any
+    state: Tr(rho P_j) for every setting of ``default_settings``, one dense
+    projector at a time, clipped at zero as the program's map is."""
+    settings = default_settings(rho.n_qubits)
+    traces = [np.trace(setting_projector(s) @ rho.matrix).real for s in settings]
+    return np.clip(traces, 0.0, None)
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -327,6 +341,17 @@ def expand_w_full_photonic(n: int, overlap: float = 1.0):
     rest = untouched_mode_ids(n)
     state = through_gate(photonic_w_state(rest + [MODE_INPUT]), overlap)
     return postselect_qubits(state, rest + list(OUTPUT_MODES))
+
+
+def excitation_density(matrix, qubit_order: Sequence[int]) -> DensityMatrix:
+    """The dense 2^n density matrix of an unnormalized single-excitation
+    matrix over the qubits of ``qubit_order``, normalized by its trace."""
+    matrix = np.asarray(matrix, dtype=complex)
+    n = len(qubit_order)
+    dense = np.zeros((2**n, 2**n), dtype=complex)
+    single = np.ix_(excitation_indices(n), excitation_indices(n))
+    dense[single] = matrix / np.trace(matrix).real
+    return DensityMatrix(dense, list(qubit_order))
 
 
 def expanded_w(n: int, overlap: float = 1.0) -> tuple[DensityMatrix, float]:

@@ -31,6 +31,7 @@ from wexpand.tomography import (
 )
 
 from helpers import (
+    born_probabilities,
     concurrence,
     density_from_pure,
     expanded_w,
@@ -138,7 +139,7 @@ def test_criterion_6_imlm_soundness():
         rho = x @ x.conj().T
         rho /= np.trace(rho).real
         counts = sample_counts(
-            DensityMatrix(rho, list(range(n))),
+            born_probabilities(DensityMatrix(rho, list(range(n)))),
             float(rng.uniform(20, 200)),
             seed=int(rng.integers(1 << 31)),
         )
@@ -149,9 +150,9 @@ def test_criterion_6_imlm_soundness():
 
     # (b) exact-probability reconstruction of the ideal three-qubit W state
     w3 = w_state_qubits(3)
-    rho_w3 = density_from_pure(w3, [4, 5, 6])
-    flux = flux_for_typical_count(rho_w3, 104.0)
-    exact_result = imlm_reconstruct(exact_counts(rho_w3, flux))
+    p_w3 = born_probabilities(density_from_pure(w3, [4, 5, 6]))
+    flux = flux_for_typical_count(p_w3, 104.0)
+    exact_result = imlm_reconstruct(exact_counts(p_w3, flux))
     fid_exact = fidelity(exact_result.rho, w3)
     assert fid_exact >= 0.999
 
@@ -160,13 +161,13 @@ def test_criterion_6_imlm_soundness():
     # setting probability.
     fidelities = []
     for seed in range(20):
-        counts = sample_counts(rho_w3, flux, seed)
+        counts = sample_counts(p_w3, flux, seed)
         result = imlm_reconstruct(counts)
         fidelities.append(fidelity(result.rho, w3))
     mean_fid = float(np.mean(fidelities))
     assert mean_fid >= 0.95
 
-    counts = sample_counts(rho_w3, flux, 7)
+    counts = sample_counts(p_w3, flux, 7)
     fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6])
     errors, _ = bootstrap_errors(counts, 30, seed=11, fit=fit.rho)
     assert 0.0042 <= errors["fidelity"] <= 0.42

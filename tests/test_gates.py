@@ -20,7 +20,6 @@ from wexpand.gates import (
     MODE_INPUT,
     OUTPUT_MODES,
     _image,
-    excitation_density,
     excitation_indices,
     expand,
     run_gate,
@@ -28,8 +27,10 @@ from wexpand.gates import (
     w_state_qubits,
 )
 from wexpand.optics import _compose, apply_circuit
+from wexpand.tomography import excitation_probabilities
 
 from helpers import (
+    excitation_density,
     expand_w_full_photonic,
     expanded_w,
     fock_gate,
@@ -85,7 +86,7 @@ def test_expand_rejects_a_bad_shape_or_qubit():
         with pytest.raises(ValueError, match="non-empty square matrix"):
             expand(rho)
     with pytest.raises(ValueError, match="vanished"):
-        excitation_density(np.zeros((3, 3)), OUTPUT_MODES)
+        excitation_probabilities(np.zeros((3, 3)))
 
 
 # A photon in mode 1 or 2 of either polarization and temporal bin.

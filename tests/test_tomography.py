@@ -20,6 +20,7 @@ from wexpand.tomography import (
     bootstrap_errors,
     default_settings,
     exact_counts,
+    excitation_probabilities,
     flux_for_typical_count,
     imlm_reconstruct,
     measurement_model,
@@ -28,8 +29,10 @@ from wexpand.tomography import (
 )
 
 from helpers import (
+    born_probabilities,
     cold_bootstrap,
     density_from_pure,
+    excitation_density,
     random_density,
     setting_projector,
     single_photon,
@@ -39,6 +42,7 @@ from helpers import (
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 W3 = w_state_qubits(3)
 RHO_W3 = density_from_pure(W3, [4, 5, 6])
+P_W3 = born_probabilities(RHO_W3)
 SETTINGS_3 = default_settings(3)
 
 
@@ -77,8 +81,6 @@ def test_measurement_model_matches_the_n_qubit_oracle(n):
     g_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
     povm = g_inv_sqrt @ projectors @ g_inv_sqrt
     model = measurement_model(n)
-    rows = model.projector_rows.view(complex).reshape(projectors.shape)
-    np.testing.assert_allclose(rows, projectors, rtol=0, atol=1e-15)
     np.testing.assert_allclose(
         model.povm_rows.view(complex).reshape(povm.shape), povm, rtol=0, atol=1e-15
     )
@@ -93,7 +95,7 @@ def test_zero_probability_settings_count_exactly_zero(n):
     # A Poisson draw at mean 0 takes no random number, and at mean 1e-17 it
     # does: a zero that rounding turns positive shifts every later count.
     rho = density_from_pure(w_state_qubits(n), list(range(n)))
-    probabilities = exact_counts(rho, 1.0)
+    probabilities = excitation_probabilities(np.ones((n, n)) / n)
     oracle = np.array(
         [np.trace(setting_projector(s) @ rho.matrix).real for s in default_settings(n)]
     )
@@ -104,11 +106,11 @@ def test_zero_probability_settings_count_exactly_zero(n):
 
 def test_expected_probabilities_for_w3():
     # At unit flux the expected counts are the Born probabilities.
-    probabilities = exact_counts(RHO_W3, 1.0)
+    probabilities = exact_counts(P_W3, 1.0)
     assert probabilities[SETTINGS_3.index(("V", "H", "H"))] == pytest.approx(1 / 3)
     assert probabilities[SETTINGS_3.index(("V", "V", "V"))] == pytest.approx(0.0)
     mixed = DensityMatrix(np.eye(8) / 8, [0, 1, 2])
-    assert exact_counts(mixed, 1.0) == pytest.approx([1 / 8] * 64)
+    assert exact_counts(born_probabilities(mixed), 1.0) == pytest.approx([1 / 8] * 64)
 
 
 def test_sample_counts_poisson_mean():
@@ -116,7 +118,7 @@ def test_sample_counts_poisson_mean():
     # within 3 sigma of flux * probability.
     flux, p = 50.0, 1 / 3
     vhh = SETTINGS_3.index(("V", "H", "H"))
-    draws = [sample_counts(RHO_W3, flux, seed)[vhh] for seed in range(400)]
+    draws = [sample_counts(P_W3, flux, seed)[vhh] for seed in range(400)]
     mean = np.mean(draws)
     sigma = np.sqrt(flux * p / len(draws))
     assert abs(mean - flux * p) < 3 * sigma
@@ -124,7 +126,7 @@ def test_sample_counts_poisson_mean():
 
 def test_imlm_recovers_maximally_mixed():
     mixed = DensityMatrix(np.eye(8) / 8, [0, 1, 2])
-    counts = exact_counts(mixed, 104.0)
+    counts = exact_counts(born_probabilities(mixed), 104.0)
     result = imlm_reconstruct(counts)
     assert trace_distance(result.rho.matrix, mixed.matrix) < 0.01
 
@@ -142,7 +144,9 @@ def test_imlm_fixed_point_on_full_rank_states():
     for trial in range(4):
         for n, dim in ((2, 4), (3, 8)):
             rho = random_density(rng, dim)
-            counts = exact_counts(DensityMatrix(rho, list(range(n))), 1e4)
+            counts = exact_counts(
+                born_probabilities(DensityMatrix(rho, list(range(n)))), 1e4
+            )
             result = imlm_reconstruct(counts, max_iter=5000)
             assert trace_distance(result.rho.matrix, rho) < 1e-3
 
@@ -151,7 +155,7 @@ def test_imlm_output_physical():
     rng = np.random.default_rng(41)
     for seed in range(5):
         rho = DensityMatrix(random_density(rng, 4, rank=2), [0, 1])
-        counts = sample_counts(rho, 30.0, seed=seed)
+        counts = sample_counts(born_probabilities(rho), 30.0, seed=seed)
         result = imlm_reconstruct(counts)
         eigs = np.linalg.eigvalsh(result.rho.matrix)
         assert eigs.min() >= -1e-10
@@ -212,14 +216,14 @@ def test_fidelity_invariant_under_common_reordering():
 
 
 def test_flux_for_typical_count():
-    flux = flux_for_typical_count(RHO_W3, 104.0)
-    mean_count = np.mean(exact_counts(RHO_W3, flux))
+    flux = flux_for_typical_count(P_W3, 104.0)
+    mean_count = np.mean(exact_counts(P_W3, flux))
     assert mean_count == pytest.approx(104.0)
 
 
 def test_bootstrap_deterministic_and_small_at_high_flux():
     rho = density_from_pure(w_state_qubits(2), [0, 1])
-    counts = exact_counts(rho, 1e7)
+    counts = exact_counts(born_probabilities(rho), 1e7)
     kwargs = dict(seed=5, fit=imlm_reconstruct(counts, qubit_order=[0, 1]).rho)
     errs_a, fits_a = bootstrap_errors(counts, 8, **kwargs)
     errs_b, fits_b = bootstrap_errors(counts, 8, **kwargs)
@@ -242,7 +246,7 @@ def test_bootstrap_spreads_every_statistic_of_w_statistics(monkeypatch):
         return [{**s, "extra": {"purity": p}} for s, p in zip(stats, batch)]
 
     monkeypatch.setattr(tomography, "w_statistics", extended)
-    counts = sample_counts(RHO_W3, 300.0, seed=3)
+    counts = sample_counts(P_W3, 300.0, seed=3)
     fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6]).rho
     errors, _ = bootstrap_errors(counts, 4, seed=2, fit=fit)
     assert list(errors) == ["fidelity", "witness", "pairwise_eof", "extra"]
@@ -267,7 +271,7 @@ def test_bootstrap_analyses_all_resample_fits_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(tomography, "pairwise_eof_table", tables)
     monkeypatch.setattr(tomography, "witness_value", witness)
-    counts = sample_counts(RHO_W3, 300.0, seed=3)
+    counts = sample_counts(P_W3, 300.0, seed=3)
     fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6]).rho
     bootstrap_errors(counts, 4, seed=2, fit=fit)
     assert calls == {"pairwise_eof_table": [4], "witness_value": 4}
@@ -276,24 +280,22 @@ def test_bootstrap_analyses_all_resample_fits_in_one_pass(monkeypatch):
 def test_bootstrap_keys_pairs_by_the_qubits_of_its_fit():
     # Every resample fit takes the qubit order of the fit it starts from.
     rho = density_from_pure(w_state_qubits(2), [0, 1])
-    counts = sample_counts(rho, 300.0, seed=4)
+    counts = sample_counts(born_probabilities(rho), 300.0, seed=4)
     fit = imlm_reconstruct(counts, qubit_order=[0, 4]).rho
     errors, _ = bootstrap_errors(counts, 3, seed=6, fit=fit)
     assert list(errors["pairwise_eof"]) == ["04"]
 
 
-def test_born_probabilities_match_per_setting_traces():
-    rng = np.random.default_rng(47)
-    for n in (1, 2, 3):
-        settings_n = default_settings(n)
-        rho = DensityMatrix(random_density(rng, 2**n), list(range(n)))
-        reference = [
-            np.trace(setting_projector(s) @ rho.matrix).real for s in settings_n
-        ]
-        counts = exact_counts(rho, 7.0)
-        assert counts == pytest.approx(
-            [7.0 * p for p in reference], abs=1e-12
-        )
+def test_count_functions_take_any_sequence():
+    # A list of probabilities and an int multiplier give what an array
+    # does, not the list repeated.
+    probabilities = [0.25, 0.75]
+    np.testing.assert_array_equal(exact_counts(probabilities, 2), [0.5, 1.5])
+    assert flux_for_typical_count(probabilities, 2) == 4.0
+    np.testing.assert_array_equal(
+        sample_counts(probabilities, 2, seed=3),
+        sample_counts(np.array(probabilities), 2.0, seed=3),
+    )
 
 
 def test_imlm_stop_is_count_scale_free():
@@ -302,10 +304,10 @@ def test_imlm_stop_is_count_scale_free():
     # on it after about as many iterations, at about the same fidelity.
     # Each starts from the maximally mixed state, since the default start of
     # exact counts is their state.
-    unit = flux_for_typical_count(RHO_W3, 1.0)
+    unit = flux_for_typical_count(P_W3, 1.0)
     iterations, fidelities = [], []
     for typical in (1.04, 104.0, 1.04e6):
-        counts = exact_counts(RHO_W3, unit * typical)
+        counts = exact_counts(P_W3, unit * typical)
         fit = imlm_reconstruct(counts, start=np.eye(8) / 8)
         assert fit.stop_reason == "certificate"
         assert fit.converged
@@ -321,7 +323,7 @@ def test_imlm_stop_is_count_scale_free():
 def test_imlm_iteration_cap_is_not_convergence():
     # Exact counts start the fit at their state, certified at iteration 0,
     # so the capped fit starts from the maximally mixed state.
-    counts = exact_counts(RHO_W3, 104.0)
+    counts = exact_counts(P_W3, 104.0)
     result = imlm_reconstruct(counts, max_iter=5, start=np.eye(8) / 8)
     assert result.iterations == 5
     assert result.stop_reason == "max_iter"
@@ -399,8 +401,10 @@ def count_sets(draw):
         rank = draw(st.integers(1, dim))
         rho = DensityMatrix(random_density(rng, dim, rank), list(range(n_qubits)))
         typical = draw(st.floats(0.05, 500.0))
-        multiplier = flux_for_typical_count(rho, typical)
-        counts = sample_counts(rho, multiplier, int(rng.integers(1 << 31))).tolist()
+        probabilities = born_probabilities(rho)
+        multiplier = flux_for_typical_count(probabilities, typical)
+        counts = sample_counts(probabilities, multiplier, int(rng.integers(1 << 31)))
+        counts = counts.tolist()
     assume(sum(counts) > 0)
     start = None
     if draw(st.booleans()):
@@ -457,7 +461,7 @@ def test_imlm_log_likelihoods_are_python_floats():
 
 def test_bootstrap_builds_the_measurement_model_once():
     measurement_model.cache_clear()
-    counts = sample_counts(RHO_W3, 300.0, seed=3)
+    counts = sample_counts(P_W3, 300.0, seed=3)
     fit = imlm_reconstruct(counts, qubit_order=[4, 5, 6])
     errs, fits = bootstrap_errors(counts, 4, seed=5, fit=fit.rho)
     assert measurement_model.cache_info().misses == 1
@@ -477,8 +481,8 @@ def test_bootstrap_builds_the_measurement_model_once():
 def w3_sampled_count_sets():
     """The experiment-scale sampled W3 count sets of acceptance criterion
     6(c)."""
-    flux = flux_for_typical_count(RHO_W3, 104.0)
-    return [sample_counts(RHO_W3, flux, seed) for seed in range(20)]
+    flux = flux_for_typical_count(P_W3, 104.0)
+    return [sample_counts(P_W3, flux, seed) for seed in range(20)]
 
 
 def test_certificate_is_checked_soon_after_it_first_holds():
@@ -537,8 +541,9 @@ def shipped_w3_fit():
     rho, _ = postselect_qubits(
         through_gate(single_photon(MODE_INPUT, "V"), config.overlap), OUTPUT_MODES
     )
-    flux = flux_for_typical_count(rho, config.flux_per_setting)
-    counts = sample_counts(rho, flux, count_seed)
+    probabilities = born_probabilities(rho)
+    flux = flux_for_typical_count(probabilities, config.flux_per_setting)
+    counts = sample_counts(probabilities, flux, count_seed)
     return counts, imlm_reconstruct(counts, qubit_order=rho.qubit_order), bootstrap_seed
 
 
@@ -614,7 +619,7 @@ def test_shared_newton_start_cuts_resample_iterations(monkeypatch):
 def sparse_w3_fit():
     """Sampled W3 counts at 5 per typical setting, their fit and the seed of
     their bootstrap."""
-    counts = sample_counts(RHO_W3, flux_for_typical_count(RHO_W3, 5.0), seed=2)
+    counts = sample_counts(P_W3, flux_for_typical_count(P_W3, 5.0), seed=2)
     return counts, imlm_reconstruct(counts, qubit_order=[4, 5, 6]), 2
 
 
@@ -752,3 +757,28 @@ def test_density_projection_is_the_nearest_density_matrix(case):
     # Variational property: every density matrix lies on the far side of
     # the plane through P(h) normal to h - P(h).
     assert np.vdot(h - p, rho - p).real <= 1e-10
+
+
+@st.composite
+def excitation_matrices(draw):
+    """An unnormalized complex PSD single-excitation matrix of 1 to 5
+    qubits, in which some qubits may never hold the V photon."""
+    n = draw(st.integers(1, 5))
+    x = draw(complex_matrices(n))
+    x[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    matrix = x @ x.conj().T
+    assume(np.trace(matrix).real > 1e-6)
+    return matrix
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(excitation_matrices())
+def test_excitation_probabilities_match_per_setting_traces(matrix):
+    # Each setting's probability is the trace of its projector with the
+    # dense state, and the settings that state gives exactly zero get
+    # exactly zero.  A complex matrix tells a_j^dagger M a_j from its
+    # conjugate, which no real matrix, as every shipped run builds, can.
+    probabilities = excitation_probabilities(matrix)
+    oracle = born_probabilities(excitation_density(matrix, range(len(matrix))))
+    np.testing.assert_allclose(probabilities, oracle, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(probabilities == 0, oracle == 0)
