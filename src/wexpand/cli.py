@@ -22,7 +22,18 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+# OpenBLAS reads its thread count once, when numpy loads it.  On one thread
+# its products and solves sum in one order, so a run's bytes do not depend
+# on the thread count of the caller, whose value is put back for child
+# processes.  A caller that loaded numpy first keeps its threads.
+_caller_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
+
+if _caller_threads is None:
+    del os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
 
 from . import __version__
 from .entanglement import fidelity, pairwise_eof_table

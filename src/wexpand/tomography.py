@@ -245,8 +245,14 @@ def _newton_system(sigma, r_op, freq, q, rows):
     eigenvectors of sigma = A A^dagger with its support first, to maximize
     F(A) = L / N - Tr(A A^dagger), whose maximum has trace one.  Along moves
     B the rows 2 Re<E_j A, B> make J; the gradient is (f / q - 1) J, as the
-    E_j sum to one, and the negated Hessian J^T diag(f / q^2) J -
-    2 Re<B, (R - 1) B>, which may be indefinite."""
+    E_j sum to one.  The negated Hessian is J^T diag(f / q^2) J less the
+    curvature 2 Re<B, (R - 1) B'> between the moves P C, which come after the
+    r^2 moves A S.  At an optimum (R - 1) A = 0, so the curvature of the
+    moves A S, left out, vanishes there; away from it their block is the
+    Fisher block, PSD (Hradil et al., Lect. Notes Phys. 649, 2004).  That
+    block has rank at most the number of nonzero f_j, so with fewer than r^2
+    it is singular, and the moves A S keep their curvature too.  The rest
+    may be indefinite."""
     dim = len(sigma)
     evals, evecs = (a[..., ::-1] for a in np.linalg.eigh(sigma))  # descending
     rank = int(np.count_nonzero(evals > IMLM_RANK_RTOL * evals[0]))
@@ -259,7 +265,9 @@ def _newton_system(sigma, r_op, freq, q, rows):
     factor = columns[:dim, :rank]
     probes = (rows.view(complex).reshape(-1, dim) @ factor).reshape(len(q), -1)
     jacobian = 2.0 * (probes.view(np.float64) @ flat.T)
-    hessian = (jacobian.T * (freq / q**2)) @ jacobian - 2.0 * (flat @ curved.T)
+    hessian = (jacobian.T * (freq / q**2)) @ jacobian
+    turns = rank * rank if np.count_nonzero(freq) >= rank * rank else 0
+    hessian[turns:, turns:] -= 2.0 * (flat[turns:] @ curved[turns:].T)
     return factor, flat, jacobian, hessian
 
 
@@ -324,8 +332,9 @@ def imlm_reconstruct(
     Knill & Girard, NJP 14, 095017, 2012) and stops once lambda_max - 1 <=
     IMLM_CERTIFICATE_RTOL, or at iteration max_iter.  While that gap e is at
     most _NEWTON_GAP, Newton steps on the support of sigma (``_newton_step``
-    along the ``_newton_system`` there) take the place of gradient steps as
-    long as each cuts e 10x.  No iteration lowers L.
+    along the ``_newton_system`` there, whose Hessian is exact at the optimum
+    and Fisher scoring within the support away from it) take the place of
+    gradient steps as long as each cuts e 10x.  No iteration lowers L.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative; got {max_iter}")

@@ -497,37 +497,29 @@ def test_shipped_configs_are_the_defaults(path):
     )
 
 
-def _leaves(node, where=""):
-    """(path, value) of every leaf of a tree of dicts and lists."""
-    if isinstance(node, (dict, list)):
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _leaves(value, f"{where}/{key}")
-    else:
-        yield where, node
-
-
 @pytest.mark.parametrize("name", SHIPPED_RUNS)
 @pytest.mark.parametrize(
     "way", [*list(FRESH_PROCESSES)[1:], "one_interpreter", "one_interpreter_again"]
 )
 def test_shipped_outputs_are_byte_identical(shipped_outputs, way, name):
-    # No byte may follow PYTHONHASHSEED's set order or what an earlier run
-    # left in the process (images, dip table, measurement model, tangent
-    # coordinates).  On two BLAS threads sampled w4's Newton Hessian sums in
-    # another order, so its floats may move in their last bits.
+    # No byte may follow PYTHONHASHSEED's set order, the caller's OpenBLAS
+    # thread count or what an earlier run left in the process (images, dip
+    # table, measurement model, tangent coordinates).
     want, got = ({p.name: p.read_bytes() for p in (shipped_outputs / w / name).iterdir()}
                  for w in ("hash_seed_1", way))
     assert got.keys() == want.keys()
     for file, text in want.items():
-        if way == "blas_threads_2" and name == "w4":
-            other, leaves = (dict(_leaves(json.loads(t))) for t in (got[file], text))
-            assert other.keys() == leaves.keys(), file
-            for where, value in leaves.items():
-                assert type(other[where]) is type(value), (file, where)
-                assert other[where] == value or type(value) is float and math.isclose(
-                    other[where], value, rel_tol=1e-9, abs_tol=1e-12), (file, where, value)
-        else:
-            assert got[file] == text, file
+        assert got[file] == text, file
+
+
+def test_cli_import_puts_back_the_callers_blas_threads():
+    # The CLI loads numpy on one OpenBLAS thread, then restores the
+    # caller's setting, so that a child process inherits it; unset stays
+    # unset.
+    show = "import os, wexpand.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_module("-c", show, OPENBLAS_NUM_THREADS="2").stdout == "2\n"
+    unset = "import os; del os.environ['OPENBLAS_NUM_THREADS']; " + show
+    assert run_module("-c", unset, OPENBLAS_NUM_THREADS="2").stdout == "None\n"
 
 
 @pytest.mark.parametrize("name", SHIPPED_RUNS)
