@@ -466,14 +466,18 @@ def run_scenario(config: ExperimentConfig) -> dict:
 
 
 def _overwrite(path, payload: bytes) -> None:
-    """Leave exactly ``payload`` in the file at ``path``: write over its old
-    bytes in place, then cut off any tail they leave. Every output file
-    goes through here; ``emit_report`` says why there is no O_TRUNC."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(payload)
+    """Leave exactly ``payload`` in the file at ``path``, written over its old
+    bytes in place. Every output file goes through here; see ``emit_report``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(fd, view):]
         # A device such as /dev/null has size 0 and cannot be truncated.
-        if os.fstat(fh.fileno()).st_size > len(payload):
-            fh.truncate()
+        if os.fstat(fd).st_size > len(payload):
+            os.ftruncate(fd, len(payload))
+    finally:
+        os.close(fd)
 
 
 def _write_json(value, write, indent: str) -> None:
@@ -515,9 +519,10 @@ def emit_report(report: dict, path) -> bytes:
     a plain str, int, float, bool or None (a numpy scalar, say), or a key
     that is not a str, raises TypeError. The report is serialized before
     any file is opened, so a NaN or infinity raises ValueError and leaves
-    ``path`` as it was. ``_overwrite`` writes over the old bytes in place,
-    which skips the flush ext4 starts when it closes a truncated file;
-    unlike ``Path.write_bytes``, a crash can leave old and new bytes mixed.
+    ``path`` as it was. ``_overwrite`` writes over the old bytes in place
+    by a loop of ``os.write`` on the descriptor, with no buffered file
+    object. With no O_TRUNC it skips the flush ext4 starts when it closes a
+    truncated file; unlike ``Path.write_bytes``, a crash can mix old and new.
     """
     chunks: list[str] = []
     _write_json(report, chunks.append, "\n")

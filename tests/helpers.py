@@ -45,6 +45,10 @@ from wexpand.tomography import (
 )
 
 ZERO_NORM = 1e-300  # a state or vector of smaller norm cannot be normalized
+# The EOF of concurrence 1/2 (a W4 pair) and 2/3 (a W3 pair), frozen from
+# the closed-form h((1+sqrt(1-C^2))/2), evaluated independently.
+EOF_AT_HALF = 0.35457890266527003
+EOF_AT_TWO_THIRDS = 0.5500477595827576
 
 VACUUM: Basis = ()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -32,7 +33,10 @@ from wexpand.entanglement import fidelity, witness_value
 from wexpand.fock import mode
 from wexpand.gates import run_gate
 
-from helpers import concurrence, expand_w_full_photonic, expanded_w, partial_trace
+from helpers import (
+    EOF_AT_HALF, EOF_AT_TWO_THIRDS, concurrence, expand_w_full_photonic, expanded_w,
+    partial_trace,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -540,8 +544,12 @@ def test_shipped_curve_holds_the_report_points(shipped_outputs, name):
     assert shipped(shipped_outputs, name, "report_curve.csv") == expected.encode()
 
 
-# The qubit order, post-selection rate and witness bound of each exact fit.
-EXACT_FITS = {"w3": ([4, 5, 6], 3 / 16, -0.33), "w4": ([0, 4, 5, 6], 1 / 8, -0.24)}
+# The qubit order, post-selection rate, witness bound and pair EOF of each
+# exact fit.
+EXACT_FITS = {
+    "w3": ([4, 5, 6], 3 / 16, -0.33, EOF_AT_TWO_THIRDS),
+    "w4": ([0, 4, 5, 6], 1 / 8, -0.24, EOF_AT_HALF),
+}
 
 
 @pytest.mark.parametrize(
@@ -575,13 +583,20 @@ def test_shipped_fits_converge(shipped_outputs, name):
             assert 0 <= fits["newton_steps_max"] <= fits["iterations_max"], fits
     if not exact:
         return
-    order, rate, witness = EXACT_FITS[scenario]
+    order, rate, witness, pair_eof = EXACT_FITS[scenario]
     assert tomo["density_matrix"]["qubit_order"] == order
     assert tomo["density_matrix"]["dim"] == 2 ** len(order)
     assert tomo["mode"] == "exact" and tomo["settings"] == 4 ** len(order)
     assert tomo["fidelity"] >= 0.999 and tomo["witness"] <= witness
     pairs = {f"{i}{j}" for i, j in itertools.combinations(order, 2)}
     assert tomo["pairwise_eof"].keys() == pairs
+    # Each pair marginal is rank-deficient, so its concurrence moves by
+    # O(sqrt(e)) under a move e ~ 1e-16 of the fitted matrix: the EOFs miss
+    # their analytic values by up to about 5e-8.
+    for fit, eof in [(tomo, pair_eof), (pair, 1.0)]:
+        if fit:
+            eofs = fit["pairwise_eof"]
+            assert max(abs(value - eof) for value in eofs.values()) < 1e-7, eofs
     post = results["postselection"]
     assert post.get("probability_given_pair", post["probability"]) == pytest.approx(
         rate, abs=1e-10
@@ -865,6 +880,35 @@ def test_shorter_report_over_a_longer_file_leaves_only_its_bytes(
         for path, file in zip(reused, ["report.json", f"report{side}"]):
             assert path.read_bytes() == shipped(shipped_outputs, name, file), file
         assert [path.stat().st_ino for path in reused] == inodes
+
+
+def test_short_writes_resume_at_the_first_unwritten_byte(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 100_000)
+    real_write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(real_write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    payload = emit_report(run_scenario(ExperimentConfig("scaling")), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == payload
+    assert len(sizes) == -(-len(payload) // 7)
+
+
+def test_failed_write_raises_and_closes_the_file(tmp_path, monkeypatch):
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(OSError) as raised:
+        emit_report({}, tmp_path / "report.json")
+    monkeypatch.undo()
+    assert raised.value.errno == errno.ENOSPC
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_report_through_a_symlink_rewrites_its_target(tmp_path):

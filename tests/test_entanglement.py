@@ -19,15 +19,12 @@ from wexpand.gates import excitation_indices, w_state_qubits
 from wexpand.tolerances import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL
 
 from helpers import (
-    concurrence, density_from_pure, eof, partial_trace, random_density, w_density
+    EOF_AT_HALF, EOF_AT_TWO_THIRDS, concurrence, density_from_pure, eof,
+    partial_trace, random_density, w_density,
 )
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 YY = np.kron(PAULI_Y, PAULI_Y)
-
-# frozen from the closed-form h((1+sqrt(1-C^2))/2), evaluated independently
-EOF_AT_HALF = 0.35457890266527003
-EOF_AT_TWO_THIRDS = 0.5500477595827576
 
 
 def test_partial_trace_of_w3_pair():
