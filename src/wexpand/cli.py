@@ -407,39 +407,32 @@ def _run_w4(config: ExperimentConfig) -> dict:
 SCALING_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64, 1024)
 
 
-def _smallest(block: np.ndarray) -> float | None:
-    """The smallest entry of a block, or None if it has no finite one."""
-    value = block.min(initial=np.inf)
-    return float(value) if value < np.inf else None
-
-
 def _run_scaling(config: ExperimentConfig) -> dict:
     # W_N is J/N, with J the N x N all-ones matrix, and the map is linear.
-    # So one expansion of the largest J, which accesses its last qubit,
-    # gives every row: its last N+2 rows and columns, divided by N.
-    largest = max(SCALING_SIZES)
-    expanded = expand(np.ones((largest, largest)), config.overlap)
+    # Whatever N is, the expansion of J holds s between untouched qubits, c_a
+    # between an untouched qubit and output a, and G on the outputs (see
+    # ``expand``), so the 2 x 2 J's expansion gives every row in closed form.
+    gate = expand(np.ones((2, 2)), config.overlap)
+    s, c, g = float(gate[0, 0].real), gate[0, 1:], gate[1:, 1:]
+    trace_g, sum_c, sum_g = (float(x.real) for x in (np.trace(g), c.sum(), g.sum()))
+    # No pair holds two V photons, so a pair's concurrence is 2|rho_ij|.
+    pair_c = 2 * float(np.abs(c).min())
+    pair_g = 2 * float(np.abs(g[~np.eye(3, dtype=bool)]).min())
     rows = []
     for n in SCALING_SIZES:
-        block = expanded[-(n + 2) :, -(n + 2) :] / n
-        probability = float(np.trace(block).real)
-        rho = block / probability
-        fid = float(rho.sum().real) / (n + 2)
-        # No pair holds two V photons, so a pair's concurrence is 2|rho_ij|.
-        pairs = 2 * np.abs(rho)
-        np.fill_diagonal(pairs, np.inf)
-        u = n - 1  # the untouched qubits come first
+        trace = s * (n - 1) + trace_g  # N times the success probability
+        fid = (s * (n - 1) ** 2 + 2 * (n - 1) * sum_c + sum_g) / (trace * (n + 2))
         rows.append(
             {
                 "n": n,
                 "analytic": success_probability_analytic(n),
-                "simulated": probability,
+                "simulated": trace / n,
                 "fidelity": fid,
                 "witness": (n + 1) / (n + 2) - fid,
                 "pair_concurrence": {
-                    "untouched_untouched": _smallest(pairs[:u, :u]),
-                    "untouched_new": _smallest(pairs[:u, u:]),
-                    "new_new": _smallest(pairs[u:, u:]),
+                    "untouched_untouched": 2 * s / trace if n > 2 else None,
+                    "untouched_new": pair_c / trace if n > 1 else None,
+                    "new_new": pair_g / trace,
                 },
             }
         )

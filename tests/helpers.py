@@ -366,6 +366,36 @@ def expanded_w(n: int, overlap: float = 1.0) -> tuple[DensityMatrix, float]:
     return excitation_density(expanded, order), float(np.trace(expanded).real)
 
 
+def scaling_row_by_expansion(n: int, overlap: float) -> dict:
+    """A ``scaling`` report row, less ``n`` and ``analytic``, read off the
+    expansion of the whole W_N = J/N matrix: its trace, its fidelity
+    sum(rho)/(N+2) and witness, and the smallest 2|rho_ij| over the pairs
+    of each class, None for a class with no pair.  The untouched qubits
+    come first."""
+    expanded = expand(np.ones((n, n)) / n, overlap)
+    probability = float(np.trace(expanded).real)
+    rho = expanded / probability
+    fid = float(rho.sum().real) / (n + 2)
+    pairs = 2 * np.abs(rho)
+    np.fill_diagonal(pairs, np.inf)
+    u = n - 1
+
+    def smallest(block):
+        value = block.min(initial=np.inf)
+        return float(value) if value < np.inf else None
+
+    return {
+        "simulated": probability,
+        "fidelity": fid,
+        "witness": (n + 1) / (n + 2) - fid,
+        "pair_concurrence": {
+            "untouched_untouched": smallest(pairs[:u, :u]),
+            "untouched_new": smallest(pairs[:u, u:]),
+            "new_new": smallest(pairs[u:, u:]),
+        },
+    }
+
+
 def cold_bootstrap(counts, n_resamples: int, seed: int, qubit_order) -> tuple[dict, int]:
     """Reference for ``tomography.bootstrap_errors``: the same Poisson
     resamples, each fitted by one ``imlm_reconstruct`` from its own default
