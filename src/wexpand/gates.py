@@ -15,19 +15,20 @@ on first use, and every call gets that same tuple.  The gate conserves
 the number of V photons, so a W-class input, one V among its qubits, stays
 in the single-excitation subspace at any overlap.  ``expand`` maps such a
 state, held as an (M x M) matrix, to its (M+2 x M+2) post-selected output
-from the images of the input photon and of an ancilla photon.
+from the principal-bin images of the input photon and of an ancilla photon:
+at overlap xi, xi^2 times the output of matched photons plus 1 - xi^2 times
+that of distinguishable ones, the same model as the dip's.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from .fock import ModeLabel, POLARIZATIONS, TEMPORAL_BINS, mode, H, V
-from .optics import _compose, beamsplitter, delay, wave_plate
+from .optics import _compose, beamsplitter, wave_plate
 
 MODE_INPUT = 1
 MODE_ANCILLA = 2
@@ -88,20 +89,11 @@ def excitation_indices(n: int) -> list[int]:
     return [1 << (n - 1 - i) for i in range(n)]
 
 
-# Every temporal-bin pattern (b_4, b_5, b_6) of the three output photons,
-# as indices into TEMPORAL_BINS.
-_BIN_PATTERNS = np.array(list(itertools.product((0, 1), repeat=3)))
-
-
-def _by_bins(image: tuple, pol: str) -> np.ndarray:
-    """(8, 3) array of a one-photon image's items: entry (b, i) is its
-    amplitude on polarization ``pol`` in output mode i and temporal bin b_i."""
+def _by_modes(image: tuple, pol: str) -> np.ndarray:
+    """A one-photon image's amplitudes on polarization ``pol`` in the output
+    modes 4, 5, 6, principal bin."""
     image = dict(image)
-    grid = np.array(
-        [[image.get(mode(m, pol, t), 0) for t in TEMPORAL_BINS] for m in OUTPUT_MODES],
-        dtype=complex,
-    )
-    return grid[np.arange(3), _BIN_PATTERNS]
+    return np.array([image.get(mode(m, pol), 0) for m in OUTPUT_MODES], dtype=complex)
 
 
 def expand(rho, overlap: float = 1.0) -> np.ndarray:
@@ -112,36 +104,42 @@ def expand(rho, overlap: float = 1.0) -> np.ndarray:
     the post-selected output: the M-1 untouched qubits in their order, then
     the output modes 4, 5, 6.  Its trace is the success probability.
 
-    An ancilla photon delayed to wavepacket overlap xi has the image
-    a = xi g_p + sqrt(1 - xi^2) g_o, with g_p and g_o the images of the two
-    temporal bins.  With the input photon's image u, one photon lands in
-    each output, at bin pattern b = (b_4, b_5, b_6), with amplitude
-    sqrt(2) sum_i u(i, b_i) prod_{j != i} a(j, b_j): the permanent of the
-    photons' amplitudes, with the ancilla row taken twice, over sqrt(2), the
-    norm of the two-photon ancilla.  Let h_b be that amplitude for
-    an H input on |HHH>, and v_b the three single-V amplitudes for a V
-    input.  With s = sum_b |h_b|^2, c = sum_b h_b v_b^* and
-    G = sum_b v_b v_b^dagger, the output holds s rho_ij between untouched
-    qubits, rho_ik c_a between untouched qubit i and output qubit a, and
-    rho_kk G on the outputs, with k the sent qubit.  The H image fills only
-    untouched rows, so a one-qubit input does without it.
+    With u the input photon's image and g the ancilla photon's, one photon
+    lands in each output with the input photon in output i at amplitude
+    w_i = sqrt(2) u_i prod_{j != i} g_j: the permanent of the photons'
+    amplitudes, with the ancilla row taken twice, over sqrt(2), the norm of
+    the two-photon ancilla.  Let h be w for an H input on |HHH>, and v the
+    three single-V amplitudes for a V input.  At wavepacket overlap xi
+    between the ancilla and the input photon, the output is xi^2 times the
+    coherent one (xi = 1) plus 1 - xi^2 times the incoherent one (xi = 0),
+    where the input photon's three routes no longer interfere: with
+    s = xi^2 |sum h|^2 + (1 - xi^2) sum |h|^2,
+    c = (xi^2 sum h + (1 - xi^2) h) v^* and
+    G = xi^2 v v^dagger + (1 - xi^2) diag |v|^2, it holds s rho_ij between
+    untouched qubits, rho_ik c_a between untouched qubit i and output qubit
+    a, and rho_kk G on the outputs, with k the sent qubit.  The H image
+    fills only untouched rows, so a one-qubit input does without it.
     """
     rho = np.asarray(rho, dtype=complex)
     m = len(rho)
     if m == 0 or rho.shape != (m, m):
         raise ValueError(f"need a non-empty square matrix; got shape {rho.shape}")
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap {overlap} outside [0, 1]")
 
-    delayed = delay(MODE_ANCILLA, overlap).image(mode(MODE_ANCILLA, H))
-    a = sum(c * _by_bins(run_gate(label), H) for label, c in delayed)
-    # sqrt(2) prod_{j != i} a(j, b_j), for the input photon in output i.
-    others = math.sqrt(2) * a[:, [1, 0, 0]] * a[:, [2, 2, 1]]
-    v = _by_bins(run_gate(mode(MODE_INPUT, V)), V) * others
+    xi2 = float(overlap) ** 2
+    g = _by_modes(run_gate(mode(MODE_ANCILLA, H)), H)
+    # sqrt(2) prod_{j != i} g_j, for the input photon in output i.
+    others = math.sqrt(2) * g[[1, 0, 0]] * g[[2, 2, 1]]
+    v = _by_modes(run_gate(mode(MODE_INPUT, V)), V) * others
     out = np.zeros((m + 2, m + 2), dtype=complex)
-    out[m - 1 :, m - 1 :] = rho[-1, -1] * (v.T @ v.conj())
+    gram = np.outer(v, v.conj())
+    out[m - 1 :, m - 1 :] = rho[-1, -1] * (xi2 * gram + (1 - xi2) * np.diag(gram.diagonal()))
     if m > 1:
-        h = (_by_bins(run_gate(mode(MODE_INPUT, H)), H) * others).sum(axis=1)
-        s = np.vdot(h, h).real
-        c = h @ v.conj()
+        h = _by_modes(run_gate(mode(MODE_INPUT, H)), H) * others
+        total = h.sum()
+        s = xi2 * abs(total) ** 2 + (1 - xi2) * np.vdot(h, h).real
+        c = (xi2 * total + (1 - xi2) * h) * v.conj()
         out[: m - 1, : m - 1] = s * rho[:-1, :-1]
         out[: m - 1, m - 1 :] = np.outer(rho[:-1, -1], c)
         out[m - 1 :, : m - 1] = np.outer(c.conj(), rho[-1, :-1])

@@ -818,14 +818,15 @@ def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
     assert labels == [mode(1, "H"), mode(2, "H")] * 2
 
 
-# The delayed ancilla photon enters mode 2 in both temporal bins.
-ANCILLA_IMAGES = [mode(2, "H"), mode(2, "H", "o")]
+# The ancilla photon's one image, in the principal bin: its overlap xi with
+# the input photon mixes the gate's xi = 1 and xi = 0 outputs by xi^2.
+ANCILLA_IMAGES = [mode(2, "H")]
 
 
-def test_shipped_scaling_scenario_reads_four_gate_images(monkeypatch):
+def test_shipped_scaling_scenario_reads_three_gate_images(monkeypatch):
     # Every row comes from one expansion of the 2 x 2 all-ones matrix, which
-    # reads the ancilla photon's two images and an H and a V photon's in
-    # mode 1: four in all.
+    # reads the ancilla photon's image and an H and a V photon's in mode 1:
+    # three in all.
     labels = count_gate_runs(monkeypatch)
     rows = run_scenario(load_config(CONFIG_DIR / "scaling.json"))["results"]["rows"]
     assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "H"), mode(1, "V")])
@@ -847,6 +848,16 @@ def test_w3_and_w4_expand_through_one_photon_runs(monkeypatch):
     labels.clear()
     run_scenario(ExperimentConfig(scenario="w4", exact=True))
     assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "H"), mode(1, "V")])
+
+
+def test_no_scenario_reads_an_orthogonal_bin_image(monkeypatch, tmp_path):
+    # Temporal bins live in the Fock oracle and optics.delay only: every
+    # shipped run, at xi < 1 too, asks the gate for principal-bin images.
+    labels = count_gate_runs(monkeypatch)
+    labels_hom = count_gate_runs(monkeypatch, sources)
+    for name, argv in shipped_argvs(tmp_path).items():
+        assert main([*argv, "--out", str(tmp_path / f"{name}_report.json")]) == 0, name
+    assert labels and all(label.tbin != fock.ORTHOGONAL for label in labels + labels_hom)
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,14 @@ def test_expand_rejects_a_bad_shape_or_qubit():
         excitation_probabilities(np.zeros((3, 3)))
 
 
+def test_expand_rejects_an_overlap_outside_the_unit_interval():
+    for overlap in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match=r"overlap .* outside \[0, 1\]"):
+            expand(np.ones((2, 2)), overlap)
+    for overlap in (0.0, 1.0):
+        assert np.trace(expand(np.ones((2, 2)), overlap)).real > 0
+
+
 # A photon in mode 1 or 2 of either polarization and temporal bin.
 PHOTONS = st.builds(
     mode, st.sampled_from((1, 2)), st.sampled_from("HV"), st.sampled_from(TEMPORAL_BINS)
@@ -164,9 +172,13 @@ def test_partial_overlap_matches_closed_form():
     # into bin cos = xi.  Both ancilla photons see the same delay, so the
     # success probability stays 3/16 for every xi, the three populations
     # stay 1/3, every coherence is xi^2/3, and the fidelity is (1+2xi^2)/3.
+    # expand, which mixes its xi = 1 and xi = 0 outputs by xi^2, gives the
+    # same single-excitation matrix with no temporal bin.
     w3 = w_state_qubits(3)
     support = (1, 2, 4)
     for xi in (0.0, 0.3, 0.6, 0.9, 1.0):
+        closed = 3 / 16 * ((1 - xi * xi) * np.eye(3) + xi * xi * np.ones((3, 3))) / 3
+        assert np.abs(expand(np.ones((1, 1)), xi) - closed).max() <= 1e-15
         state = through_gate(single_photon(1, "V"), xi)
         rho, prob = postselect_qubits(state, OUTPUT_MODES)
         assert prob == pytest.approx(3 / 16, abs=1e-12)
