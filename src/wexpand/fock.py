@@ -2,14 +2,14 @@
 bosonic Fock engine.
 
 A mode is labeled by (spatial path, polarization, temporal bin).  The
-scenarios use the labels and ``DensityMatrix`` only: every number they
-report follows from one photon's image through the gate.  The Fock engine
-is the reference the tests check them against; the tests build its states
-themselves.  A state is a sparse complex amplitude map over Fock basis
-vectors, each stored as the sorted tuple of its photons' mode labels.  All
-circuit evolution stays pure; mixedness enters only in
-``postselect_qubits``, which keeps one photon per listed spatial mode and
-traces the temporal bins out of the surviving polarization qubits.
+scenarios use ``DensityMatrix`` only: every number they report follows from
+the gate's transfer table.  The Fock engine is the reference the tests check
+them against; the tests build its states themselves.  A state is a sparse
+complex amplitude map over Fock basis vectors, each stored as the sorted
+tuple of its photons' mode labels.  All circuit evolution stays pure;
+mixedness enters only in ``postselect_qubits``, which keeps one photon per
+listed spatial mode and traces the temporal bins out of the surviving
+polarization qubits.
 """
 
 from __future__ import annotations

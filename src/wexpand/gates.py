@@ -9,25 +9,26 @@ one photon in each of the output modes 4, 5 and 6, which maps an N-qubit
 W state whose accessed qubit enters mode 1 onto the (N+2)-qubit W state
 with probability (N+2)/(16N).
 
-The gate is linear optics, so one photon's image through it, ``run_gate``,
-fixes every output.  Each input label's image is composed once per process,
-on first use, and every call gets that same tuple.  The gate conserves
-the number of V photons, so a W-class input, one V among its qubits, stays
-in the single-excitation subspace at any overlap.  ``expand`` maps such a
-state, held as an (M x M) matrix, to its (M+2 x M+2) post-selected output
-from the principal-bin images of the input photon and of an ancilla photon:
-at overlap xi, xi^2 times the output of matched photons plus 1 - xi^2 times
-that of distinguishable ones, the same model as the dip's.
+The gate is linear optics, so its one-photon map fixes every output.  A
+photon from mode 1 or 2 lands only on the output modes 4, 5, 6, in its own
+polarization and temporal bin; ``_TRANSFER`` holds its three amplitudes
+there, composed once at import from ``GATE_ELEMENTS``, and ``run_gate``
+looks them up.  The gate conserves the number of V photons, so a W-class
+input, one V among its qubits, stays in the single-excitation subspace at
+any overlap.  ``expand`` maps such a state, held as an (M x M) matrix, to
+its (M+2 x M+2) post-selected output from the amplitudes of the input photon
+and of an ancilla photon: at overlap xi, xi^2 times the output of matched
+photons plus 1 - xi^2 times that of distinguishable ones, the same model as
+the dip's.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .fock import ModeLabel, POLARIZATIONS, TEMPORAL_BINS, mode, H, V
+from .fock import mode, H, V
 from .optics import _compose, beamsplitter, wave_plate
 
 MODE_INPUT = 1
@@ -35,10 +36,6 @@ MODE_ANCILLA = 2
 MODE_INTERNAL = 3
 MODE_AUX = 7
 OUTPUT_MODES = (4, 5, 6)
-
-
-class GateInputError(ValueError):
-    """A photon was sent into the gate on a label that is not a gate input."""
 
 
 # The gate wiring, in propagation order.
@@ -51,21 +48,23 @@ GATE_ELEMENTS = (
 )
 
 
-@functools.cache
-def _image(label: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
-    return tuple(_compose(label, GATE_ELEMENTS))
+# (spatial, pol) -> amplitudes on outputs 4, 5, 6 of a photon from input
+# mode 1 or 2; the two columns of each polarization form its 3 x 2 transfer
+# matrix.
+_TRANSFER = {
+    (m, pol): tuple(
+        complex(dict(_compose(mode(m, pol), GATE_ELEMENTS)).get(mode(out, pol), 0))
+        for out in OUTPUT_MODES
+    )
+    for pol in (H, V)
+    for m in (MODE_INPUT, MODE_ANCILLA)
+}
 
 
-def run_gate(label: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
-    """The gate's image of one photon entering on ``label``, as (output
-    label, amplitude) items.  Only modes 1 and 2 are gate inputs."""
-    known = label.pol in POLARIZATIONS and label.tbin in TEMPORAL_BINS
-    if label.spatial not in (MODE_INPUT, MODE_ANCILLA) or not known:
-        raise GateInputError(
-            f"gate inputs are modes {MODE_INPUT} and {MODE_ANCILLA}, polarization "
-            f"{POLARIZATIONS} and bin {TEMPORAL_BINS}; got {label!r}"
-        )
-    return _image(label)
+def run_gate(spatial: int, pol: str) -> tuple[complex, complex, complex]:
+    """The amplitudes on the output modes 4, 5, 6 of one photon entering on
+    spatial mode ``spatial`` (1 or 2) with polarization ``pol``."""
+    return _TRANSFER[spatial, pol]
 
 
 def w_state_qubits(n: int) -> np.ndarray:
@@ -89,13 +88,6 @@ def excitation_indices(n: int) -> list[int]:
     return [1 << (n - 1 - i) for i in range(n)]
 
 
-def _by_modes(image: tuple, pol: str) -> np.ndarray:
-    """A one-photon image's amplitudes on polarization ``pol`` in the output
-    modes 4, 5, 6, principal bin."""
-    image = dict(image)
-    return np.array([image.get(mode(m, pol), 0) for m in OUTPUT_MODES], dtype=complex)
-
-
 def expand(rho, overlap: float = 1.0) -> np.ndarray:
     """Send the last qubit of a single-excitation state through the gate.
 
@@ -104,11 +96,11 @@ def expand(rho, overlap: float = 1.0) -> np.ndarray:
     the post-selected output: the M-1 untouched qubits in their order, then
     the output modes 4, 5, 6.  Its trace is the success probability.
 
-    With u the input photon's image and g the ancilla photon's, one photon
-    lands in each output with the input photon in output i at amplitude
-    w_i = sqrt(2) u_i prod_{j != i} g_j: the permanent of the photons'
-    amplitudes, with the ancilla row taken twice, over sqrt(2), the norm of
-    the two-photon ancilla.  Let h be w for an H input on |HHH>, and v the
+    With u the input photon's ``run_gate`` amplitudes and g the ancilla
+    photon's, one photon lands in each output with the input photon in
+    output i at amplitude w_i = sqrt(2) u_i prod_{j != i} g_j: the permanent
+    of the photons' amplitudes, with the ancilla row taken twice, over
+    sqrt(2), the norm of the two-photon ancilla.  Let h be w for an H input on |HHH>, and v the
     three single-V amplitudes for a V input.  At wavepacket overlap xi
     between the ancilla and the input photon, the output is xi^2 times the
     coherent one (xi = 1) plus 1 - xi^2 times the incoherent one (xi = 0),
@@ -117,8 +109,8 @@ def expand(rho, overlap: float = 1.0) -> np.ndarray:
     c = (xi^2 sum h + (1 - xi^2) h) v^* and
     G = xi^2 v v^dagger + (1 - xi^2) diag |v|^2, it holds s rho_ij between
     untouched qubits, rho_ik c_a between untouched qubit i and output qubit
-    a, and rho_kk G on the outputs, with k the sent qubit.  The H image
-    fills only untouched rows, so a one-qubit input does without it.
+    a, and rho_kk G on the outputs, with k the sent qubit.  The H amplitudes
+    fill only untouched rows, so a one-qubit input does without them.
     """
     rho = np.asarray(rho, dtype=complex)
     m = len(rho)
@@ -128,15 +120,15 @@ def expand(rho, overlap: float = 1.0) -> np.ndarray:
         raise ValueError(f"overlap {overlap} outside [0, 1]")
 
     xi2 = float(overlap) ** 2
-    g = _by_modes(run_gate(mode(MODE_ANCILLA, H)), H)
+    g = np.array(run_gate(MODE_ANCILLA, H))
     # sqrt(2) prod_{j != i} g_j, for the input photon in output i.
     others = math.sqrt(2) * g[[1, 0, 0]] * g[[2, 2, 1]]
-    v = _by_modes(run_gate(mode(MODE_INPUT, V)), V) * others
+    v = np.array(run_gate(MODE_INPUT, V)) * others
     out = np.zeros((m + 2, m + 2), dtype=complex)
     gram = np.outer(v, v.conj())
     out[m - 1 :, m - 1 :] = rho[-1, -1] * (xi2 * gram + (1 - xi2) * np.diag(gram.diagonal()))
     if m > 1:
-        h = _by_modes(run_gate(mode(MODE_INPUT, H)), H) * others
+        h = np.array(run_gate(MODE_INPUT, H)) * others
         total = h.sum()
         s = xi2 * abs(total) ** 2 + (1 - xi2) * np.vdot(h, h).real
         c = (xi2 * total + (1 - xi2) * h) * v.conj()

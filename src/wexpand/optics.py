@@ -2,10 +2,11 @@
 
 Every element is a unitary one-photon map: a creation operator on an input
 mode is replaced by a linear combination of creation operators on output
-modes.  ``_compose`` gives a photon's image through a whole circuit, which is
-all the scenarios read.  ``apply_circuit`` lifts that map to a sparse Fock
-state once, for the tests' reference runs; it conserves total photon number
-and state norm exactly (up to float rounding).
+modes.  ``_compose`` gives a photon's image through a whole circuit, from
+which ``gates`` builds the transfer table that the scenarios read.
+``apply_circuit`` lifts that map to a sparse Fock state once, for the tests'
+reference runs; it conserves total photon number and state norm exactly (up to
+float rounding).
 """
 
 from __future__ import annotations

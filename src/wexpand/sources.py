@@ -2,7 +2,7 @@
 
 A heralded single photon meets a weak coherent pulse (WCP), which stands in
 experimentally for the gate's two-photon Fock ancilla.  The threefold
-coincidence follows from the gate's one-photon images of the two photons,
+coincidence follows from the gate's amplitudes for the two photons,
 weighted over the pulse's photon number, and the delay scan maps out the
 Hong-Ou-Mandel dip.
 """
@@ -14,8 +14,8 @@ import math
 import sys
 from typing import Sequence
 
-from .fock import mode, H
-from .gates import MODE_ANCILLA, MODE_INPUT, OUTPUT_MODES, run_gate
+from .fock import H
+from .gates import MODE_ANCILLA, MODE_INPUT, run_gate
 
 
 # Photon-number truncation of the coherent pulse.
@@ -50,25 +50,21 @@ def delay_overlap(delay_um: float, coherence_length_um: float) -> float:
 def _dip_table(
     u: tuple, v: tuple, n_max: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(A_n, B_n), n <= n_max, memoized on the two images: with one photon of
-    output amplitudes ``u`` and n of amplitudes ``v``, each a tuple of
-    (label, amplitude) items as ``gates.run_gate`` returns them, at overlap xi,
-    modes 4 and 5 both hold a photon with probability A_n + B_n xi^2.
+    """(A_n, B_n), n <= n_max, memoized on the two amplitude vectors: with
+    one photon of output amplitudes ``u`` and n of amplitudes ``v``, as
+    ``gates.run_gate`` returns them, at overlap xi, the detectors at indices
+    0 and 1 (modes 4 and 5) both hold a photon with probability
+    A_n + B_n xi^2.
 
-    Restricted to the labels outside a set S of spatial modes, u_S and v_S
-    leave S dark with probability ||a_u+ (a_v+)^n |0>||^2 / n! =
+    Restricted to the indices outside a set S, u_S and v_S leave S dark with
+    probability ||a_u+ (a_v+)^n |0>||^2 / n! =
     |u_S|^2 |v_S|^(2n) + xi^2 n |<u_S, v_S>|^2 |v_S|^(2n - 2), and
-    inclusion-exclusion over S in {}, {4}, {5}, {4, 5} gives the table.  One
+    inclusion-exclusion over S in {}, {0}, {1}, {0, 1} gives the table.  One
     photon cannot fire two detectors, so the n = 0 row is exactly zero.
-    Labels are summed in sorted order, not in the order of a set.
     """
-    u, v = dict(u), dict(v)
-    labels = sorted(u.keys() | v.keys())
     flat, slope = [0.0] * (n_max + 1), [0.0] * (n_max + 1)
-    first, second = OUTPUT_MODES[:2]  # the detectors, modes 4 and 5
-    terms = ((1, ()), (-1, (first,)), (-1, (second,)), (1, (first, second)))
-    for sign, dark in terms:
-        kept = [(u.get(k, 0j), v.get(k, 0j)) for k in labels if k.spatial not in dark]
+    for sign, dark in ((1, ()), (-1, (0,)), (-1, (1,)), (1, (0, 1))):
+        kept = [pair for i, pair in enumerate(zip(u, v)) if i not in dark]
         uu = sum(abs(a) ** 2 for a, _ in kept)
         vv = sum(abs(b) ** 2 for _, b in kept)
         uv = abs(sum(a.conjugate() * b for a, b in kept)) ** 2
@@ -87,12 +83,13 @@ def dip_coefficients(nu: float) -> tuple[float, float]:
     affine in xi^2 because threshold detection adds the temporal bins of the
     delayed pulse in probability.  With n pulse photons the coincidence of
     the herald, which always clicks, and modes 4 and 5 is the ``_dip_table``
-    of the gate's images of the input photon and a pulse photon, so neither
-    coefficient depends on the overlap or the pulse phase; memoized on the
-    images, the table leaves only the weighting per ``nu``.  ``a`` is the
-    level far outside the dip, where the photons are fully distinguishable.
+    of the gate's amplitudes for the input photon and a pulse photon, so
+    neither coefficient depends on the overlap or the pulse phase; memoized
+    on the amplitudes, the table leaves only the weighting per ``nu``.
+    ``a`` is the level far outside the dip, where the photons are fully
+    distinguishable.
     """
-    u, v = (run_gate(mode(m, H)) for m in (MODE_INPUT, MODE_ANCILLA))
+    u, v = (run_gate(m, H) for m in (MODE_INPUT, MODE_ANCILLA))
     flat, slope = _dip_table(u, v, N_MAX)
     weights = _poisson_weights(nu, N_MAX)
     total = sum(weights)

@@ -2,7 +2,7 @@
 
 The Fock-space oracle sends whole photonic states through the gate's
 elements with ``optics.apply_circuit``, where the program reads only the
-gate's one-photon images.  The states it starts from, number states and the
+gate's transfer table.  The states it starts from, number states and the
 creation operator that builds the sources, live here too: no scenario
 builds a Fock state.
 """
@@ -190,7 +190,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 
 def dip_table_by_enumeration(
-    u: dict, v: dict, n_max: int
+    u: Sequence[complex], v: Sequence[complex], n_max: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Oracle for ``sources._dip_table``: every arrangement of the one photon
     of output amplitudes ``u`` and the n photons of amplitudes ``v``.
@@ -199,15 +199,13 @@ def dip_table_by_enumeration(
     m_a s_a, s_a = sqrt(n! / prod m!) u_a v^(m - a).  Their probability is
     |sum_a m_a s_a|^2 at xi = 1, where the photons interfere, and
     sum_a m_a |s_a|^2 at xi = 0, where they do not.  Only the arrangements
-    with photons at modes 4 and 5 count."""
-    labels = sorted(u.keys() | v.keys())
-    u, v = ([amps.get(lab, 0.0) for lab in labels] for amps in (u, v))
-    ids = range(len(labels))
+    with photons at both detectors, indices 0 and 1, count."""
+    ids = range(len(u))
     flat, slope = [], []
     for n in range(n_max + 1):
         distinguishable = matched = 0.0
         for out in itertools.combinations_with_replacement(ids, n + 1):
-            if not {4, 5} <= {labels[j].spatial for j in out}:
+            if not {0, 1} <= set(out):
                 continue
             m = [out.count(j) for j in ids]
             root = math.sqrt(math.factorial(n) / math.prod(map(math.factorial, m)))

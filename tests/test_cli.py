@@ -31,7 +31,6 @@ from wexpand.cli import (
     run_scenario,
 )
 from wexpand.entanglement import fidelity, witness_value
-from wexpand.fock import mode
 from wexpand.gates import run_gate
 
 from helpers import (
@@ -533,8 +532,8 @@ def test_shipped_configs_are_the_defaults(path):
 )
 def test_shipped_outputs_are_byte_identical(shipped_outputs, way, name):
     # No byte may follow PYTHONHASHSEED's set order, the caller's OpenBLAS
-    # thread count or what an earlier run left in the process (images, dip
-    # table, measurement model, tangent coordinates).
+    # thread count or what an earlier run left in the process (dip table,
+    # measurement model, tangent coordinates).
     want, got = ({p.name: p.read_bytes() for p in (shipped_outputs / w / name).iterdir()}
                  for w in ("hash_seed_1", way))
     assert got.keys() == want.keys()
@@ -655,26 +654,6 @@ def test_exact_report_does_not_depend_on_seed_or_resamples(
     assert config_sha256(resampled) == config_sha256(ExperimentConfig(scenario, exact=True))
 
 
-def test_dip_table_does_not_depend_on_the_hash_seed():
-    # The gate's one-photon outputs sum to the same bits in any order, so
-    # the hom report alone cannot show an order that follows the hash seed;
-    # a table over more labels with random amplitudes does.
-    script = (
-        "import numpy as np\n"
-        "from wexpand.fock import POLARIZATIONS, TEMPORAL_BINS, mode\n"
-        "from wexpand.sources import _dip_table\n"
-        "rng = np.random.default_rng(3)\n"
-        "labels = [mode(m, p, b) for m in range(8) for p in POLARIZATIONS\n"
-        "          for b in TEMPORAL_BINS]\n"
-        "u, v = (tuple((lab, complex(*rng.normal(size=2))) for lab in labels)\n"
-        "        for _ in 'uv')\n"
-        "print(repr(_dip_table(u, v, 4)))\n"
-    )
-    tables = [run_module("-c", script, PYTHONHASHSEED=k) for k in ("1", "2")]
-    assert all(done.returncode == 0 for done in tables), tables[0].stderr
-    assert tables[0].stdout == tables[1].stdout
-
-
 @pytest.mark.parametrize("scenario", ["w3", "w4"])
 def test_exact_run_skips_the_domains_of_what_it_does_not_read(
     shipped_outputs, tmp_path, capsys, scenario
@@ -779,8 +758,8 @@ def test_pair_source_without_pairs_is_named(tmp_path, capsys):
 
 
 def test_no_scenario_builds_a_fock_state(monkeypatch, tmp_path):
-    # Every shipped run reads the gate's one-photon images; the Fock engine
-    # is the tests' oracle only.
+    # Every shipped run reads the gate's transfer table; the Fock engine is
+    # the tests' oracle only.
     def refuse(self, *args, **kwargs):
         raise AssertionError("a scenario built a Fock state")
 
@@ -790,46 +769,46 @@ def test_no_scenario_builds_a_fock_state(monkeypatch, tmp_path):
 
 
 def count_gate_runs(monkeypatch, module=gates) -> list:
-    """Patch ``module``'s gate to record the input label of each one-photon
-    image."""
-    labels = []
+    """Patch ``module``'s gate to record the (spatial, pol) input of each
+    one-photon lookup."""
+    inputs = []
 
-    def counted(label):
-        labels.append(label)
-        return run_gate(label)
+    def counted(spatial, pol):
+        inputs.append((spatial, pol))
+        return run_gate(spatial, pol)
 
     monkeypatch.setattr(module, "run_gate", counted)
-    return labels
+    return inputs
 
 
 def test_shipped_hom_scenario_takes_two_gate_runs(monkeypatch):
     # The dip is a photon-number mixture of terms affine in xi^2, and the
-    # gate's images of one photon from each input give every term, so each
-    # scenario still asks run_gate for two images; the gate composes each
-    # image once per process.
-    labels = count_gate_runs(monkeypatch, sources)
+    # gate's amplitudes for one photon from each input give every term, so
+    # each scenario still asks run_gate for two columns of the H transfer
+    # matrix.
+    inputs = count_gate_runs(monkeypatch, sources)
     config = load_config(CONFIG_DIR / "hom.json")
     results = run_scenario(config)["results"]
-    assert labels == [mode(1, "H"), mode(2, "H")]
+    assert inputs == [(1, "H"), (2, "H")]
     assert results["overlap_used"] == pytest.approx(0.9262800541764591, abs=1e-10)
     assert results["visibility"] == pytest.approx(0.85, abs=1e-12)
     config.nu = 0.05
     run_scenario(config)
-    assert labels == [mode(1, "H"), mode(2, "H")] * 2
+    assert inputs == [(1, "H"), (2, "H")] * 2
 
 
-# The ancilla photon's one image, in the principal bin: its overlap xi with
-# the input photon mixes the gate's xi = 1 and xi = 0 outputs by xi^2.
-ANCILLA_IMAGES = [mode(2, "H")]
+# The ancilla photon's one input: its overlap xi with the input photon
+# mixes the gate's xi = 1 and xi = 0 outputs by xi^2.
+ANCILLA_INPUTS = [(2, "H")]
 
 
 def test_shipped_scaling_scenario_reads_three_gate_images(monkeypatch):
     # Every row comes from one expansion of the 2 x 2 all-ones matrix, which
-    # reads the ancilla photon's image and an H and a V photon's in mode 1:
-    # three in all.
-    labels = count_gate_runs(monkeypatch)
+    # reads the ancilla photon's amplitudes and an H and a V photon's in
+    # mode 1: three in all.
+    inputs = count_gate_runs(monkeypatch)
     rows = run_scenario(load_config(CONFIG_DIR / "scaling.json"))["results"]["rows"]
-    assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "H"), mode(1, "V")])
+    assert sorted(inputs) == sorted(ANCILLA_INPUTS + [(1, "H"), (1, "V")])
     for row in rows[:8]:
         rho, probability = expanded_w(row["n"])
         assert probability == pytest.approx(row["analytic"], abs=1e-10)
@@ -840,24 +819,14 @@ def test_shipped_scaling_scenario_reads_three_gate_images(monkeypatch):
 
 
 def test_w3_and_w4_expand_through_one_photon_runs(monkeypatch):
-    # Besides the ancilla photon, w3 reads only its V photon's image; w4
-    # adds an H photon's, for the untouched qubit of its pair.
-    labels = count_gate_runs(monkeypatch)
+    # Besides the ancilla photon, w3 reads only its V photon's amplitudes;
+    # w4 adds an H photon's, for the untouched qubit of its pair.
+    inputs = count_gate_runs(monkeypatch)
     run_scenario(ExperimentConfig(scenario="w3", exact=True))
-    assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "V")])
-    labels.clear()
+    assert sorted(inputs) == sorted(ANCILLA_INPUTS + [(1, "V")])
+    inputs.clear()
     run_scenario(ExperimentConfig(scenario="w4", exact=True))
-    assert sorted(labels) == sorted(ANCILLA_IMAGES + [mode(1, "H"), mode(1, "V")])
-
-
-def test_no_scenario_reads_an_orthogonal_bin_image(monkeypatch, tmp_path):
-    # Temporal bins live in the Fock oracle and optics.delay only: every
-    # shipped run, at xi < 1 too, asks the gate for principal-bin images.
-    labels = count_gate_runs(monkeypatch)
-    labels_hom = count_gate_runs(monkeypatch, sources)
-    for name, argv in shipped_argvs(tmp_path).items():
-        assert main([*argv, "--out", str(tmp_path / f"{name}_report.json")]) == 0, name
-    assert labels and all(label.tbin != fock.ORTHOGONAL for label in labels + labels_hom)
+    assert sorted(inputs) == sorted(ANCILLA_INPUTS + [(1, "H"), (1, "V")])
 
 
 @pytest.mark.parametrize(
