@@ -36,16 +36,8 @@ else:
     os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
 
 from . import __version__
-from .entanglement import fidelity, pairwise_eof_table
-from .fock import DensityMatrix
-from .gates import (
-    MODE_INPUT,
-    OUTPUT_MODES,
-    excitation_indices,
-    expand,
-    success_probability_analytic,
-    w_state_qubits,
-)
+from .entanglement import eof_from_concurrence
+from .gates import MODE_INPUT, OUTPUT_MODES, expand, success_probability_analytic
 from .sources import (
     calibrate_overlap_for_visibility,
     dip_coefficients,
@@ -367,14 +359,11 @@ def _run_w4(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(None if config.exact else config.seed, 4)
     # The diagonal pump emits sqrt(gamma) times the pair, already W_2 in the
     # local frame of modes 0 and 1, on top of vacuum; a coincidence keeps
-    # the pair, with probability gamma / (1 + gamma).
-    w2 = w_state_qubits(2)
-    sigma_pair = DensityMatrix(np.outer(w2, w2.conj()), [0, MODE_INPUT])
+    # the pair, with probability gamma / (1 + gamma).  The pair holds one V
+    # on modes 0 and 1, so it is the 2 x 2 single-excitation matrix of W_2;
+    # its photon in mode 1, the last qubit, enters the gate.
+    pair = np.full((2, 2), 0.5)
     pair_probability = config.gamma / (1 + config.gamma)
-
-    # The pair holds one V on modes 0 and 1; its photon in mode 1, the
-    # last qubit, enters the gate.
-    pair = sigma_pair.matrix[np.ix_(excitation_indices(2), excitation_indices(2))]
     expanded = expand(pair_probability * pair, config.overlap)
     try:
         probabilities = excitation_probabilities(expanded)
@@ -384,8 +373,9 @@ def _run_w4(config: ExperimentConfig) -> dict:
 
     return {
         "pair_source": {
-            "fidelity_w2": fidelity(sigma_pair, w2),
-            "eof": pairwise_eof_table([sigma_pair])[0][(0, MODE_INPUT)],
+            # F = sum(pair) / 2 and, with no two V photons, C = 2 |pair_01|.
+            "fidelity_w2": float(pair.sum()) / 2,
+            "eof": eof_from_concurrence(2 * abs(float(pair[0, 1]))),
             "coincidence_probability": pair_probability,
             "tomography": _tomography_block(
                 excitation_probabilities(pair), (0, MODE_INPUT), config, seeds[:2]

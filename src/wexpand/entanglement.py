@@ -1,20 +1,86 @@
-"""Analysis of a ``DensityMatrix``: fidelity to a pure state, the W-state
-witness, and the entanglement of formation of every two-qubit marginal."""
+"""Polarization-qubit density matrices and their analysis: the W state
+W_N, fidelity to a pure state, the W-state witness, and the entanglement of
+formation of every two-qubit marginal.
+
+This is the analysis layer: it imports no module of the optics (``fock``,
+``optics``, ``gates``, ``sources``), which may import it.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fock import DensityMatrix
-from .gates import w_state_qubits
-from .tolerances import CONCURRENCE_SLACK
+from .tolerances import CONCURRENCE_SLACK, HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_PAULI_Y, _PAULI_Y)
+
+
+@dataclass
+class DensityMatrix:
+    """Density operator over polarization qubits.
+
+    ``qubit_order`` records which spatial mode each qubit came from; the
+    first entry is the most significant bit of the matrix index.  The
+    matrix is checked once, here: construction raises ValueError unless it
+    is Hermitian, positive semidefinite and of trace one within the strict
+    tolerances, so every function that takes a ``DensityMatrix`` trusts it.
+    """
+
+    matrix: np.ndarray
+    qubit_order: list[int]
+
+    def __post_init__(self):
+        m = self.matrix = np.asarray(self.matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
+        dim = 2 ** len(self.qubit_order)
+        if m.shape != (dim, dim):
+            raise ValueError(
+                f"density matrix of shape {m.shape} does not match "
+                f"{len(self.qubit_order)} qubits in qubit_order"
+            )
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+            raise ValueError("density matrix is not Hermitian")
+        eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if eigenvalues.min() < -PSD_ATOL:
+            raise ValueError(
+                f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
+            )
+        if abs(np.trace(m).real - 1.0) > TRACE_ATOL:
+            raise ValueError(f"density matrix trace {np.trace(m).real!r} != 1")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.qubit_order)
+
+    def to_json(self) -> dict:
+        """Serialization with fixed field names {dim, qubit_order, re, im}."""
+        return {
+            "dim": self.dim,
+            "qubit_order": list(self.qubit_order),
+            "re": self.matrix.real.ravel().tolist(),
+            "im": self.matrix.imag.ravel().tolist(),
+        }
+
+
+def w_state_qubits(n: int) -> np.ndarray:
+    """The symmetric single-V qubit state of dimension 2^n: 1/sqrt(n) on
+    each basis index with V (bit 1) on exactly one qubit."""
+    if n < 1:
+        raise ValueError("W state needs at least one qubit")
+    vec = np.zeros(2**n, dtype=complex)
+    vec[[1 << k for k in range(n)]] = 1.0 / math.sqrt(n)
+    return vec
 
 
 def fidelity(rho: DensityMatrix, target) -> float:

@@ -1,34 +1,30 @@
-"""Mode labels, polarization-qubit density matrices, and the sparse
-bosonic Fock engine.
+"""Mode labels and the sparse bosonic Fock engine.
 
-A mode is labeled by (spatial path, polarization, temporal bin).  The
-scenarios use ``DensityMatrix`` only: every number they report follows from
-the gate's transfer table.  The Fock engine is the reference the tests check
-them against; the tests build its states themselves.  A state is a sparse
-complex amplitude map over Fock basis vectors, each stored as the sorted
-tuple of its photons' mode labels.  All circuit evolution stays pure;
+A mode is labeled by (spatial path, polarization, temporal bin).  No
+scenario runs the Fock engine: every number a scenario reports follows from
+the gate's transfer table, and the engine is the reference the tests check
+those numbers against; the tests build its states themselves.  A state is a
+sparse complex amplitude map over Fock basis vectors, each stored as the
+sorted tuple of its photons' mode labels.  All circuit evolution stays pure;
 mixedness enters only in ``postselect_qubits``, which keeps one photon per
-listed spatial mode and traces the temporal bins out of the surviving
-polarization qubits.
+listed spatial mode, traces the temporal bins out of the surviving
+polarization qubits and returns their ``entanglement.DensityMatrix``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .entanglement import DensityMatrix
 from .tolerances import (
     AMPLITUDE_PRUNE,
-    HERMITICITY_ATOL,
     POSTSELECT_MIN_PROBABILITY,
     POSTSELECT_NORM_ATOL,
-    PSD_ATOL,
-    TRACE_ATOL,
 )
 
 H = "H"
@@ -145,7 +141,7 @@ def coincidence_probability(
 
 def postselect_qubits(
     state: PhotonicState, spatial_modes: Sequence[int]
-) -> tuple["DensityMatrix | None", float]:
+) -> tuple[DensityMatrix | None, float]:
     """Project onto one photon per listed mode (vacuum elsewhere) and trace
     out the temporal bins.
 
@@ -180,55 +176,3 @@ def postselect_qubits(
         return None, 0.0
     rho = sum(np.outer(vec, vec.conj()) for vec in by_bins.values()) / probability
     return DensityMatrix(rho, modes), probability
-
-
-@dataclass
-class DensityMatrix:
-    """Density operator over polarization qubits.
-
-    ``qubit_order`` records which spatial mode each qubit came from; the
-    first entry is the most significant bit of the matrix index.  The
-    matrix is checked once, here: construction raises ValueError unless it
-    is Hermitian, positive semidefinite and of trace one within the strict
-    tolerances, so every function that takes a ``DensityMatrix`` trusts it.
-    """
-
-    matrix: np.ndarray
-    qubit_order: list[int]
-
-    def __post_init__(self):
-        m = self.matrix = np.asarray(self.matrix, dtype=complex)
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has a non-finite entry")
-        dim = 2 ** len(self.qubit_order)
-        if m.shape != (dim, dim):
-            raise ValueError(
-                f"density matrix of shape {m.shape} does not match "
-                f"{len(self.qubit_order)} qubits in qubit_order"
-            )
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigenvalues.min() < -PSD_ATOL:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
-            )
-        if abs(np.trace(m).real - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {np.trace(m).real!r} != 1")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubit_order)
-
-    def to_json(self) -> dict:
-        """Serialization with fixed field names {dim, qubit_order, re, im}."""
-        return {
-            "dim": self.dim,
-            "qubit_order": list(self.qubit_order),
-            "re": self.matrix.real.ravel().tolist(),
-            "im": self.matrix.imag.ravel().tolist(),
-        }

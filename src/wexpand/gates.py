@@ -19,7 +19,8 @@ any overlap.  ``expand`` maps such a state, held as an (M x M) matrix, to
 its (M+2 x M+2) post-selected output from the amplitudes of the input photon
 and of an ancilla photon: at overlap xi, xi^2 times the output of matched
 photons plus 1 - xi^2 times that of distinguishable ones, the same model as
-the dip's.
+the dip's.  The W state and every statistic of a density matrix live in
+``entanglement``, the analysis layer, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -67,25 +68,11 @@ def run_gate(spatial: int, pol: str) -> tuple[complex, complex, complex]:
     return _TRANSFER[spatial, pol]
 
 
-def w_state_qubits(n: int) -> np.ndarray:
-    """The symmetric single-V qubit state of dimension 2^n."""
-    if n < 1:
-        raise ValueError("W state needs at least one qubit")
-    vec = np.zeros(2**n, dtype=complex)
-    vec[excitation_indices(n)] = 1.0 / math.sqrt(n)
-    return vec
-
-
 def success_probability_analytic(n: int) -> float:
     """Post-selection success probability (N+2)/(16N) for an N-qubit input."""
     if n < 1:
         raise ValueError("W state needs at least one qubit")
     return (n + 2) / (16.0 * n)
-
-
-def excitation_indices(n: int) -> list[int]:
-    """Basis index of the n-qubit state with V on qubit i, for each i."""
-    return [1 << (n - 1 - i) for i in range(n)]
 
 
 def expand(rho, overlap: float = 1.0) -> np.ndarray:

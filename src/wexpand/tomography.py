@@ -22,9 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .entanglement import fidelity, pairwise_eof_table, witness_value
-from .fock import DensityMatrix
-from .gates import w_state_qubits
+from .entanglement import (
+    DensityMatrix,
+    fidelity,
+    pairwise_eof_table,
+    w_state_qubits,
+    witness_value,
+)
 from .tolerances import (
     IMLM_CERTIFICATE_RTOL,
     IMLM_MAX_ITER,

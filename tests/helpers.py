@@ -14,11 +14,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from wexpand.entanglement import _concurrences, eof_from_concurrence
+from wexpand.entanglement import (
+    DensityMatrix,
+    _concurrences,
+    eof_from_concurrence,
+    w_state_qubits,
+)
 from wexpand.fock import (
     PRINCIPAL,
     Basis,
-    DensityMatrix,
     ModeLabel,
     PhotonicState,
     mode,
@@ -31,9 +35,7 @@ from wexpand.gates import (
     MODE_AUX,
     MODE_INPUT,
     OUTPUT_MODES,
-    excitation_indices,
     expand,
-    w_state_qubits,
 )
 from wexpand.optics import apply_circuit, apply_delay
 from wexpand.sources import N_MAX, _poisson_weights
@@ -343,6 +345,11 @@ def expand_w_full_photonic(n: int, overlap: float = 1.0):
     rest = untouched_mode_ids(n)
     state = through_gate(photonic_w_state(rest + [MODE_INPUT]), overlap)
     return postselect_qubits(state, rest + list(OUTPUT_MODES))
+
+
+def excitation_indices(n: int) -> list[int]:
+    """Basis index of the n-qubit state with V on qubit i, for each i."""
+    return [1 << (n - 1 - i) for i in range(n)]
 
 
 def excitation_density(matrix, qubit_order: Sequence[int]) -> DensityMatrix:

@@ -13,13 +13,9 @@ import numpy as np
 import pytest
 
 from wexpand.cli import ExperimentConfig, emit_report, load_config, run_scenario
-from wexpand.entanglement import fidelity, witness_value
-from wexpand.fock import DensityMatrix, postselect_qubits, tensor
-from wexpand.gates import (
-    OUTPUT_MODES,
-    success_probability_analytic,
-    w_state_qubits,
-)
+from wexpand.entanglement import DensityMatrix, fidelity, w_state_qubits, witness_value
+from wexpand.fock import postselect_qubits, tensor
+from wexpand.gates import OUTPUT_MODES, success_probability_analytic
 from wexpand.optics import apply_circuit, beamsplitter
 from wexpand.sources import calibrate_overlap_for_visibility, dip_coefficients, hom_scan
 from wexpand.tomography import (

@@ -30,7 +30,7 @@ from wexpand.cli import (
     main,
     run_scenario,
 )
-from wexpand.entanglement import fidelity, witness_value
+from wexpand.entanglement import fidelity, w_state_qubits, witness_value
 from wexpand.gates import run_gate
 
 from helpers import (
@@ -585,7 +585,8 @@ def test_shipped_fits_converge(shipped_outputs, name):
     # step from the fit.  Exact counts certify at the start, which for the
     # pair fit is the W2 pair it was given, and give the W state back at the
     # paper's rate.  The *_rho.json file holds the fitted matrix of the
-    # report.
+    # report.  The pair source's fidelity and EOF are closed forms of the
+    # pair's single-excitation matrix, exact in sampled and exact runs.
     scenario, exact = SHIPPED_RUNS[name][0], "--exact" in SHIPPED_RUNS[name]
     results = json.loads(shipped(shipped_outputs, name))["results"]
     tomo = results["tomography"]
@@ -606,6 +607,9 @@ def test_shipped_fits_converge(shipped_outputs, name):
             assert fits["iterations_p50"] <= min(5, fits["iterations_p90"]), fits
             assert fits["iterations_p90"] <= fits["iterations_max"], fits
             assert 0 <= fits["newton_steps_max"] <= fits["iterations_max"], fits
+    if pair:
+        source = results["pair_source"]
+        assert (source["fidelity_w2"], source["eof"]) == (1.0, 1.0)
     if not exact:
         return
     order, rate, witness, pair_eof = EXACT_FITS[scenario]
@@ -628,9 +632,6 @@ def test_shipped_fits_converge(shipped_outputs, name):
     )
     if pair:
         assert pair["fidelity"] >= 1 - 1e-9
-        source = results["pair_source"]
-        assert source["fidelity_w2"] == pytest.approx(1.0, abs=1e-9)
-        assert source["eof"] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("scenario", ["w3", "w4"])
@@ -814,7 +815,7 @@ def test_shipped_scaling_scenario_reads_three_gate_images(monkeypatch):
         assert probability == pytest.approx(row["analytic"], abs=1e-10)
         assert row["simulated"] == pytest.approx(probability, abs=1e-12)
         assert row["fidelity"] == pytest.approx(
-            fidelity(rho, gates.w_state_qubits(row["n"] + 2)), abs=1e-12
+            fidelity(rho, w_state_qubits(row["n"] + 2)), abs=1e-12
         )
 
 

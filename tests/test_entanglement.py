@@ -8,19 +8,19 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from wexpand.entanglement import (
+    DensityMatrix,
     _pair_marginal,
     binary_entropy,
     eof_from_concurrence,
     pairwise_eof_table,
+    w_state_qubits,
     witness_value,
 )
-from wexpand.fock import DensityMatrix
-from wexpand.gates import excitation_indices, w_state_qubits
 from wexpand.tolerances import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL
 
 from helpers import (
     EOF_AT_HALF, EOF_AT_TWO_THIRDS, concurrence, density_from_pure, eof,
-    partial_trace, random_density, w_density,
+    excitation_indices, partial_trace, random_density, w_density,
 )
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])

@@ -321,3 +321,29 @@ def test_no_program_name_is_reached_only_from_the_tests():
             break
         kept -= dropped
     assert sorted(".".join(key) for key in set(refs) - kept) == []
+
+
+# The modules each package module must not import.  The analysis layer,
+# entanglement then tomography, imports nothing of the optics layer, fock and
+# optics then gates then sources, which may import the analysis.  The
+# scenario runner reaches the optics through gates and sources only.
+OPTICS = {"fock", "optics", "gates", "sources"}
+FORBIDDEN_IMPORTS = {
+    "entanglement": OPTICS,
+    "tomography": OPTICS,
+    "cli": {"fock", "optics"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN_IMPORTS))
+def test_the_analysis_layer_imports_nothing_of_the_optics(module):
+    # Every relative import counts, at the top level or inside a function:
+    # "from .x import y" and "from . import x" both import x.
+    tree = ast.parse((REPO / "src" / "wexpand" / f"{module}.py").read_text())
+    imported = {
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    assert sorted(imported & FORBIDDEN_IMPORTS[module]) == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wexpand.entanglement import fidelity
+from wexpand.entanglement import fidelity, w_state_qubits
 from wexpand.fock import (
     PhotonicState,
     mode,
@@ -17,17 +17,16 @@ from wexpand.gates import (
     GATE_ELEMENTS,
     MODE_INPUT,
     OUTPUT_MODES,
-    excitation_indices,
     expand,
     run_gate,
     success_probability_analytic,
-    w_state_qubits,
 )
 from wexpand.optics import _compose, apply_circuit
 from wexpand.tomography import excitation_probabilities
 
 from helpers import (
     excitation_density,
+    excitation_indices,
     expand_w_full_photonic,
     expanded_w,
     fock_gate,

@@ -6,15 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from wexpand import sources
 from wexpand.cli import ExperimentConfig
-from wexpand.entanglement import fidelity
+from wexpand.entanglement import fidelity, w_state_qubits
 from wexpand.fock import coincidence_probability, postselect_qubits, tensor
-from wexpand.gates import (
-    MODE_ANCILLA,
-    MODE_INPUT,
-    OUTPUT_MODES,
-    run_gate,
-    w_state_qubits,
-)
+from wexpand.gates import MODE_ANCILLA, MODE_INPUT, OUTPUT_MODES, run_gate
 from wexpand.optics import apply_circuit, apply_delay, wave_plate
 from wexpand.sources import (
     N_MAX,

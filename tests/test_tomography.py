@@ -5,9 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from wexpand.cli import _child_seeds, load_config
-from wexpand.entanglement import fidelity, pairwise_eof_table, witness_value
-from wexpand.fock import DensityMatrix, postselect_qubits
-from wexpand.gates import MODE_INPUT, OUTPUT_MODES, w_state_qubits
+from wexpand.entanglement import (
+    DensityMatrix,
+    fidelity,
+    pairwise_eof_table,
+    w_state_qubits,
+    witness_value,
+)
+from wexpand.fock import postselect_qubits
+from wexpand.gates import MODE_INPUT, OUTPUT_MODES
 from wexpand import tomography
 from wexpand.tolerances import (
     IMLM_CERTIFICATE_RTOL,
