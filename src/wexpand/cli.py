@@ -156,16 +156,19 @@ class ExperimentConfig:
         return tuple(f for f in SCENARIO_FIELDS[self.scenario] if f not in unread)
 
     def validate(self) -> None:
-        """The one check of the fields the run reads: each value's type, as
-        ``load_config`` checks a file's, then its domain.  Every domain is
-        finite, and a NaN fails each one, since it compares false."""
+        """The one check of a config's values, from a file, a flag or code:
+        the type of every field the scenario lists, then the domain of every
+        field the run reads.  A non-finite number fails either its type or
+        its domain: every float domain is finite, and a NaN compares false."""
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        fields = self.read_fields()
-        for name in fields:
+        for name in SCENARIO_FIELDS[self.scenario]:
             value = getattr(self, name)
             if not _matches(value, _FIELD_KINDS[name]):
                 raise ValueError(f"{name} has invalid type, got {value!r}")
+        fields = self.read_fields()
+        for name in fields:
+            value = getattr(self, name)
             domain, ok = _DOMAINS.get(name, (None, None))
             if ok and not ok(value):
                 raise ValueError(f"{name} must {domain}, got {value!r}")
@@ -192,7 +195,7 @@ def _kinds(hint) -> dict:
     return dict.fromkeys((int, float) if hint is float else (hint,))
 
 
-# Field annotations drive the type check of config files and of every run.
+# Field annotations drive the type check of every config.
 _FIELD_HINTS = typing.get_type_hints(ExperimentConfig)
 _FIELD_KINDS = {name: _kinds(hint) for name, hint in _FIELD_HINTS.items()}
 
@@ -212,26 +215,21 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _strict_object(pairs: list) -> dict:
-    """A JSON object's dict; ValueError names a key that is repeated or that
-    holds a non-finite number.  Python's parser accepts the NaN and Infinity
-    literals, and 1e999 parses to inf."""
+    """A JSON object's dict; ValueError names a key that is repeated."""
     fields = {}
     for key, value in pairs:
         if key in fields:
             raise ValueError(f"field {key!r} is repeated")
-        values = value if isinstance(value, list) else [value]
-        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-            raise ValueError(f"field {key!r} holds a non-finite number")
         fields[key] = value
     return fields
 
 
 def load_config(path) -> ExperimentConfig:
-    """Strict config parse: each field once and finite, so that every report
-    is strict JSON, then a known scenario, and only fields that scenario
-    reads, each of its type.  Omitted fields take their defaults, as a run
-    without a file does.  The values' domains are checked by
-    ``run_scenario``, after any command-line overrides."""
+    """Parse a config file, checking only what a file alone can get wrong:
+    its JSON syntax and nesting depth, a repeated key, a known scenario, and
+    only fields that scenario lists.  Omitted fields take their defaults, as
+    a run without a file does.  The values are checked by ``validate``,
+    after any command-line overrides, as a config built in code is."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_strict_object)
@@ -239,6 +237,8 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except ValueError as exc:  # from _strict_object
         raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     scenario = raw.get("scenario")
@@ -247,9 +247,6 @@ def load_config(path) -> ExperimentConfig:
     unread = sorted(set(raw) - {"scenario", *SCENARIO_FIELDS[scenario]})
     if unread:
         raise ValueError(f"{path}: fields scenario {scenario!r} does not read: {unread}")
-    for key, value in raw.items():
-        if not _matches(value, _FIELD_KINDS[key]):
-            raise ValueError(f"{path}: field {key!r} has invalid type")
     return ExperimentConfig(**raw)
 
 
@@ -359,17 +356,15 @@ def _run_w4(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(None if config.exact else config.seed, 4)
     # The diagonal pump emits sqrt(gamma) times the pair, already W_2 in the
     # local frame of modes 0 and 1, on top of vacuum; a coincidence keeps
-    # the pair, with probability gamma / (1 + gamma).  The pair holds one V
-    # on modes 0 and 1, so it is the 2 x 2 single-excitation matrix of W_2;
-    # its photon in mode 1, the last qubit, enters the gate.
+    # the pair, with probability gamma / (1 + gamma).  Gamma sets only how
+    # often a pair arrives, so it scales the two reported rates and not the
+    # state the gate expands.  The pair holds one V on modes 0 and 1, so it
+    # is the 2 x 2 single-excitation matrix of W_2; its photon in mode 1,
+    # the last qubit, enters the gate.
     pair = np.full((2, 2), 0.5)
     pair_probability = config.gamma / (1 + config.gamma)
-    expanded = expand(pair_probability * pair, config.overlap)
-    try:
-        probabilities = excitation_probabilities(expanded)
-    except ValueError as exc:
-        raise ValueError(f"gamma {config.gamma!r} is too small: {exc}") from None
-    raw_probability = float(np.trace(expanded).real)
+    expanded = expand(pair, config.overlap)
+    given_pair = float(np.trace(expanded).real)
 
     return {
         "pair_source": {
@@ -382,13 +377,13 @@ def _run_w4(config: ExperimentConfig) -> dict:
             ),
         },
         "postselection": {
-            "probability": raw_probability,
-            "probability_given_pair": raw_probability / pair_probability,
+            "probability": pair_probability * given_pair,
+            "probability_given_pair": given_pair,
             "analytic_ideal_given_pair": success_probability_analytic(2),
             "overlap": config.overlap,
         },
         "tomography": _tomography_block(
-            probabilities, (0,) + OUTPUT_MODES, config, seeds[2:]
+            excitation_probabilities(expanded), (0,) + OUTPUT_MODES, config, seeds[2:]
         ),
     }
 
@@ -434,7 +429,7 @@ _RUNNERS = {"hom": _run_hom, "w3": _run_w3, "w4": _run_w4, "scaling": _run_scali
 
 def run_scenario(config: ExperimentConfig) -> dict:
     """Full report document for one scenario; raises ValueError first if a
-    config value lies outside its field's domain."""
+    config value has the wrong type or lies outside its field's domain."""
     config.validate()
     results = _RUNNERS[config.scenario](config)
     return {

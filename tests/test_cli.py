@@ -312,24 +312,29 @@ def test_non_finite_float_field_rejected(name, value):
 
 
 @pytest.mark.parametrize(
-    "name, value",
+    "name, value, exact",
     [
-        ("seed", 1.5),
-        ("n_resamples", 2.5),
-        ("overlap", "0.9"),
-        ("seed", True),
-        ("exact", 1),
-        ("overlap", np.float64(0.9)),
+        ("seed", 1.5, False),
+        ("n_resamples", 2.5, False),
+        ("overlap", "0.9", False),
+        ("seed", True, False),
+        ("exact", 1, False),
+        ("overlap", np.float64(0.9), False),
+        ("seed", 1.5, True),
+        ("seed", "x", True),
+        ("n_resamples", 2.5, True),
     ],
     ids=["seed-float", "n_resamples-float", "overlap-str", "seed-bool", "exact-int",
-         "overlap-numpy"],
+         "overlap-numpy", "exact-seed-float", "exact-seed-str", "exact-n_resamples-float"],
 )
-def test_config_built_in_code_with_a_wrong_type_rejected(name, value):
-    # load_config checks a file's types; a config built in code gets the
-    # same check from validate, before numpy or a comparison can raise a
-    # TypeError and before a bool or int reaches the report.  Types are
-    # exact, as JSON gives them: the report writer takes no numpy float.
-    config = ExperimentConfig("w3", seed=1, n_resamples=2)
+def test_config_built_in_code_with_a_wrong_type_rejected(name, value, exact):
+    # validate checks the type of every field the scenario lists, whether it
+    # came from a file, a flag or code, before numpy or a comparison can
+    # raise a TypeError and before a bool or int reaches the report.  An
+    # exact run reads neither seed nor n_resamples, but their types are
+    # still checked.  Types are exact, as JSON gives them: the report writer
+    # takes no numpy float.
+    config = ExperimentConfig("w3", seed=1, n_resamples=2, exact=exact)
     setattr(config, name, value)
     message = f"{name} has invalid type, got {value!r}"
     with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -385,12 +390,13 @@ def test_visibility_target_and_overlap_together_rejected(tmp_path, capsys):
 
 
 def test_bad_types_and_scenarios_rejected(tmp_path):
+    # A file's types are checked by validate, as a config built in code is.
     for bad in ({"nu": "0.3"}, {"nu": True}, {"nu": None}, {"delays_um": ["a"]}):
         with pytest.raises(ValueError, match="invalid type"):
-            load_config(write_config(tmp_path, scenario="hom", **bad))
+            run_scenario(load_config(write_config(tmp_path, scenario="hom", **bad)))
     for bad in ({"n_resamples": 2.5}, {"exact": 1}, {"gamma": "0.1"}):
         with pytest.raises(ValueError, match="invalid type"):
-            load_config(write_config(tmp_path, scenario="w4", seed=1, **bad))
+            run_scenario(load_config(write_config(tmp_path, scenario="w4", seed=1, **bad)))
     # float fields take ints, and X | None fields take null
     assert load_config(write_config(tmp_path, scenario="hom", nu=1)).nu == 1
     optional = write_config(tmp_path, scenario="w3", exact=True, seed=None)
@@ -729,24 +735,29 @@ def test_flux_at_the_normal_floor_still_fits(scenario):
     assert tomography["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "gamma, exact", [(6e-12, False), (1e-13, False), (1e-13, True)],
-    ids=["6e-12", "1e-13", "1e-13-exact"],
-)
-def test_gamma_too_small_to_postselect_is_named_first(
-    monkeypatch, tmp_path, capsys, gamma, exact
-):
-    # The expansion is built before any tomography, so a pair probability
-    # too small to post-select fails at once, naming gamma and its value.
-    def refuse(*args, **kwargs):
-        raise AssertionError("tomography ran before the expansion")
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+def test_w4_state_does_not_depend_on_gamma(exact):
+    # Gamma sets only how often a pair arrives: the fits and the success
+    # probability given a pair are those of gamma 0.05 to the byte, at a
+    # gamma far too small to post-select had it scaled the state.
+    def run(gamma):
+        config = ExperimentConfig("w4", gamma=gamma, seed=3, n_resamples=2, exact=exact)
+        return run_scenario(config)["results"]
 
-    monkeypatch.setattr(cli, "imlm_reconstruct", refuse)
-    cfg_path = write_config(tmp_path, scenario="w4", gamma=gamma, seed=1, exact=exact)
-    out = tmp_path / "report.json"
-    assert main(["w4", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert f"gamma {gamma!r} is too small" in capsys.readouterr().err
-    assert not out.exists()
+    def state(results):
+        return [json.dumps(block, sort_keys=True) for block in (
+            results["tomography"], results["pair_source"]["tomography"],
+            results["postselection"]["probability_given_pair"],
+        )]
+
+    reference = state(run(0.05))
+    for gamma in (1e-300, 1e-13, 0.05, 10.0):
+        results = run(gamma)
+        assert state(results) == reference, gamma
+        post = results["postselection"]
+        coincidence = results["pair_source"]["coincidence_probability"]
+        assert coincidence == gamma / (1 + gamma)
+        assert post["probability"] == coincidence * post["probability_given_pair"], gamma
 
 
 def test_pair_source_without_pairs_is_named(tmp_path, capsys):
@@ -830,25 +841,53 @@ def test_w3_and_w4_expand_through_one_photon_runs(monkeypatch):
     assert sorted(inputs) == sorted(ANCILLA_INPUTS + [(1, "H"), (1, "V")])
 
 
+# Each non-finite value on its own, and two texts that also set gamma, which
+# hom does not read: the parse rejects that field before any value is checked.
+NON_FINITE_TEXTS = [
+    ('{"scenario": "hom", "nu": 0.03, "gamma": 0.0, "coherence_length_um": Infinity}',
+     "does not read: ['gamma']"),
+    ('{"scenario": "hom", "nu": 0.03, "gamma": 0.0, "delays_um": [NaN, 0.0]}',
+     "does not read: ['gamma']"),
+    ('{"scenario": "hom", "coherence_length_um": Infinity}', "coherence_length_um must"),
+    ('{"scenario": "hom", "delays_um": [NaN, 0.0]}', "delays_um must"),
+    ('{"scenario": "hom", "nu": 1e999}', "nu must"),
+    ('{"scenario": "hom", "visibility_target": -Infinity}', "visibility_target must"),
+    ('{"scenario": "hom", "visibility_target": null, "overlap": NaN}', "overlap must"),
+    ('{"scenario": "w4", "gamma": NaN}', "gamma must"),
+    ('{"scenario": "w3", "seed": 1, "flux_per_setting": Infinity}',
+     "flux_per_setting must"),
+    ('{"scenario": "w3", "seed": NaN}', "seed has invalid type"),
+    ('{"scenario": "w3", "seed": 1, "n_resamples": Infinity}',
+     "n_resamples has invalid type"),
+    ('{"scenario": "w3", "exact": true, "seed": -Infinity}', "seed has invalid type"),
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        '{"scenario": "hom", "nu": 0.03, "gamma": 0.0, '
-        '"coherence_length_um": Infinity}',
-        '{"scenario": "hom", "nu": 0.03, "gamma": 0.0, "delays_um": [NaN, 0.0]}',
-        '{"scenario": "hom", "nu": 1e999}',
-        '{"scenario": "hom", "visibility_target": -Infinity}',
-        '{"scenario": "w4", "gamma": NaN}',
-    ],
+    "text, message", NON_FINITE_TEXTS, ids=[text for text, _ in NON_FINITE_TEXTS]
 )
-def test_non_finite_config_numbers_rejected(tmp_path, capsys, text):
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, text, message):
+    # Python's parser takes NaN, Infinity and 1e999; each fails its field's
+    # type or domain in validate, as it would from code.
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text, encoding="utf-8")
     out = tmp_path / "report.json"
-    fields = json.loads(text)
-    (name,) = [k for k, v in fields.items() if k != "scenario" and not np.isfinite(v).all()]
-    assert main([fields["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert f"field '{name}' holds a non-finite number" in capsys.readouterr().err
+    scenario = json.loads(text)["scenario"]
+    assert main([scenario, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_deeply_nested_config_rejected(tmp_path, capsys):
+    # Python's parser recurses per level, so a deep enough file would escape
+    # as a RecursionError traceback; it is a config error naming the file.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"scenario": "hom", "nu": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = tmp_path / "report.json"
+    assert main(["hom", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg_path}: JSON nested too deeply\n"
     assert not out.exists()
 
 
