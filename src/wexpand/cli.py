@@ -567,7 +567,9 @@ def main(argv=None) -> int:
         report = run_scenario(config)
         out_path = args.out or Path(f"{config.scenario}_report.json")
         emit_report(report, out_path)
-        side = _write_side_outputs(report, out_path)
+        # Side files are named from the report's path, so only a regular file
+        # gets them: beside /dev/null they would land in /dev.
+        side = _write_side_outputs(report, out_path) if out_path.is_file() else []
         print(f"report written to {out_path}")
         for extra in side:
             print(f"  + {extra}")

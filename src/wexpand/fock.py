@@ -4,18 +4,18 @@ A mode is labeled by (spatial path, polarization, temporal bin).  No
 scenario runs the Fock engine: every number a scenario reports follows from
 the gate's transfer table, and the engine is the reference the tests check
 those numbers against; the tests build its states themselves.  A state is a
-sparse complex amplitude map over Fock basis vectors, each stored as the
-sorted tuple of its photons' mode labels.  All circuit evolution stays pure;
-mixedness enters only in ``postselect_qubits``, which keeps one photon per
-listed spatial mode, traces the temporal bins out of the surviving
-polarization qubits and returns their ``entanglement.DensityMatrix``.
+plain dict from Fock basis vectors, each the sorted tuple of its photons'
+mode labels, to complex amplitudes; every state the engine returns comes
+from ``pruned``.  All circuit evolution stays pure; mixedness enters only in
+``postselect_qubits``, which keeps one photon per listed spatial mode,
+traces the temporal bins out of the surviving polarization qubits and
+returns their ``entanglement.DensityMatrix``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .tolerances import (
 
 H = "H"
 V = "V"
+# In qubit order: H is 0 and V is 1.
 POLARIZATIONS = (H, V)
 
 # Two temporal bins are enough to model pairwise partial distinguishability:
@@ -36,8 +37,6 @@ POLARIZATIONS = (H, V)
 PRINCIPAL = "p"
 ORTHOGONAL = "o"
 TEMPORAL_BINS = (PRINCIPAL, ORTHOGONAL)
-
-_POL_INDEX = {H: 0, V: 1}
 
 
 class WiringError(ValueError):
@@ -54,7 +53,7 @@ def mode(spatial: int, pol: str, tbin: str = PRINCIPAL) -> ModeLabel:
     """Validated ``ModeLabel`` constructor."""
     if spatial < 0:
         raise ValueError(f"spatial mode id must be nonnegative, got {spatial}")
-    if pol not in _POL_INDEX:
+    if pol not in POLARIZATIONS:
         raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {pol!r}")
     if tbin not in TEMPORAL_BINS:
         raise ValueError(f"temporal bin must be one of {TEMPORAL_BINS}, got {tbin!r}")
@@ -64,6 +63,7 @@ def mode(spatial: int, pol: str, tbin: str = PRINCIPAL) -> ModeLabel:
 # A Fock basis vector is the sorted tuple of its photons' mode labels, one
 # entry per photon, so equal occupations compare equal; the vacuum is ().
 Basis = tuple[ModeLabel, ...]
+State = dict[Basis, complex]
 
 
 def bosonic_norm(fbv: Basis) -> int:
@@ -73,46 +73,19 @@ def bosonic_norm(fbv: Basis) -> int:
     )
 
 
-class PhotonicState:
-    """Sparse superposition of Fock basis vectors.
-
-    Immutable after construction: every operation returns a new state, so
-    values can be shared freely between threads.  Amplitudes below the prune
-    threshold are dropped on construction.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Basis, complex]):
-        self._terms = {
-            fbv: complex(amp)
-            for fbv, amp in terms.items()
-            if abs(amp) > AMPLITUDE_PRUNE
-        }
-
-    @property
-    def terms(self) -> Mapping[Basis, complex]:
-        return MappingProxyType(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
-
-    def spatial_modes(self) -> frozenset[int]:
-        return frozenset(lab.spatial for fbv in self._terms for lab in fbv)
+def pruned(terms: Mapping[Basis, complex]) -> State:
+    """The state of ``terms`` without the amplitudes at or below the prune
+    threshold."""
+    return {fbv: complex(amp) for fbv, amp in terms.items() if abs(amp) > AMPLITUDE_PRUNE}
 
 
-def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
+def tensor(a: State, b: State) -> State:
     """Join two states living on disjoint spatial modes."""
-    shared = a.spatial_modes() & b.spatial_modes()
+    modes_a, modes_b = ({lab.spatial for fbv in s for lab in fbv} for s in (a, b))
+    shared = modes_a & modes_b
     if shared:
         raise WiringError(f"tensor factors share spatial modes {sorted(shared)}")
-    return PhotonicState(
+    return pruned(
         {
             tuple(sorted(fa + fb)): amp_a * amp_b
             for fa, amp_a in a.items()
@@ -121,9 +94,7 @@ def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
     )
 
 
-def coincidence_probability(
-    state: PhotonicState, spatial_modes: Sequence[int]
-) -> float:
+def coincidence_probability(state: State, spatial_modes: Sequence[int]) -> float:
     """Probability that every listed spatial mode holds at least one photon.
 
     Models threshold detectors: terms are kept regardless of what the
@@ -140,7 +111,7 @@ def coincidence_probability(
 
 
 def postselect_qubits(
-    state: PhotonicState, spatial_modes: Sequence[int]
+    state: State, spatial_modes: Sequence[int]
 ) -> tuple[DensityMatrix | None, float]:
     """Project onto one photon per listed mode (vacuum elsewhere) and trace
     out the temporal bins.
@@ -149,7 +120,7 @@ def postselect_qubits(
     ordered as in ``spatial_modes``, together with the success probability.
     A probability at or below the flag threshold yields ``(None, 0.0)``.
     """
-    if abs(state.norm_squared() - 1.0) > POSTSELECT_NORM_ATOL:
+    if abs(sum(abs(a) ** 2 for a in state.values()) - 1.0) > POSTSELECT_NORM_ATOL:
         raise ValueError("postselect_qubits expects a normalized state")
     modes = list(spatial_modes)
     wanted = set(modes)
@@ -170,7 +141,7 @@ def postselect_qubits(
         bins = tuple(lab.tbin for lab in labels)
         vec = by_bins.setdefault(bins, np.zeros(2 ** len(modes), dtype=complex))
         # The first qubit is the most significant bit of the index, and V is 1.
-        vec[sum(_POL_INDEX[lab.pol] << k for k, lab in enumerate(labels[::-1]))] += amp
+        vec[sum(POLARIZATIONS.index(lab.pol) << k for k, lab in enumerate(labels[::-1]))] += amp
         probability += abs(amp) ** 2
     if probability <= POSTSELECT_MIN_PROBABILITY:
         return None, 0.0

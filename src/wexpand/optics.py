@@ -4,9 +4,9 @@ Every element is a unitary one-photon map: a creation operator on an input
 mode is replaced by a linear combination of creation operators on output
 modes.  ``_compose`` gives a photon's image through a whole circuit, from
 which ``gates`` builds the transfer table that the scenarios read.
-``apply_circuit`` lifts that map to a sparse Fock state once, for the tests'
-reference runs; it conserves total photon number and state norm exactly (up to
-float rounding).
+``apply_circuit`` lifts that map to a sparse Fock state (a ``fock.State``
+dict) once, for the tests' reference runs; it conserves total photon number
+and state norm exactly (up to float rounding).
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from .fock import (
     Basis,
     ModeLabel,
     ORTHOGONAL,
-    PhotonicState,
     PRINCIPAL,
     H,
+    State,
     V,
     bosonic_norm,
+    pruned,
 )
 from .tolerances import UNITARY_ATOL
 
@@ -119,7 +120,7 @@ def _compose(label: ModeLabel, elements: Sequence) -> Image:
     return [(lab, c) for lab, c in current.items() if c]
 
 
-def _transform(state: PhotonicState, images: dict[ModeLabel, Image]) -> PhotonicState:
+def _transform(state: State, images: dict[ModeLabel, Image]) -> State:
     """Lift a one-photon linear map to the whole Fock state.
 
     A basis vector with occupations n is prod_k (a_k^dag)^(n_k) |vac> /
@@ -141,17 +142,17 @@ def _transform(state: PhotonicState, images: dict[ModeLabel, Image]) -> Photonic
         for key, a in work.items():
             a *= math.sqrt(bosonic_norm(key) / weight_in)
             out[key] = out.get(key, 0.0) + a
-    return PhotonicState(out)
+    return pruned(out)
 
 
-def apply_circuit(state: PhotonicState, elements: Sequence) -> PhotonicState:
+def apply_circuit(state: State, elements: Sequence) -> State:
     """Propagate ``state`` through the elements in order, with one Fock lift
     of their composed one-photon map."""
-    labels = {lab for fbv in state.terms for lab in fbv}
+    labels = {lab for fbv in state for lab in fbv}
     return _transform(state, {lab: _compose(lab, elements) for lab in labels})
 
 
-def apply_delay(state: PhotonicState, spatial_mode: int, overlap: float) -> PhotonicState:
+def apply_delay(state: State, spatial_mode: int, overlap: float) -> State:
     """Delay the photons of one spatial mode to wavepacket overlap
     ``overlap`` (see ``delay``)."""
     return apply_circuit(state, [delay(spatial_mode, overlap)])

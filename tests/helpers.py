@@ -1,10 +1,10 @@
 """Test oracles and state helpers that the program itself does not need.
 
-The Fock-space oracle sends whole photonic states through the gate's
-elements with ``optics.apply_circuit``, where the program reads only the
-gate's transfer table.  The states it starts from, number states and the
-creation operator that builds the sources, live here too: no scenario
-builds a Fock state.
+The Fock-space oracle sends whole photonic states, plain dicts from basis
+vectors to amplitudes, through the gate's elements with
+``optics.apply_circuit``, where the program reads only the gate's transfer
+table.  The states it starts from, number states and the creation operator
+that builds the sources, live here too: no scenario builds a Fock state.
 """
 
 import cmath
@@ -24,9 +24,10 @@ from wexpand.fock import (
     PRINCIPAL,
     Basis,
     ModeLabel,
-    PhotonicState,
+    State,
     mode,
     postselect_qubits,
+    pruned,
     tensor,
 )
 from wexpand.gates import (
@@ -39,6 +40,7 @@ from wexpand.gates import (
 )
 from wexpand.optics import apply_circuit, apply_delay
 from wexpand.sources import N_MAX, _poisson_weights
+from wexpand.tolerances import AMPLITUDE_PRUNE
 from wexpand.tomography import (
     PROJECTOR_KETS,
     default_settings,
@@ -65,52 +67,59 @@ def basis_vector(occupations: Mapping[ModeLabel, int]) -> Basis:
     return tuple(sorted(photons))
 
 
-def vacuum_state() -> PhotonicState:
-    return PhotonicState({VACUUM: 1.0})
+def vacuum_state() -> State:
+    return {VACUUM: 1.0}
 
 
-def number_state(spatial: int, pol: str, n: int, tbin: str = PRINCIPAL) -> PhotonicState:
+def number_state(spatial: int, pol: str, n: int, tbin: str = PRINCIPAL) -> State:
     """Normalized n-photon state in a single mode."""
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    return PhotonicState({basis_vector({mode(spatial, pol, tbin): n}): 1.0})
+    return {basis_vector({mode(spatial, pol, tbin): n}): 1.0}
 
 
-def single_photon(spatial: int, pol: str, tbin: str = PRINCIPAL) -> PhotonicState:
+def single_photon(spatial: int, pol: str, tbin: str = PRINCIPAL) -> State:
     return number_state(spatial, pol, 1, tbin)
 
 
-def apply_creation(state: PhotonicState, label: ModeLabel) -> PhotonicState:
+def apply_creation(state: State, label: ModeLabel) -> State:
     """Creation operator on one mode; output is generally unnormalized."""
     out: dict[Basis, complex] = {}
     for fbv, amp in state.items():
         new = tuple(sorted(fbv + (label,)))
         out[new] = out.get(new, 0.0) + amp * math.sqrt(new.count(label))
-    return PhotonicState(out)
+    return pruned(out)
 
 
-def norm(state: PhotonicState) -> float:
-    return math.sqrt(state.norm_squared())
+def norm(state: State) -> float:
+    return math.sqrt(sum(abs(amp) ** 2 for amp in state.values()))
 
 
-def normalized(state: PhotonicState) -> PhotonicState:
+def normalized(state: State) -> State:
     n = norm(state)
     if n < ZERO_NORM:
         raise ValueError("cannot normalize a zero state")
     return scaled(state, 1.0 / n)
 
 
-def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
+def inner_product(a: State, b: State) -> complex:
     """<a|b>, conjugate-linear in ``a``."""
-    other = b.terms
     return sum(
-        (amp.conjugate() * other[fbv] for fbv, amp in a.items() if fbv in other),
+        (amp.conjugate() * b[fbv] for fbv, amp in a.items() if fbv in b),
         0.0 + 0.0j,
     )
 
 
-def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
-    return PhotonicState({fbv: amp * factor for fbv, amp in state.items()})
+def scaled(state: State, factor: complex) -> State:
+    return pruned({fbv: amp * factor for fbv, amp in state.items()})
+
+
+def is_pruned(state) -> bool:
+    """Whether ``state`` is as the engine returns its states: a plain dict
+    of complex amplitudes, none at or below the prune threshold."""
+    return type(state) is dict and all(
+        type(amp) is complex and abs(amp) > AMPLITUDE_PRUNE for amp in state.values()
+    )
 
 
 def density_from_pure(vector, qubit_order: Sequence[int]) -> DensityMatrix:
@@ -223,17 +232,17 @@ def dip_table_by_enumeration(
     return tuple(flat), tuple(slope)
 
 
-def fock_gate(state: PhotonicState) -> PhotonicState:
+def fock_gate(state: State) -> State:
     """Oracle gate: a whole Fock state through the gate's elements."""
     return apply_circuit(state, GATE_ELEMENTS)
 
 
-def two_photon_ancilla() -> PhotonicState:
+def two_photon_ancilla() -> State:
     """Ideal ancilla: two H photons in the ancilla mode."""
     return number_state(MODE_ANCILLA, "H", 2)
 
 
-def through_gate(w_input: PhotonicState, overlap: float = 1.0) -> PhotonicState:
+def through_gate(w_input: State, overlap: float = 1.0) -> State:
     """A W state whose accessed photon is in mode 1, and the two-photon
     ancilla delayed to wavepacket overlap ``overlap``, through the gate."""
     state = tensor(w_input, two_photon_ancilla())
@@ -244,7 +253,7 @@ def through_gate(w_input: PhotonicState, overlap: float = 1.0) -> PhotonicState:
 
 def weak_coherent_pulse(
     nu: float, spatial_mode: int = MODE_ANCILLA, phase: float = 0.0
-) -> PhotonicState:
+) -> State:
     """H-polarized coherent state of mean photon number ``nu``, truncated at
     ``N_MAX`` photons.
 
@@ -254,7 +263,7 @@ def weak_coherent_pulse(
     weights = _poisson_weights(nu, N_MAX)
     total = sum(weights)
     label = mode(spatial_mode, "H")
-    return PhotonicState(
+    return pruned(
         {
             basis_vector({label: n}): math.sqrt(w / total) * cmath.exp(1j * n * phase)
             for n, w in enumerate(weights)
@@ -266,7 +275,7 @@ def spdc_pair(
     gamma: float,
     modes: tuple[int, int] = (0, 1),
     include_double_pairs: bool = False,
-) -> PhotonicState:
+) -> State:
     """Down-conversion output on two spatial modes, mostly vacuum.
 
     A diagonal pump emits sqrt(gamma) times the symmetric pair
@@ -283,12 +292,12 @@ def spdc_pair(
         ((mode(m0, "V"), mode(m1, "H")), inv),
     ]
 
-    def create_pair(state: PhotonicState) -> PhotonicState:
+    def create_pair(state: State) -> State:
         grown: dict[Basis, complex] = {}
         for (lab_a, lab_b), coeff in pair_ops:
             for fbv, amp in apply_creation(apply_creation(state, lab_a), lab_b).items():
                 grown[fbv] = grown.get(fbv, 0.0) + coeff * amp
-        return PhotonicState(grown)
+        return pruned(grown)
 
     terms = {VACUUM: 1.0}
     one_pair = create_pair(vacuum_state())
@@ -297,7 +306,7 @@ def spdc_pair(
     if include_double_pairs:
         for fbv, amp in create_pair(one_pair).items():
             terms[fbv] = terms.get(fbv, 0.0) + (gamma / 2.0) * amp
-    return normalized(PhotonicState(terms))
+    return normalized(terms)
 
 
 def rotation(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -308,16 +317,16 @@ def rotation(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:
 
 def heralded_single_photon(
     herald_mode: int = 0, signal_mode: int = MODE_INPUT
-) -> PhotonicState:
+) -> State:
     """Pair state conditioned on a herald click: |1_H>_herald |1_H>_signal."""
     return tensor(number_state(herald_mode, "H", 1), number_state(signal_mode, "H", 1))
 
 
-def photonic_single_excitation(amplitudes, mode_ids: Sequence[int]) -> PhotonicState:
+def photonic_single_excitation(amplitudes, mode_ids: Sequence[int]) -> State:
     """One photon per listed spatial mode, V on mode i with amplitude
     ``amplitudes[i]`` and H on all the others."""
     ids = list(mode_ids)
-    return PhotonicState(
+    return pruned(
         {
             basis_vector({mode(m, "V" if m == v_mode else "H"): 1 for m in ids}): amp
             for v_mode, amp in zip(ids, amplitudes)
@@ -325,7 +334,7 @@ def photonic_single_excitation(amplitudes, mode_ids: Sequence[int]) -> PhotonicS
     )
 
 
-def photonic_w_state(mode_ids: Sequence[int]) -> PhotonicState:
+def photonic_w_state(mode_ids: Sequence[int]) -> State:
     """W state embedded as one photon per listed spatial mode."""
     n = len(mode_ids)
     return photonic_single_excitation([1.0 / math.sqrt(n)] * n, mode_ids)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wexpand
-from wexpand import cli, fock, gates, sources
+from wexpand import cli, fock, gates, optics, sources
 from wexpand.cli import (
     SCALING_SIZES,
     SCENARIO_FIELDS,
@@ -771,11 +771,13 @@ def test_pair_source_without_pairs_is_named(tmp_path, capsys):
 
 def test_no_scenario_builds_a_fock_state(monkeypatch, tmp_path):
     # Every shipped run reads the gate's transfer table; the Fock engine is
-    # the tests' oracle only.
-    def refuse(self, *args, **kwargs):
+    # the tests' oracle only.  Each state the engine returns, from ``tensor``
+    # or a circuit's lift, is built by its module's ``pruned``.
+    def refuse(terms):
         raise AssertionError("a scenario built a Fock state")
 
-    monkeypatch.setattr(fock.PhotonicState, "__init__", refuse)
+    for module in (fock, optics):
+        monkeypatch.setattr(module, "pruned", refuse)
     for name, argv in shipped_argvs(tmp_path).items():
         assert main([*argv, "--out", str(tmp_path / f"{name}_report.json")]) == 0, name
 
@@ -973,6 +975,55 @@ def test_report_to_a_device_file():
     # /dev/null is not a regular file; truncating it would fail.
     payload = emit_report(run_scenario(ExperimentConfig("scaling")), os.devnull)
     assert payload
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["hom"], "  visibility=0.8500"),
+    (["w3", "--exact"], "  fidelity=1.0000 witness=-0.3333 (exact mode)"),
+    (["w4", "--exact"], "  fidelity=1.0000 witness=-0.2500 (exact mode)"),
+], ids=["hom", "w3-exact", "w4-exact"])
+def test_report_to_a_device_file_gets_no_side_file(monkeypatch, capsys, argv, summary):
+    # Side files are named from the report's path, so beside /dev/null they
+    # would land in /dev.  The writer only records here, so that a failing
+    # run creates nothing there either.
+    written = []
+    monkeypatch.setattr(cli, "_overwrite", lambda path, payload: written.append(path))
+    assert main([*argv, "--out", os.devnull]) == 0
+    assert written == [Path(os.devnull)]
+    assert capsys.readouterr().out.splitlines() == [f"report written to {os.devnull}", summary]
+
+
+# The side files of each scenario that writes any, by suffix to the report's stem.
+SIDE_FILES = {"hom": ["_curve.csv"], "w3": ["_rho.json"], "w4": ["_rho.json"]}
+
+
+def summary_lines(report: dict) -> list[str]:
+    """What ``main`` prints after the report's path and side files."""
+    results = report["results"]
+    if report["scenario"] == "hom":
+        return [f"  visibility={results['visibility']:.4f}"]
+    if report["scenario"] == "scaling":
+        return [f"  N={row['n']}: analytic={row['analytic']:.6f} "
+                f"simulated={row['simulated']:.6f} fidelity={row['fidelity']:.9f}"
+                for row in results["rows"]]
+    tomo = results["tomography"]
+    return [f"  fidelity={tomo['fidelity']:.4f} witness={tomo['witness']:.4f} "
+            f"({tomo['mode']} mode)"]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_main_prints_the_report_its_side_files_and_a_summary(tmp_path, capsys, scenario):
+    out = tmp_path / "report.json"
+    assert main([*SHIPPED_RUNS[scenario], "--out", str(out)]) == 0
+    side = [tmp_path / f"report{suffix}" for suffix in SIDE_FILES.get(scenario, [])]
+    assert all(path.is_file() for path in side)
+    report = json.loads(out.read_bytes())
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"report written to {out}", *(f"  + {path}" for path in side),
+                     *summary_lines(report)]
+    if scenario == "scaling":
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            f"  N={n}" for n in SCALING_SIZES]
 
 
 def test_new_report_gets_the_mode_bits_of_write_bytes(tmp_path):

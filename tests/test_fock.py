@@ -7,19 +7,23 @@ import numpy as np
 import pytest
 
 from wexpand.fock import (
-    PhotonicState,
     WiringError,
     coincidence_probability,
     mode,
     postselect_qubits,
+    pruned,
     tensor,
     ORTHOGONAL,
     PRINCIPAL,
 )
+from wexpand.tolerances import AMPLITUDE_PRUNE
+
 from helpers import (
+    VACUUM,
     apply_creation,
     basis_vector,
     inner_product,
+    is_pruned,
     norm,
     normalized,
     number_state,
@@ -41,21 +45,21 @@ def random_state(rng, modes, max_photons=2):
                 occ[lab] = int(n)
         fbv = basis_vector(occ)
         terms[fbv] = complex(rng.normal(), rng.normal())
-    return normalized(PhotonicState(terms))
+    return normalized(terms)
 
 
 def test_creation_on_vacuum():
     state = apply_creation(vacuum_state(), mode(1, "V"))
     assert len(state) == 1
     fbv = basis_vector({mode(1, "V"): 1})
-    assert state.terms.get(fbv) == pytest.approx(1.0)
+    assert state.get(fbv) == pytest.approx(1.0)
 
 
 def test_creation_bosonic_factor():
     one = single_photon(2, "H")
     two = apply_creation(one, mode(2, "H"))
     fbv = basis_vector({mode(2, "H"): 2})
-    assert two.terms.get(fbv) == pytest.approx(math.sqrt(2))
+    assert two.get(fbv) == pytest.approx(math.sqrt(2))
 
 
 def test_double_creation_matches_factorial_normalization():
@@ -94,7 +98,7 @@ def test_inner_product_conjugate_linear():
 def test_tensor_and_vacuum_identity():
     joint = tensor(single_photon(1, "V"), number_state(2, "H", 2))
     fbv = basis_vector({mode(1, "V"): 1, mode(2, "H"): 2})
-    assert joint.terms.get(fbv) == pytest.approx(1.0)
+    assert joint.get(fbv) == pytest.approx(1.0)
 
     x = tensor(single_photon(1, "V"), vacuum_state())
     assert inner_product(x, single_photon(1, "V")).real == pytest.approx(1.0)
@@ -104,7 +108,19 @@ def test_tensor_norm_multiplicative():
     rng = np.random.default_rng(5)
     a = scaled(random_state(rng, [mode(0, "H"), mode(0, "V")]), 0.7)
     b = scaled(random_state(rng, [mode(1, "H"), mode(1, "V")]), 0.4)
-    assert norm(tensor(a, b)) == pytest.approx(norm(a) * norm(b))
+    joint = tensor(a, b)
+    assert norm(joint) == pytest.approx(norm(a) * norm(b))
+    assert is_pruned(joint)
+
+
+def test_tensor_returns_a_pruned_state():
+    # Products of two small amplitudes fall below the threshold.
+    small = math.sqrt(AMPLITUDE_PRUNE) / 10
+    a = {basis_vector({mode(0, "H"): 1}): small, basis_vector({mode(0, "V"): 1}): 1.0}
+    b = {basis_vector({mode(1, "H"): 1}): small, VACUUM: 1.0}
+    joint = tensor(a, b)
+    assert is_pruned(joint)
+    assert len(joint) == 3
 
 
 def test_tensor_overlapping_modes_rejected():
@@ -121,7 +137,7 @@ def test_creations_on_distinct_modes_commute():
         ab = apply_creation(apply_creation(state, labels[la]), labels[lb])
         ba = apply_creation(apply_creation(state, labels[lb]), labels[la])
         for fbv, amp in ab.items():
-            assert amp == pytest.approx(ba.terms.get(fbv, 0.0), abs=1e-12)
+            assert amp == pytest.approx(ba.get(fbv, 0.0), abs=1e-12)
         assert len(ab) == len(ba)
 
 
@@ -161,7 +177,7 @@ def test_postselect_distinguishable_bins_gives_classical_marginal():
     f2 = basis_vector(
         {mode(4, "V", ORTHOGONAL): 1, mode(5, "H", PRINCIPAL): 1}
     )
-    state = PhotonicState({f1: 1 / math.sqrt(2), f2: 1 / math.sqrt(2)})
+    state = {f1: 1 / math.sqrt(2), f2: 1 / math.sqrt(2)}
     rho, prob = postselect_qubits(state, [4, 5])
     assert prob == pytest.approx(1.0)
 
@@ -204,12 +220,10 @@ def test_postselect_probability_matches_term_filter():
 
 
 def test_coincidence_probability_threshold():
-    state = PhotonicState(
-        {
-            basis_vector({mode(0, "H"): 2, mode(4, "H"): 1}): 0.6,
-            basis_vector({mode(0, "H"): 1}): 0.8,
-        }
-    )
+    state = {
+        basis_vector({mode(0, "H"): 2, mode(4, "H"): 1}): 0.6,
+        basis_vector({mode(0, "H"): 1}): 0.8,
+    }
     assert coincidence_probability(state, [0]) == pytest.approx(1.0)
     assert coincidence_probability(state, [0, 4]) == pytest.approx(0.36)
 
@@ -236,8 +250,12 @@ def test_mode_label_validation():
 
 
 def test_amplitude_pruning():
-    state = PhotonicState({(): 1e-16})
-    assert len(state) == 0
+    assert len(pruned({(): 1e-16})) == 0
+    # At the threshold an amplitude goes too; the ones kept become complex.
+    kept = basis_vector({mode(0, "H"): 1})
+    state = pruned({(): 1e-16, (mode(1, "V"),): AMPLITUDE_PRUNE, kept: 0.5})
+    assert state == {kept: 0.5}
+    assert is_pruned(state)
 
 
 REPO = Path(__file__).resolve().parents[1]
