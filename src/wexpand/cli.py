@@ -37,7 +37,9 @@ else:
 
 from . import __version__
 from .entanglement import eof_from_concurrence
-from .gates import MODE_INPUT, OUTPUT_MODES, expand, success_probability_analytic
+from .gates import (
+    MODE_INPUT, OUTPUT_MODES, expand, gate_constants, success_probability_analytic,
+)
 from .sources import (
     calibrate_overlap_for_visibility,
     dip_coefficients,
@@ -396,13 +398,12 @@ def _run_scaling(config: ExperimentConfig) -> dict:
     # W_N is J/N, with J the N x N all-ones matrix, and the map is linear.
     # Whatever N is, the expansion of J holds s between untouched qubits, c_a
     # between an untouched qubit and output a, and G on the outputs (see
-    # ``expand``), so the 2 x 2 J's expansion gives every row in closed form.
-    gate = expand(np.ones((2, 2)), config.overlap)
-    s, c, g = float(gate[0, 0].real), gate[0, 1:], gate[1:, 1:]
-    trace_g, sum_c, sum_g = (float(x.real) for x in (np.trace(g), c.sum(), g.sum()))
+    # ``gate_constants``), so every row is a closed form in N.
+    s, c, g = gate_constants(config.overlap)
+    trace_g, sum_c, sum_g = (sum(x).real for x in ([g[a][a] for a in range(3)], c, map(sum, g)))
     # No pair holds two V photons, so a pair's concurrence is 2|rho_ij|.
-    pair_c = 2 * float(np.abs(c).min())
-    pair_g = 2 * float(np.abs(g[~np.eye(3, dtype=bool)]).min())
+    pair_c = 2 * min(map(abs, c))
+    pair_g = 2 * min(abs(g[a][b]) for a in range(3) for b in range(3) if a != b)
     rows = []
     for n in SCALING_SIZES:
         trace = s * (n - 1) + trace_g  # N times the success probability
@@ -576,8 +577,8 @@ def main(argv=None) -> int:
         if config.scenario == "scaling":
             for row in report["results"]["rows"]:
                 print(
-                    f"  N={row['n']}: analytic={row['analytic']:.6f} "
-                    f"simulated={row['simulated']:.6f} fidelity={row['fidelity']:.9f}"
+                    f"  N={row['n']}: analytic={row['analytic']:.9f} "
+                    f"simulated={row['simulated']:.9f} fidelity={row['fidelity']:.9f}"
                 )
         if config.scenario in ("w3", "w4"):
             tomo = report["results"]["tomography"]

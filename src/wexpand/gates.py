@@ -15,12 +15,11 @@ polarization and temporal bin; ``_TRANSFER`` holds its three amplitudes
 there, composed once at import from ``GATE_ELEMENTS``, and ``run_gate``
 looks them up.  The gate conserves the number of V photons, so a W-class
 input, one V among its qubits, stays in the single-excitation subspace at
-any overlap.  ``expand`` maps such a state, held as an (M x M) matrix, to
-its (M+2 x M+2) post-selected output from the amplitudes of the input photon
-and of an ancilla photon: at overlap xi, xi^2 times the output of matched
-photons plus 1 - xi^2 times that of distinguishable ones, the same model as
-the dip's.  The W state and every statistic of a density matrix live in
-``entanglement``, the analysis layer, which imports nothing from here.
+any overlap, where ``gate_constants`` gives the gate's map at overlap xi:
+xi^2 times that of matched photons plus 1 - xi^2 times that of
+distinguishable ones, the dip's model.  ``expand`` applies it to a state
+held as an (M x M) matrix.  The W state and every statistic of a density
+matrix live in ``entanglement``, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -75,51 +74,55 @@ def success_probability_analytic(n: int) -> float:
     return (n + 2) / (16.0 * n)
 
 
+def gate_constants(overlap: float = 1.0) -> tuple[float, tuple, tuple]:
+    """The gate's map on single-excitation matrices at overlap xi, as plain
+    numbers (s, c, G): sending qubit k of rho gives s rho_ij between
+    untouched qubits, rho_ik c_a between untouched qubit i and output a, and
+    rho_kk G (3 x 3, by rows) on the outputs.
+
+    With u the input photon's ``run_gate`` amplitudes and g the ancilla
+    photon's, the input photon lands in output i, one photon in each, at
+    w_i = sqrt(2) u_i prod_{j != i} g_j: the permanent with the ancilla row
+    taken twice, over the two-photon ancilla's norm sqrt(2).  h is w for an
+    H input on |HHH>, v for a V input.  The output is xi^2 times the
+    coherent one plus 1 - xi^2 times the one whose three routes do not
+    interfere: s = xi^2 |sum h|^2 + (1 - xi^2) sum |h|^2,
+    c = (xi^2 sum h + (1 - xi^2) h) v^* and G = xi^2 v v^dagger + (1 - xi^2) diag |v|^2.
+    """
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap {overlap} outside [0, 1]")
+    xi2 = float(overlap) ** 2
+    g = run_gate(MODE_ANCILLA, H)
+    # sqrt(2) prod_{j != i} g_j, for the input photon in output i.
+    others = [math.sqrt(2) * g[j] * g[k] for j, k in ((1, 2), (0, 2), (0, 1))]
+    h = [u * w for u, w in zip(run_gate(MODE_INPUT, H), others)]
+    v = [u * w for u, w in zip(run_gate(MODE_INPUT, V), others)]
+    total = sum(h)
+    s = xi2 * abs(total) ** 2 + (1 - xi2) * sum((x.conjugate() * x).real for x in h)
+    c = tuple((xi2 * total + (1 - xi2) * x) * y.conjugate() for x, y in zip(h, v))
+    # Grouped as xi^2 (v_a v_b^*): a reordering moves reports in their last bits.
+    gram = [[x * y.conjugate() for y in v] for x in v]
+    g_block = tuple(tuple(xi2 * z + (1 - xi2) * (z if a == b else 0j) for b, z in enumerate(row))
+                    for a, row in enumerate(gram))
+    return s, c, g_block
+
+
 def expand(rho, overlap: float = 1.0) -> np.ndarray:
     """Send the last qubit of a single-excitation state through the gate.
 
-    ``rho`` is an unnormalized M x M matrix whose entry (i, j) belongs to V
-    on qubit i and V on qubit j.  The result is the same kind of matrix for
-    the post-selected output: the M-1 untouched qubits in their order, then
-    the output modes 4, 5, 6.  Its trace is the success probability.
-
-    With u the input photon's ``run_gate`` amplitudes and g the ancilla
-    photon's, one photon lands in each output with the input photon in
-    output i at amplitude w_i = sqrt(2) u_i prod_{j != i} g_j: the permanent
-    of the photons' amplitudes, with the ancilla row taken twice, over
-    sqrt(2), the norm of the two-photon ancilla.  Let h be w for an H input on |HHH>, and v the
-    three single-V amplitudes for a V input.  At wavepacket overlap xi
-    between the ancilla and the input photon, the output is xi^2 times the
-    coherent one (xi = 1) plus 1 - xi^2 times the incoherent one (xi = 0),
-    where the input photon's three routes no longer interfere: with
-    s = xi^2 |sum h|^2 + (1 - xi^2) sum |h|^2,
-    c = (xi^2 sum h + (1 - xi^2) h) v^* and
-    G = xi^2 v v^dagger + (1 - xi^2) diag |v|^2, it holds s rho_ij between
-    untouched qubits, rho_ik c_a between untouched qubit i and output qubit
-    a, and rho_kk G on the outputs, with k the sent qubit.  The H amplitudes
-    fill only untouched rows, so a one-qubit input does without them.
+    ``rho`` is an unnormalized M x M matrix over "V on qubit i"; so is the
+    post-selected output, filled from ``gate_constants``: the M-1 untouched
+    qubits in their order, then the output modes 4, 5, 6.  Its trace is the
+    success probability.
     """
     rho = np.asarray(rho, dtype=complex)
     m = len(rho)
     if m == 0 or rho.shape != (m, m):
         raise ValueError(f"need a non-empty square matrix; got shape {rho.shape}")
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap {overlap} outside [0, 1]")
-
-    xi2 = float(overlap) ** 2
-    g = np.array(run_gate(MODE_ANCILLA, H))
-    # sqrt(2) prod_{j != i} g_j, for the input photon in output i.
-    others = math.sqrt(2) * g[[1, 0, 0]] * g[[2, 2, 1]]
-    v = np.array(run_gate(MODE_INPUT, V)) * others
-    out = np.zeros((m + 2, m + 2), dtype=complex)
-    gram = np.outer(v, v.conj())
-    out[m - 1 :, m - 1 :] = rho[-1, -1] * (xi2 * gram + (1 - xi2) * np.diag(gram.diagonal()))
-    if m > 1:
-        h = np.array(run_gate(MODE_INPUT, H)) * others
-        total = h.sum()
-        s = xi2 * abs(total) ** 2 + (1 - xi2) * np.vdot(h, h).real
-        c = (xi2 * total + (1 - xi2) * h) * v.conj()
-        out[: m - 1, : m - 1] = s * rho[:-1, :-1]
-        out[: m - 1, m - 1 :] = np.outer(rho[:-1, -1], c)
-        out[m - 1 :, : m - 1] = np.outer(c.conj(), rho[-1, :-1])
+    s, c, g_block = gate_constants(overlap)
+    out = np.empty((m + 2, m + 2), dtype=complex)  # at M = 1, three blocks are empty
+    out[: m - 1, : m - 1] = s * rho[:-1, :-1]
+    out[: m - 1, m - 1 :] = np.outer(rho[:-1, -1], c)
+    out[m - 1 :, : m - 1] = np.outer(np.conj(c), rho[-1, :-1])
+    out[m - 1 :, m - 1 :] = rho[-1, -1] * np.array(g_block)
     return out

@@ -18,6 +18,7 @@ from wexpand.gates import (
     MODE_INPUT,
     OUTPUT_MODES,
     expand,
+    gate_constants,
     run_gate,
     success_probability_analytic,
 )
@@ -187,6 +188,25 @@ def test_partial_overlap_matches_closed_form():
                     assert rho.matrix[i, j] == pytest.approx(
                         xi * xi / 3, abs=1e-12
                     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0))
+def test_gate_constants_hold_their_closed_forms(overlap):
+    # The ancilla photons' distinguishability leaves tr G = 3/16 and moves
+    # s and the c_a apart by xi^2; at xi = 1 they give W_N's success
+    # (s (N-1) + tr G)/N = (N+2)/(16N).  Expanding the 2 x 2 all-ones
+    # matrix lays the constants out as [[s, c], [c^dagger, G]] exactly.
+    s, c, g = gate_constants(overlap)
+    xi2 = overlap * overlap
+    assert abs(sum(g[a][a] for a in range(3)) - 3 / 16) <= 1e-15
+    assert abs(s - (3 - 2 * xi2) / 16) <= 1e-15
+    assert abs(sum(c) - (1 + 2 * xi2) / 16) <= 1e-15
+    expanded = expand(np.ones((2, 2)), overlap)
+    block = np.array([[s, *c], *([a.conjugate(), *row] for a, row in zip(c, g))])
+    assert np.array_equal(expanded, block)
+    assert np.array_equal(expanded, expanded.conj().T)
+    assert np.linalg.eigvalsh(expanded).min() >= -1e-15
 
 
 def test_one_photon_images_are_unitary_and_match_the_fock_oracle():
