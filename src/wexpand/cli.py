@@ -340,17 +340,26 @@ def _run_hom(config: ExperimentConfig) -> dict:
     }
 
 
+def _expansion_block(config: ExperimentConfig, matrix, modes, seeds) -> tuple[float, dict]:
+    """Expand the qubit on mode ``modes[-1]`` of the single-excitation ``matrix``
+    at ``config.overlap``.  Returns the output's trace as the post-selection
+    probability, and its tomography block on ``modes[:-1]`` then modes 4, 5, 6."""
+    expanded = expand(matrix, config.overlap)
+    probabilities = excitation_probabilities(expanded)
+    block = _tomography_block(probabilities, modes[:-1] + OUTPUT_MODES, config, seeds)
+    return float(np.trace(expanded).real), block
+
+
 def _run_w3(config: ExperimentConfig) -> dict:
     seeds = _child_seeds(None if config.exact else config.seed, 2)
-    expanded = expand(np.ones((1, 1)), config.overlap)
-    probabilities = excitation_probabilities(expanded)
+    probability, tomography = _expansion_block(config, np.ones((1, 1)), (MODE_INPUT,), seeds)
     return {
         "postselection": {
-            "probability": float(np.trace(expanded).real),
+            "probability": probability,
             "analytic_ideal": success_probability_analytic(1),
             "overlap": config.overlap,
         },
-        "tomography": _tomography_block(probabilities, OUTPUT_MODES, config, seeds),
+        "tomography": tomography,
     }
 
 
@@ -360,23 +369,19 @@ def _run_w4(config: ExperimentConfig) -> dict:
     # local frame of modes 0 and 1, on top of vacuum; a coincidence keeps
     # the pair, with probability gamma / (1 + gamma).  Gamma sets only how
     # often a pair arrives, so it scales the two reported rates and not the
-    # state the gate expands.  The pair holds one V on modes 0 and 1, so it
-    # is the 2 x 2 single-excitation matrix of W_2; its photon in mode 1,
-    # the last qubit, enters the gate.
-    pair = np.full((2, 2), 0.5)
+    # state the gate expands: W_2's 2 x 2 single-excitation matrix on modes
+    # 0 and 1, whose photon in mode 1 enters the gate.
+    pair, modes = np.full((2, 2), 0.5), (0, MODE_INPUT)
     pair_probability = config.gamma / (1 + config.gamma)
-    expanded = expand(pair, config.overlap)
-    given_pair = float(np.trace(expanded).real)
-
+    pair_block = _tomography_block(excitation_probabilities(pair), modes, config, seeds[:2])
+    given_pair, tomography = _expansion_block(config, pair, modes, seeds[2:])
     return {
         "pair_source": {
             # F = sum(pair) / 2 and, with no two V photons, C = 2 |pair_01|.
             "fidelity_w2": float(pair.sum()) / 2,
             "eof": eof_from_concurrence(2 * abs(float(pair[0, 1]))),
             "coincidence_probability": pair_probability,
-            "tomography": _tomography_block(
-                excitation_probabilities(pair), (0, MODE_INPUT), config, seeds[:2]
-            ),
+            "tomography": pair_block,
         },
         "postselection": {
             "probability": pair_probability * given_pair,
@@ -384,9 +389,7 @@ def _run_w4(config: ExperimentConfig) -> dict:
             "analytic_ideal_given_pair": success_probability_analytic(2),
             "overlap": config.overlap,
         },
-        "tomography": _tomography_block(
-            excitation_probabilities(expanded), (0,) + OUTPUT_MODES, config, seeds[2:]
-        ),
+        "tomography": tomography,
     }
 
 

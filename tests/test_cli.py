@@ -640,6 +640,35 @@ def test_shipped_fits_converge(shipped_outputs, name):
         assert pair["fidelity"] >= 1 - 1e-9
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+@pytest.mark.parametrize("scenario", ["w3", "w4"])
+def test_every_fit_holds_the_modes_of_its_one_expansion(monkeypatch, scenario, exact):
+    # Each runner expands its W_n input once: W_1 for w3, the pair W_2 for
+    # w4.  The main fit holds the untouched qubits' modes, then the gate's
+    # outputs 4, 5, 6, and w4's pair fit holds modes 0 and 1, in sampled
+    # runs as in exact ones.
+    calls = []
+
+    def recorded(matrix, overlap):
+        calls.append((np.array(matrix), overlap))
+        return gates.expand(matrix, overlap)
+
+    monkeypatch.setattr(cli, "expand", recorded)
+    config = ExperimentConfig(scenario, seed=5, n_resamples=2, exact=exact)
+    results = run_scenario(config)["results"]
+    n = {"w3": 1, "w4": 2}[scenario]
+    [(matrix, overlap)] = calls
+    assert matrix.shape == (n, n) and (matrix == 1 / n).all() and overlap == 1.0
+    fits = [(results["tomography"], EXACT_FITS[scenario][0])]
+    if scenario == "w4":
+        fits.append((results["pair_source"]["tomography"], [0, 1]))
+    for fit, order in fits:
+        assert fit["mode"] == ("exact" if exact else "sampled")
+        assert fit["density_matrix"]["qubit_order"] == order
+        pairs = {f"{i}{j}" for i, j in itertools.combinations(order, 2)}
+        assert fit["pairwise_eof"].keys() == pairs
+
+
 @pytest.mark.parametrize("scenario", ["w3", "w4"])
 def test_exact_report_does_not_depend_on_seed_or_resamples(
     shipped_outputs, tmp_path, scenario
