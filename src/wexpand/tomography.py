@@ -442,13 +442,10 @@ def bootstrap_errors(
     summary of the resample fits: how many did not converge, the p50, p90
     (nearest rank) and max of their iteration counts, and their most Newton
     steps.  Resample seeds derive from the master seed, so results are
-    reproducible and resamples could run in parallel; every resample shares
-    the cached measurement model.  A resampled count is zero wherever the
-    observed one is, so each resample drawn from the data starts one
-    ``_newton_step`` from ``fit``, along the fit's ``_newton_system``, which
-    is built once; where that takes no step, it starts at ``fit``.  A
-    resample that draws no count at all is replaced by one count per
-    setting, which is not the data: its fit starts cold.
+    reproducible; a resample with no count raises ValueError.  A resampled
+    count is zero wherever the observed one is, so each resample starts one
+    ``_newton_step`` from ``fit``, along the fit's ``_newton_system``, built
+    once, or at ``fit`` where that takes none; all share one measurement model.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
@@ -461,15 +458,18 @@ def bootstrap_errors(
         resamples = np.array([np.random.default_rng(c).poisson(data) for c in children])
     except ValueError:  # numpy: "lam value too large"
         raise ValueError(f"count {data.max():g} is too large to resample") from None
-    empty = ~resamples.any(axis=1)
-    resamples[empty] = 1
-    starts = [None if cold else fit.matrix for cold in empty]
+    if not resamples.any(axis=1).all():
+        raise ValueError(
+            f"a resample drew no count: {total:g} counts are too few to bootstrap "
+            "(n_resamples 0 skips the bootstrap)"
+        )
+    starts = [fit.matrix] * n_resamples
     sigma, rows, freq = _start_sigma(fit.matrix, model), model.povm_rows, data / total
     q, _ = _likelihood(sigma, freq, rows)
     grad = ((freq / q) @ rows).view(complex).reshape(sigma.shape)
     system = _newton_system(sigma, grad, freq, q, rows)
     freqs = resamples / resamples.sum(axis=1, keepdims=True)
-    for b in np.flatnonzero(~empty):
+    for b in range(n_resamples):
         stepped = _newton_step(system, freqs[b], q, freqs[b] @ np.log(q), rows)
         if stepped:
             starts[b] = model.g_inv_sqrt @ stepped[0] @ model.g_inv_sqrt

@@ -414,13 +414,12 @@ def cold_bootstrap(counts, n_resamples: int, seed: int, qubit_order) -> tuple[di
     """Reference for ``tomography.bootstrap_errors``: the same Poisson
     resamples, each fitted by one ``imlm_reconstruct`` from its own default
     start.  Returns the spread of their ``w_statistics``, under the same
-    keys, and how many of the fits did not converge."""
+    keys, and how many of the fits did not converge.  A resample with no
+    count fails in ``imlm_reconstruct``; the bootstrap raises before it."""
     data = np.asarray(counts, dtype=float)
     fits = []
     for child in np.random.SeedSequence(seed).spawn(n_resamples):
         resampled = np.random.default_rng(child).poisson(data)
-        if not resampled.any():
-            resampled[:] = 1
         fits.append(imlm_reconstruct(resampled, qubit_order=qubit_order))
     stats = w_statistics([fit.rho for fit in fits])
 

@@ -608,6 +608,9 @@ def test_shipped_fits_converge(shipped_outputs, name):
             assert fit["iterations"] == 0
             assert fit["bootstrap"] is None and fit["bootstrap_fits"] is None
         else:
+            # The p50 bound of 5 holds at overlap 1, where every shipped
+            # config runs; off it, resample fits take more iterations (see
+            # the next test).
             fits = fit["bootstrap_fits"]
             assert fits["unconverged"] == 0, fits
             assert fits["iterations_p50"] <= min(5, fits["iterations_p90"]), fits
@@ -638,6 +641,22 @@ def test_shipped_fits_converge(shipped_outputs, name):
     )
     if pair:
         assert pair["fidelity"] >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("scenario, seed", [("w3", 5), ("w4", 6)])
+def test_sampled_fits_off_unit_overlap_converge(scenario, seed):
+    # The sampled runs at overlap 0.926 that CI reruns byte for byte: every
+    # main and pair fit, resamples included, stops on its certificate.  The
+    # bootstrap p50 reads 3 for w3, and 6 for w4 with 3 for its pair, so the
+    # p50 bound of 5 of the shipped runs at overlap 1 does not apply here.
+    config = ExperimentConfig(scenario, overlap=0.926, seed=seed, n_resamples=10)
+    results = run_scenario(config)["results"]
+    pair = results.get("pair_source", {}).get("tomography")
+    for fit in filter(None, [results["tomography"], pair]):
+        assert fit["stop_reason"] == "certificate", fit["stop_reason"]
+        fits = fit["bootstrap_fits"]
+        assert fits["unconverged"] == 0, fits
+        assert fits["iterations_p50"] <= fits["iterations_p90"] <= fits["iterations_max"], fits
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
@@ -752,6 +771,22 @@ def test_degenerate_flux_is_named(tmp_path, capsys, flux, exact, cause):
     assert f"flux_per_setting {flux!r}" in err
     assert cause in err
     assert not out.exists()
+
+
+def test_bootstrap_of_too_few_counts_is_named(tmp_path, capsys):
+    # At this flux and seed the data hold 2 counts, and one of the two
+    # resamples draws none.  The run fails naming that, and the field that
+    # skips the bootstrap, before any report or side file is written.
+    cfg_path = write_config(
+        tmp_path, scenario="w3", seed=4, n_resamples=2, flux_per_setting=0.02
+    )
+    out = tmp_path / "report.json"
+    assert main(["w3", "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "drew no count" in line and "n_resamples" in line
+    assert not out.exists() and not (tmp_path / "report_rho.json").exists()
 
 
 @pytest.mark.parametrize("scenario", ["w3", "w4"])

@@ -391,13 +391,13 @@ def test_inversion_that_floors_an_observed_count_gives_way_to_the_mixed_state():
 
 
 @st.composite
-def count_sets(draw):
+def count_sets(draw, qubits=(1, 2, 3)):
     """Arbitrary counts, or Poisson counts of a random state of random rank
     at 0.05 to 500 counts per typical setting, where low flux leaves most
-    counts zero; and no start, or a random pure start whose amplitudes are
-    zero or 1e-6 off a drawn support, so that it may predict a zero or
-    near-zero probability where a count was seen."""
-    n_qubits = draw(st.sampled_from((1, 2, 3)))
+    counts zero, on one of ``qubits``; and no start, or a random pure start
+    whose amplitudes are zero or 1e-6 off a drawn support, so that it may
+    predict a zero or near-zero probability where a count was seen."""
+    n_qubits = draw(st.sampled_from(qubits))
     size = 4**n_qubits
     dim = 2**n_qubits
     if draw(st.booleans()):
@@ -447,6 +447,24 @@ def test_imlm_certificate_bounds_the_remaining_gain(case, cap):
         assert np.trace(fit.rho.matrix).real == pytest.approx(1.0, abs=TRACE_ATOL)
     longer = imlm_reconstruct(counts, max_iter=50 * cap, start=start)
     assert longer.log_likelihood - first.log_likelihood <= first.certificate + 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(count_sets(qubits=(2, 3)), st.integers(0, 2**32 - 1))
+def test_bootstrap_of_sparse_counts_names_an_empty_resample_or_certifies(case, seed):
+    # On sparse and low-flux counts, the bootstrap raises exactly when one of
+    # its resamples, drawn here from the same seeds, holds no count, and
+    # otherwise every resample fit stops on its certificate.  Two qubits at
+    # least, since w_statistics reads qubit pairs.
+    counts, _ = case
+    fit = imlm_reconstruct(counts).rho
+    children = np.random.SeedSequence(seed).spawn(4)
+    resamples = [np.random.default_rng(c).poisson(np.asarray(counts, float)) for c in children]
+    if not all(resampled.any() for resampled in resamples):
+        with pytest.raises(ValueError, match="a resample drew no count"):
+            bootstrap_errors(counts, 4, seed, fit)
+    else:
+        assert bootstrap_errors(counts, 4, seed, fit)[1]["unconverged"] == 0
 
 
 def test_sampled_fits_finish_with_newton_steps():
@@ -693,20 +711,20 @@ def test_resample_whose_newton_step_takes_none_starts_at_the_fit(monkeypatch):
     assert [start is fit.rho.matrix for start in starts] == [False, True, False, False]
 
 
-def test_resample_without_counts_starts_cold():
+def test_resample_without_counts_is_named_before_any_fit(monkeypatch):
     # With one click in all, a resample draws no count at all about a third
-    # of the time.  It is then replaced by one count per setting, which is
-    # not the data, so its fit starts from the linear inversion of those
-    # counts rather than from the one-click fit (0 iterations against 14).
-    # Every other resample is the one-click data scaled, whose fit is the
-    # start.
+    # of the time.  Such a resample has nothing to fit, so the bootstrap
+    # names it, with the data's total and the way to skip it, before it
+    # builds the fit's Newton system or runs any resample fit.
     one_click = [1] + [0] * 63
     fit = imlm_reconstruct(one_click).rho
-    cold = imlm_reconstruct(np.ones(64))
-    assert imlm_reconstruct(np.ones(64), start=fit.matrix).iterations > cold.iterations
-    _, fits = bootstrap_errors(one_click, 8, seed=1, fit=fit)
-    assert fits["unconverged"] == 0
-    assert fits["iterations_max"] == cold.iterations
+    ran = []
+    monkeypatch.setattr(tomography, "_newton_system", lambda *args: ran.append(args))
+    monkeypatch.setattr(tomography, "imlm_reconstruct", lambda *args, **kw: ran.append(args))
+    message = "a resample drew no count: 1 counts are too few to bootstrap"
+    with pytest.raises(ValueError, match=f"^{message} \\(n_resamples 0 skips"):
+        bootstrap_errors(one_click, 8, seed=1, fit=fit)
+    assert ran == []
 
 
 def test_start_of_the_wrong_shape_rejected():
