@@ -11,6 +11,7 @@ asserted against.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +19,6 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -46,6 +46,7 @@ from .sources import (
     hom_scan,
     hom_visibility,
 )
+from .tolerances import FLOAT_NORMAL_MIN
 from .tomography import (
     bootstrap_errors,
     exact_counts,
@@ -106,56 +107,49 @@ REFERENCE_EXPERIMENT = {
 }
 
 
-# Domain of each config field: (what it must do, membership test).  A
-# scenario checks the fields it reads.
-_DOMAINS = {
-    "nu": ("be finite and nonnegative", lambda x: 0 <= x < math.inf),
-    "gamma": ("be finite and positive", lambda x: 0 < x < math.inf),
-    "overlap": ("lie in [0, 1]", lambda x: 0 <= x <= 1),
-    "flux_per_setting": ("be finite and positive", lambda x: 0 < x < math.inf),
-    "n_resamples": ("be 0 or at least 2 and finite", lambda x: x == 0 or 2 <= x < math.inf),
-    "coherence_length_um": ("be finite and positive", lambda x: 0 < x < math.inf),
-    "delays_um": (
-        "be non-empty and finite",
-        lambda x: x is None or (len(x) > 0 and all(map(math.isfinite, x))),
-    ),
-    "visibility_target": ("lie in [0, 1)", lambda x: x is None or 0 <= x < 1),
-    "seed": ("be null or nonnegative and finite", lambda x: x is None or 0 <= x < math.inf),
-}
-
-# The fields each scenario reads.  A config file or flag may set only these,
-# and a report's config block lists only these.
-_W3_FIELDS = ("overlap", "flux_per_setting", "n_resamples", "seed", "exact")
-SCENARIO_FIELDS = {
-    "hom": ("nu", "overlap", "coherence_length_um", "delays_um", "visibility_target"),
-    "w3": _W3_FIELDS,
-    "w4": ("gamma",) + _W3_FIELDS,
-    "scaling": ("overlap",),
-}
-SCENARIOS = tuple(SCENARIO_FIELDS)
+SCENARIOS = ("hom", "w3", "w4", "scaling")
+_EXPANSIONS = ("w3", "w4")
+_POSITIVE = ("be finite and positive", lambda x: 0 < x < math.inf)
 
 
-@dataclass
+def _field(default, scenarios: tuple, domain=None, sampled_only: bool = False):
+    """A config field's one declaration: its default, the scenarios that read
+    it, its domain as (what a value must do, membership test), and whether
+    only a sampled run reads it.  A file or flag may set only the fields its
+    scenario reads, and a report's config block lists only those."""
+    metadata = {"scenarios": scenarios, "domain": domain, "sampled_only": sampled_only}
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+@dataclasses.dataclass
 class ExperimentConfig:
-    """One scenario's settings; the defaults are the quoted experimental ones."""
+    """One scenario's settings, each field declared once by ``_field``; the
+    defaults are the quoted experimental ones, but for w4's flux (see there)."""
 
     scenario: str
-    nu: float = 0.03
-    gamma: float = 0.05
-    overlap: float = 1.0
-    flux_per_setting: float = 104.0
-    n_resamples: int = 100
-    seed: int | None = None
-    exact: bool = False
-    coherence_length_um: float = 144.0
-    delays_um: list[float] | None = None
-    visibility_target: float | None = 0.85
+    nu: float = _field(0.03, ("hom",), ("be finite and nonnegative", lambda x: 0 <= x < math.inf))
+    gamma: float = _field(0.05, ("w4",), _POSITIVE)
+    overlap: float = _field(1.0, SCENARIOS, ("lie in [0, 1]", lambda x: 0 <= x <= 1))
+    # w3's 0.02/s x 5220 s.  w4 ships the same 104, not the 0.02/s x 4280 s = 85.6
+    # of its own reference values: changing it moves every sampled w4 output.
+    flux_per_setting: float = _field(104.0, _EXPANSIONS, _POSITIVE)
+    n_resamples: int = _field(100, _EXPANSIONS, sampled_only=True, domain=(
+        "be 0 or at least 2 and finite", lambda x: x == 0 or 2 <= x < math.inf))
+    seed: int | None = _field(None, _EXPANSIONS, sampled_only=True, domain=(
+        "be set and nonnegative; a sampled run needs a seed", lambda x: x is not None and x >= 0))
+    exact: bool = _field(False, _EXPANSIONS)
+    coherence_length_um: float = _field(144.0, ("hom",), _POSITIVE)
+    delays_um: list[float] | None = _field(None, ("hom",), (
+        "be non-empty and finite",
+        lambda x: x is None or (len(x) > 0 and all(map(math.isfinite, x)))))
+    visibility_target: float | None = _field(
+        0.85, ("hom",), ("lie in [0, 1)", lambda x: x is None or 0 <= x < 1))
 
     def read_fields(self) -> tuple[str, ...]:
         """The fields this run reads.  An exact run samples nothing, so it
-        reads neither ``seed`` nor ``n_resamples``."""
-        unread = ("seed", "n_resamples") if self.exact else ()
-        return tuple(f for f in SCENARIO_FIELDS[self.scenario] if f not in unread)
+        reads no sampled-only field: neither ``seed`` nor ``n_resamples``."""
+        return tuple(name for name in SCENARIO_FIELDS[self.scenario]
+                     if not (self.exact and _FIELDS[name]["sampled_only"]))
 
     def validate(self) -> None:
         """The one check of a config's values, from a file, a flag or code:
@@ -166,23 +160,18 @@ class ExperimentConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         for name in SCENARIO_FIELDS[self.scenario]:
             value = getattr(self, name)
-            if not _matches(value, _FIELD_KINDS[name]):
+            if not _matches(value, _FIELDS[name]["kinds"]):
                 raise ValueError(f"{name} has invalid type, got {value!r}")
-        fields = self.read_fields()
-        for name in fields:
-            value = getattr(self, name)
-            domain, ok = _DOMAINS.get(name, (None, None))
-            if ok and not ok(value):
-                raise ValueError(f"{name} must {domain}, got {value!r}")
-        calibrated = "visibility_target" in fields and self.visibility_target is not None
+        read = self.read_fields()
+        for name in read:
+            value, domain = getattr(self, name), _FIELDS[name]["domain"]
+            if domain and not domain[1](value):
+                raise ValueError(f"{name} must {domain[0]}, got {value!r}")
+        calibrated = "visibility_target" in read and self.visibility_target is not None
         if calibrated and self.overlap != 1:
             raise ValueError(
                 "overlap and visibility_target both set the overlap; set "
                 '"visibility_target": null to scan at a fixed overlap'
-            )
-        if "seed" in fields and self.seed is None:
-            raise ValueError(
-                f"scenario {self.scenario!r} samples counts; a seed is required"
             )
 
 
@@ -197,9 +186,15 @@ def _kinds(hint) -> dict:
     return dict.fromkeys((int, float) if hint is float else (hint,))
 
 
-# Field annotations drive the type check of every config.
+# Each field's record, from its declaration: its readers, domain and
+# sampled-only flag, and the kinds its annotation admits, which drive the
+# type check of every config.  A scenario reads its fields in that order.
 _FIELD_HINTS = typing.get_type_hints(ExperimentConfig)
-_FIELD_KINDS = {name: _kinds(hint) for name, hint in _FIELD_HINTS.items()}
+_FIELDS = {f.name: {**f.metadata, "kinds": _kinds(_FIELD_HINTS[f.name])}
+           for f in dataclasses.fields(ExperimentConfig)}
+SCENARIO_FIELDS = {scenario: tuple(name for name, f in _FIELDS.items()
+                                   if scenario in f.get("scenarios", ()))
+                   for scenario in SCENARIOS}
 
 
 def _matches(value, kinds: dict) -> bool:
@@ -212,8 +207,7 @@ def _matches(value, kinds: dict) -> bool:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """The scenario and the fields its run reads."""
-    fields = config.read_fields()
-    return {"scenario": config.scenario, **{f: getattr(config, f) for f in fields}}
+    return {"scenario": config.scenario, **{f: getattr(config, f) for f in config.read_fields()}}
 
 
 def _strict_object(pairs: list) -> dict:
@@ -280,7 +274,7 @@ def _tomography_block(
     flux = f"flux_per_setting {config.flux_per_setting!r}"
     overflow = f"{flux} is too large: the counts or their fit overflow"
     multiplier = flux_for_typical_count(probabilities, config.flux_per_setting)
-    if multiplier < np.finfo(float).tiny:
+    if multiplier < FLOAT_NORMAL_MIN:
         raise ValueError(f"{flux} is too small: the counts underflow")
     with np.errstate(over="raise", invalid="raise"):
         try:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import Sequence
 
 from .fock import H
 from .gates import MODE_ANCILLA, MODE_INPUT, run_gate
+from .tolerances import FLOAT_NORMAL_MIN
 
 
 # Photon-number truncation of the coherent pulse.
@@ -94,7 +94,7 @@ def dip_coefficients(nu: float) -> tuple[float, float]:
     weights = _poisson_weights(nu, N_MAX)
     total = sum(weights)
     a = sum(w * c for w, c in zip(weights, flat)) / total
-    if a < sys.float_info.min:
+    if a < FLOAT_NORMAL_MIN:
         # Below a float's normal range the coefficients lose bits, and the
         # calibrated dip would miss its target without an error.
         raise ValueError(

@@ -4,6 +4,11 @@ Every module pulls its thresholds from here so that a tolerance is defined
 exactly once and tests can reference the same constants.
 """
 
+import sys
+
+# Float range: a float below its normal range loses bits
+FLOAT_NORMAL_MIN = sys.float_info.min   # smallest normal float, 2.2250738585072014e-308
+
 # Sparse-state bookkeeping
 AMPLITUDE_PRUNE = 1e-14        # amplitudes below this are dropped after each operation
 

@@ -32,6 +32,7 @@ from wexpand.cli import (
 )
 from wexpand.entanglement import fidelity, w_state_qubits, witness_value
 from wexpand.gates import run_gate
+from wexpand.tolerances import FLOAT_NORMAL_MIN
 
 from helpers import (
     EOF_AT_HALF, EOF_AT_TWO_THIRDS, concurrence, expand_w_full_photonic, expanded_w,
@@ -209,16 +210,20 @@ def test_duplicate_key_rejected(tmp_path):
 
 def test_missing_seed_on_sampling_scenario_rejected(tmp_path, capsys):
     # The file may leave the seed to --seed, so the check is made when the
-    # scenario runs.
-    seedless = load_config(write_config(tmp_path, scenario="w3", n_resamples=0))
-    with pytest.raises(ValueError, match="seed"):
-        run_scenario(seedless)
-    assert main(["w3", "--out", str(tmp_path / "x.json")]) == 1
-    assert "seed" in capsys.readouterr().err
-    # exact mode needs no seed
-    exact = load_config(write_config(tmp_path, scenario="w3", exact=True))
-    assert exact.seed is None
-    run_scenario(exact)
+    # scenario runs: the seed's domain, which a sampled run reads.
+    message = "seed must be set and nonnegative; a sampled run needs a seed, got None"
+    for scenario in ("w3", "w4"):
+        seedless = load_config(write_config(tmp_path, scenario=scenario, n_resamples=0))
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            run_scenario(seedless)
+        out = tmp_path / "x.json"
+        assert main([scenario, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        # exact mode needs no seed
+        exact = load_config(write_config(tmp_path, scenario=scenario, exact=True))
+        assert exact.seed is None
+        run_scenario(exact)
 
 
 def test_seed_option_completes_a_seedless_config(tmp_path):
@@ -266,17 +271,62 @@ FLOAT_FIELDS = {
 
 
 def test_every_value_field_has_a_domain():
-    from wexpand.cli import _DOMAINS
-
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert set(_DOMAINS) == fields - {"scenario", "exact"}
-    assert {name for name, _ in OUT_OF_DOMAIN} == set(_DOMAINS)
+    # Each field declares its readers and domain: every field but scenario
+    # has a reader, and every field but exact a domain.
+    declared = {f.name: f.metadata for f in dataclasses.fields(ExperimentConfig)}
+    assert [n for n, meta in declared.items() if not meta.get("scenarios")] == ["scenario"]
+    domains = {n for n, meta in declared.items() if meta.get("domain")}
+    assert domains == set(declared) - {"scenario", "exact"}
+    assert {name for name, _ in OUT_OF_DOMAIN} == domains
     floats = {name for name, hint in cli._FIELD_HINTS.items() if "float" in str(hint)}
     assert set(FLOAT_FIELDS) == floats
     assert all(name in SCENARIO_FIELDS[s] for name, s in FLOAT_FIELDS.items())
     # Some scenario reads every field.
     assert set(IN_DOMAIN) == set().union(*SCENARIO_FIELDS.values())
-    assert set(IN_DOMAIN) == fields - {"scenario"}
+    assert set(IN_DOMAIN) == set(declared) - {"scenario"}
+
+
+# The fields each scenario reads, and each shipped run's config block and
+# hash, as literals: a declaration that adds a field to a scenario, drops one
+# or reorders them fails here, where a comparison within one tree passes.
+PINNED_SCENARIO_FIELDS = {
+    "hom": ("nu", "overlap", "coherence_length_um", "delays_um", "visibility_target"),
+    "w3": ("overlap", "flux_per_setting", "n_resamples", "seed", "exact"),
+    "w4": ("gamma", "overlap", "flux_per_setting", "n_resamples", "seed", "exact"),
+    "scaling": ("overlap",),
+}
+_HOM = {"scenario": "hom", "overlap": 1.0, "coherence_length_um": 144.0, "delays_um": None}
+_W3 = {"scenario": "w3", "overlap": 1.0, "flux_per_setting": 104.0}
+_W4 = {"scenario": "w4", "gamma": 0.05, "overlap": 1.0, "flux_per_setting": 104.0}
+PINNED_CONFIGS = {
+    "hom": ({**_HOM, "nu": 0.03, "visibility_target": 0.85},
+            "c940dc3229323cbe9bb53222030277cb59cf0fd4350beed8353eac68455a1079"),
+    "scaling": ({"scenario": "scaling", "overlap": 1.0},
+                "368fdc1adbbcee8de3fd5861b7193e0c8b58c86536acf5ef25cdbc688e766e26"),
+    "w3": ({**_W3, "n_resamples": 100, "seed": 20260808, "exact": False},
+           "97f2d191950ffea3a74de01aaf9dc3aa934cb6b93f91b6b5e5a393117126d721"),
+    "w4": ({**_W4, "n_resamples": 50, "seed": 20260809, "exact": False},
+           "0bbf1076975845d39de293e60ea4821f322d95e75ced1d61046d2f13821bfc18"),
+    "hom_nu": ({**_HOM, "nu": 0.05, "visibility_target": 0.8},
+               "b5160837285df040742f2d89c73225e8368502faf05506089a1e1200f63c5e15"),
+    "scaling_overlap": ({"scenario": "scaling", "overlap": 0.926},
+                        "48f3942049769e327fdfe47f8446d3e0fe80b1d0d8d93a0de2979f15d657b172"),
+    "w3_exact": ({**_W3, "exact": True},
+                 "1acb520042282eb485f9cb6f205be0a09f5548c5f24e189650714bef6b7770c2"),
+    "w4_exact": ({**_W4, "exact": True},
+                 "925754abeac7bd5245548a3da809361520e412f60090933c59708155009a8d91"),
+}
+
+
+def test_scenario_fields_are_pinned():
+    assert list(SCENARIO_FIELDS) == list(SCENARIOS) == list(PINNED_SCENARIO_FIELDS)
+    assert SCENARIO_FIELDS == PINNED_SCENARIO_FIELDS
+
+
+@pytest.mark.parametrize("name", SHIPPED_RUNS)
+def test_shipped_config_blocks_are_pinned(shipped_outputs, name):
+    report = json.loads(shipped(shipped_outputs, name))
+    assert (report["config"], report["config_sha256"]) == PINNED_CONFIGS[name]
 
 
 @pytest.mark.parametrize("scenario", ["hom", "w3", "w4"])
@@ -728,7 +778,7 @@ def test_exact_run_skips_the_domains_of_what_it_does_not_read(
             assert (tmp_path / f"{name}{suffix}").read_bytes() == plain, name
     sampled = write_config(tmp_path, scenario=scenario, seed=1, n_resamples=1)
     for argv, message in [
-        ([scenario, "--seed", "-1"], "seed must be null or nonnegative"),
+        ([scenario, "--seed", "-1"], "seed must be set and nonnegative; a sampled run needs"),
         ([scenario, "--config", str(sampled)], "n_resamples must be 0 or at least 2"),
     ]:
         out = tmp_path / "sampled.json"
@@ -795,7 +845,7 @@ def test_flux_at_the_normal_floor_still_fits(scenario):
     # give the W state back.
     config = ExperimentConfig(scenario, exact=True, flux_per_setting=1e-308)
     tomography = run_scenario(config)["results"]["tomography"]
-    assert tomography["flux_multiplier"] >= np.finfo(float).tiny
+    assert tomography["flux_multiplier"] >= FLOAT_NORMAL_MIN
     assert tomography["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
