@@ -251,9 +251,7 @@ def config_sha256(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _child_seeds(seed: int | None, count: int) -> list[int]:
-    if seed is None:
-        return [0] * count
+def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
@@ -261,7 +259,9 @@ def _tomography_block(
     probabilities, qubit_order: tuple, config: ExperimentConfig, seeds: list[int]
 ) -> dict:
     """Shared tomography pipeline: counts from each setting's probability,
-    in ``default_settings`` order, their fit on ``qubit_order``, statistics.
+    in setting order, their fit on ``qubit_order``, statistics.  A sampled
+    run draws its counts and its bootstrap from ``seeds``; an exact run
+    samples nothing and gets no seeds.
 
     ``flux_per_setting`` is the detected-count scale (rate x acquisition
     time) at a typical setting, so the multiplier that turns probabilities
@@ -337,15 +337,18 @@ def _run_hom(config: ExperimentConfig) -> dict:
 def _expansion_block(config: ExperimentConfig, matrix, modes, seeds) -> tuple[float, dict]:
     """Expand the qubit on mode ``modes[-1]`` of the single-excitation ``matrix``
     at ``config.overlap``.  Returns the output's trace as the post-selection
-    probability, and its tomography block on ``modes[:-1]`` then modes 4, 5, 6."""
+    probability, and the tomography block of the post-selected state, the
+    output over that trace, on ``modes[:-1]`` then modes 4, 5, 6.  Both runs
+    expand a W_N, whose trace is at least (N+2)/(16N) at any overlap."""
     expanded = expand(matrix, config.overlap)
-    probabilities = excitation_probabilities(expanded)
+    probability = float(np.trace(expanded).real)
+    probabilities = excitation_probabilities(expanded / probability)
     block = _tomography_block(probabilities, modes[:-1] + OUTPUT_MODES, config, seeds)
-    return float(np.trace(expanded).real), block
+    return probability, block
 
 
 def _run_w3(config: ExperimentConfig) -> dict:
-    seeds = _child_seeds(None if config.exact else config.seed, 2)
+    seeds = [] if config.exact else _child_seeds(config.seed, 2)
     probability, tomography = _expansion_block(config, np.ones((1, 1)), (MODE_INPUT,), seeds)
     return {
         "postselection": {
@@ -358,7 +361,7 @@ def _run_w3(config: ExperimentConfig) -> dict:
 
 
 def _run_w4(config: ExperimentConfig) -> dict:
-    seeds = _child_seeds(None if config.exact else config.seed, 4)
+    seeds = [] if config.exact else _child_seeds(config.seed, 4)
     # The diagonal pump emits sqrt(gamma) times the pair, already W_2 in the
     # local frame of modes 0 and 1, on top of vacuum; a coincidence keeps
     # the pair, with probability gamma / (1 + gamma).  Gamma sets only how

@@ -21,7 +21,7 @@ TRACE_ATOL = 1e-9              # density matrices: |trace - 1|
 # Two-qubit entanglement measures
 CONCURRENCE_SLACK = 1e-12      # concurrence may exceed 1 by this much (then clipped)
 
-# Post-selection
+# Post-selection in the Fock engine (fock.postselect_qubits), its only reader
 POSTSELECT_MIN_PROBABILITY = 1e-12   # below this the projected state is flagged empty
 POSTSELECT_NORM_ATOL = 1e-6          # input state must have |norm^2 - 1| below this
 

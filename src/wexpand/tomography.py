@@ -1,15 +1,17 @@
 """Simulated polarization tomography and maximum-likelihood reconstruction.
 
 One coincidence number is recorded per tensor-product projector setting of
-the {H, V, D, R}^n family, in ``default_settings`` order.  The setting
-projectors sum to an operator G that is not proportional to the identity,
-so the fit works in the frame where they form a proper POVM (conjugation by
-G^(-1/2)).  That frame, the ``MeasurementModel``, is built once per qubit
-count, from one-qubit factors, and shared by every fit.  In it the fit
-maximizes the log-likelihood over density matrices from the projected
-linear-inversion estimate: projected gradient finds the support of the
-optimum, Newton steps on that support finish, neither lowers the
-log-likelihood, and it stops on an optimality certificate, not a stall.
+the {H, V, D, R}^n family, in setting order: that of
+``itertools.product(PROJECTOR_KETS, repeat=n)``, the first qubit's label
+varying slowest.  The setting projectors sum to an operator G that is not
+proportional to the identity, so the fit works in the frame where they form
+a proper POVM (conjugation by G^(-1/2)).  That frame, the
+``MeasurementModel``, is built once per qubit count, from one-qubit factors,
+and shared by every fit.  In it the fit maximizes the log-likelihood over
+density matrices from the projected linear-inversion estimate: projected
+gradient finds the support of the optimum, Newton steps on that support
+finish, neither lowers the log-likelihood, and it stops on an optimality
+certificate, not a stall.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from .tolerances import (
     IMLM_MAX_ITER,
     IMLM_PROBABILITY_FLOOR,
     IMLM_RANK_RTOL,
-    POSTSELECT_MIN_PROBABILITY,
 )
 
-# The key order is the label order of default_settings.
+# The key order is the label order of the settings.
 PROJECTOR_KETS = {
     "H": np.array([1.0, 0.0], dtype=complex),
     "V": np.array([0.0, 1.0], dtype=complex),
@@ -52,19 +53,12 @@ _STEP_SHRINK = 0.5
 _NEWTON_GAP = 3e-2
 
 
-def default_settings(n_qubits: int) -> list[tuple]:
-    """The {H, V, D, R}^n tensor-product settings (4^n of them)."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    return list(itertools.product(PROJECTOR_KETS, repeat=n_qubits))
-
-
 @dataclass(frozen=True)
 class MeasurementModel:
     """The {H, V, D, R}^n settings of one qubit count, as a fit needs them.
 
-    Each row array holds one setting per row, in ``default_settings``
-    order, as interleaved (re, im) doubles.  ``povm_rows`` holds the setting
+    Each row array holds one setting per row, in setting order, as
+    interleaved (re, im) doubles.  ``povm_rows`` holds the setting
     projectors P_j in the frame where they resolve the identity, E_j =
     G^(-1/2) P_j G^(-1/2) with G = sum_j P_j: ``povm_rows @
     sigma.ravel().view(float)`` gives the predicted probabilities Tr(E_j
@@ -83,11 +77,12 @@ class MeasurementModel:
 
 @functools.cache
 def measurement_model(n_qubits: int) -> MeasurementModel:
-    """The model of ``default_settings(n_qubits)``, built on first use,
-    then shared read-only from the cache.  G is the Kronecker power of the
-    one-qubit G_1, so G^(+-1/2) and every P_j, E_j and D_j are Kronecker
+    """The model of the 4^n settings of ``n_qubits`` qubits, built on first
+    use, then shared read-only from the cache.  G is the Kronecker power of
+    the one-qubit G_1, so G^(+-1/2) and every P_j, E_j and D_j are Kronecker
     products of one-qubit factors (James et al., PRA 64, 052312, 2001)."""
-    default_settings(n_qubits)  # rejects n_qubits < 1
+    if n_qubits < 1:
+        raise ValueError("need at least one qubit")
     kets = np.array(list(PROJECTOR_KETS.values()))
     projectors = kets[:, :, None] * kets[:, None, :].conj()
     evals, evecs = np.linalg.eigh(projectors.sum(axis=0))
@@ -110,29 +105,26 @@ def measurement_model(n_qubits: int) -> MeasurementModel:
     return MeasurementModel(g_sqrt, g_inv_sqrt, povm_rows, inversion)
 
 
-def excitation_probabilities(matrix) -> np.ndarray:
-    """Tr(rho P_j) for every setting, in ``default_settings`` order, of an
-    unnormalized n x n single-excitation matrix M as ``gates.expand`` gives
-    it, rho = M / Tr M: a_j^dagger rho a_j, where a_j[i] = k_i(V)
-    prod_{l != i} k_l(H) is the amplitude of the setting's kets k_l on V at
-    qubit i and H elsewhere, built in n Kronecker steps.  Rounding can leave
-    a zero slightly negative, so the result is clipped at zero."""
-    matrix = np.asarray(matrix, dtype=complex)
-    probability = np.trace(matrix).real
-    if probability <= POSTSELECT_MIN_PROBABILITY:
-        raise ValueError("post-selection probability vanished")
+def excitation_probabilities(state) -> np.ndarray:
+    """Tr(rho P_j) for every setting, in setting order, of an n x n
+    single-excitation state rho of trace one: a_j^dagger rho a_j, where
+    a_j[i] = k_i(V) prod_{l != i} k_l(H) is the amplitude of the setting's
+    kets k_l on V at qubit i and H elsewhere, built in n Kronecker steps.
+    Rounding can leave a zero slightly negative, so the result is clipped
+    at zero."""
+    state = np.asarray(state, dtype=complex)
     h, v = np.array(list(PROJECTOR_KETS.values())).T[:, :, None]
     a = np.ones((1, 1))  # column 0 on all H, column i + 1 on V at qubit i
-    for _ in matrix:
+    for _ in state:
         a = np.concatenate((a[:, None] * h, a[:, None, :1] * v), axis=2)
         a = a.reshape(-1, a.shape[2])
     a = a[:, 1:]
-    born = np.einsum("ji,ji->j", a.conj() @ (matrix / probability), a).real
+    born = np.einsum("ji,ji->j", a.conj() @ state, a).real
     return np.clip(born, 0.0, None)
 
 
 def sample_counts(probabilities, multiplier: float, seed: int) -> np.ndarray:
-    """Poisson coincidence counts aligned with ``default_settings``, with
+    """Poisson coincidence counts, one per setting in setting order, with
     means ``multiplier`` x the setting probabilities, deterministic in the
     seed."""
     if multiplier <= 0:
@@ -143,7 +135,7 @@ def sample_counts(probabilities, multiplier: float, seed: int) -> np.ndarray:
 
 def exact_counts(probabilities, multiplier: float) -> np.ndarray:
     """Noiseless expected coincidence numbers ``multiplier`` x the setting
-    probabilities, aligned with ``default_settings``."""
+    probabilities, one per setting in setting order."""
     return multiplier * np.asarray(probabilities, dtype=float)
 
 
@@ -179,12 +171,12 @@ class ReconstructionResult:
 
 def _checked_counts(counts) -> tuple[np.ndarray, int, float]:
     """The counts as floats, their qubit count and their positive, finite
-    total, checked to be one nonnegative count per default setting."""
+    total, checked to be one nonnegative count per setting."""
     data = np.asarray(counts, dtype=float)
     n_qubits = (data.size.bit_length() - 1) // 2
     if n_qubits < 1 or data.shape != (4**n_qubits,):
         raise ValueError(
-            f"need 4^n counts, one per setting of default_settings(n); "
+            f"need 4^n counts, one per {{H, V, D, R}}^n setting; "
             f"got shape {data.shape}"
         )
     if np.any(data < 0):
@@ -312,8 +304,8 @@ def imlm_reconstruct(
     projected gradient with a Newton finish.
 
     Args:
-        counts: 4^n coincidence numbers aligned with
-            ``default_settings(n)`` (exact expected values are fine).
+        counts: 4^n coincidence numbers, one per setting in setting
+            order (exact expected values are fine).
         max_iter: iteration cap, nonnegative.
         qubit_order: spatial-mode ids for the reconstructed qubits
             (defaults to 0..n-1).

@@ -43,7 +43,6 @@ from wexpand.sources import N_MAX, _poisson_weights
 from wexpand.tolerances import AMPLITUDE_PRUNE
 from wexpand.tomography import (
     PROJECTOR_KETS,
-    default_settings,
     imlm_reconstruct,
     w_statistics,
 )
@@ -142,6 +141,15 @@ def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
     x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def default_settings(n_qubits: int) -> list[tuple]:
+    """Oracle for the setting order of ``tomography``: the {H, V, D, R}^n
+    tensor-product settings (4^n of them), the first qubit's label varying
+    slowest."""
+    if n_qubits < 1:
+        raise ValueError("need at least one qubit")
+    return list(itertools.product(PROJECTOR_KETS, repeat=n_qubits))
 
 
 def setting_projector(setting: Sequence[str]) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wexpand
 from wexpand import cli, fock, gates, optics, sources
@@ -35,8 +35,8 @@ from wexpand.gates import run_gate
 from wexpand.tolerances import FLOAT_NORMAL_MIN
 
 from helpers import (
-    EOF_AT_HALF, EOF_AT_TWO_THIRDS, concurrence, expand_w_full_photonic, expanded_w,
-    partial_trace, scaling_row_by_expansion,
+    EOF_AT_HALF, EOF_AT_TWO_THIRDS, born_probabilities, concurrence, excitation_density,
+    expand_w_full_photonic, expanded_w, partial_trace, scaling_row_by_expansion,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -736,6 +736,34 @@ def test_every_fit_holds_the_modes_of_its_one_expansion(monkeypatch, scenario, e
         assert fit["density_matrix"]["qubit_order"] == order
         pairs = {f"{i}{j}" for i, j in itertools.combinations(order, 2)}
         assert fit["pairwise_eof"].keys() == pairs
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(1.0)
+def test_post_selection_divides_by_a_trace_bounded_below(overlap):
+    # Each expansion divides the gate's output by its trace once, with no
+    # check that it vanished: the trace of w3's W_1 stays 3/16 and that of
+    # w4's pair (6 - 2 xi^2)/32, at or above (N+2)/(16N), and each is the
+    # reported post-selection probability to the bit.  The counts come from
+    # the state of trace one, so the flux multiplier is that of its mean
+    # setting probability.
+    runs = [
+        ("w3", np.ones((1, 1)), 3 / 16, "probability"),
+        ("w4", np.full((2, 2), 0.5), (6 - 2 * overlap**2) / 32, "probability_given_pair"),
+    ]
+    for scenario, w_n, closed_form, key in runs:
+        expanded = gates.expand(w_n, overlap)
+        trace = float(np.trace(expanded).real)
+        assert abs(trace - closed_form) <= 1e-15, scenario
+        assert trace >= gates.success_probability_analytic(len(w_n)) - 1e-15, scenario
+        config = ExperimentConfig(scenario, overlap=overlap, exact=True)
+        results = run_scenario(config)["results"]
+        assert results["postselection"][key] == trace, scenario
+        mean = born_probabilities(excitation_density(expanded, range(len(expanded)))).mean()
+        multiplier = results["tomography"]["flux_multiplier"]
+        assert multiplier == pytest.approx(config.flux_per_setting / mean, rel=1e-12), scenario
 
 
 @pytest.mark.parametrize("scenario", ["w3", "w4"])

@@ -23,7 +23,6 @@ from wexpand.gates import (
     success_probability_analytic,
 )
 from wexpand.optics import _compose, apply_circuit
-from wexpand.tomography import excitation_probabilities
 
 from helpers import (
     excitation_density,
@@ -83,8 +82,6 @@ def test_expand_rejects_a_bad_shape_or_qubit():
     for rho in (np.ones((2, 3)), np.ones(3), np.zeros((0, 0))):
         with pytest.raises(ValueError, match="non-empty square matrix"):
             expand(rho)
-    with pytest.raises(ValueError, match="vanished"):
-        excitation_probabilities(np.zeros((3, 3)))
 
 
 def test_expand_rejects_an_overlap_outside_the_unit_interval():

@@ -24,7 +24,6 @@ from wexpand.tolerances import (
 from wexpand.tomography import (
     _project_density,
     bootstrap_errors,
-    default_settings,
     exact_counts,
     excitation_probabilities,
     flux_for_typical_count,
@@ -37,6 +36,7 @@ from wexpand.tomography import (
 from helpers import (
     born_probabilities,
     cold_bootstrap,
+    default_settings,
     density_from_pure,
     excitation_density,
     random_density,
@@ -900,7 +900,8 @@ def test_excitation_probabilities_match_per_setting_traces(matrix):
     # dense state, and the settings that state gives exactly zero get
     # exactly zero.  A complex matrix tells a_j^dagger M a_j from its
     # conjugate, which no real matrix, as every shipped run builds, can.
-    probabilities = excitation_probabilities(matrix)
+    state = matrix / np.trace(matrix).real
+    probabilities = excitation_probabilities(state)
     oracle = born_probabilities(excitation_density(matrix, range(len(matrix))))
     np.testing.assert_allclose(probabilities, oracle, rtol=0, atol=1e-15)
     np.testing.assert_array_equal(probabilities == 0, oracle == 0)
